@@ -3,7 +3,8 @@
 Commands mirror the workflow ingest -> preprocess -> tune -> train ->
 evaluate/predict. Every run writes its artifacts (config copy, log, model
 bundles, reports) into one output directory, so a run can be reproduced from
-what it leaves behind. Exit codes: 0 success, 2 input problem, 3 numerical
+what it leaves behind. Exit codes: 0 success, 2 input problem (including a
+malformed bundle and a path that cannot be read or written), 3 numerical
 failure.
 """
 
@@ -22,8 +23,10 @@ from surrkit.config import RunConfig, load_config
 from surrkit.data import (
     DataTensor,
     FidelityDataset,
+    _format_float,
     export_tensor,
     import_tensor,
+    write_csv,
 )
 from surrkit.errors import (
     InputError,
@@ -32,15 +35,12 @@ from surrkit.errors import (
     SurrkitError,
     UnsupportedModelError,
 )
-from surrkit.metrics import evaluate, one_to_one_export, throughput_benchmark
+from surrkit.metrics import EvalReport, evaluate, one_to_one_export, throughput_benchmark
 from surrkit.mlp import export_history_csv
 from surrkit.modelstore import load_model, save_model
 from surrkit.multifid import (
-    DesignSiteRequest,
-    MfComposite,
-    export_prediction_csv,
-    predict_at_design_sites,
-    predict_single_fidelity,
+    TensorLayout,
+    predict_tensor,
     train_mf,
     train_mf_chain,
     train_single_fidelity,
@@ -51,8 +51,7 @@ from surrkit.tuner import (
     convergence_study,
     export_convergence_csv,
     export_sweep_csv,
-    tune_gpr,
-    tune_mlp,
+    tune,
 )
 
 EXIT_OK = 0
@@ -133,26 +132,38 @@ def _split_flags(args) -> dict:
     }
 
 
-def _evaluate_and_report(
-    surrogate, dataset: FidelityDataset, cfg: RunConfig, run: _Run, stem: str
-) -> None:
+def _predict_and_score(
+    model, X: DataTensor, Y: DataTensor, out_dir: Path | None
+) -> EvalReport:
+    """Predict once, score that prediction, and, given a directory, write
+    the report and the one-to-one scatter data from it."""
     with _stage("evaluate"):
-        _, test_idx, _ = split_data_cv(dataset.n, cfg.split)
-        if len(test_idx) < 2:
-            run.say(
-                f"test bin has {len(test_idx)} row(s); too small for a meaningful "
-                "report, skipping (score against independent data with 'evaluate')"
-            )
-            return
-        X_test = _tensor_rows(dataset.X, test_idx)
-        Y_test = _tensor_rows(dataset.Y, test_idx)
-        report = evaluate(surrogate, X_test, Y_test)
-        report.write(run.dir, stem=stem)
-        y_pred_flat = surrogate.predict_raw(X_test.values.reshape(X_test.n, -1))
-        y_pred = surrogate.y_layout.tensor_from_flat(y_pred_flat)
-        one_to_one_export(Y_test, y_pred, run.dir / "one_to_one.csv")
-        run.say(f"test bin ({len(test_idx)} rows): global R^2 = {report.global_r2:.6f}")
-        run.say(report.to_text(), detail=True)
+        y_pred = predict_tensor(model, X)
+        report = evaluate(model.describe(), Y, y_pred)
+        if out_dir is not None:
+            report.write(out_dir)
+            one_to_one_export(Y, y_pred, out_dir / "one_to_one.csv")
+    return report
+
+
+def _evaluate_and_report(
+    surrogate, dataset: FidelityDataset, cfg: RunConfig, run: _Run
+) -> None:
+    _, test_idx, _ = split_data_cv(dataset.n, cfg.split)
+    if len(test_idx) < 2:
+        run.say(
+            f"test bin has {len(test_idx)} row(s); too small for a meaningful "
+            "report, skipping (score against independent data with 'evaluate')"
+        )
+        return
+    report = _predict_and_score(
+        surrogate,
+        _tensor_rows(dataset.X, test_idx),
+        _tensor_rows(dataset.Y, test_idx),
+        run.dir,
+    )
+    run.say(f"test bin ({len(test_idx)} rows): global R^2 = {report.global_r2:.6f}")
+    run.say(report.to_text(), detail=True)
 
 
 def cmd_train(args) -> int:
@@ -175,7 +186,7 @@ def cmd_train(args) -> int:
     with _stage("save"):
         bundle = save_model(surrogate, run.dir, "model")
     run.say(f"model bundle: {bundle}")
-    _evaluate_and_report(surrogate, dataset, cfg, run, "eval_report")
+    _evaluate_and_report(surrogate, dataset, cfg, run)
     return EXIT_OK
 
 
@@ -243,7 +254,7 @@ def cmd_mf_train(args) -> int:
     with _stage("save"):
         bundle = save_model(composite, run.dir, "mf_model")
     run.say(f"model bundle: {bundle}")
-    _evaluate_and_report(composite, top_data, cfg, run, "eval_report")
+    _evaluate_and_report(composite, top_data, cfg, run)
     return EXIT_OK
 
 
@@ -254,10 +265,7 @@ def cmd_tune(args) -> int:
     dataset = _load_dataset(_require(cfg, "data", "data"), "data")
     with _stage("tune"):
         prepared = preprocess_data_pipeline(dataset, cfg.split)
-        if cfg.model_kind == "gpr":
-            sweep = tune_gpr(prepared, cfg.gpr_grid)
-        else:
-            sweep = tune_mlp(prepared, cfg.mlp_grid)
+        sweep = tune(prepared, cfg.model_kind, cfg.gpr_grid, cfg.mlp_grid)
     export_sweep_csv(sweep, run.dir / "sweep.csv")
     run.say(
         f"winner: {sweep.winner.label} "
@@ -269,14 +277,19 @@ def cmd_tune(args) -> int:
 def cmd_predict(args) -> int:
     model = load_model(args.model_dir)
     sites = import_tensor(args.sites, args.sites_format)
-    out = Path(args.pred_out)
-    if isinstance(model, MfComposite):
-        with _stage("predict"):
-            predict_at_design_sites(model, DesignSiteRequest(sites, csv_path=out))
-    else:
-        with _stage("predict"):
-            pred = predict_single_fidelity(model, sites)
-            export_prediction_csv(sites, pred, out)
+    with _stage("predict"):
+        pred = predict_tensor(model, sites)
+    # One row per site: input columns first, then output columns.
+    out = write_csv(
+        args.pred_out,
+        TensorLayout.of(sites).column_names() + model.y_layout.column_names(),
+        (
+            [_format_float(v) for v in row]
+            for row in np.hstack(
+                [sites.values.reshape(sites.n, -1), pred.values.reshape(pred.n, -1)]
+            )
+        ),
+    )
     print(f"wrote {sites.n} predictions to {out}")
     return EXIT_OK
 
@@ -286,15 +299,9 @@ def cmd_evaluate(args) -> int:
     X = import_tensor(args.x, args.format)
     Y = import_tensor(args.y, args.format)
     dataset = FidelityDataset(fidelity="eval", X=X, Y=Y)
-    with _stage("evaluate"):
-        report = evaluate(model, dataset.X, dataset.Y)
+    out_dir = Path(args.out) if args.out is not None else None
+    report = _predict_and_score(model, dataset.X, dataset.Y, out_dir)
     print(report.to_text())
-    if args.out is not None:
-        report.write(Path(args.out))
-        y_pred = model.y_layout.tensor_from_flat(
-            model.predict_raw(X.values.reshape(X.n, -1))
-        )
-        one_to_one_export(Y, y_pred, Path(args.out) / "one_to_one.csv")
     return EXIT_OK
 
 
@@ -483,10 +490,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (InputError, StoreError, UnsupportedModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except (InputError, StoreError, UnsupportedModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -44,7 +44,7 @@ from surrkit.errors import InputError
 from surrkit.gpr import HyperBounds, default_kernel_grid, kernel_from_name
 from surrkit.mlp import TrainConfig
 from surrkit.preprocess import SplitSpec
-from surrkit.tuner import GprGrid, MlpGrid
+from surrkit.tuner import MODEL_KINDS, GprGrid, MlpGrid
 
 _SCHEMA: dict[str, tuple[str, ...]] = {
     "": ("seed", "out_dir", "split", "data", "lf_data", "hf_data",
@@ -123,6 +123,13 @@ def _data_source(section: dict, path: str, base: Path) -> DataSource:
     )
 
 
+def _model_kind(value, where: str) -> str:
+    kind = str(value)
+    if kind not in MODEL_KINDS:
+        raise InputError(f"{where} must be one of {MODEL_KINDS}, got {kind!r}")
+    return kind
+
+
 def _bounds_pair(raw, name: str) -> tuple[float, float]:
     if (
         not isinstance(raw, (list, tuple))
@@ -193,11 +200,7 @@ def build_run_config(
             if not isinstance(section, dict):
                 raise InputError(f"fidelity_chain[{i}] must be an object")
             _reject_unknown(section, "fidelity_chain[]")
-            kind = str(section.get("model", "gpr"))
-            if kind not in ("gpr", "mlp"):
-                raise InputError(
-                    f"fidelity_chain[{i}].model must be 'gpr' or 'mlp', got {kind!r}"
-                )
+            kind = _model_kind(section.get("model", "gpr"), f"fidelity_chain[{i}].model")
             source_raw = {k: v for k, v in section.items() if k != "model"}
             chain.append((_data_source(source_raw, "data", base), kind))
 
@@ -205,10 +208,7 @@ def build_run_config(
     for key in ("model", "lf_model", "mf_model"):
         section = dict(raw.get(key, {}))
         _reject_unknown(section, key)
-        kind = str(section.get("kind", "gpr"))
-        if kind not in ("gpr", "mlp"):
-            raise InputError(f"{key}.kind must be 'gpr' or 'mlp', got {kind!r}")
-        kinds[key] = kind
+        kinds[key] = _model_kind(section.get("kind", "gpr"), f"{key}.kind")
 
     gpr_raw = dict(raw.get("gpr", {}))
     _reject_unknown(gpr_raw, "gpr")
@@ -254,9 +254,7 @@ def build_run_config(
     conv_raw = dict(raw.get("convergence", {}))
     _reject_unknown(conv_raw, "convergence")
     sizes = tuple(int(s) for s in conv_raw.get("sizes", []))
-    conv_model = str(conv_raw.get("model", kinds["model"]))
-    if conv_model not in ("gpr", "mlp"):
-        raise InputError(f"convergence.model must be 'gpr' or 'mlp', got {conv_model!r}")
+    conv_model = _model_kind(conv_raw.get("model", kinds["model"]), "convergence.model")
 
     out_dir = out_override or raw.get("out_dir")
     return RunConfig(

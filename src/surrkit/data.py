@@ -146,13 +146,12 @@ class DataTensor:
 class FlatMatrix:
     """2-D training layout of a tensor: shape ``(n, m*l)``, scalar-major.
 
-    ``column_map[j]`` gives the (scalar index, coordinate index) pair behind
-    column ``j``. Scalar names and coordinate labels are carried along so a
-    flattened tensor can be reassembled without external bookkeeping.
+    Column ``j`` holds scalar ``j // l`` at coordinate ``j % l``. Scalar names
+    and coordinate labels are carried along so a flattened tensor can be
+    reassembled without external bookkeeping.
     """
 
     values: np.ndarray
-    column_map: tuple[tuple[int, int], ...]
     scalar_names: tuple[str, ...] | None = None
     coord_labels: tuple[str, ...] | None = None
     units: tuple[str, ...] | None = None
@@ -161,14 +160,8 @@ class FlatMatrix:
         values = np.ascontiguousarray(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise InputError(f"flat matrix must be rank 2, got rank {values.ndim}")
-        if len(self.column_map) != values.shape[1]:
-            raise InputError(
-                f"column_map has {len(self.column_map)} entries for "
-                f"{values.shape[1]} columns"
-            )
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "column_map", tuple(tuple(p) for p in self.column_map))
 
     @property
     def rows(self) -> int:
@@ -184,14 +177,11 @@ class FlatMatrix:
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2:
             raise InputError(f"expected a rank-2 array, got rank {values.ndim}")
-        column_map = tuple((j, 0) for j in range(values.shape[1]))
-        return cls(values, column_map)
+        return cls(values)
 
     def with_values(self, values: np.ndarray) -> "FlatMatrix":
         """Same column structure, different numbers (e.g. after scaling)."""
-        return FlatMatrix(
-            values, self.column_map, self.scalar_names, self.coord_labels, self.units
-        )
+        return FlatMatrix(values, self.scalar_names, self.coord_labels, self.units)
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,10 +208,11 @@ class FidelityDataset:
 def flatten(tensor: DataTensor) -> FlatMatrix:
     """Flatten ``(n, m, l)`` to ``(n, m*l)`` with scalar-major columns."""
     n, m, l = tensor.shape
-    values = tensor.values.reshape(n, m * l)
-    column_map = tuple((j // l, j % l) for j in range(m * l))
     return FlatMatrix(
-        values, column_map, tensor.scalar_names, tensor.coord_labels, tensor.units
+        tensor.values.reshape(n, m * l),
+        tensor.scalar_names,
+        tensor.coord_labels,
+        tensor.units,
     )
 
 
@@ -468,8 +459,19 @@ def _export_csv(tensor: DataTensor, path: Path) -> None:
         raise InputError(
             f"CSV export requires l=1 (tabular data), tensor has l={tensor.l}"
         )
+    write_csv(
+        path,
+        tensor.scalar_names,
+        ([_format_float(v) for v in row] for row in tensor.values[:, :, 0]),
+    )
+
+
+def write_csv(path: str | Path, header, rows) -> Path:
+    """Write a header row and then ``rows``, creating parent directories."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(tensor.scalar_names)
-        for row in tensor.values[:, :, 0]:
-            writer.writerow([_format_float(v) for v in row])
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path

@@ -216,6 +216,10 @@ class GprModel:
     def describe(self) -> str:
         return f"gpr({self.kernel.describe()}, n_train={self.n_train})"
 
+    def predict(self, X_scaled: np.ndarray) -> np.ndarray:
+        """Posterior mean at inputs in scaled space."""
+        return gpr_predict(self, X_scaled).mean
+
 
 @dataclass(frozen=True, eq=False)
 class Prediction:

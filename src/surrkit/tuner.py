@@ -4,7 +4,8 @@ Sweeps are plain grids: every candidate is fitted with a shared seed and
 scored by validation RMSE in original units. The winner is the argmin, with
 ties (within 1e-12 absolute RMSE) broken by smaller parameter count and then
 by earlier grid position, so a larger model never wins over an equally
-accurate smaller one. Convergence studies fit on nested prefixes of a seeded
+accurate smaller one. A sweep returns the winner's fitted model; nothing is
+trained twice. Convergence studies fit on nested prefixes of a seeded
 permutation of the training bin and score against a fixed test bin.
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from surrkit.data import FidelityDataset, flatten
+from surrkit.data import FidelityDataset, flatten, write_csv
 from surrkit.errors import InputError, NumericError
 from surrkit.gpr import (
     GprModel,
@@ -23,11 +24,10 @@ from surrkit.gpr import (
     KernelSpec,
     default_kernel_grid,
     gpr_fit,
-    gpr_predict,
     optimize_hyperparameters,
 )
 from surrkit.metrics import r_squared, rmse
-from surrkit.mlp import MlpArchitecture, TrainConfig, mlp_predict, mlp_train
+from surrkit.mlp import MlpArchitecture, MlpModel, TrainConfig, mlp_train
 from surrkit.preprocess import (
     PreparedData,
     SplitSpec,
@@ -37,6 +37,7 @@ from surrkit.preprocess import (
     transform,
 )
 
+MODEL_KINDS = ("gpr", "mlp")
 RMSE_TIE_TOL = 1e-12
 
 
@@ -80,8 +81,11 @@ class SweepEntry:
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
+    """Every candidate's score, the selected index, and the winner's fitted model."""
+
     entries: tuple[SweepEntry, ...]
     selected: int
+    model: GprModel | MlpModel
 
     @property
     def winner(self) -> SweepEntry:
@@ -109,9 +113,15 @@ def _val_rmse_original_units(prepared: PreparedData, pred_scaled: np.ndarray) ->
     return rmse(y_true, y_pred)
 
 
+def _sweep_result(entries: list[SweepEntry], models: list) -> SweepResult:
+    entries = tuple(entries)
+    selected = select_winner(entries)
+    return SweepResult(entries=entries, selected=selected, model=models[selected])
+
+
 def tune_gpr(prepared: PreparedData, grid: GprGrid) -> SweepResult:
     """Optimize each candidate kernel's lml, then score by validation RMSE."""
-    entries = []
+    entries, models = [], []
     for index, spec in enumerate(grid.kernels):
         start = time.perf_counter()
         try:
@@ -124,9 +134,7 @@ def tune_gpr(prepared: PreparedData, grid: GprGrid) -> SweepResult:
                 seed=grid.seed,
             )
             model = gpr_fit(prepared.X_train.values, prepared.Y_train.values, tuned)
-            score = _val_rmse_original_units(
-                prepared, gpr_predict(model, prepared.X_val.values).mean
-            )
+            score = _val_rmse_original_units(prepared, model.predict(prepared.X_val.values))
             params = {
                 "kind": tuned.kind,
                 "length_scale": np.atleast_1d(tuned.length_scale).tolist(),
@@ -137,7 +145,9 @@ def tune_gpr(prepared: PreparedData, grid: GprGrid) -> SweepResult:
             }
             count = model.parameter_count()
         except NumericError:
+            model = None
             score, params, count = float("inf"), {"kind": spec.kind, "failed": True}, 0
+        models.append(model)
         entries.append(
             SweepEntry(
                 index=index,
@@ -148,15 +158,14 @@ def tune_gpr(prepared: PreparedData, grid: GprGrid) -> SweepResult:
                 fit_seconds=time.perf_counter() - start,
             )
         )
-    entries = tuple(entries)
-    return SweepResult(entries=entries, selected=select_winner(entries))
+    return _sweep_result(entries, models)
 
 
 def tune_mlp(prepared: PreparedData, grid: MlpGrid) -> SweepResult:
     """Train each layer/width candidate with a shared config and compare."""
     d = prepared.X_train.cols
     q = prepared.Y_train.cols
-    entries = []
+    entries, models = [], []
     for index, hidden in enumerate(grid.hidden_candidates()):
         arch = MlpArchitecture(input_dim=d, hidden_layers=hidden, output_dim=q)
         start = time.perf_counter()
@@ -169,13 +178,13 @@ def tune_mlp(prepared: PreparedData, grid: MlpGrid) -> SweepResult:
                 prepared.X_val.values,
                 prepared.Y_val.values,
             )
-            score = _val_rmse_original_units(
-                prepared, mlp_predict(model, prepared.X_val.values)
-            )
+            score = _val_rmse_original_units(prepared, model.predict(prepared.X_val.values))
             count = arch.parameter_count()
             params = {"hidden_layers": list(hidden), "activation": arch.activation}
         except NumericError:
+            model = None
             score, params, count = float("inf"), {"hidden_layers": list(hidden), "failed": True}, 0
+        models.append(model)
         entries.append(
             SweepEntry(
                 index=index,
@@ -186,8 +195,18 @@ def tune_mlp(prepared: PreparedData, grid: MlpGrid) -> SweepResult:
                 fit_seconds=time.perf_counter() - start,
             )
         )
-    entries = tuple(entries)
-    return SweepResult(entries=entries, selected=select_winner(entries))
+    return _sweep_result(entries, models)
+
+
+def tune(
+    prepared: PreparedData, kind: str, gpr_grid: GprGrid, mlp_grid: MlpGrid
+) -> SweepResult:
+    """Run the sweep for one model kind."""
+    if kind == "gpr":
+        return tune_gpr(prepared, gpr_grid)
+    if kind == "mlp":
+        return tune_mlp(prepared, mlp_grid)
+    raise InputError(f"model kind must be one of {MODEL_KINDS}, got {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -219,8 +238,8 @@ def convergence_study(
     each larger subset contains every smaller one. Scalers are refit per
     subset; the test bin stays fixed and is scored in original units.
     """
-    if model_kind not in ("gpr", "mlp"):
-        raise InputError(f"model_kind must be 'gpr' or 'mlp', got {model_kind!r}")
+    if model_kind not in MODEL_KINDS:
+        raise InputError(f"model_kind must be one of {MODEL_KINDS}, got {model_kind!r}")
     sizes = [int(s) for s in sizes]
     if not sizes or any(s < 1 for s in sizes):
         raise InputError(f"sizes must be positive integers, got {sizes}")
@@ -252,13 +271,11 @@ def convergence_study(
                 x_tr, y_tr, spec, restarts=restarts, seed=split.seed
             )
             model = gpr_fit(x_tr, y_tr, tuned)
-            pred_scaled = gpr_predict(model, x_te).mean
         else:
             cfg = train_cfg or TrainConfig(seed=split.seed)
             arch = MlpArchitecture(X.shape[1], arch_hidden, Y.shape[1])
             model = mlp_train(arch, cfg, x_tr, y_tr, x_te[:0], Y[test_idx][:0])
-            pred_scaled = mlp_predict(model, x_te)
-        y_pred = inverse_transform(y_scaler, pred_scaled)
+        y_pred = inverse_transform(y_scaler, model.predict(x_te))
         points.append(
             ConvergencePoint(
                 size=size,
@@ -271,37 +288,29 @@ def convergence_study(
 
 def export_sweep_csv(result: SweepResult, path) -> None:
     """Sweep entries plus the selected flag, one row per candidate."""
-    import csv
-    from pathlib import Path
-
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["index", "label", "val_rmse", "param_count", "fit_seconds", "selected"]
-        )
-        for e in result.entries:
-            writer.writerow(
-                [
-                    e.index,
-                    e.label,
-                    repr(e.val_rmse),
-                    e.param_count,
-                    f"{e.fit_seconds:.6f}",
-                    int(e.index == result.selected),
-                ]
-            )
+    write_csv(
+        path,
+        ["index", "label", "val_rmse", "param_count", "fit_seconds", "selected"],
+        (
+            [
+                e.index,
+                e.label,
+                repr(e.val_rmse),
+                e.param_count,
+                f"{e.fit_seconds:.6f}",
+                int(e.index == result.selected),
+            ]
+            for e in result.entries
+        ),
+    )
 
 
 def export_convergence_csv(curve: ConvergenceCurve, path) -> None:
-    import csv
-    from pathlib import Path
-
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["size", "test_rmse", "test_r2"])
-        for p in curve.points:
-            writer.writerow([p.size, repr(p.test_rmse), repr(p.test_r2)])
+    write_csv(
+        path,
+        ["size", "test_rmse", "test_r2"],
+        (
+            [p.size, repr(p.test_rmse), repr(p.test_r2)]
+            for p in curve.points
+        ),
+    )

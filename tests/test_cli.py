@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import surrkit
 from surrkit.cli import main
 from surrkit.data import DataTensor, export_tensor
 from surrkit.synthbench import forrester_pair, truth_evaluate
@@ -274,3 +279,83 @@ class TestNumericFailureExitCode:
         code = run(["train", "--config", str(cfg), "--out", str(tmp_path / "r")])
         assert code == 3
         assert "numeric error" in capsys.readouterr().err
+
+
+FAST_GPR = {"kernels": ["constant*rbf"], "restarts": 1}
+
+
+def cli_process(*argv):
+    """Run the command in a fresh interpreter, as a user would, so anything
+    ``main`` lets escape shows up as a traceback on stderr."""
+    src = str(Path(surrkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "surrkit.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
+@pytest.fixture()
+def sf_bundle(synth_dir, tmp_path):
+    cfg = write_config(tmp_path / "sf.json", {
+        "seed": 7,
+        "data": {"x": str(synth_dir / "lf_x.txt"), "y": str(synth_dir / "lf_y.txt")},
+        "gpr": FAST_GPR,
+    })
+    assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "sf")]) == 0
+    return tmp_path / "sf" / "model_v1"
+
+
+@pytest.fixture()
+def sites_csv(tmp_path):
+    sites = tmp_path / "sites.csv"
+    sites.write_text("x\n0.1\n0.5\n0.9\n")
+    return sites
+
+
+class TestPredictOutput:
+    def test_same_header_layout_for_single_fidelity_and_composite(
+        self, synth_dir, sf_bundle, sites_csv, tmp_path
+    ):
+        cfg = json.loads((synth_dir / "mf_config.json").read_text())
+        cfg["gpr"] = FAST_GPR
+        mf_cfg = write_config(synth_dir / "mf_fast.json", cfg)
+        assert run(["mf-train", "--config", str(mf_cfg), "--out", str(tmp_path / "mf")]) == 0
+        tables = {}
+        for name, bundle in (("sf", sf_bundle), ("mf", tmp_path / "mf" / "mf_model_v1")):
+            out = tmp_path / f"{name}_pred.csv"
+            assert run(["predict", "--model-dir", str(bundle),
+                        "--sites", str(sites_csv), "--out", str(out)]) == 0
+            tables[name] = list(csv.reader(open(out)))
+        assert tables["sf"][0] == tables["mf"][0] == ["x", "y"]
+        assert len(tables["sf"]) == len(tables["mf"]) == 1 + 3
+        assert [r[0] for r in tables["sf"]] == [r[0] for r in tables["mf"]]
+
+
+class TestErrorsExit2WithoutTraceback:
+    def assert_one_line_exit_2(self, result):
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1
+
+    def test_sites_is_a_directory(self, sf_bundle, tmp_path):
+        self.assert_one_line_exit_2(cli_process(
+            "predict", "--model-dir", str(sf_bundle), "--sites", str(tmp_path),
+            "--out", str(tmp_path / "pred.csv"),
+        ))
+
+    def test_out_is_a_directory(self, sf_bundle, sites_csv, tmp_path):
+        self.assert_one_line_exit_2(cli_process(
+            "predict", "--model-dir", str(sf_bundle), "--sites", str(sites_csv),
+            "--out", str(tmp_path),
+        ))
+
+    def test_bundle_without_y_layout(self, sf_bundle, sites_csv, tmp_path):
+        meta = json.loads((sf_bundle / "meta.json").read_text())
+        del meta["y_layout"]
+        (sf_bundle / "meta.json").write_text(json.dumps(meta))
+        result = cli_process(
+            "predict", "--model-dir", str(sf_bundle), "--sites", str(sites_csv),
+            "--out", str(tmp_path / "pred.csv"),
+        )
+        self.assert_one_line_exit_2(result)
+        assert "y_layout" in result.stderr

@@ -121,8 +121,6 @@ class TestFlatten:
         values = np.array([[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]])
         flat = flatten(DataTensor.from_values(values, ["A", "B"]))
         np.testing.assert_array_equal(flat.values[0], [1, 2, 3, 4, 5, 6])
-        assert flat.column_map[:3] == ((0, 0), (0, 1), (0, 2))
-        assert flat.column_map[3:] == ((1, 0), (1, 1), (1, 2))
 
     def test_l_equals_one_degenerate(self):
         rng = np.random.default_rng(2)

@@ -20,7 +20,7 @@ from surrkit.metrics import (
     uq_report,
 )
 from surrkit.mlp import MlpArchitecture, init_model
-from surrkit.multifid import FittedSurrogate, TensorLayout
+from surrkit.multifid import FittedSurrogate, TensorLayout, predict_tensor
 from surrkit.preprocess import StandardScaler
 
 
@@ -33,6 +33,10 @@ def identity_surrogate(model, d, q, names=None):
             tuple(names or (f"y{i}" for i in range(q))), ("0",)
         ),
     )
+
+
+def evaluate_model(surr, X, Y):
+    return evaluate(surr.describe(), Y, predict_tensor(surr, X))
 
 
 class TestRSquared:
@@ -78,7 +82,7 @@ class TestEvaluate:
         Y = rng.standard_normal((20, 2))
         model = gpr_fit(X, Y, KernelSpec(kind="rbf", length_scale=0.5))
         surr = identity_surrogate(model, 2, 2)
-        report = evaluate(
+        report = evaluate_model(
             surr,
             DataTensor.from_values(X[:, :, None]),
             DataTensor.from_values(Y[:, :, None]),
@@ -97,7 +101,7 @@ class TestEvaluate:
             StandardScaler.identity(m * l),
             TensorLayout(tuple(f"q{i}" for i in range(m)), tuple(map(str, range(l)))),
         )
-        report = evaluate(
+        report = evaluate_model(
             surr,
             DataTensor.from_values(X[:, :, None]),
             DataTensor.from_values(
@@ -112,7 +116,7 @@ class TestEvaluate:
         X = rng.uniform(0, 1, (10, 1))
         Y = rng.standard_normal((10, 1))
         model = gpr_fit(X, Y, KernelSpec(kind="rbf"))
-        report = evaluate(
+        report = evaluate_model(
             identity_surrogate(model, 1, 1),
             DataTensor.from_values(X[:, :, None]),
             DataTensor.from_values(Y[:, :, None]),
@@ -165,8 +169,8 @@ class TestOneToOneExport:
         )
         X_t = DataTensor.from_values(X[:, :, None])
         Y_t = DataTensor.from_values(Y.reshape(20, 4, 1), ["a", "b", "c", "d"])
-        report = evaluate(surr, X_t, Y_t)
-        pred = surr.y_layout.tensor_from_flat(surr.predict_raw(X))
+        pred = predict_tensor(surr, X_t)
+        report = evaluate(surr.describe(), Y_t, pred)
         path = one_to_one_export(Y_t, pred, tmp_path / "scatter.csv")
         rows = list(csv.reader(open(path)))[1:]
         nt = np.array([float(r[3]) for r in rows])

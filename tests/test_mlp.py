@@ -11,7 +11,6 @@ from surrkit.mlp import (
     TrainConfig,
     init_model,
     mlp_forward,
-    mlp_predict,
     mlp_train,
 )
 
@@ -54,7 +53,7 @@ class TestForward:
     def test_predict_is_forward(self):
         model = init_model(MlpArchitecture(2, (5,), 2), 1)
         X = np.random.default_rng(1).standard_normal((4, 2))
-        np.testing.assert_array_equal(mlp_predict(model, X), mlp_forward(model, X))
+        np.testing.assert_array_equal(model.predict(X), mlp_forward(model, X))
 
 
 class TestGradients:

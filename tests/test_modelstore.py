@@ -167,3 +167,28 @@ class TestLoadGuards:
         payload.write_bytes(bytes(data))
         with pytest.raises(StoreError, match="checksum"):
             load_model(bundle)
+
+
+def edit_meta(meta_path, change):
+    meta = json.loads(meta_path.read_text())
+    change(meta)
+    meta_path.write_text(json.dumps(meta))
+
+
+class TestSchemaErrors:
+    @pytest.mark.parametrize(
+        "child, key",
+        [("mf_model", "y_layout"), ("lf_model", "hyperparameters"), (".", "dims")],
+    )
+    def test_missing_meta_key_is_store_error(self, composite, tmp_path, child, key):
+        bundle = save_model(composite, tmp_path, "schema")
+        edit_meta(bundle / child / "meta.json", lambda meta: meta.pop(key))
+        with pytest.raises(StoreError, match=key):
+            load_model(bundle)
+
+    @pytest.mark.parametrize("key", ["input_dim", "lf_output_dim", "hf_output_dim"])
+    def test_composite_dims_checked_against_children(self, composite, tmp_path, key):
+        bundle = save_model(composite, tmp_path, "dims")
+        edit_meta(bundle / "meta.json", lambda meta: meta["dims"].update({key: 2}))
+        with pytest.raises(StoreError, match=f"dims.{key}"):
+            load_model(bundle)

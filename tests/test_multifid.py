@@ -10,14 +10,14 @@ from surrkit.data import DataTensor, FidelityDataset, flatten
 from surrkit.errors import InputError
 from surrkit.gpr import KernelSpec
 from surrkit.mlp import MlpArchitecture, MlpModel, TrainConfig, init_model
+from surrkit.cli import main
+from surrkit.modelstore import save_model
 from surrkit.multifid import (
-    DesignSiteRequest,
     FittedSurrogate,
     MfComposite,
     TensorLayout,
     build_mf_input,
-    predict_at_design_sites,
-    predict_single_fidelity,
+    predict_tensor,
     train_mf,
     train_mf_chain,
     train_single_fidelity,
@@ -185,25 +185,31 @@ class TestPredictAtDesignSites:
         train_idx, _, _ = split_data_cv(hf.n, SplitSpec(seed=4))
         i = int(train_idx[0])
         sites = DataTensor.from_values(hf.X.values[[i]], hf.X.scalar_names)
-        pred = predict_at_design_sites(comp, DesignSiteRequest(sites))
+        pred = predict_tensor(comp, sites)
         target = hf.Y.values[i, 0, 0]
         assert pred.values[0, 0, 0] == pytest.approx(target, rel=1e-4)
 
     def test_forrester_left_endpoint(self):
         pair, _, comp = self.make_composite()
         sites = DataTensor.from_values(np.array([[[0.0]]]), ("x",))
-        pred = predict_at_design_sites(comp, DesignSiteRequest(sites))
+        pred = predict_tensor(comp, sites)
         truth = 4 * np.sin(-4)  # about 3.0272
         assert pred.values[0, 0, 0] == pytest.approx(truth, rel=0.02)
 
     def test_csv_export_one_row_per_site(self, tmp_path):
         _, _, comp = self.make_composite()
-        sites = DataTensor.from_values(np.linspace(0.1, 0.9, 5)[:, None, None], ("x",))
+        bundle = save_model(comp, tmp_path, "mf")
+        x = np.linspace(0.1, 0.9, 5)
+        sites = tmp_path / "sites.csv"
+        sites.write_text("x\n" + "\n".join(repr(float(v)) for v in x) + "\n")
         out = tmp_path / "pred.csv"
-        predict_at_design_sites(comp, DesignSiteRequest(sites, csv_path=out))
+        assert main(["predict", "--model-dir", str(bundle),
+                     "--sites", str(sites), "--out", str(out)]) == 0
         rows = list(csv.reader(open(out)))
         assert rows[0] == ["x", "y"]
         assert len(rows) == 1 + 5
+        expected = comp.predict_raw(x[:, None])[:, 0]
+        np.testing.assert_array_equal([float(r[1]) for r in rows[1:]], expected)
 
     def test_scaler_routing_matches_training_pipeline(self):
         """Raw HF inputs through the online chain equal the training-time
@@ -220,7 +226,7 @@ class TestPredictAtDesignSites:
         _, _, comp = self.make_composite(seed=6)
         sites = DataTensor.from_values(np.zeros((2, 3, 1)))
         with pytest.raises(InputError, match="input columns"):
-            predict_at_design_sites(comp, DesignSiteRequest(sites))
+            predict_tensor(comp, sites)
 
 
 class TestConstantLfDegeneracy:
@@ -253,7 +259,7 @@ class TestPredictSingleFidelity:
     def test_constant_model(self):
         surr = constant_mlp_surrogate(2, [3.0])
         sites = DataTensor.from_values(np.random.default_rng(0).uniform(0, 1, (5, 2, 1)))
-        pred = predict_single_fidelity(surr, sites)
+        pred = predict_tensor(surr, sites)
         np.testing.assert_allclose(pred.values, 3.0, atol=1e-12)
 
     def test_interpolating_gpr_reproduces_training_targets(self):
@@ -261,7 +267,7 @@ class TestPredictSingleFidelity:
         surr, _ = train_single_fidelity(hf, "gpr", SplitSpec(seed=9), gpr_grid=fast_grid(9))
         train_idx, _, _ = split_data_cv(hf.n, SplitSpec(seed=9))
         sites = DataTensor.from_values(hf.X.values[train_idx], hf.X.scalar_names)
-        pred = predict_single_fidelity(surr, sites)
+        pred = predict_tensor(surr, sites)
         assert pooled_r2(hf.Y.values[train_idx].ravel(), pred.values.ravel()) > 0.99
 
     def test_coefficient_table_schema(self):
@@ -290,7 +296,7 @@ class TestPredictSingleFidelity:
             mlp_grid=MlpGrid(layer_counts=(1,), widths=(16,), train=cfg),
         )
         sites = DataTensor.from_values(X[:3, :, None], ds.X.scalar_names)
-        pred = predict_single_fidelity(surr, sites)
+        pred = predict_tensor(surr, sites)
         assert pred.shape == (3, 3, 1)
         assert pred.scalar_names == ("C_L", "C_D", "C_M")
 
@@ -308,3 +314,23 @@ class TestAugmentedColumnOrderStability:
             np.testing.assert_allclose(aug.values[:, 1], 20.0)
             np.testing.assert_allclose(aug.values[:, 2], 30.0)
             np.testing.assert_allclose(aug.values[:, 3:], X)
+
+
+@pytest.mark.parametrize("kind", ["gpr", "mlp"])
+def test_non_finite_sites_rejected_for_every_kind(kind):
+    """The check sits in FittedSurrogate.predict_raw, so GPR and MLP models
+    reject NaN/inf alike, and a composite rejects them at its LF stage."""
+    _, hf = generate_pair_dataset(forrester_pair(), 20, 20, Sampler(seed=13))
+    cfg = TrainConfig(max_epochs=5, early_stop_patience=5, seed=13)
+    surr, _ = train_single_fidelity(
+        hf, kind, SplitSpec(seed=13), gpr_grid=fast_grid(13),
+        mlp_grid=MlpGrid(layer_counts=(1,), widths=(4,), train=cfg),
+    )
+    composite = MfComposite(
+        lf=surr, mf=constant_mlp_surrogate(2, [0.0]),
+        input_dim=1, lf_output_dim=1, hf_output_dim=1,
+    )
+    for model in (surr, composite):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InputError, match="non-finite"):
+                model.predict_raw(np.array([[0.5], [bad]]))

@@ -5,9 +5,9 @@ import pytest
 
 from helpers import pooled_r2
 from surrkit.errors import InputError
-from surrkit.gpr import KernelSpec, gpr_fit, gpr_predict
+from surrkit.gpr import KernelSpec, gpr_fit
 from surrkit.metrics import rmse
-from surrkit.mlp import TrainConfig
+from surrkit.mlp import MlpArchitecture, TrainConfig, mlp_train
 from surrkit.preprocess import SplitSpec, inverse_transform, preprocess_data_pipeline
 from surrkit.synthbench import Sampler, forrester_pair, generate_pair_dataset, trig4_pair
 from surrkit.tuner import (
@@ -98,6 +98,23 @@ class TestTuneGpr:
             seed=4,
         )
         result = tune_gpr(prepared, grid)
+        pred = inverse_transform(
+            prepared.y_scaler, result.model.predict(prepared.X_val.values)
+        )
+        truth = inverse_transform(prepared.y_scaler, prepared.Y_val.values)
+        assert pooled_r2(truth, pred) > 0.99
+
+    def test_model_is_bit_identical_to_a_refit_of_the_winner(self):
+        prepared = prepared_trig4(60, seed=5)
+        grid = GprGrid(
+            kernels=(
+                KernelSpec(kind="constant*rbf"),
+                KernelSpec(kind="constant*matern", nu=1.5),
+            ),
+            restarts=2,
+            seed=5,
+        )
+        result = tune_gpr(prepared, grid)
         params = result.winner.params
         spec = KernelSpec(
             kind=params["kind"],
@@ -106,12 +123,11 @@ class TestTuneGpr:
             nu=params["nu"],
             noise=params["noise"],
         )
-        model = gpr_fit(prepared.X_train.values, prepared.Y_train.values, spec)
-        pred = inverse_transform(
-            prepared.y_scaler, gpr_predict(model, prepared.X_val.values).mean
-        )
-        truth = inverse_transform(prepared.y_scaler, prepared.Y_val.values)
-        assert pooled_r2(truth, pred) > 0.99
+        refit = gpr_fit(prepared.X_train.values, prepared.Y_train.values, spec)
+        for name in ("X_train", "L", "alpha"):
+            assert getattr(result.model, name).tobytes() == getattr(refit, name).tobytes()
+        assert result.model.lml == refit.lml == params["lml"]
+        assert result.model.kernel.describe() == refit.kernel.describe()
 
 
 class TestTuneMlp:
@@ -148,21 +164,28 @@ class TestTuneMlp:
         grid = MlpGrid(layer_counts=(1,), widths=(8, 16), train=self.quick_cfg(2))
         result = tune_mlp(prepared, grid)
         assert len(result.entries) == 2
-        winner = result.winner
         # score the winner on the held-out test bin
-        from surrkit.mlp import MlpArchitecture, mlp_predict, mlp_train
-
-        arch = MlpArchitecture(2, tuple(winner.params["hidden_layers"]), 1)
-        model = mlp_train(
-            arch, grid.train,
-            prepared.X_train.values, prepared.Y_train.values,
-            prepared.X_val.values, prepared.Y_val.values,
-        )
         pred = inverse_transform(
-            prepared.y_scaler, mlp_predict(model, prepared.X_test.values)
+            prepared.y_scaler, result.model.predict(prepared.X_test.values)
         )
         truth = inverse_transform(prepared.y_scaler, prepared.Y_test.values)
         assert pooled_r2(truth, pred) > 0.999
+
+    def test_model_is_bit_identical_to_a_retrain_of_the_winner(self):
+        prepared = self.linear_prepared(3)
+        grid = MlpGrid(layer_counts=(1, 2), widths=(4, 8), train=self.quick_cfg(3))
+        result = tune_mlp(prepared, grid)
+        hidden = tuple(result.winner.params["hidden_layers"])
+        retrained = mlp_train(
+            MlpArchitecture(2, hidden, 1), grid.train,
+            prepared.X_train.values, prepared.Y_train.values,
+            prepared.X_val.values, prepared.Y_val.values,
+        )
+        assert result.model.architecture == retrained.architecture
+        for got, want in zip(result.model.weights + result.model.biases,
+                             retrained.weights + retrained.biases):
+            assert got.tobytes() == want.tobytes()
+        assert result.model.training_history == retrained.training_history
 
 
 class TestConvergence:
