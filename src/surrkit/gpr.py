@@ -31,12 +31,22 @@ Supported kernels (r is the length-scale-weighted distance):
 The ``constant*`` kinds treat the signal variance sf2 as a tunable amplitude
 during hyperparameter optimization; the bare kinds hold it fixed. ``nu`` is
 always user-chosen, never optimized.
+
+``GprModel.predict`` computes the mean alone; only ``gpr_predict`` (the path
+``metrics.uq_report`` takes) pays for the O(n^2) triangular solve behind the
+variance. Both build Ks from the training side of the kernel (X_train divided
+by the length scales, and its squared row norms), which each model computes
+once, on first use, and keeps. ``X_train``, ``L`` and ``alpha`` are finite
+from the moment a model exists, because ``gpr_fit`` gets them from checked
+scipy calls and ``modelstore.load_model`` checks them, so neither path
+re-checks them per query; query points are always checked.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -154,23 +164,34 @@ def _as_matrix(x, name: str) -> np.ndarray:
     return arr
 
 
-def kernel_eval(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Covariance matrix K(A, B), shape (len(A), len(B))."""
-    A = _as_matrix(A, "A")
+def _scale_inputs(spec: KernelSpec, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``X`` divided by the length scales, and that matrix's squared row norms."""
+    Xs = X / spec.length_scale_vector(X.shape[1])
+    return Xs, np.sum(Xs * Xs, axis=1)
+
+
+def kernel_eval(
+    spec: KernelSpec,
+    A: np.ndarray,
+    B: np.ndarray,
+    A_scaled: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Covariance matrix K(A, B), shape (len(A), len(B)).
+
+    ``A_scaled`` is ``_scale_inputs(spec, A)`` computed earlier; given it, A
+    is neither checked nor rescaled again.
+    """
+    if A_scaled is None:
+        A_scaled = _scale_inputs(spec, _as_matrix(A, "A"))
+    As, As_sq = A_scaled
     B = _as_matrix(B, "B")
-    if A.shape[1] != B.shape[1]:
+    if As.shape[1] != B.shape[1]:
         raise InputError(
-            f"kernel inputs must share dimension: {A.shape[1]} vs {B.shape[1]}"
+            f"kernel inputs must share dimension: {As.shape[1]} vs {B.shape[1]}"
         )
-    ls = spec.length_scale_vector(A.shape[1])
-    As = A / ls
-    Bs = B / ls
+    Bs = B / spec.length_scale_vector(B.shape[1])
     # ||a-b||^2 via the expanded form; clip tiny negatives from cancellation.
-    sq = (
-        np.sum(As * As, axis=1)[:, np.newaxis]
-        - 2.0 * As @ Bs.T
-        + np.sum(Bs * Bs, axis=1)[np.newaxis, :]
-    )
+    sq = As_sq[:, np.newaxis] - 2.0 * As @ Bs.T + np.sum(Bs * Bs, axis=1)[np.newaxis, :]
     np.maximum(sq, 0.0, out=sq)
     sf2 = spec.signal_variance
     if not spec.is_matern:
@@ -216,9 +237,22 @@ class GprModel:
     def describe(self) -> str:
         return f"gpr({self.kernel.describe()}, n_train={self.n_train})"
 
+    @cached_property
+    def _train_scaled(self) -> tuple[np.ndarray, np.ndarray]:
+        return _scale_inputs(self.kernel, self.X_train)
+
+    def _cross_kernel(self, X_star: np.ndarray) -> np.ndarray:
+        """Ks = K(X_train, X_star) for checked query points."""
+        X_star = _as_matrix(X_star, "X_star")
+        if X_star.shape[1] != self.input_dim:
+            raise InputError(
+                f"query points have {X_star.shape[1]} dims, model expects {self.input_dim}"
+            )
+        return kernel_eval(self.kernel, self.X_train, X_star, self._train_scaled)
+
     def predict(self, X_scaled: np.ndarray) -> np.ndarray:
-        """Posterior mean at inputs in scaled space."""
-        return gpr_predict(self, X_scaled).mean
+        """Posterior mean at inputs in scaled space; no variance is computed."""
+        return self._cross_kernel(X_scaled).T @ self.alpha
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,10 +261,6 @@ class Prediction:
 
     mean: np.ndarray
     variance: np.ndarray
-
-    @property
-    def std(self) -> np.ndarray:
-        return np.sqrt(self.variance)
 
 
 def _factor_with_jitter(K_noisy: np.ndarray, diag_scale: float) -> tuple[np.ndarray, float]:
@@ -281,15 +311,10 @@ def gpr_fit(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> GprModel:
 
 def gpr_predict(model: GprModel, X_star: np.ndarray) -> Prediction:
     """Posterior mean and latent variance at query points."""
-    X_star = _as_matrix(X_star, "X_star")
-    if X_star.shape[1] != model.input_dim:
-        raise InputError(
-            f"query points have {X_star.shape[1]} dims, model expects {model.input_dim}"
-        )
-    Ks = kernel_eval(model.kernel, model.X_train, X_star)
+    Ks = model._cross_kernel(X_star)
     mean = Ks.T @ model.alpha
-    v = solve_triangular(model.L, Ks, lower=True)
-    variance = np.full(X_star.shape[0], model.kernel.signal_variance)
+    v = solve_triangular(model.L, Ks, lower=True, check_finite=False)
+    variance = np.full(Ks.shape[1], model.kernel.signal_variance)
     variance -= np.einsum("ij,ij->j", v, v)
     np.maximum(variance, 0.0, out=variance)
     return Prediction(mean=mean, variance=variance)

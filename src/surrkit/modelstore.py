@@ -4,7 +4,9 @@ A bundle is a directory that fully describes one trained surrogate:
 
     <project>_v<k>/
         meta.json        model type, hyperparameters, training metadata
-        CHECKSUMS        sha256 per payload file
+        CHECKSUMS        sha256 of meta.json and of each payload file; a
+                         composite's lists its meta.json and its children's
+                         CHECKSUMS instead of payloads
         payload/*.txt    numeric arrays (text by default, optional binary)
         lf_model/        nested bundles, composites only
         mf_model/
@@ -14,14 +16,19 @@ next ``_v<k>`` suffix. Text payloads store every float in its shortest
 round-trip decimal form, so a reloaded model reproduces the original's
 predictions exactly. Binary payloads are raw little-endian float64, C order,
 with shapes recorded in the metadata. Bundles are self-describing; loading
-needs no external configuration.
+needs no external configuration. Loading reads each file CHECKSUMS lists
+once, so the bytes it hashes are the bytes it parses, and it rejects a payload
+that CHECKSUMS does not list or that holds a NaN or an infinity: a loaded
+model's arrays are finite, and its predictions need not re-check them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -51,11 +58,10 @@ def _save_array(path: Path, arr: np.ndarray, fmt: str) -> None:
         path.write_bytes(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _load_array(path: Path, fmt: str, shape: tuple[int, int]) -> np.ndarray:
-    if not path.exists():
-        raise StoreError(f"missing payload file: {path}")
+def _parse_array(raw: np.ndarray, path: Path, fmt: str, shape: tuple[int, int]) -> np.ndarray:
+    """Array from a payload file's bytes, given as a uint8 array."""
     if fmt == "text":
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = str(raw, "utf-8").splitlines()
         header = lines[0].split()
         rows, cols = int(header[0]), int(header[1])
         if (rows, cols) != tuple(shape):
@@ -65,44 +71,59 @@ def _load_array(path: Path, fmt: str, shape: tuple[int, int]) -> np.ndarray:
             )
         values = np.array(" ".join(lines[1:]).split(), dtype=np.float64)
     else:
-        values = np.frombuffer(path.read_bytes(), dtype="<f8").astype(np.float64)
+        if raw.size % 8:
+            raise StoreError(f"{path}: size is not a whole number of float64 values")
+        values = raw.view("<f8").astype(np.float64, copy=False)
     if values.size != shape[0] * shape[1]:
         raise StoreError(f"{path}: expected {shape[0] * shape[1]} values, got {values.size}")
+    if not np.isfinite(values).all():
+        raise StoreError(f"{path}: payload holds non-finite values")
     return values.reshape(shape)
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _write_checksums(bundle_dir: Path, payload_files: list[Path]) -> None:
+def _write_meta_and_checksums(bundle_dir: Path, meta: dict, files: list[Path]) -> None:
+    """Write meta.json, then a CHECKSUMS covering ``files`` and meta.json."""
+    meta_path = bundle_dir / "meta.json"
+    meta_path.write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
     lines = [
-        f"{_sha256(p)}  {p.relative_to(bundle_dir).as_posix()}" for p in payload_files
+        f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(bundle_dir).as_posix()}"
+        for p in [*files, meta_path]
     ]
     (bundle_dir / "CHECKSUMS").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _verify_checksums(bundle_dir: Path) -> None:
+def _read_checked(bundle_dir: Path) -> dict[str, np.ndarray]:
+    """Every file CHECKSUMS lists, by its listed name: read once, as a uint8
+    array that binary payloads are then viewed through without a copy, and
+    checked against its sha256."""
     checksums = bundle_dir / "CHECKSUMS"
     if not checksums.exists():
         raise StoreError(f"bundle is missing its CHECKSUMS file: {bundle_dir}")
-    for line in checksums.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        expected, _, rel = line.partition("  ")
+    entries = [
+        line.partition("  ")
+        for line in checksums.read_text(encoding="utf-8").splitlines()
+        if line.strip()
+    ]
+    if "meta.json" not in {rel for _, _, rel in entries}:
+        raise StoreError(f"{checksums} does not cover meta.json")
+    files = {}
+    for expected, _, rel in entries:
         target = bundle_dir / rel
-        if not target.exists():
-            raise StoreError(f"payload listed in CHECKSUMS is missing: {target}")
-        actual = _sha256(target)
+        try:
+            with open(target, "rb", buffering=0) as fh:
+                raw = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
+                if fh.readinto(raw) != raw.size:
+                    raise StoreError(f"short read from {target}")
+        except (FileNotFoundError, IsADirectoryError):
+            raise StoreError(f"file listed in CHECKSUMS is missing: {target}") from None
+        actual = hashlib.sha256(raw).hexdigest()
         if actual != expected:
             raise StoreError(
                 f"checksum mismatch for {target}: expected {expected[:16]}..., "
-                f"got {actual[:16]}... (corrupted payload)"
+                f"got {actual[:16]}... (corrupted or edited file)"
             )
+        files[rel] = raw
+    return files
 
 
 def _layout_to_dict(layout: TensorLayout) -> dict:
@@ -143,20 +164,25 @@ def _scaler_payloads(writer: _PayloadWriter, prefix: str, scaler: StandardScaler
     writer.add(f"{prefix}_stds", scaler.stds)
 
 
-def _load_scaler(bundle_dir: Path, payloads: dict, prefix: str) -> StandardScaler:
+def _load_scaler(read, payloads: dict, prefix: str) -> StandardScaler:
     for key in (f"{prefix}_means", f"{prefix}_stds"):
         if key not in payloads:
             raise StoreError(f"bundle is missing scaler payload {key!r}")
-    means = _read_payload(bundle_dir, payloads, f"{prefix}_means").ravel()
-    stds = _read_payload(bundle_dir, payloads, f"{prefix}_stds").ravel()
+    means = read(f"{prefix}_means").ravel()
+    stds = read(f"{prefix}_stds").ravel()
     if means.size != stds.size:
         raise StoreError(f"scaler {prefix!r} has inconsistent parameter lengths")
     return StandardScaler(means, stds, means.size)
 
 
-def _read_payload(bundle_dir: Path, payloads: dict, name: str) -> np.ndarray:
+def _read_payload(
+    bundle_dir: Path, files: dict[str, np.ndarray], payloads: dict, name: str
+) -> np.ndarray:
     entry = payloads[name]
-    return _load_array(bundle_dir / entry["file"], entry["format"], tuple(entry["shape"]))
+    path = bundle_dir / entry["file"]
+    if entry["file"] not in files:
+        raise StoreError(f"payload {path} is not listed in CHECKSUMS")
+    return _parse_array(files[entry["file"]], path, entry["format"], tuple(entry["shape"]))
 
 
 def _next_version_dir(path: Path, project_name: str) -> Path:
@@ -256,10 +282,7 @@ def _write_surrogate(surr: FittedSurrogate, bundle_dir: Path, payload_format: st
 
     meta["y_layout"] = _layout_to_dict(surr.y_layout)
     meta["payloads"] = writer.entries
-    (bundle_dir / "meta.json").write_text(
-        json.dumps(meta, indent=2) + "\n", encoding="utf-8"
-    )
-    _write_checksums(bundle_dir, writer.files)
+    _write_meta_and_checksums(bundle_dir, meta, writer.files)
 
 
 def _write_composite(comp: MfComposite, bundle_dir: Path, payload_format: str) -> None:
@@ -271,12 +294,11 @@ def _write_composite(comp: MfComposite, bundle_dir: Path, payload_format: str) -
     }
     meta["children"] = {"lf": "lf_model", "mf": "mf_model"}
     meta["payloads"] = {}
-    (bundle_dir / "meta.json").write_text(
-        json.dumps(meta, indent=2) + "\n", encoding="utf-8"
-    )
-    _write_checksums(bundle_dir, [])
+    # Children first, so this bundle's CHECKSUMS can cover theirs.
     _write_bundle(comp.lf, bundle_dir / "lf_model", payload_format)
     _write_bundle(comp.mf, bundle_dir / "mf_model", payload_format)
+    children = [bundle_dir / child / "CHECKSUMS" for child in ("lf_model", "mf_model")]
+    _write_meta_and_checksums(bundle_dir, meta, children)
 
 
 def load_model(path: str | Path) -> FittedSurrogate | MfComposite:
@@ -296,7 +318,7 @@ def load_model(path: str | Path) -> FittedSurrogate | MfComposite:
             f"unsupported bundle format_version {version!r}; this build reads "
             f"version {FORMAT_VERSION}"
         )
-    _verify_checksums(bundle_dir)
+    files = _read_checked(bundle_dir)
 
     # A key missing from meta.json, a value of the wrong type, or numbers
     # that the model constructors reject all mean a malformed bundle.
@@ -305,7 +327,7 @@ def load_model(path: str | Path) -> FittedSurrogate | MfComposite:
         if model_type == "mf-composite":
             return _load_composite(bundle_dir, meta)
         if model_type in MODEL_KINDS:
-            return _load_surrogate(bundle_dir, meta, model_type)
+            return _load_surrogate(bundle_dir, meta, model_type, files)
     except KeyError as exc:
         raise StoreError(f"malformed bundle {bundle_dir}: meta.json lacks key {exc}") from None
     except (TypeError, ValueError, InputError) as exc:
@@ -333,16 +355,19 @@ def _load_composite(bundle_dir: Path, meta: dict) -> MfComposite:
     return MfComposite(lf=lf, mf=mf, **dims)
 
 
-def _load_surrogate(bundle_dir: Path, meta: dict, model_type: str) -> FittedSurrogate:
+def _load_surrogate(
+    bundle_dir: Path, meta: dict, model_type: str, files: dict[str, np.ndarray]
+) -> FittedSurrogate:
     payloads = meta.get("payloads", {})
-    x_scaler = _load_scaler(bundle_dir, payloads, "x_scaler")
-    y_scaler = _load_scaler(bundle_dir, payloads, "y_scaler")
+    read = partial(_read_payload, bundle_dir, files, payloads)
+    x_scaler = _load_scaler(read, payloads, "x_scaler")
+    y_scaler = _load_scaler(read, payloads, "y_scaler")
     hyper = meta["hyperparameters"]
 
     if model_type == "gpr":
-        X_train = _read_payload(bundle_dir, payloads, "X_train")
-        L = _read_payload(bundle_dir, payloads, "L")
-        alpha = _read_payload(bundle_dir, payloads, "alpha")
+        X_train = read("X_train")
+        L = read("L")
+        alpha = read("alpha")
         n = X_train.shape[0]
         if L.shape != (n, n) or alpha.shape[0] != n:
             raise StoreError(
@@ -377,8 +402,8 @@ def _load_surrogate(bundle_dir: Path, meta: dict, model_type: str) -> FittedSurr
         dims = arch.layer_dims()
         weights, biases = [], []
         for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-            W = _read_payload(bundle_dir, payloads, f"W{i}")
-            b = _read_payload(bundle_dir, payloads, f"b{i}").ravel()
+            W = read(f"W{i}")
+            b = read(f"b{i}").ravel()
             if W.shape != (fan_in, fan_out) or b.shape != (fan_out,):
                 raise StoreError(
                     f"layer {i} payload shapes {W.shape}/{b.shape} do not match "

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 
 from surrkit.mlp import MlpArchitecture, MlpModel, init_model, loss_gradients, mse_loss
@@ -79,3 +82,15 @@ def pooled_r2(y_true, y_pred) -> float:
     ss_res = np.sum((y_true - y_pred) ** 2)
     ss_tot = np.sum((y_true - y_true.mean()) ** 2)
     return 1.0 - ss_res / ss_tot
+
+
+def resign_checksums(bundle) -> None:
+    """Recompute every line of every CHECKSUMS under a bundle, innermost
+    bundles first, as a hand edit that also fixes the checksums would."""
+    for checksums in sorted(Path(bundle).rglob("CHECKSUMS"), key=lambda p: -len(p.parts)):
+        lines = []
+        for line in filter(str.strip, checksums.read_text().splitlines()):
+            rel = line.partition("  ")[2]
+            digest = hashlib.sha256((checksums.parent / rel).read_bytes()).hexdigest()
+            lines.append(f"{digest}  {rel}")
+        checksums.write_text("\n".join(lines) + "\n")

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 import surrkit
+from helpers import resign_checksums
 from surrkit.cli import main
 from surrkit.data import DataTensor, export_tensor
+from surrkit.modelstore import load_model, save_model
 from surrkit.synthbench import forrester_pair, truth_evaluate
 
 
@@ -353,9 +355,24 @@ class TestErrorsExit2WithoutTraceback:
         meta = json.loads((sf_bundle / "meta.json").read_text())
         del meta["y_layout"]
         (sf_bundle / "meta.json").write_text(json.dumps(meta))
+        resign_checksums(sf_bundle)
         result = cli_process(
             "predict", "--model-dir", str(sf_bundle), "--sites", str(sites_csv),
             "--out", str(tmp_path / "pred.csv"),
         )
         self.assert_one_line_exit_2(result)
         assert "y_layout" in result.stderr
+
+    def test_nan_in_cholesky_factor(self, sf_bundle, sites_csv, tmp_path):
+        bundle = save_model(load_model(sf_bundle), tmp_path, "bin", payload_format="binary")
+        path = bundle / "payload" / "L.bin"
+        values = np.frombuffer(path.read_bytes(), dtype="<f8").copy()
+        values[0] = np.nan
+        path.write_bytes(values.tobytes())
+        resign_checksums(bundle)
+        result = cli_process(
+            "predict", "--model-dir", str(bundle), "--sites", str(sites_csv),
+            "--out", str(tmp_path / "pred.csv"),
+        )
+        self.assert_one_line_exit_2(result)
+        assert "non-finite" in result.stderr

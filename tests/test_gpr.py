@@ -1,5 +1,7 @@
 """Gaussian process regression against closed forms and direct-solve oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,45 @@ class TestPredict:
         model = gpr_fit(np.zeros((2, 2)) + [[0, 0], [1, 1]], np.ones((2, 1)), KernelSpec())
         with pytest.raises(InputError, match="dims"):
             gpr_predict(model, np.zeros((1, 3)))
+
+    def test_dimension_mismatch_on_mean_path(self):
+        model = gpr_fit(np.zeros((2, 2)) + [[0, 0], [1, 1]], np.ones((2, 1)), KernelSpec())
+        with pytest.raises(InputError, match="dims"):
+            model.predict(np.zeros((1, 3)))
+
+    def test_non_finite_query_rejected_on_mean_path(self):
+        model = gpr_fit(np.array([[0.0], [1.0]]), np.ones((2, 1)), KernelSpec())
+        with pytest.raises(InputError, match="non-finite"):
+            model.predict(np.array([[np.nan]]))
+
+
+ALL_KERNELS = [
+    KernelSpec(kind="rbf"),
+    KernelSpec(kind="constant*rbf", signal_variance=2.3),
+    *(KernelSpec(kind="matern", nu=nu) for nu in (0.5, 1.5, 2.5)),
+    *(KernelSpec(kind="constant*matern", nu=nu, signal_variance=0.7) for nu in (0.5, 1.5, 2.5)),
+]
+
+
+class TestMeanPath:
+    """``GprModel.predict`` is the mean of ``gpr_predict``, to the last bit."""
+
+    @pytest.mark.parametrize("base", ALL_KERNELS, ids=lambda s: f"{s.kind}-{s.nu}")
+    @pytest.mark.parametrize("length_scale", [0.4, np.array([0.3, 0.8, 1.7])],
+                             ids=["isotropic", "per-dim"])
+    def test_mean_bytes_equal_gpr_predict_mean(self, base, length_scale):
+        rng = np.random.default_rng(21)
+        X = rng.uniform(0, 1, (30, 3))
+        Y = np.column_stack([np.sin(4 * X[:, 0]), X[:, 1] * X[:, 2], np.cos(X.sum(axis=1))])
+        spec = replace(base, length_scale=length_scale, noise=1e-4)
+        model = gpr_fit(X, Y, spec)
+        batch = rng.uniform(-0.2, 1.2, (17, 3))
+        for Xq in (batch[:1], batch):
+            mean = model.predict(Xq)
+            assert mean.shape == (len(Xq), 3)
+            assert mean.tobytes() == gpr_predict(model, Xq).mean.tobytes()
+            # The cached training side gives the bytes a fresh kernel does.
+            assert mean.tobytes() == (kernel_eval(spec, X, Xq).T @ model.alpha).tobytes()
 
 
 class TestLmlDirection:

@@ -221,6 +221,24 @@ class TestUqReport:
         report = uq_report(surr, np.array([[0.5]]))
         assert report.std[0, 1] == pytest.approx(4.0 * report.std[0, 0], rel=1e-12)
 
+    def test_std_on_fixed_model_unchanged(self):
+        """Values recorded before the variance solve dropped ``check_finite``."""
+        X = np.linspace(0.0, 1.0, 9)[:, None] ** 1.5
+        Y = np.hstack([np.sin(6 * X), np.cos(3 * X)])
+        spec = KernelSpec(kind="constant*matern", nu=2.5, length_scale=0.3,
+                          signal_variance=1.7, noise=1e-4)
+        surr = FittedSurrogate(
+            gpr_fit(X, Y, spec),
+            StandardScaler(np.array([0.2]), np.array([0.5]), 1),
+            StandardScaler(np.array([0.0, 1.0]), np.array([2.0, 0.5]), 2),
+            TensorLayout(("a", "b"), ("0",)),
+        )
+        report = uq_report(surr, np.array([[-0.2], [0.3], [0.55], [1.4]]))
+        expected = [2.6001823839711418, 0.06517943836429166, 0.1908605764078444,
+                    2.6076768580287384]
+        np.testing.assert_allclose(report.std[:, 0], expected, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(report.std[:, 1], 0.25 * report.std[:, 0], rtol=1e-15)
+
     def test_mlp_unsupported(self):
         surr = identity_surrogate(init_model(MlpArchitecture(1, (4,), 1), 0), 1, 1)
         with pytest.raises(UnsupportedModelError, match="GPR"):

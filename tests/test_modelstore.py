@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import resign_checksums
 from surrkit.errors import StoreError
 from surrkit.gpr import KernelSpec
 from surrkit.mlp import TrainConfig
@@ -141,17 +142,13 @@ class TestLoadGuards:
 
     def test_future_format_version_rejected(self, gpr_surrogate, tmp_path):
         bundle = save_model(gpr_surrogate, tmp_path, "future")
-        meta = json.loads((bundle / "meta.json").read_text())
-        meta["format_version"] = 99
-        (bundle / "meta.json").write_text(json.dumps(meta))
+        edit_meta(bundle, lambda meta: meta.update(format_version=99))
         with pytest.raises(StoreError, match="format_version"):
             load_model(bundle)
 
     def test_missing_scaler_payload_rejected(self, gpr_surrogate, tmp_path):
         bundle = save_model(gpr_surrogate, tmp_path, "noscaler")
-        meta = json.loads((bundle / "meta.json").read_text())
-        del meta["payloads"]["x_scaler_means"]
-        (bundle / "meta.json").write_text(json.dumps(meta))
+        edit_meta(bundle, lambda meta: meta["payloads"].pop("x_scaler_means"))
         with pytest.raises(StoreError, match="scaler"):
             load_model(bundle)
 
@@ -169,10 +166,86 @@ class TestLoadGuards:
             load_model(bundle)
 
 
-def edit_meta(meta_path, change):
+class TestIntegrity:
+    def test_checksums_cover_meta_payloads_and_children(self, composite, tmp_path):
+        bundle = save_model(composite, tmp_path, "covered")
+
+        def listed(directory):
+            text = (directory / "CHECKSUMS").read_text()
+            return [line.partition("  ")[2] for line in text.splitlines()]
+
+        assert listed(bundle) == ["lf_model/CHECKSUMS", "mf_model/CHECKSUMS", "meta.json"]
+        for child in ("lf_model", "mf_model"):
+            payloads = sorted(p.relative_to(bundle / child).as_posix()
+                              for p in (bundle / child / "payload").iterdir())
+            assert sorted(listed(bundle / child)) == sorted(payloads + ["meta.json"])
+
+    def test_edited_child_hyperparameter_fails_checksum(self, composite, tmp_path):
+        bundle = save_model(composite, tmp_path, "edited")
+        meta_path = bundle / "lf_model" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["hyperparameters"]["length_scale"] = [
+            3.0 * v for v in meta["hyperparameters"]["length_scale"]
+        ]
+        meta_path.write_text(json.dumps(meta, indent=2) + "\n")
+        with pytest.raises(StoreError, match="checksum mismatch.*lf_model/meta.json"):
+            load_model(bundle)
+
+    def test_child_resigned_alone_fails_parent_checksum(self, composite, tmp_path):
+        bundle = save_model(composite, tmp_path, "resigned")
+        edit_meta(bundle / "lf_model", lambda meta: meta["training"].update(lml=0.0))
+        with pytest.raises(StoreError, match="checksum mismatch.*lf_model/CHECKSUMS"):
+            load_model(bundle)
+
+    def test_checksums_must_list_meta_json(self, gpr_surrogate, tmp_path):
+        bundle = save_model(gpr_surrogate, tmp_path, "unlisted")
+        checksums = bundle / "CHECKSUMS"
+        lines = checksums.read_text().splitlines()
+        checksums.write_text("\n".join(l for l in lines if not l.endswith("  meta.json")) + "\n")
+        with pytest.raises(StoreError, match="does not cover meta.json"):
+            load_model(bundle)
+
+    def test_payload_missing_from_checksums_rejected(self, gpr_surrogate, tmp_path):
+        bundle = save_model(gpr_surrogate, tmp_path, "unlisted_payload")
+        checksums = bundle / "CHECKSUMS"
+        lines = checksums.read_text().splitlines()
+        checksums.write_text("\n".join(l for l in lines if not l.endswith("/L.txt")) + "\n")
+        with pytest.raises(StoreError, match="L.txt is not listed in CHECKSUMS"):
+            load_model(bundle)
+
+    def test_binary_payload_of_partial_values_rejected(self, gpr_surrogate, tmp_path):
+        bundle = save_model(gpr_surrogate, tmp_path, "ragged", payload_format="binary")
+        path = bundle / "payload" / "alpha.bin"
+        path.write_bytes(path.read_bytes() + b"\0\0\0")
+        resign_checksums(bundle)
+        with pytest.raises(StoreError, match="not a whole number of float64"):
+            load_model(bundle)
+
+    @pytest.mark.parametrize(
+        "payload, value",
+        [("L", np.nan), ("L", np.inf), ("X_train", np.nan), ("alpha", -np.inf),
+         ("x_scaler_means", np.nan), ("y_scaler_stds", np.inf)],
+    )
+    def test_non_finite_payload_rejected(self, gpr_surrogate, tmp_path, payload, value):
+        bundle = save_model(gpr_surrogate, tmp_path, "nonfinite", payload_format="binary")
+        path = bundle / "payload" / f"{payload}.bin"
+        values = np.frombuffer(path.read_bytes(), dtype="<f8").copy()
+        values[-1] = value
+        path.write_bytes(values.tobytes())
+        resign_checksums(bundle)
+        with pytest.raises(StoreError, match=f"{payload}.bin: payload holds non-finite"):
+            load_model(bundle)
+
+
+def edit_meta(bundle, change, child="."):
+    """Edit the meta.json of a saved bundle (or of one of its children) and
+    re-sign the bundle's checksums, so the edit gets past checksum
+    verification to the schema checks."""
+    meta_path = bundle / child / "meta.json"
     meta = json.loads(meta_path.read_text())
     change(meta)
     meta_path.write_text(json.dumps(meta))
+    resign_checksums(bundle)
 
 
 class TestSchemaErrors:
@@ -182,13 +255,13 @@ class TestSchemaErrors:
     )
     def test_missing_meta_key_is_store_error(self, composite, tmp_path, child, key):
         bundle = save_model(composite, tmp_path, "schema")
-        edit_meta(bundle / child / "meta.json", lambda meta: meta.pop(key))
+        edit_meta(bundle, lambda meta: meta.pop(key), child)
         with pytest.raises(StoreError, match=key):
             load_model(bundle)
 
     @pytest.mark.parametrize("key", ["input_dim", "lf_output_dim", "hf_output_dim"])
     def test_composite_dims_checked_against_children(self, composite, tmp_path, key):
         bundle = save_model(composite, tmp_path, "dims")
-        edit_meta(bundle / "meta.json", lambda meta: meta["dims"].update({key: 2}))
+        edit_meta(bundle, lambda meta: meta["dims"].update({key: 2}))
         with pytest.raises(StoreError, match=f"dims.{key}"):
             load_model(bundle)

@@ -8,6 +8,7 @@ import pytest
 from helpers import pooled_r2
 from surrkit.data import DataTensor, FidelityDataset, flatten
 from surrkit.errors import InputError
+from surrkit import gpr
 from surrkit.gpr import KernelSpec
 from surrkit.mlp import MlpArchitecture, MlpModel, TrainConfig, init_model
 from surrkit.cli import main
@@ -334,3 +335,31 @@ def test_non_finite_sites_rejected_for_every_kind(kind):
         for bad in (np.nan, np.inf):
             with pytest.raises(InputError, match="non-finite"):
                 model.predict_raw(np.array([[0.5], [bad]]))
+
+
+def test_mean_paths_never_solve_for_the_variance(monkeypatch):
+    rng = np.random.default_rng(13)
+    X = rng.uniform(0, 1, (25, 1))
+    identity = StandardScaler.identity
+    layout = TensorLayout(("y",), ("0",))
+    lf_model = gpr.gpr_fit(X, np.sin(8 * X), KernelSpec(kind="rbf", length_scale=0.2))
+    lf = FittedSurrogate(lf_model, identity(1), identity(1), layout)
+    A = build_mf_input(lf, X).values
+    mf = FittedSurrogate(
+        gpr.gpr_fit(A, np.sin(8 * X) + X, KernelSpec(kind="rbf", length_scale=0.5)),
+        identity(2), identity(1), layout,
+    )
+    comp = MfComposite(lf=lf, mf=mf, input_dim=1, lf_output_dim=1, hf_output_dim=1)
+    Xq = rng.uniform(0, 1, (7, 1))
+    calls = (lambda: lf_model.predict(Xq), lambda: lf.predict_raw(Xq),
+             lambda: comp.predict_raw(Xq))
+    before = [call() for call in calls]
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the mean path ran a triangular solve")
+
+    monkeypatch.setattr(gpr, "solve_triangular", no_solve)
+    for call, expected in zip(calls, before):
+        assert call().tobytes() == expected.tobytes()
+    with pytest.raises(AssertionError, match="triangular solve"):
+        gpr.gpr_predict(lf_model, Xq)
