@@ -39,17 +39,33 @@ by the length scales, and its squared row norms), which each model computes
 once, on first use, and keeps. ``X_train``, ``L`` and ``alpha`` are finite
 from the moment a model exists, because ``gpr_fit`` gets them from checked
 scipy calls and ``modelstore.load_model`` checks them, so neither path
-re-checks them per query; query points are always checked.
+re-checks them per query; query points are checked once, in
+``GprModel._cross_kernel``.
+
+Hyperparameter optimization evaluates the lml thousands of times, mostly on
+a few dozen rows, where per-call overhead costs more than the arithmetic. So
+``optimize_hyperparameters`` does not call ``gpr_fit`` per evaluation:
+``_lml_evaluator`` checks X and Y once, and per hyperparameter vector builds
+K with the distance and kernel helpers ``kernel_eval`` uses, adds the noise
+to the diagonal in place (the same sums as ``K + sn2*I``), and calls LAPACK's
+``dpotrf`` and ``dpotrs``, the routines behind scipy's ``cholesky`` and
+``cho_solve``. These are gpr_fit's floating-point operations in gpr_fit's
+order, so each lml equals ``gpr_fit(...).lml`` bit for bit, L-BFGS-B takes
+the same path, and the tuned hyperparameters are the same. When the
+factorization fails or the lml is not finite, the evaluation is redone with
+``gpr_fit``, which runs the jitter ladder and scipy's finite-value checks.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize
 
 from surrkit.errors import InputError, NumericError
@@ -164,36 +180,35 @@ def _as_matrix(x, name: str) -> np.ndarray:
     return arr
 
 
-def _scale_inputs(spec: KernelSpec, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``X`` divided by the length scales, and that matrix's squared row norms."""
-    Xs = X / spec.length_scale_vector(X.shape[1])
+def _scale_inputs(X: np.ndarray, ls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``X`` divided by the length scales ``ls``, and that matrix's squared row norms."""
+    Xs = X / ls
     return Xs, np.sum(Xs * Xs, axis=1)
 
 
-def kernel_eval(
-    spec: KernelSpec,
-    A: np.ndarray,
-    B: np.ndarray,
-    A_scaled: tuple[np.ndarray, np.ndarray] | None = None,
+def _scaled_sq_dist(
+    A_scaled: tuple[np.ndarray, np.ndarray], B_scaled: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
-    """Covariance matrix K(A, B), shape (len(A), len(B)).
+    """Squared length-scale-weighted distances r^2 between the rows of A and B.
 
-    ``A_scaled`` is ``_scale_inputs(spec, A)`` computed earlier; given it, A
-    is neither checked nor rescaled again.
+    Both arguments are ``_scale_inputs`` results; they may be the same one.
     """
-    if A_scaled is None:
-        A_scaled = _scale_inputs(spec, _as_matrix(A, "A"))
-    As, As_sq = A_scaled
-    B = _as_matrix(B, "B")
-    if As.shape[1] != B.shape[1]:
-        raise InputError(
-            f"kernel inputs must share dimension: {As.shape[1]} vs {B.shape[1]}"
-        )
-    Bs = B / spec.length_scale_vector(B.shape[1])
+    (As, As_sq), (Bs, Bs_sq) = A_scaled, B_scaled
     # ||a-b||^2 via the expanded form; clip tiny negatives from cancellation.
-    sq = As_sq[:, np.newaxis] - 2.0 * As @ Bs.T + np.sum(Bs * Bs, axis=1)[np.newaxis, :]
+    # 2.0 * As is a new array, so the product never multiplies an array by its
+    # own transpose, which numpy may send to a rank-k update that rounds
+    # differently.
+    sq = As_sq[:, np.newaxis] - 2.0 * As @ Bs.T + Bs_sq[np.newaxis, :]
     np.maximum(sq, 0.0, out=sq)
-    sf2 = spec.signal_variance
+    return sq
+
+
+def _kernel_from_sq(spec: KernelSpec, sq: np.ndarray, sf2: float) -> np.ndarray:
+    """The covariance of ``spec``'s family at squared distances ``sq``.
+
+    The amplitude ``sf2`` is an argument, not ``spec.signal_variance``, so
+    the optimizer can vary it without building a spec per evaluation.
+    """
     if not spec.is_matern:
         return sf2 * np.exp(-0.5 * sq)
     r = np.sqrt(sq)
@@ -204,6 +219,19 @@ def kernel_eval(
         return sf2 * (1.0 + t) * np.exp(-t)
     t = math.sqrt(5.0) * r
     return sf2 * (1.0 + t + (5.0 / 3.0) * sq) * np.exp(-t)
+
+
+def kernel_eval(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Covariance matrix K(A, B), shape (len(A), len(B))."""
+    A = _as_matrix(A, "A")
+    B = _as_matrix(B, "B")
+    if A.shape[1] != B.shape[1]:
+        raise InputError(
+            f"kernel inputs must share dimension: {A.shape[1]} vs {B.shape[1]}"
+        )
+    ls = spec.length_scale_vector(A.shape[1])
+    sq = _scaled_sq_dist(_scale_inputs(A, ls), _scale_inputs(B, ls))
+    return _kernel_from_sq(spec, sq, spec.signal_variance)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,17 +266,22 @@ class GprModel:
         return f"gpr({self.kernel.describe()}, n_train={self.n_train})"
 
     @cached_property
+    def _length_scales(self) -> np.ndarray:
+        return self.kernel.length_scale_vector(self.input_dim)
+
+    @cached_property
     def _train_scaled(self) -> tuple[np.ndarray, np.ndarray]:
-        return _scale_inputs(self.kernel, self.X_train)
+        return _scale_inputs(self.X_train, self._length_scales)
 
     def _cross_kernel(self, X_star: np.ndarray) -> np.ndarray:
-        """Ks = K(X_train, X_star) for checked query points."""
+        """Ks = K(X_train, X_star); the query points are checked here, once."""
         X_star = _as_matrix(X_star, "X_star")
         if X_star.shape[1] != self.input_dim:
             raise InputError(
                 f"query points have {X_star.shape[1]} dims, model expects {self.input_dim}"
             )
-        return kernel_eval(self.kernel, self.X_train, X_star, self._train_scaled)
+        sq = _scaled_sq_dist(self._train_scaled, _scale_inputs(X_star, self._length_scales))
+        return _kernel_from_sq(self.kernel, sq, self.kernel.signal_variance)
 
     def predict(self, X_scaled: np.ndarray) -> np.ndarray:
         """Posterior mean at inputs in scaled space; no variance is computed."""
@@ -375,6 +408,56 @@ def _theta_to_spec(spec: KernelSpec, theta: np.ndarray) -> KernelSpec:
     return replace(spec, length_scale=length_scale, signal_variance=sf2, noise=noise)
 
 
+def _lml_evaluator(
+    X: np.ndarray, Y: np.ndarray, spec: KernelSpec
+) -> Callable[[np.ndarray], float]:
+    """``theta -> gpr_fit(X, Y, _theta_to_spec(spec, theta)).lml``, without the overhead.
+
+    ``X`` and ``Y`` are checked matrices, as ``_as_matrix`` returns them. Each
+    evaluation repeats ``gpr_fit``'s floating-point operations in the same
+    order, on the same arrays, and calls the LAPACK routines scipy's
+    ``cholesky`` and ``cho_solve`` call, so a successful evaluation returns
+    gpr_fit's lml bit for bit. If the factorization fails or the lml is not
+    finite, the evaluation is redone with ``gpr_fit`` itself: that runs the
+    jitter ladder and scipy's finite-value checks, and a ``NumericError``
+    gives ``-inf``.
+    """
+    if X.shape[0] != Y.shape[0]:
+        raise InputError(f"X has {X.shape[0]} rows but Y has {Y.shape[0]}")
+    n, q = Y.shape
+    n_ls = np.atleast_1d(np.asarray(spec.length_scale)).size
+    log_norm = q * 0.5 * n * math.log(2.0 * math.pi)
+
+    def lml_at(theta: np.ndarray) -> float:
+        # The unpacking of _theta_to_spec, without building a spec.
+        ls = np.exp(theta[:n_ls])
+        pos = n_ls
+        if spec.tunes_signal_variance:
+            sf2 = float(math.exp(theta[pos]))
+            pos += 1
+        else:
+            sf2 = spec.signal_variance
+        noise = float(math.exp(theta[pos]))
+        X_scaled = _scale_inputs(X, ls)
+        K = _kernel_from_sq(spec, _scaled_sq_dist(X_scaled, X_scaled), sf2)
+        K.reshape(-1)[:: n + 1] += noise  # bit for bit gpr_fit's K + noise * I
+        # LAPACK's wrapper rejects an empty K, which gpr_fit accepts.
+        L, info = dpotrf(K, lower=1, clean=1) if n else (K, -1)
+        if info == 0:
+            alpha, info = dpotrs(L, Y, lower=1)
+            lml = float(
+                -0.5 * np.sum(Y * alpha) - q * np.sum(np.log(np.diag(L))) - log_norm
+            )
+            if info == 0 and math.isfinite(lml):
+                return lml
+        try:
+            return gpr_fit(X, Y, _theta_to_spec(spec, theta)).lml
+        except NumericError:
+            return -np.inf
+
+    return lml_at
+
+
 def optimize_hyperparameters(
     X: np.ndarray,
     Y: np.ndarray,
@@ -400,12 +483,7 @@ def optimize_hyperparameters(
     log_bounds = _pack_bounds(spec, X.shape[1], bounds)
     lo = np.array([b[0] for b in log_bounds])
     hi = np.array([b[1] for b in log_bounds])
-
-    def lml_at(theta: np.ndarray) -> float:
-        try:
-            return gpr_fit(X, Y, _theta_to_spec(spec, theta)).lml
-        except NumericError:
-            return -np.inf
+    lml_at = _lml_evaluator(X, Y, spec)
 
     def neg_lml(theta: np.ndarray) -> float:
         value = lml_at(theta)

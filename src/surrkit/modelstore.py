@@ -11,8 +11,9 @@ A bundle is a directory that fully describes one trained surrogate:
         lf_model/        nested bundles, composites only
         mf_model/
 
-Saving never overwrites: each save under the same project name allocates the
-next ``_v<k>`` suffix. Text payloads store every float in its shortest
+Saving never overwrites: each save under the same project name claims the
+first free ``_v<k>`` suffix with an exclusive ``mkdir``, so concurrent saves
+get distinct versions. Text payloads store every float in its shortest
 round-trip decimal form, so a reloaded model reproduces the original's
 predictions exactly. Binary payloads are raw little-endian float64, C order,
 with shapes recorded in the metadata. Bundles are self-describing; loading
@@ -185,12 +186,21 @@ def _read_payload(
     return _parse_array(files[entry["file"]], path, entry["format"], tuple(entry["shape"]))
 
 
-def _next_version_dir(path: Path, project_name: str) -> Path:
+def _claim_version_dir(path: Path, project_name: str) -> Path:
+    """Create and return the first free ``<project>_v<k>`` under ``path``.
+
+    The exclusive ``mkdir`` is the claim, so concurrent saves under one
+    project name each get their own version.
+    """
     path.mkdir(parents=True, exist_ok=True)
     version = 1
-    while (path / f"{project_name}_v{version}").exists():
-        version += 1
-    return path / f"{project_name}_v{version}"
+    while True:
+        bundle_dir = path / f"{project_name}_v{version}"
+        try:
+            bundle_dir.mkdir()
+            return bundle_dir
+        except FileExistsError:
+            version += 1
 
 
 def save_model(
@@ -202,13 +212,13 @@ def save_model(
     """Write a versioned bundle directory and return its path."""
     if payload_format not in PAYLOAD_FORMATS:
         raise StoreError(f"payload_format must be one of {PAYLOAD_FORMATS}")
-    bundle_dir = _next_version_dir(Path(path), project_name)
+    bundle_dir = _claim_version_dir(Path(path), project_name)
     _write_bundle(obj, bundle_dir, payload_format)
     return bundle_dir
 
 
 def _write_bundle(obj, bundle_dir: Path, payload_format: str) -> None:
-    bundle_dir.mkdir(parents=True, exist_ok=False)
+    """Write ``obj`` into the existing, empty directory ``bundle_dir``."""
     if isinstance(obj, MfComposite):
         _write_composite(obj, bundle_dir, payload_format)
     elif isinstance(obj, FittedSurrogate):
@@ -295,8 +305,9 @@ def _write_composite(comp: MfComposite, bundle_dir: Path, payload_format: str) -
     meta["children"] = {"lf": "lf_model", "mf": "mf_model"}
     meta["payloads"] = {}
     # Children first, so this bundle's CHECKSUMS can cover theirs.
-    _write_bundle(comp.lf, bundle_dir / "lf_model", payload_format)
-    _write_bundle(comp.mf, bundle_dir / "mf_model", payload_format)
+    for child, model in (("lf_model", comp.lf), ("mf_model", comp.mf)):
+        (bundle_dir / child).mkdir()
+        _write_bundle(model, bundle_dir / child, payload_format)
     children = [bundle_dir / child / "CHECKSUMS" for child in ("lf_model", "mf_model")]
     _write_meta_and_checksums(bundle_dir, meta, children)
 

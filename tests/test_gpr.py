@@ -4,12 +4,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import direct_gpr_oracle, pooled_r2
-from surrkit.errors import InputError
+from surrkit.errors import InputError, NumericError
 from surrkit.gpr import (
     HyperBounds,
     KernelSpec,
+    _lml_evaluator,
+    _pack_bounds,
+    _theta_to_spec,
     default_kernel_grid,
     gpr_fit,
     gpr_predict,
@@ -303,6 +308,107 @@ class TestOptimize:
             optimize_hyperparameters(
                 np.zeros((2, 1)), np.zeros((2, 1)), KernelSpec(), restarts=0
             )
+
+
+def _fit_lml(X, Y, spec, theta):
+    return gpr_fit(X, Y, _theta_to_spec(spec, theta)).lml
+
+
+class TestLeanLml:
+    """The optimizer's lml evaluator returns ``gpr_fit``'s lml, to the last bit."""
+
+    # 35 rows of 4 inputs: there numpy's A @ A.T (a rank-k update) rounds
+    # differently from a product of two distinct arrays.
+    _rng = np.random.default_rng(41)
+    X = _rng.uniform(0, 1, (35, 4))
+    Y = np.column_stack([np.sin(4 * X[:, 0]), X[:, 1] * X[:, 2], np.cos(X.sum(axis=1))])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        base=st.sampled_from(ALL_KERNELS),
+        per_dim=st.booleans(),
+        q=st.sampled_from([1, 3]),
+        data=st.data(),
+    )
+    def test_equals_gpr_fit_within_bounds(self, base, per_dim, q, data):
+        spec = replace(base, length_scale=np.full(4, 0.5) if per_dim else 0.5)
+        theta = np.array([
+            data.draw(st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi)))
+            for lo, hi in _pack_bounds(spec, 4, HyperBounds())
+        ])
+        X, Y = self.X, self.Y[:, :q]
+        assert _lml_evaluator(X, Y, spec)(theta) == _fit_lml(X, Y, spec, theta)
+
+    def test_duplicate_rows_give_the_jittered_lml(self):
+        X = np.array([[0.1], [0.1], [0.5], [0.9]])
+        Y = np.array([[1.0], [1.0], [0.0], [2.0]])
+        spec = KernelSpec(kind="rbf")
+        # Noise at the lower edge of HyperBounds(noise=(1e-20, 1.0)).
+        theta = np.log([0.3, 1e-20])
+        assert gpr_fit(X, Y, _theta_to_spec(spec, theta)).jitter_used > 0.0
+        assert _lml_evaluator(X, Y, spec)(theta) == _fit_lml(X, Y, spec, theta)
+
+    def test_unfactorable_kernel_gives_minus_inf(self):
+        # Far from the origin the expanded distance loses the small gaps, and
+        # K is indefinite beyond what the largest jitter repairs.
+        X = 1e4 + np.linspace(0.0, 1e-3, 8)[:, np.newaxis]
+        Y = np.sin(np.arange(8.0))[:, np.newaxis]
+        spec = KernelSpec(kind="rbf")
+        theta = np.log([1e-2, 1e-10])
+        with pytest.raises(NumericError):
+            gpr_fit(X, Y, _theta_to_spec(spec, theta))
+        assert _lml_evaluator(X, Y, spec)(theta) == -np.inf
+
+
+# optimize_hyperparameters results on one problem, as float.hex of the length
+# scales, sf2 and noise. They pin the optimizer's path: an edit to the lml
+# evaluation or the search that changes any bit of a trained model shows here.
+PINNED_OPTIMA = {
+    ("rbf", 1.5, "isotropic"):
+        "0x1.ecb57cff82e1cp-2 0x1.0000000000000p+0 0x1.12e9d96432ec7p-28",
+    ("rbf", 1.5, "per-dim"):
+        "0x1.b3a32e60d73e9p-2 0x1.67647cf8cefc8p-1 0x1.0000000000000p+0 0x1.692ca9f32453cp-18",
+    ("constant*rbf", 1.5, "isotropic"):
+        "0x1.0657b22344d25p-1 0x1.7133a1469e53bp+0 0x1.5d6024c339dd7p-27",
+    ("constant*rbf", 1.5, "per-dim"):
+        "0x1.c92133b6bbfeap-2 0x1.741df396d7ec9p-1 0x1.5afc52f364f02p+0 0x1.225475afb7120p-18",
+    ("matern", 0.5, "isotropic"):
+        "0x1.eb196210c9980p+0 0x1.0000000000000p+0 0x1.a2e5078285034p-14",
+    ("matern", 0.5, "per-dim"):
+        "0x1.913bfcbc2360ap+0 0x1.7d9cfbc3f1aafp+1 0x1.0000000000000p+0 0x1.a20837c99b3c6p-14",
+    ("matern", 1.5, "isotropic"):
+        "0x1.a4e589ce5d819p-1 0x1.0000000000000p+0 0x1.fcdd053f9053fp-27",
+    ("matern", 1.5, "per-dim"):
+        "0x1.6e438e0b266cdp-1 0x1.38504ee7de57ep+0 0x1.0000000000000p+0 0x1.d7db254410acep-29",
+    ("matern", 2.5, "isotropic"):
+        "0x1.58d44c2ebe931p-1 0x1.0000000000000p+0 0x1.03d7c5dd14f1ap-27",
+    ("matern", 2.5, "per-dim"):
+        "0x1.33ceaef4f491dp-1 0x1.0740f1d5bd8eap+0 0x1.0000000000000p+0 0x1.f79b48b421111p-30",
+    ("constant*matern", 0.5, "isotropic"):
+        "0x1.e45359d152f49p-1 0x1.0dfae69d524cep-1 0x1.9fc0cf0a2602ep-14",
+    ("constant*matern", 0.5, "per-dim"):
+        "0x1.84fe434a3a407p-2 0x1.6c2dd4ec8a0fap-1 0x1.469ed545b38dfp-2 0x1.a2c3a0b3766d5p-14",
+    ("constant*matern", 1.5, "isotropic"):
+        "0x1.d2b38f873414fp-1 0x1.4657683c0b566p+0 0x1.15ffd475b1c4ap-27",
+    ("constant*matern", 1.5, "per-dim"):
+        "0x1.e33e0095afd6bp-1 0x1.a2a6d70477772p+0 0x1.f74ae05a30e78p+0 0x1.4eff9e0159fc4p-27",
+    ("constant*matern", 2.5, "isotropic"):
+        "0x1.94e1604a80ef5p-1 0x1.affb4def5286ep+0 0x1.2592b97f1869ep-28",
+    ("constant*matern", 2.5, "per-dim"):
+        "0x1.da416e7ed14b2p-1 0x1.b1babf0fff678p+0 0x1.297a6b5d90e67p+2 0x1.b7cdfd9d7bdb8p-34",
+}
+
+
+@pytest.mark.parametrize("kind, nu, scales", PINNED_OPTIMA)
+def test_optimizer_results_pinned(kind, nu, scales):
+    rng = np.random.default_rng(31)
+    X = rng.uniform(0, 1, (16, 2))
+    Y = np.column_stack([np.sin(5 * X[:, 0]) + X[:, 1], np.cos(3 * X.sum(axis=1))])
+    length_scale = 0.5 if scales == "isotropic" else np.array([0.5, 0.5])
+    spec = KernelSpec(kind=kind, nu=nu, length_scale=length_scale, noise=1e-4)
+    tuned = optimize_hyperparameters(X, Y, spec, restarts=2, seed=3)
+    values = [*np.atleast_1d(tuned.length_scale), tuned.signal_variance, tuned.noise]
+    assert " ".join(float(v).hex() for v in values) == PINNED_OPTIMA[kind, nu, scales]
 
 
 class TestKernelNames:

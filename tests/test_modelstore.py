@@ -1,6 +1,8 @@
 """Bundle persistence: versioning, round trips, checksums, format guards."""
 
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -120,6 +122,26 @@ class TestVersioning:
         assert first.name == "proj_v1"
         assert second.name == "proj_v2"
         assert first.exists() and second.exists()
+
+    def test_concurrent_saves_get_distinct_versions(self, composite, tmp_path):
+        # Earlier versions make each save scan, so the saves overlap in allocation.
+        earlier, threads = 50, 8
+        for k in range(1, earlier + 1):
+            (tmp_path / f"proj_v{k}").mkdir()
+        barrier = threading.Barrier(threads)
+
+        def save(_):
+            barrier.wait(timeout=30)
+            return save_model(composite, tmp_path, "proj")
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            bundles = list(pool.map(save, range(threads), timeout=60))
+        versions = range(earlier + 1, earlier + threads + 1)
+        assert sorted(b.name for b in bundles) == [f"proj_v{k}" for k in versions]
+        X = queries(1)
+        expected = composite.predict_raw(X).tobytes()
+        for bundle in bundles:
+            assert load_model(bundle).predict_raw(X).tobytes() == expected
 
     def test_metadata_records_fit_details(self, gpr_surrogate, tmp_path):
         bundle = save_model(gpr_surrogate, tmp_path, "meta_demo")
