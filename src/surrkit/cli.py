@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from surrkit import __version__
-from surrkit.config import RunConfig, load_config
+from surrkit.config import DataSource, RunConfig, load_config
 from surrkit.data import (
     DataTensor,
     FidelityDataset,
@@ -41,7 +41,6 @@ from surrkit.modelstore import load_model, save_model
 from surrkit.multifid import (
     TensorLayout,
     predict_tensor,
-    train_mf,
     train_mf_chain,
     train_single_fidelity,
 )
@@ -89,31 +88,25 @@ def _tensor_rows(tensor: DataTensor, idx: np.ndarray) -> DataTensor:
     )
 
 
-def _load_dataset(source, label: str) -> FidelityDataset:
-    with _stage(f"ingest {label}"):
+def _load_dataset(source: DataSource) -> FidelityDataset:
+    with _stage(f"ingest {source.fidelity}"):
         X = import_tensor(source.x, source.format)
         Y = import_tensor(source.y, source.format)
         return FidelityDataset(
-            fidelity=source.fidelity or label,
-            X=X,
-            Y=Y,
-            provenance=f"{source.x} / {source.y}",
+            fidelity=source.fidelity, X=X, Y=Y, provenance=f"{source.x} / {source.y}"
         )
 
 
 def _write_config_copy(cfg: RunConfig, run: _Run) -> None:
-    effective = dict(cfg.raw)
-    effective["seed"] = cfg.seed
     (run.dir / "config.json").write_text(
-        json.dumps(effective, indent=2) + "\n", encoding="utf-8"
+        json.dumps(cfg.raw, indent=2) + "\n", encoding="utf-8"
     )
 
 
-def _require(cfg: RunConfig, attr: str, key: str):
-    value = getattr(cfg, attr)
-    if value is None:
-        raise InputError(f"this command needs the {key!r} section in the config")
-    return value
+def _load_single_dataset(cfg: RunConfig) -> FidelityDataset:
+    if cfg.data is None:
+        raise InputError("this command needs the 'data' section in the config")
+    return _load_dataset(cfg.data)
 
 
 def _out_dir(cfg: RunConfig, args) -> Path:
@@ -170,8 +163,7 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config, args.seed, args.out, _split_flags(args))
     run = _Run(_out_dir(cfg, args), args.verbose)
     _write_config_copy(cfg, run)
-    source = _require(cfg, "data", "data")
-    dataset = _load_dataset(source, "data")
+    dataset = _load_single_dataset(cfg)
     run.say(
         f"loaded {dataset.fidelity}: X {dataset.X.shape}, Y {dataset.Y.shape}"
     )
@@ -191,70 +183,31 @@ def cmd_train(args) -> int:
 
 
 def cmd_mf_train(args) -> int:
-    cfg = load_config(args.config, args.seed, args.out, _split_flags(args))
-    raw = dict(cfg.raw)
-    for key, section in (("lf", "lf_data"), ("hf", "hf_data")):
-        x_flag = getattr(args, f"{key}_input")
-        y_flag = getattr(args, f"{key}_output")
-        if x_flag or y_flag:
-            block = dict(raw.get(section, {}))
-            if x_flag:
-                block["x"] = x_flag
-            if y_flag:
-                block["y"] = y_flag
-            raw[section] = block
-    if raw != cfg.raw:
-        from surrkit.config import build_run_config
-
-        cfg = build_run_config(
-            raw, Path(args.config).parent, args.seed, args.out, _split_flags(args)
+    cfg = load_config(
+        args.config, args.seed, args.out, _split_flags(args),
+        {
+            "lf_data": {"x": args.lf_input, "y": args.lf_output},
+            "hf_data": {"x": args.hf_input, "y": args.hf_output},
+        },
+    )
+    if not cfg.fidelity_chain:
+        raise InputError(
+            "this command needs a 'fidelity_chain', or 'lf_data' and 'hf_data', "
+            "in the config"
         )
-
     run = _Run(_out_dir(cfg, args), args.verbose)
     _write_config_copy(cfg, run)
-
-    if cfg.fidelity_chain:
-        datasets = [
-            _load_dataset(source, source.fidelity or f"level{i}")
-            for i, (source, _) in enumerate(cfg.fidelity_chain)
-        ]
-        kinds = [kind for _, kind in cfg.fidelity_chain]
-        run.say(
-            "fidelity chain: "
-            + " -> ".join(f"{d.fidelity}({d.n})" for d in datasets)
-        )
-        with _stage("mf-train"):
-            composite = train_mf_chain(
-                datasets, kinds, cfg.split, cfg.gpr_grid, cfg.mlp_grid
-            )
-        top_data = datasets[-1]
-    else:
-        lf_data = _load_dataset(_require(cfg, "lf_data", "lf_data"), "LF")
-        hf_data = _load_dataset(_require(cfg, "hf_data", "hf_data"), "HF")
-        run.say(
-            f"LF: {lf_data.n} samples, HF: {hf_data.n} samples, "
-            f"input dim {lf_data.X.m * lf_data.X.l}"
-        )
-        with _stage("mf-train"):
-            composite = train_mf(
-                lf_data,
-                hf_data,
-                lf_kind=cfg.lf_kind,
-                mf_kind=cfg.mf_kind,
-                split=cfg.split,
-                gpr_grid=cfg.gpr_grid,
-                mlp_grid=cfg.mlp_grid,
-            )
-        top_data = hf_data
-
-    if getattr(composite, "lf_sweep", None) is not None:
-        export_sweep_csv(composite.lf_sweep, run.dir / "lf_sweep.csv")
-    if getattr(composite, "mf_sweep", None) is not None:
-        export_sweep_csv(composite.mf_sweep, run.dir / "mf_sweep.csv")
+    datasets = [_load_dataset(source) for source, _ in cfg.fidelity_chain]
+    kinds = [kind for _, kind in cfg.fidelity_chain]
+    run.say("fidelity chain: " + " -> ".join(f"{d.fidelity}({d.n})" for d in datasets))
+    with _stage("mf-train"):
+        composite = train_mf_chain(datasets, kinds, cfg.split, cfg.gpr_grid, cfg.mlp_grid)
+    export_sweep_csv(composite.lf_sweep, run.dir / "lf_sweep.csv")
+    export_sweep_csv(composite.mf_sweep, run.dir / "mf_sweep.csv")
     with _stage("save"):
         bundle = save_model(composite, run.dir, "mf_model")
     run.say(f"model bundle: {bundle}")
-    _evaluate_and_report(composite, top_data, cfg, run)
+    _evaluate_and_report(composite, datasets[-1], cfg, run)
     return EXIT_OK
 
 
@@ -262,7 +215,7 @@ def cmd_tune(args) -> int:
     cfg = load_config(args.config, args.seed, args.out, _split_flags(args))
     run = _Run(_out_dir(cfg, args), args.verbose)
     _write_config_copy(cfg, run)
-    dataset = _load_dataset(_require(cfg, "data", "data"), "data")
+    dataset = _load_single_dataset(cfg)
     with _stage("tune"):
         prepared = preprocess_data_pipeline(dataset, cfg.split)
         sweep = tune(prepared, cfg.model_kind, cfg.gpr_grid, cfg.mlp_grid)
@@ -309,7 +262,7 @@ def cmd_convergence(args) -> int:
     cfg = load_config(args.config, args.seed, args.out, _split_flags(args))
     run = _Run(_out_dir(cfg, args), args.verbose)
     _write_config_copy(cfg, run)
-    dataset = _load_dataset(_require(cfg, "data", "data"), "data")
+    dataset = _load_single_dataset(cfg)
     sizes = (
         tuple(int(s) for s in args.sizes.split(","))
         if args.sizes
@@ -429,12 +382,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("mf-train", help="two-level multi-fidelity pipeline")
+    p = sub.add_parser(
+        "mf-train", help="multi-fidelity pipeline over two or more fidelity levels"
+    )
     common(p)
-    p.add_argument("--lf-input", default=None, help="override lf_data.x")
-    p.add_argument("--lf-output", default=None, help="override lf_data.y")
-    p.add_argument("--hf-input", default=None, help="override hf_data.x")
-    p.add_argument("--hf-output", default=None, help="override hf_data.y")
+    p.add_argument("--lf-input", default=None, help="override the lowest level's x")
+    p.add_argument("--lf-output", default=None, help="override the lowest level's y")
+    p.add_argument("--hf-input", default=None, help="override the highest level's x")
+    p.add_argument("--hf-output", default=None, help="override the highest level's y")
     p.set_defaults(func=cmd_mf_train)
 
     p = sub.add_parser("tune", help="run the hyperparameter sweep only")

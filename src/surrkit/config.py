@@ -1,7 +1,8 @@
 """Run configuration: a strict JSON schema for the pipeline commands.
 
 Every key is validated before any stage runs; unknown keys are rejected with
-their full path. CLI flags (``--seed``, ``--out``) override config values.
+their full path. CLI flags (``--seed``, ``--out``, the split fractions and
+``mf-train``'s data paths) override config values.
 The schema, with every section optional unless a command needs it::
 
     {
@@ -27,8 +28,10 @@ The schema, with every section optional unless a command needs it::
       "convergence": {"sizes": [8, 16, 32], "model": "gpr"}
     }
 
-    ``fidelity_chain`` orders datasets lowest fidelity first and replaces
-    lf_data/hf_data when more than two levels are fused.
+    ``fidelity_chain`` lists two or more levels, lowest fidelity first;
+    lf_data/hf_data (tagged "LF"/"HF" by default) with lf_model/mf_model is
+    the two-level chain written another way. A config uses one form. The
+    ``--lf-*``/``--hf-*`` flags replace the lowest/highest level's x/y.
 
 Kernel tokens: ``rbf``, ``maternNU`` with NU in {0.5, 1.5, 2.5}, and
 ``constant*`` prefixes of either to make the signal variance tunable.
@@ -80,12 +83,8 @@ class RunConfig:
     out_dir: Path | None
     split: SplitSpec
     data: DataSource | None
-    lf_data: DataSource | None
-    hf_data: DataSource | None
     fidelity_chain: tuple[tuple[DataSource, str], ...]
     model_kind: str
-    lf_kind: str
-    mf_kind: str
     gpr_grid: GprGrid
     mlp_grid: MlpGrid
     convergence_sizes: tuple[int, ...]
@@ -110,8 +109,22 @@ def _require(section: dict, key: str, path: str):
     return section[key]
 
 
-def _data_source(section: dict, path: str, base: Path) -> DataSource:
-    _reject_unknown(section, path)
+def _section(raw: dict, key: str) -> dict:
+    """The top-level object ``key`` (empty when absent), checked against the schema."""
+    section = raw.get(key, {})
+    if not isinstance(section, dict):
+        raise InputError(f"config key {key!r} must be an object")
+    _reject_unknown(section, key)
+    return section
+
+
+def _given(overrides: dict | None) -> dict:
+    return {k: v for k, v in (overrides or {}).items() if v is not None}
+
+
+def _data_source(
+    section: dict, path: str, base: Path, default_fidelity: str = ""
+) -> DataSource:
     fmt = section.get("format", "tensor-text")
     if fmt not in ("tensor-text", "csv"):
         raise InputError(f"{path}.format must be 'tensor-text' or 'csv', got {fmt!r}")
@@ -119,7 +132,7 @@ def _data_source(section: dict, path: str, base: Path) -> DataSource:
         x=base / str(_require(section, "x", path)),
         y=base / str(_require(section, "y", path)),
         format=fmt,
-        fidelity=str(section.get("fidelity", "")),
+        fidelity=str(section.get("fidelity", "")) or default_fidelity,
     )
 
 
@@ -140,13 +153,73 @@ def _bounds_pair(raw, name: str) -> tuple[float, float]:
     return float(raw[0]), float(raw[1])
 
 
+_CHAIN_ENDS = {"lf_data": 0, "hf_data": -1}
+
+
+def _fidelity_chain(
+    raw: dict, base: Path, data_overrides: dict | None
+) -> tuple[tuple[DataSource, str], ...]:
+    """The fidelity levels to fuse, lowest first, each with its model kind.
+
+    Folds the ``lf_data``/``hf_data`` path overrides into the lowest/highest
+    level of ``raw``, in whichever of the two forms it gives the levels.
+    """
+    flags = {key: _given((data_overrides or {}).get(key)) for key in _CHAIN_ENDS}
+    if "fidelity_chain" not in raw:
+        for key in _CHAIN_ENDS:
+            if flags[key]:
+                raw[key] = {**_section(raw, key), **flags[key]}
+        kinds = [
+            _model_kind(_section(raw, key).get("kind", "gpr"), f"{key}.kind")
+            for key in ("lf_model", "mf_model")
+        ]
+        if not any(key in raw for key in _CHAIN_ENDS):
+            return ()
+        return tuple(
+            (_data_source(_section(raw, key), key, base, fidelity), kind)
+            for key, fidelity, kind in zip(_CHAIN_ENDS, ("LF", "HF"), kinds)
+        )
+
+    mixed = [key for key in ("lf_data", "hf_data", "lf_model", "mf_model") if key in raw]
+    if mixed:
+        raise InputError(
+            f"config gives both 'fidelity_chain' and {mixed[0]!r}; "
+            "give the fidelity levels in one form"
+        )
+    levels = raw["fidelity_chain"]
+    if not isinstance(levels, list) or len(levels) < 2:
+        raise InputError("fidelity_chain must list at least two fidelity levels")
+    for i, level in enumerate(levels):
+        if not isinstance(level, dict):
+            raise InputError(f"fidelity_chain[{i}] must be an object")
+        _reject_unknown(level, "fidelity_chain[]")
+    levels = raw["fidelity_chain"] = list(levels)
+    for key, end in _CHAIN_ENDS.items():
+        if flags[key]:
+            levels[end] = {**levels[end], **flags[key]}
+    return tuple(
+        (
+            _data_source(level, "fidelity_chain[]", base, f"level{i}"),
+            _model_kind(level.get("model", "gpr"), f"fidelity_chain[{i}].model"),
+        )
+        for i, level in enumerate(levels)
+    )
+
+
 def load_config(
     path: str | Path,
     seed_override: int | None = None,
     out_override: str | Path | None = None,
     split_overrides: dict | None = None,
+    data_overrides: dict | None = None,
 ) -> RunConfig:
-    """Parse and fully validate a config file before any stage runs."""
+    """Parse and fully validate a config file before any stage runs.
+
+    ``split_overrides`` maps ``split`` keys to values and ``data_overrides``
+    maps ``lf_data``/``hf_data`` to ``x``/``y`` paths; ``None`` values are
+    ignored. The returned ``raw`` is the effective config: the file's
+    sections with the seed and every override folded in.
+    """
     path = Path(path)
     if not path.exists():
         raise InputError(f"config file not found: {path}")
@@ -156,24 +229,15 @@ def load_config(
         raise InputError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise InputError(f"config {path} must be a JSON object")
-    return build_run_config(raw, path.parent, seed_override, out_override, split_overrides)
-
-
-def build_run_config(
-    raw: dict,
-    base: Path,
-    seed_override: int | None = None,
-    out_override: str | Path | None = None,
-    split_overrides: dict | None = None,
-) -> RunConfig:
     _reject_unknown(raw, "")
+    base = path.parent
 
     seed = seed_override if seed_override is not None else int(raw.get("seed", 0))
+    raw["seed"] = seed
 
-    split_raw = dict(raw.get("split", {}))
-    _reject_unknown(split_raw, "split")
-    if split_overrides:
-        split_raw.update({k: v for k, v in split_overrides.items() if v is not None})
+    split_raw = _section(raw, "split")
+    if _given(split_overrides):
+        split_raw = raw["split"] = {**split_raw, **_given(split_overrides)}
     split = SplitSpec(
         train_frac=float(split_raw.get("train_frac", 0.70)),
         test_frac=float(split_raw.get("test_frac", 0.15)),
@@ -181,37 +245,11 @@ def build_run_config(
         seed=seed,
     )
 
-    sources: dict[str, DataSource | None] = {}
-    for key in ("data", "lf_data", "hf_data"):
-        section = raw.get(key)
-        if section is None:
-            sources[key] = None
-        elif isinstance(section, dict):
-            sources[key] = _data_source(section, key, base)
-        else:
-            raise InputError(f"config key {key!r} must be an object")
+    data = _data_source(_section(raw, "data"), "data", base, "data") if "data" in raw else None
+    chain = _fidelity_chain(raw, base, data_overrides)
+    model_kind = _model_kind(_section(raw, "model").get("kind", "gpr"), "model.kind")
 
-    chain: list[tuple[DataSource, str]] = []
-    chain_raw = raw.get("fidelity_chain")
-    if chain_raw is not None:
-        if not isinstance(chain_raw, list) or len(chain_raw) < 2:
-            raise InputError("fidelity_chain must list at least two fidelity levels")
-        for i, section in enumerate(chain_raw):
-            if not isinstance(section, dict):
-                raise InputError(f"fidelity_chain[{i}] must be an object")
-            _reject_unknown(section, "fidelity_chain[]")
-            kind = _model_kind(section.get("model", "gpr"), f"fidelity_chain[{i}].model")
-            source_raw = {k: v for k, v in section.items() if k != "model"}
-            chain.append((_data_source(source_raw, "data", base), kind))
-
-    kinds = {}
-    for key in ("model", "lf_model", "mf_model"):
-        section = dict(raw.get(key, {}))
-        _reject_unknown(section, key)
-        kinds[key] = _model_kind(section.get("kind", "gpr"), f"{key}.kind")
-
-    gpr_raw = dict(raw.get("gpr", {}))
-    _reject_unknown(gpr_raw, "gpr")
+    gpr_raw = _section(raw, "gpr")
     kernel_names = gpr_raw.get("kernels")
     if kernel_names is not None:
         if not isinstance(kernel_names, list) or not kernel_names:
@@ -235,8 +273,7 @@ def build_run_config(
         seed=seed,
     )
 
-    mlp_raw = dict(raw.get("mlp", {}))
-    _reject_unknown(mlp_raw, "mlp")
+    mlp_raw = _section(raw, "mlp")
     train_cfg = TrainConfig(
         learning_rate=float(mlp_raw.get("learning_rate", 1e-3)),
         max_epochs=int(mlp_raw.get("max_epochs", 500)),
@@ -251,23 +288,18 @@ def build_run_config(
         train=train_cfg,
     )
 
-    conv_raw = dict(raw.get("convergence", {}))
-    _reject_unknown(conv_raw, "convergence")
+    conv_raw = _section(raw, "convergence")
     sizes = tuple(int(s) for s in conv_raw.get("sizes", []))
-    conv_model = _model_kind(conv_raw.get("model", kinds["model"]), "convergence.model")
+    conv_model = _model_kind(conv_raw.get("model", model_kind), "convergence.model")
 
     out_dir = out_override or raw.get("out_dir")
     return RunConfig(
         seed=seed,
         out_dir=Path(out_dir) if out_dir is not None else None,
         split=split,
-        data=sources["data"],
-        lf_data=sources["lf_data"],
-        hf_data=sources["hf_data"],
-        fidelity_chain=tuple(chain),
-        model_kind=kinds["model"],
-        lf_kind=kinds["lf_model"],
-        mf_kind=kinds["mf_model"],
+        data=data,
+        fidelity_chain=chain,
+        model_kind=model_kind,
         gpr_grid=gpr_grid,
         mlp_grid=mlp_grid,
         convergence_sizes=sizes,

@@ -180,6 +180,17 @@ def _as_matrix(x, name: str) -> np.ndarray:
     return arr
 
 
+def _training_pair(X, Y) -> tuple[np.ndarray, np.ndarray]:
+    """Checked training inputs and targets: finite matrices with equal, nonzero row counts."""
+    X = _as_matrix(X, "X")
+    Y = _as_matrix(Y, "Y")
+    if X.shape[0] != Y.shape[0]:
+        raise InputError(f"X has {X.shape[0]} rows but Y has {Y.shape[0]}")
+    if X.shape[0] == 0:
+        raise InputError("training set is empty")
+    return X, Y
+
+
 def _scale_inputs(X: np.ndarray, ls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``X`` divided by the length scales ``ls``, and that matrix's squared row norms."""
     Xs = X / ls
@@ -317,10 +328,7 @@ def _factor_with_jitter(K_noisy: np.ndarray, diag_scale: float) -> tuple[np.ndar
 
 def gpr_fit(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> GprModel:
     """Factor the kernel matrix and solve for the dual weights."""
-    X = _as_matrix(X, "X")
-    Y = _as_matrix(Y, "Y")
-    if X.shape[0] != Y.shape[0]:
-        raise InputError(f"X has {X.shape[0]} rows but Y has {Y.shape[0]}")
+    X, Y = _training_pair(X, Y)
     n, q = Y.shape
     K = kernel_eval(spec, X, X)
     K_noisy = K + spec.noise * np.eye(n)
@@ -413,7 +421,7 @@ def _lml_evaluator(
 ) -> Callable[[np.ndarray], float]:
     """``theta -> gpr_fit(X, Y, _theta_to_spec(spec, theta)).lml``, without the overhead.
 
-    ``X`` and ``Y`` are checked matrices, as ``_as_matrix`` returns them. Each
+    ``X`` and ``Y`` are checked matrices, as ``_training_pair`` returns them. Each
     evaluation repeats ``gpr_fit``'s floating-point operations in the same
     order, on the same arrays, and calls the LAPACK routines scipy's
     ``cholesky`` and ``cho_solve`` call, so a successful evaluation returns
@@ -422,8 +430,6 @@ def _lml_evaluator(
     jitter ladder and scipy's finite-value checks, and a ``NumericError``
     gives ``-inf``.
     """
-    if X.shape[0] != Y.shape[0]:
-        raise InputError(f"X has {X.shape[0]} rows but Y has {Y.shape[0]}")
     n, q = Y.shape
     n_ls = np.atleast_1d(np.asarray(spec.length_scale)).size
     log_norm = q * 0.5 * n * math.log(2.0 * math.pi)
@@ -441,8 +447,7 @@ def _lml_evaluator(
         X_scaled = _scale_inputs(X, ls)
         K = _kernel_from_sq(spec, _scaled_sq_dist(X_scaled, X_scaled), sf2)
         K.reshape(-1)[:: n + 1] += noise  # bit for bit gpr_fit's K + noise * I
-        # LAPACK's wrapper rejects an empty K, which gpr_fit accepts.
-        L, info = dpotrf(K, lower=1, clean=1) if n else (K, -1)
+        L, info = dpotrf(K, lower=1, clean=1)
         if info == 0:
             alpha, info = dpotrs(L, Y, lower=1)
             lml = float(
@@ -477,8 +482,7 @@ def optimize_hyperparameters(
     """
     if restarts < 1:
         raise InputError(f"restarts must be >= 1, got {restarts}")
-    X = _as_matrix(X, "X")
-    Y = _as_matrix(Y, "Y")
+    X, Y = _training_pair(X, Y)
     bounds = bounds or HyperBounds()
     log_bounds = _pack_bounds(spec, X.shape[1], bounds)
     lo = np.array([b[0] for b in log_bounds])

@@ -1,4 +1,4 @@
-"""Two-level (and foldable N-level) multi-fidelity surrogate composition.
+"""Multi-fidelity surrogate composition: a two-level step folded over N levels.
 
 The chain trains a low-fidelity surrogate on the plentiful LF data, evaluates
 it at the high-fidelity input sites, concatenates those predictions (in raw
@@ -118,6 +118,8 @@ class MfComposite:
 
     ``lf`` may itself be a composite, which is how deeper fidelity stacks
     fold: each level treats everything below it as one low-fidelity model.
+    A trained composite keeps the sweep of the chain's lowest level as
+    ``lf_sweep`` and the sweep of its own MF stage as ``mf_sweep``.
     """
 
     lf: "FittedSurrogate | MfComposite"
@@ -266,17 +268,7 @@ def train_mf(
     mlp_grid: MlpGrid | None = None,
 ) -> MfComposite:
     """Run the full two-level composition: LF surrogate, augmentation, MF surrogate."""
-    d_lf = lf_data.X.m * lf_data.X.l
-    d_hf = hf_data.X.m * hf_data.X.l
-    if d_lf != d_hf:
-        raise InputError(
-            f"fidelity levels disagree on input dimension: LF has {d_lf}, HF has {d_hf}"
-        )
-    split = split or SplitSpec()
-    lf_surr, lf_sweep = train_single_fidelity(lf_data, lf_kind, split, gpr_grid, mlp_grid)
-    return compose_with_lf(
-        lf_surr, hf_data, mf_kind, split, gpr_grid, mlp_grid, lf_sweep=lf_sweep
-    )
+    return train_mf_chain([lf_data, hf_data], [lf_kind, mf_kind], split, gpr_grid, mlp_grid)
 
 
 def train_mf_chain(
@@ -290,6 +282,8 @@ def train_mf_chain(
 
     Level k consumes the composite of levels below it as its low-fidelity
     model. A single dataset degenerates to plain single-fidelity training.
+    The model kinds and every level's input dimension are checked before any
+    level is trained.
     """
     if not datasets:
         raise InputError("fidelity chain needs at least one dataset")
@@ -299,9 +293,18 @@ def train_mf_chain(
         raise InputError(
             f"{len(datasets)} fidelity levels but {len(kinds)} model kinds"
         )
+    dims = [data.X.m * data.X.l for data in datasets]
+    for level, d in enumerate(dims):
+        if d != dims[0]:
+            raise InputError(
+                f"fidelity levels disagree on input dimension: level 0 "
+                f"({datasets[0].fidelity}) has {dims[0]}, level {level} "
+                f"({datasets[level].fidelity}) has {d}"
+            )
     split = split or SplitSpec()
-    model, _ = train_single_fidelity(datasets[0], kinds[0], split, gpr_grid, mlp_grid)
-    result: FittedSurrogate | MfComposite = model
+    result, lf_sweep = train_single_fidelity(datasets[0], kinds[0], split, gpr_grid, mlp_grid)
     for data, kind in zip(datasets[1:], kinds[1:]):
-        result = compose_with_lf(result, data, kind, split, gpr_grid, mlp_grid)
+        result = compose_with_lf(
+            result, data, kind, split, gpr_grid, mlp_grid, lf_sweep=lf_sweep
+        )
     return result

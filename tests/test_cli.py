@@ -15,7 +15,7 @@ from helpers import resign_checksums
 from surrkit.cli import main
 from surrkit.data import DataTensor, export_tensor
 from surrkit.modelstore import load_model, save_model
-from surrkit.synthbench import forrester_pair, truth_evaluate
+from surrkit.synthbench import Sampler, forrester_pair, sample, truth_evaluate
 
 
 def run(argv):
@@ -31,6 +31,9 @@ def synth_dir(tmp_path):
     ])
     assert code == 0
     return out
+
+
+FAST_GPR = {"kernels": ["constant*rbf"], "restarts": 1}
 
 
 def write_config(path, body):
@@ -214,32 +217,35 @@ class TestIngest:
         assert "data lines" in capsys.readouterr().err
 
 
-class TestFidelityChainConfig:
-    def test_three_level_chain_via_config(self, tmp_path):
-        from surrkit.data import export_tensor
-        from surrkit.synthbench import Sampler, sample
+@pytest.fixture()
+def chain_data(tmp_path):
+    """Three Forrester levels, the middle one halfway between LF and HF, as
+    ``data/l{0,1,2}_{x,y}.txt``; returns the config entries that list them."""
+    pair = forrester_pair()
+    data_dir = tmp_path / "data"
+    sizes = {"l0": 40, "l1": 16, "l2": 10}
+    funcs = {
+        "l0": pair.lf,
+        "l1": lambda x: 0.5 * (pair.lf(x) + pair.hf(x)),
+        "l2": pair.hf,
+    }
+    for i, (name, n) in enumerate(sizes.items()):
+        X = sample(Sampler("uniform-grid", seed=20 + i), pair.bounds, n)
+        export_tensor(DataTensor.from_values(X[:, :, None], ("x",)),
+                      data_dir / f"{name}_x.txt")
+        export_tensor(DataTensor.from_values(funcs[name](X)[:, :, None], ("y",)),
+                      data_dir / f"{name}_y.txt")
+    return [
+        {"x": f"data/{name}_x.txt", "y": f"data/{name}_y.txt", "fidelity": name.upper()}
+        for name in sizes
+    ]
 
-        pair = forrester_pair()
-        data_dir = tmp_path / "data"
-        sizes = {"l0": 40, "l1": 16, "l2": 10}
-        funcs = {
-            "l0": pair.lf,
-            "l1": lambda x: 0.5 * (pair.lf(x) + pair.hf(x)),
-            "l2": pair.hf,
-        }
-        for i, (name, n) in enumerate(sizes.items()):
-            X = sample(Sampler("uniform-grid", seed=20 + i), pair.bounds, n)
-            export_tensor(DataTensor.from_values(X[:, :, None], ("x",)),
-                          data_dir / f"{name}_x.txt")
-            export_tensor(DataTensor.from_values(funcs[name](X)[:, :, None], ("y",)),
-                          data_dir / f"{name}_y.txt")
+
+class TestFidelityChainConfig:
+    def test_three_level_chain_via_config(self, chain_data, tmp_path):
         cfg = write_config(tmp_path / "chain.json", {
             "seed": 20,
-            "fidelity_chain": [
-                {"x": "data/l0_x.txt", "y": "data/l0_y.txt", "fidelity": "L0"},
-                {"x": "data/l1_x.txt", "y": "data/l1_y.txt", "fidelity": "L1"},
-                {"x": "data/l2_x.txt", "y": "data/l2_y.txt", "fidelity": "L2"},
-            ],
+            "fidelity_chain": chain_data,
             "gpr": {"kernels": ["constant*rbf"], "restarts": 1},
         })
         run_dir = tmp_path / "chainrun"
@@ -250,6 +256,62 @@ class TestFidelityChainConfig:
         assert (bundle / "lf_model" / "meta.json").exists()
         inner = json.loads((bundle / "lf_model" / "meta.json").read_text())
         assert inner["model_type"] == "mf-composite"  # nested level
+        assert (run_dir / "lf_sweep.csv").exists()
+        assert (run_dir / "mf_sweep.csv").exists()
+
+    def test_data_path_flags_replace_the_lowest_and_highest_level(
+        self, chain_data, tmp_path
+    ):
+        wrong = {"x": "absent_x.txt", "y": "absent_y.txt"}
+        cfg = write_config(tmp_path / "chain.json", {
+            "seed": 20,
+            "fidelity_chain": [
+                {**chain_data[0], **wrong}, chain_data[1], {**chain_data[2], **wrong},
+            ],
+            "gpr": FAST_GPR,
+        })
+        data = tmp_path / "data"
+        run_dir = tmp_path / "r"
+        assert run([
+            "mf-train", "--config", str(cfg), "--out", str(run_dir),
+            "--lf-input", str(data / "l0_x.txt"), "--lf-output", str(data / "l0_y.txt"),
+            "--hf-input", str(data / "l2_x.txt"), "--hf-output", str(data / "l2_y.txt"),
+        ]) == 0
+        levels = json.loads((run_dir / "config.json").read_text())["fidelity_chain"]
+        assert levels[0]["x"] == str(data / "l0_x.txt")
+        assert levels[2]["y"] == str(data / "l2_y.txt")
+        assert levels[1] == chain_data[1]
+
+    def test_data_path_flag_naming_a_missing_file_exits_2(
+        self, chain_data, tmp_path, capsys
+    ):
+        cfg = write_config(tmp_path / "chain.json", {
+            "fidelity_chain": chain_data, "gpr": FAST_GPR,
+        })
+        assert run([
+            "mf-train", "--config", str(cfg), "--out", str(tmp_path / "r"),
+            "--lf-input", "nonexistent_x.txt", "--lf-output", "nonexistent_y.txt",
+        ]) == 2
+        assert "nonexistent_x.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["lf_data", "hf_data", "lf_model", "mf_model"])
+    def test_mixing_chain_and_two_level_keys_exits_2(
+        self, chain_data, tmp_path, capsys, key
+    ):
+        section = {"kind": "gpr"} if key.endswith("model") else chain_data[0]
+        cfg = write_config(tmp_path / "mixed.json", {
+            "fidelity_chain": chain_data, key: section, "gpr": FAST_GPR,
+        })
+        assert run(["mf-train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "fidelity_chain" in err[0] and key in err[0]
+        assert not (tmp_path / "r").exists()
+
+    def test_two_level_config_needs_both_levels(self, chain_data, tmp_path, capsys):
+        cfg = write_config(tmp_path / "half.json", {"lf_data": chain_data[0]})
+        assert run(["mf-train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        assert "hf_data.x" in capsys.readouterr().err
 
 
 class TestSplitFlagOverrides:
@@ -267,6 +329,42 @@ class TestSplitFlagOverrides:
         assert report["n_points"] == 10  # 20% of 50
 
 
+class TestConfigCopy:
+    def test_rerun_from_config_copy_repeats_the_run(self, synth_dir, tmp_path):
+        cfg = json.loads((synth_dir / "mf_config.json").read_text())
+        for key in ("lf_data", "hf_data"):
+            for axis in ("x", "y"):
+                cfg[key][axis] = str(synth_dir / cfg[key][axis])
+        cfg["gpr"] = FAST_GPR
+        first, rerun = tmp_path / "first", tmp_path / "rerun"
+        assert run(["mf-train", "--config", str(write_config(tmp_path / "mf.json", cfg)),
+                    "--out", str(first), "--train-frac", "0.6", "--test-frac", "0.2",
+                    "--val-frac", "0.2"]) == 0
+        copy = json.loads((first / "config.json").read_text())
+        assert copy["split"] == {"train_frac": 0.6, "test_frac": 0.2, "val_frac": 0.2}
+        assert run(["mf-train", "--config", str(first / "config.json"),
+                    "--out", str(rerun)]) == 0
+
+        def payloads(run_dir):
+            bundle = run_dir / "mf_model_v1"
+            return {
+                str(path.relative_to(bundle)): path.read_bytes()
+                for path in sorted(bundle.rglob("*"))
+                if path.is_file() and "payload" in path.parts
+            }
+
+        assert payloads(first) and payloads(first) == payloads(rerun)
+        assert (first / "eval_report.json").read_bytes() == (
+            rerun / "eval_report.json"
+        ).read_bytes()
+
+    @pytest.mark.parametrize("key", ["split", "model", "gpr", "data"])
+    def test_section_that_is_not_an_object_exits_2(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path / "cfg.json", {key: 5})
+        assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        assert key in capsys.readouterr().err
+
+
 class TestNumericFailureExitCode:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_diverging_mlp_exit_3(self, synth_dir, tmp_path, capsys):
@@ -281,9 +379,6 @@ class TestNumericFailureExitCode:
         code = run(["train", "--config", str(cfg), "--out", str(tmp_path / "r")])
         assert code == 3
         assert "numeric error" in capsys.readouterr().err
-
-
-FAST_GPR = {"kernels": ["constant*rbf"], "restarts": 1}
 
 
 def cli_process(*argv):

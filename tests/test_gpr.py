@@ -310,6 +310,15 @@ class TestOptimize:
             )
 
 
+@pytest.mark.parametrize("train", [
+    lambda X, Y: gpr_fit(X, Y, KernelSpec()),
+    lambda X, Y: optimize_hyperparameters(X, Y, KernelSpec(), restarts=1),
+], ids=["gpr_fit", "optimize_hyperparameters"])
+def test_zero_training_rows_rejected(train):
+    with pytest.raises(InputError, match="empty"):
+        train(np.zeros((0, 2)), np.zeros((0, 1)))
+
+
 def _fit_lml(X, Y, spec, theta):
     return gpr_fit(X, Y, _theta_to_spec(spec, theta)).lml
 

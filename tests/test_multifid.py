@@ -8,7 +8,7 @@ import pytest
 from helpers import pooled_r2
 from surrkit.data import DataTensor, FidelityDataset, flatten
 from surrkit.errors import InputError
-from surrkit import gpr
+from surrkit import gpr, multifid
 from surrkit.gpr import KernelSpec
 from surrkit.mlp import MlpArchitecture, MlpModel, TrainConfig, init_model
 from surrkit.cli import main
@@ -158,6 +158,10 @@ class TestTrainMfChain:
         assert isinstance(chain, MfComposite)
         assert isinstance(chain.lf, MfComposite)
         assert chain.input_dim == 1
+        # Every composite keeps the lowest level's sweep beside its own.
+        assert chain.lf_sweep is not None
+        assert chain.lf_sweep is chain.lf.lf_sweep
+        assert chain.mf_sweep is not chain.lf.mf_sweep
         Xg = np.linspace(0, 1, 120)[:, None]
         assert pooled_r2(truth_evaluate(pair, Xg), chain.predict_raw(Xg)) > 0.99
 
@@ -172,6 +176,17 @@ class TestTrainMfChain:
         _, datasets = self.three_level_datasets()
         with pytest.raises(InputError, match="model kinds"):
             train_mf_chain(datasets, ["gpr", "mlp"], SplitSpec(seed=12))
+
+    def test_input_dimensions_checked_before_any_level_trains(self, monkeypatch):
+        _, datasets = self.three_level_datasets()
+        _, wide = generate_pair_dataset(trig4_pair(), 20, 10, Sampler(seed=3))
+        calls = []
+        monkeypatch.setattr(
+            multifid, "tune", lambda *args, **kwargs: calls.append(args)
+        )
+        with pytest.raises(InputError, match="input dimension"):
+            train_mf_chain(datasets[:2] + [wide], "gpr", SplitSpec(seed=12))
+        assert calls == []
 
 
 class TestPredictAtDesignSites:
