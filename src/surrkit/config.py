@@ -32,6 +32,9 @@ The schema, with every section optional unless a command needs it::
     lf_data/hf_data (tagged "LF"/"HF" by default) with lf_model/mf_model is
     the two-level chain written another way. A config uses one form. The
     ``--lf-*``/``--hf-*`` flags replace the lowest/highest level's x/y.
+    A relative data path is read against the config file's directory, or,
+    given by a flag, against the working directory; ``RunConfig.raw`` holds
+    every data path made absolute.
 
 Kernel tokens: ``rbf``, ``maternNU`` with NU in {0.5, 1.5, 2.5}, and
 ``constant*`` prefixes of either to make the signal variance tunable.
@@ -40,6 +43,7 @@ Kernel tokens: ``rbf``, ``maternNU`` with NU in {0.5, 1.5, 2.5}, and
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -122,15 +126,22 @@ def _given(overrides: dict | None) -> dict:
     return {k: v for k, v in (overrides or {}).items() if v is not None}
 
 
-def _data_source(
-    section: dict, path: str, base: Path, default_fidelity: str = ""
-) -> DataSource:
+def _absolute_paths(section: dict, base: Path) -> dict:
+    """``section`` with its ``x``/``y`` data paths made absolute, a relative one
+    read against ``base``."""
+    return {
+        key: os.path.abspath(base / str(value)) if key in ("x", "y") else value
+        for key, value in section.items()
+    }
+
+
+def _data_source(section: dict, path: str, default_fidelity: str = "") -> DataSource:
     fmt = section.get("format", "tensor-text")
     if fmt not in ("tensor-text", "csv"):
         raise InputError(f"{path}.format must be 'tensor-text' or 'csv', got {fmt!r}")
     return DataSource(
-        x=base / str(_require(section, "x", path)),
-        y=base / str(_require(section, "y", path)),
+        x=Path(_require(section, "x", path)),
+        y=Path(_require(section, "y", path)),
         format=fmt,
         fidelity=str(section.get("fidelity", "")) or default_fidelity,
     )
@@ -161,14 +172,19 @@ def _fidelity_chain(
 ) -> tuple[tuple[DataSource, str], ...]:
     """The fidelity levels to fuse, lowest first, each with its model kind.
 
-    Folds the ``lf_data``/``hf_data`` path overrides into the lowest/highest
-    level of ``raw``, in whichever of the two forms it gives the levels.
+    Makes the levels' data paths in ``raw`` absolute and folds the
+    ``lf_data``/``hf_data`` path overrides, read against the working
+    directory, into the lowest/highest level, in whichever of the two forms
+    ``raw`` gives the levels.
     """
-    flags = {key: _given((data_overrides or {}).get(key)) for key in _CHAIN_ENDS}
+    flags = {
+        key: _absolute_paths(_given((data_overrides or {}).get(key)), Path())
+        for key in _CHAIN_ENDS
+    }
     if "fidelity_chain" not in raw:
         for key in _CHAIN_ENDS:
-            if flags[key]:
-                raw[key] = {**_section(raw, key), **flags[key]}
+            if key in raw or flags[key]:
+                raw[key] = {**_absolute_paths(_section(raw, key), base), **flags[key]}
         kinds = [
             _model_kind(_section(raw, key).get("kind", "gpr"), f"{key}.kind")
             for key in ("lf_model", "mf_model")
@@ -176,7 +192,7 @@ def _fidelity_chain(
         if not any(key in raw for key in _CHAIN_ENDS):
             return ()
         return tuple(
-            (_data_source(_section(raw, key), key, base, fidelity), kind)
+            (_data_source(_section(raw, key), key, fidelity), kind)
             for key, fidelity, kind in zip(_CHAIN_ENDS, ("LF", "HF"), kinds)
         )
 
@@ -193,13 +209,13 @@ def _fidelity_chain(
         if not isinstance(level, dict):
             raise InputError(f"fidelity_chain[{i}] must be an object")
         _reject_unknown(level, "fidelity_chain[]")
-    levels = raw["fidelity_chain"] = list(levels)
+    levels = raw["fidelity_chain"] = [_absolute_paths(level, base) for level in levels]
     for key, end in _CHAIN_ENDS.items():
         if flags[key]:
             levels[end] = {**levels[end], **flags[key]}
     return tuple(
         (
-            _data_source(level, "fidelity_chain[]", base, f"level{i}"),
+            _data_source(level, "fidelity_chain[]", f"level{i}"),
             _model_kind(level.get("model", "gpr"), f"fidelity_chain[{i}].model"),
         )
         for i, level in enumerate(levels)
@@ -216,9 +232,12 @@ def load_config(
     """Parse and fully validate a config file before any stage runs.
 
     ``split_overrides`` maps ``split`` keys to values and ``data_overrides``
-    maps ``lf_data``/``hf_data`` to ``x``/``y`` paths; ``None`` values are
-    ignored. The returned ``raw`` is the effective config: the file's
-    sections with the seed and every override folded in.
+    maps ``lf_data``/``hf_data`` to ``x``/``y`` paths, relative ones read
+    against the working directory; ``None`` values are ignored. The returned
+    ``raw`` is the effective config: the file's sections with the seed and
+    every override folded in, and every data path absolute (a relative one
+    in the file is read against the file's directory), so a copy of it
+    reruns the run from any directory.
     """
     path = Path(path)
     if not path.exists():
@@ -245,7 +264,10 @@ def load_config(
         seed=seed,
     )
 
-    data = _data_source(_section(raw, "data"), "data", base, "data") if "data" in raw else None
+    data = None
+    if "data" in raw:
+        raw["data"] = _absolute_paths(_section(raw, "data"), base)
+        data = _data_source(raw["data"], "data", "data")
     chain = _fidelity_chain(raw, base, data_overrides)
     model_kind = _model_kind(_section(raw, "model").get("kind", "gpr"), "model.kind")
 

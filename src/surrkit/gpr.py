@@ -32,15 +32,25 @@ The ``constant*`` kinds treat the signal variance sf2 as a tunable amplitude
 during hyperparameter optimization; the bare kinds hold it fixed. ``nu`` is
 always user-chosen, never optimized.
 
+Every kernel matrix is built in one buffer: ``_scaled_sq_dist`` forms r^2
+in the output of the cross product, and ``_kernel_from_sq`` turns it into
+the kernel in place (Matern 1.5 and 2.5 use one and two more buffers). Each
+element sees the operations of the formulas above in their order, so K and
+Ks are the bytes the out-of-place expressions give.
+
 ``GprModel.predict`` computes the mean alone; only ``gpr_predict`` (the path
 ``metrics.uq_report`` takes) pays for the O(n^2) triangular solve behind the
-variance. Both build Ks from the training side of the kernel (X_train divided
-by the length scales, and its squared row norms), which each model computes
-once, on first use, and keeps. ``X_train``, ``L`` and ``alpha`` are finite
-from the moment a model exists, because ``gpr_fit`` gets them from checked
-scipy calls and ``modelstore.load_model`` checks them, so neither path
-re-checks them per query; query points are checked once, in
-``GprModel._cross_kernel``.
+variance. Both run ``GprModel._predict``: it takes a batch in blocks of query
+points whose Ks fits in ``_KS_BLOCK_BYTES`` (4 MiB, 936 points at
+n_train = 560) and writes each block's rows into preallocated outputs, so
+the working memory of a batch is a few blocks' worth whatever its size. A
+batch that fits in one block is predicted in one step. Ks is built from the
+training side of the kernel (X_train divided by the length scales, and its
+squared row norms), which each model computes once, on first use, and
+keeps. ``X_train``, ``L`` and ``alpha`` are finite from the moment a model
+exists, because ``gpr_fit`` gets them from checked scipy calls and
+``modelstore.load_model`` checks them, so neither path re-checks them per
+query; query points are checked once per batch, in ``GprModel._predict``.
 
 Hyperparameter optimization evaluates the lml thousands of times, mostly on
 a few dozen rows, where per-call overhead costs more than the arithmetic. So
@@ -75,6 +85,10 @@ MATERN_NUS = (0.5, 1.5, 2.5)
 
 _JITTER_START = 1e-10
 _JITTER_MAX = 1e-6
+# Prediction takes a batch in blocks of query points whose Ks fits in this
+# many bytes: 936 points at n_train = 560. A block is a whole number of
+# 8-row groups, so BLAS tiles its rows as it would tile the whole batch's.
+_KS_BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,11 +219,13 @@ def _scaled_sq_dist(
     Both arguments are ``_scale_inputs`` results; they may be the same one.
     """
     (As, As_sq), (Bs, Bs_sq) = A_scaled, B_scaled
-    # ||a-b||^2 via the expanded form; clip tiny negatives from cancellation.
-    # 2.0 * As is a new array, so the product never multiplies an array by its
-    # own transpose, which numpy may send to a rank-k update that rounds
-    # differently.
-    sq = As_sq[:, np.newaxis] - 2.0 * As @ Bs.T + Bs_sq[np.newaxis, :]
+    # ||a||^2 - 2 a.b + ||b||^2, evaluated left to right in the product's
+    # buffer; clip tiny negatives from cancellation. 2.0 * As is a new array,
+    # so the product never multiplies an array by its own transpose, which
+    # numpy may send to a rank-k update that rounds differently.
+    sq = (2.0 * As) @ Bs.T
+    np.subtract(As_sq[:, np.newaxis], sq, out=sq)
+    sq += Bs_sq[np.newaxis, :]
     np.maximum(sq, 0.0, out=sq)
     return sq
 
@@ -217,19 +233,44 @@ def _scaled_sq_dist(
 def _kernel_from_sq(spec: KernelSpec, sq: np.ndarray, sf2: float) -> np.ndarray:
     """The covariance of ``spec``'s family at squared distances ``sq``.
 
-    The amplitude ``sf2`` is an argument, not ``spec.signal_variance``, so
-    the optimizer can vary it without building a spec per evaluation.
+    Consumes ``sq``: the kernel is built in its buffer, and Matern 1.5 and
+    2.5 need one and two more of its size. Each element sees the operations
+    of the textbook expressions (``sf2 * np.exp(-0.5 * sq)``,
+    ``sf2 * (1.0 + t) * np.exp(-t)``, ...) in their order; only the operands
+    of single products and sums trade places, which is exact. The amplitude
+    ``sf2`` is an argument, not ``spec.signal_variance``, so the optimizer
+    can vary it without building a spec per evaluation.
     """
     if not spec.is_matern:
-        return sf2 * np.exp(-0.5 * sq)
-    r = np.sqrt(sq)
+        sq *= -0.5
+        np.exp(sq, out=sq)
+        sq *= sf2
+        return sq
     if spec.nu == 0.5:
-        return sf2 * np.exp(-r)
+        np.sqrt(sq, out=sq)
+        np.negative(sq, out=sq)
+        np.exp(sq, out=sq)
+        sq *= sf2
+        return sq
     if spec.nu == 1.5:
-        t = math.sqrt(3.0) * r
-        return sf2 * (1.0 + t) * np.exp(-t)
-    t = math.sqrt(5.0) * r
-    return sf2 * (1.0 + t + (5.0 / 3.0) * sq) * np.exp(-t)
+        t = np.sqrt(sq, out=sq)
+        t *= math.sqrt(3.0)
+        decay = np.negative(t)
+        np.exp(decay, out=decay)
+        t += 1.0
+        t *= sf2
+        t *= decay
+        return t
+    t = np.sqrt(sq)
+    t *= math.sqrt(5.0)
+    decay = np.negative(t)
+    np.exp(decay, out=decay)
+    t += 1.0
+    sq *= 5.0 / 3.0
+    sq += t
+    sq *= sf2
+    sq *= decay
+    return sq
 
 
 def kernel_eval(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -284,19 +325,56 @@ class GprModel:
     def _train_scaled(self) -> tuple[np.ndarray, np.ndarray]:
         return _scale_inputs(self.X_train, self._length_scales)
 
-    def _cross_kernel(self, X_star: np.ndarray) -> np.ndarray:
-        """Ks = K(X_train, X_star); the query points are checked here, once."""
+    @cached_property
+    def _block_rows(self) -> int:
+        """Query points per prediction block, as ``_KS_BLOCK_BYTES`` sets it."""
+        return max(8, _KS_BLOCK_BYTES // (64 * self.n_train) * 8)
+
+    def _predict(
+        self, X_star: np.ndarray, with_variance: bool
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Posterior mean, and the latent variance if asked for, at ``X_star``.
+
+        The query points are checked here, once. A batch larger than one
+        block (``_KS_BLOCK_BYTES``) is predicted block by block into
+        preallocated outputs, so its working memory does not grow with it.
+        """
         X_star = _as_matrix(X_star, "X_star")
         if X_star.shape[1] != self.input_dim:
             raise InputError(
                 f"query points have {X_star.shape[1]} dims, model expects {self.input_dim}"
             )
+        rows = self._block_rows
+        m = X_star.shape[0]
+        if m <= rows:
+            return self._predict_block(X_star, with_variance)
+        mean = np.empty((m, self.y_dim))
+        variance = np.empty(m) if with_variance else None
+        for start in range(0, m, rows):
+            block = slice(start, start + rows)
+            mean[block], block_variance = self._predict_block(X_star[block], with_variance)
+            if variance is not None:
+                variance[block] = block_variance
+        return mean, variance
+
+    def _predict_block(
+        self, X_star: np.ndarray, with_variance: bool
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """``_predict`` for checked query points, all at once."""
         sq = _scaled_sq_dist(self._train_scaled, _scale_inputs(X_star, self._length_scales))
-        return _kernel_from_sq(self.kernel, sq, self.kernel.signal_variance)
+        Ks = _kernel_from_sq(self.kernel, sq, self.kernel.signal_variance)
+        mean = Ks.T @ self.alpha
+        if not with_variance:
+            return mean, None
+        v = solve_triangular(self.L, Ks, lower=True, check_finite=False)
+        variance = np.full(Ks.shape[1], self.kernel.signal_variance)
+        variance -= np.einsum("ij,ij->j", v, v)
+        np.maximum(variance, 0.0, out=variance)
+        return mean, variance
 
     def predict(self, X_scaled: np.ndarray) -> np.ndarray:
         """Posterior mean at inputs in scaled space; no variance is computed."""
-        return self._cross_kernel(X_scaled).T @ self.alpha
+        return self._predict(X_scaled, False)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,6 +383,12 @@ class Prediction:
 
     mean: np.ndarray
     variance: np.ndarray
+
+
+def _add_to_diagonal(K: np.ndarray, value: float) -> np.ndarray:
+    """``K + value * I`` in K's buffer, bit for bit: off the diagonal both add 0."""
+    K.reshape(-1)[:: K.shape[0] + 1] += value
+    return K
 
 
 def _factor_with_jitter(K_noisy: np.ndarray, diag_scale: float) -> tuple[np.ndarray, float]:
@@ -316,7 +400,7 @@ def _factor_with_jitter(K_noisy: np.ndarray, diag_scale: float) -> tuple[np.ndar
     while jitter <= _JITTER_MAX * (1.0 + 1e-12):
         bumped = jitter * diag_scale
         try:
-            L = cholesky(K_noisy + bumped * np.eye(K_noisy.shape[0]), lower=True)
+            L = cholesky(_add_to_diagonal(K_noisy.copy(), bumped), lower=True)
             return L, bumped
         except np.linalg.LinAlgError:
             jitter *= 10.0
@@ -331,8 +415,9 @@ def gpr_fit(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> GprModel:
     X, Y = _training_pair(X, Y)
     n, q = Y.shape
     K = kernel_eval(spec, X, X)
-    K_noisy = K + spec.noise * np.eye(n)
-    L, jitter_used = _factor_with_jitter(K_noisy, float(np.mean(np.diag(K))))
+    diag_scale = float(np.mean(np.diag(K)))
+    _add_to_diagonal(K, spec.noise)
+    L, jitter_used = _factor_with_jitter(K, diag_scale)
     alpha = cho_solve((L, True), Y)
     lml = float(
         -0.5 * np.sum(Y * alpha)
@@ -352,12 +437,7 @@ def gpr_fit(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> GprModel:
 
 def gpr_predict(model: GprModel, X_star: np.ndarray) -> Prediction:
     """Posterior mean and latent variance at query points."""
-    Ks = model._cross_kernel(X_star)
-    mean = Ks.T @ model.alpha
-    v = solve_triangular(model.L, Ks, lower=True, check_finite=False)
-    variance = np.full(Ks.shape[1], model.kernel.signal_variance)
-    variance -= np.einsum("ij,ij->j", v, v)
-    np.maximum(variance, 0.0, out=variance)
+    mean, variance = model._predict(X_star, True)
     return Prediction(mean=mean, variance=variance)
 
 
@@ -446,7 +526,7 @@ def _lml_evaluator(
         noise = float(math.exp(theta[pos]))
         X_scaled = _scale_inputs(X, ls)
         K = _kernel_from_sq(spec, _scaled_sq_dist(X_scaled, X_scaled), sf2)
-        K.reshape(-1)[:: n + 1] += noise  # bit for bit gpr_fit's K + noise * I
+        _add_to_diagonal(K, noise)
         L, info = dpotrf(K, lower=1, clean=1)
         if info == 0:
             alpha, info = dpotrs(L, Y, lower=1)

@@ -41,6 +41,16 @@ def write_config(path, body):
     return path
 
 
+def payloads(run_dir):
+    """The payload files of a run's composite bundle, by path within it."""
+    bundle = run_dir / "mf_model_v1"
+    return {
+        str(path.relative_to(bundle)): path.read_bytes()
+        for path in sorted(bundle.rglob("*"))
+        if path.is_file() and "payload" in path.parts
+    }
+
+
 class TestSynth:
     def test_writes_tensor_files_and_config(self, synth_dir):
         for name in ("lf_x.txt", "lf_y.txt", "hf_x.txt", "hf_y.txt", "mf_config.json"):
@@ -143,6 +153,25 @@ class TestMfTrainAndServe:
         ])
         assert code == 0
         assert (run_dir / "mf_model_v1" / "meta.json").exists()
+
+    def test_data_path_flags_read_against_the_working_directory(
+        self, synth_dir, tmp_path, monkeypatch
+    ):
+        write_config(synth_dir / "cfg.json", {
+            "seed": 7,
+            "lf_data": {"x": "wrong.txt", "y": "wrong.txt"},
+            "hf_data": {"x": "hf_x.txt", "y": "hf_y.txt"},
+            "gpr": FAST_GPR,
+        })
+        monkeypatch.chdir(tmp_path)
+        assert run([
+            "mf-train", "--config", "bench/cfg.json", "--out", "r",
+            "--lf-input", "bench/lf_x.txt", "--lf-output", "bench/lf_y.txt",
+        ]) == 0
+        copy = json.loads((tmp_path / "r" / "config.json").read_text())
+        assert Path(copy["lf_data"]["x"]).samefile(synth_dir / "lf_x.txt")
+        assert Path(copy["hf_data"]["y"]).samefile(synth_dir / "hf_y.txt")
+        assert payloads(tmp_path / "r")
 
     def test_predict_row_counts(self, synth_dir, tmp_path):
         run_dir = tmp_path / "mfrun"
@@ -280,7 +309,13 @@ class TestFidelityChainConfig:
         levels = json.loads((run_dir / "config.json").read_text())["fidelity_chain"]
         assert levels[0]["x"] == str(data / "l0_x.txt")
         assert levels[2]["y"] == str(data / "l2_y.txt")
-        assert levels[1] == chain_data[1]
+        # The level the flags leave alone keeps its paths, read against the
+        # config file's directory.
+        assert levels[1] == {
+            **chain_data[1],
+            "x": str(data / "l1_x.txt"),
+            "y": str(data / "l1_y.txt"),
+        }
 
     def test_data_path_flag_naming_a_missing_file_exits_2(
         self, chain_data, tmp_path, capsys
@@ -344,19 +379,23 @@ class TestConfigCopy:
         assert copy["split"] == {"train_frac": 0.6, "test_frac": 0.2, "val_frac": 0.2}
         assert run(["mf-train", "--config", str(first / "config.json"),
                     "--out", str(rerun)]) == 0
-
-        def payloads(run_dir):
-            bundle = run_dir / "mf_model_v1"
-            return {
-                str(path.relative_to(bundle)): path.read_bytes()
-                for path in sorted(bundle.rglob("*"))
-                if path.is_file() and "payload" in path.parts
-            }
-
         assert payloads(first) and payloads(first) == payloads(rerun)
         assert (first / "eval_report.json").read_bytes() == (
             rerun / "eval_report.json"
         ).read_bytes()
+
+    def test_rerun_from_config_copy_with_relative_data_paths(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["synth", "--pair", "forrester", "--n-lf", "30", "--n-hf", "8",
+                    "--seed", "3", "--out", "bench"]) == 0
+        cfg = json.loads(Path("bench/mf_config.json").read_text())
+        write_config(Path("bench/mf_config.json"), {**cfg, "gpr": FAST_GPR})
+        assert run(["mf-train", "--config", "bench/mf_config.json", "--out", "first"]) == 0
+        copy = json.loads(Path("first/config.json").read_text())
+        assert Path(copy["lf_data"]["x"]).is_absolute()
+        assert Path(copy["lf_data"]["x"]).samefile(tmp_path / "bench" / "lf_x.txt")
+        assert run(["mf-train", "--config", "first/config.json", "--out", "second"]) == 0
+        assert payloads(Path("first")) and payloads(Path("first")) == payloads(Path("second"))
 
     @pytest.mark.parametrize("key", ["split", "model", "gpr", "data"])
     def test_section_that_is_not_an_object_exits_2(self, tmp_path, capsys, key):

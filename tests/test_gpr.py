@@ -1,13 +1,17 @@
 """Gaussian process regression against closed forms and direct-solve oracles."""
 
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from helpers import direct_gpr_oracle, pooled_r2
+from surrkit import gpr
 from surrkit.errors import InputError, NumericError
 from surrkit.gpr import (
     HyperBounds,
@@ -237,6 +241,134 @@ class TestMeanPath:
             assert mean.tobytes() == gpr_predict(model, Xq).mean.tobytes()
             # The cached training side gives the bytes a fresh kernel does.
             assert mean.tobytes() == (kernel_eval(spec, X, Xq).T @ model.alpha).tobytes()
+
+
+def _out_of_place_kernel(spec, A, B):
+    """K(A, B) as the textbook expressions give it, one new array per step."""
+    ls = spec.length_scale_vector(A.shape[1])
+    As, Bs = A / ls, B / ls
+    sq = np.sum(As * As, axis=1)[:, np.newaxis] - 2.0 * As @ Bs.T + np.sum(Bs * Bs, axis=1)
+    sq = np.maximum(sq, 0.0)
+    sf2 = spec.signal_variance
+    if not spec.is_matern:
+        return sf2 * np.exp(-0.5 * sq)
+    r = np.sqrt(sq)
+    if spec.nu == 0.5:
+        return sf2 * np.exp(-r)
+    if spec.nu == 1.5:
+        t = math.sqrt(3.0) * r
+        return sf2 * (1.0 + t) * np.exp(-t)
+    t = math.sqrt(5.0) * r
+    return sf2 * (1.0 + t + (5.0 / 3.0) * sq) * np.exp(-t)
+
+
+def _kernel_id(spec):
+    return f"{spec.kind}-{spec.nu}"
+
+
+SCALES = pytest.mark.parametrize(
+    "length_scale", [0.4, np.array([0.3, 0.8, 1.7])], ids=["isotropic", "per-dim"]
+)
+
+
+class TestInPlaceKernel:
+    """The kernel built in one buffer has the out-of-place expressions' bytes."""
+
+    rng = np.random.default_rng(23)
+    A = rng.uniform(-1.0, 2.0, (37, 3))
+    B = rng.uniform(-1.0, 2.0, (23, 3))
+
+    @pytest.mark.parametrize("base", ALL_KERNELS, ids=_kernel_id)
+    @SCALES
+    @pytest.mark.parametrize("shape", ["square", "rectangular"])
+    def test_kernel_bytes(self, base, length_scale, shape):
+        spec = replace(base, length_scale=length_scale)
+        B = self.A if shape == "square" else self.B
+        K = kernel_eval(spec, self.A, B)
+        assert K.tobytes() == _out_of_place_kernel(spec, self.A, B).tobytes()
+
+    @pytest.mark.parametrize("base", ALL_KERNELS, ids=_kernel_id)
+    @SCALES
+    def test_fit_bytes(self, base, length_scale):
+        """gpr_fit adds the noise in place: the bytes of K + sn2 * I."""
+        spec = replace(base, length_scale=length_scale, noise=1e-3)
+        Y = np.column_stack([np.sin(self.A.sum(axis=1)), self.A[:, 0] * self.A[:, 2]])
+        model = gpr_fit(self.A, Y, spec)
+        K_noisy = _out_of_place_kernel(spec, self.A, self.A) + spec.noise * np.eye(len(self.A))
+        L = cholesky(K_noisy, lower=True)
+        assert model.jitter_used == 0.0
+        assert model.L.tobytes() == L.tobytes()
+        assert model.alpha.tobytes() == cho_solve((L, True), Y).tobytes()
+
+    def test_training_terms_unchanged_by_prediction(self):
+        model = gpr_fit(self.A, np.sin(self.A[:, :1]), KernelSpec(kind="constant*matern", nu=2.5))
+        cached = model._train_scaled
+        before = [a.copy() for a in cached]
+        model.predict(self.B)
+        gpr_predict(model, self.B)
+        assert model._train_scaled is cached
+        for a, b in zip(cached, before):
+            assert a.tobytes() == b.tobytes()
+
+
+class TestBlockedPrediction:
+    """Batches beyond one block: per-block bytes, bounded memory."""
+
+    rng = np.random.default_rng(29)
+    X = rng.uniform(0, 1, (30, 3))
+    Y = np.column_stack([np.sin(4 * X[:, 0]), X[:, 1] * X[:, 2]])
+    Xq = rng.uniform(-0.2, 1.2, (17, 3))
+
+    @pytest.mark.parametrize("base", ALL_KERNELS, ids=_kernel_id)
+    def test_blocks_of_a_batch(self, base, monkeypatch):
+        spec = replace(base, length_scale=0.4, noise=1e-4)
+        whole = gpr_fit(self.X, self.Y, spec)
+        one_shot = [whole.predict(self.Xq), gpr_predict(whole, self.Xq)]
+        # 8 query points per block: 17 points take blocks of 8, 8 and 1.
+        monkeypatch.setattr(gpr, "_KS_BLOCK_BYTES", 64 * len(self.X))
+        model = gpr_fit(self.X, self.Y, spec)
+        blocks, inner = [], gpr.GprModel._predict_block
+
+        def counted(self, X_star, with_variance):
+            blocks.append(len(X_star))
+            return inner(self, X_star, with_variance)
+
+        monkeypatch.setattr(gpr.GprModel, "_predict_block", counted)
+        mean = model.predict(self.Xq)
+        pred = gpr_predict(model, self.Xq)
+        assert blocks == [8, 8, 1, 8, 8, 1]
+        parts = [slice(0, 8), slice(8, 16), slice(16, 17)]
+        per_block = [gpr_predict(model, self.Xq[p]) for p in parts]
+        assert mean.tobytes() == np.vstack([model.predict(self.Xq[p]) for p in parts]).tobytes()
+        assert pred.mean.tobytes() == np.vstack([p.mean for p in per_block]).tobytes()
+        assert pred.variance.tobytes() == np.concatenate(
+            [p.variance for p in per_block]
+        ).tobytes()
+        # The batch in one step, as the formulas in gpr.py's docstring.
+        Ks = kernel_eval(model.kernel, self.X, self.Xq)
+        v = solve_triangular(model.L, Ks, lower=True)
+        variance = np.maximum(model.kernel.signal_variance - np.sum(v * v, axis=0), 0.0)
+        for got, want in ((mean, Ks.T @ model.alpha), (pred.mean, one_shot[1].mean),
+                          (pred.variance, variance), (mean, one_shot[0])):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kind, nu", [("constant*rbf", 1.5), ("constant*matern", 2.5)])
+    def test_memory_of_a_large_batch_is_bounded(self, kind, nu):
+        rng = np.random.default_rng(31)
+        X = rng.uniform(0, 1, (560, 4))
+        model = gpr_fit(X, np.sin(X @ np.ones((4, 1))),
+                        KernelSpec(kind=kind, nu=nu, length_scale=0.5, noise=1e-4))
+        Xq = rng.uniform(0, 1, (10_000, 4))
+        model.predict(Xq[:1])  # the cached training terms are not the batch's
+        tracemalloc.start()
+        try:
+            mean = model.predict(Xq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mean.shape == (10_000, 1)
+        # One 10k x 560 Ks alone is 45 MB; a 4 MiB block and its helpers fit.
+        assert peak < 16e6
 
 
 class TestLmlDirection:
