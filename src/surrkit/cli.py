@@ -299,7 +299,7 @@ def cmd_synth(args) -> int:
         export_tensor(tensor, out / name)
     config = {
         "seed": sampler.seed,
-        "out_dir": str(out / "run"),
+        "out_dir": "run",
         "lf_data": {"x": "lf_x.txt", "y": "lf_y.txt", "fidelity": "LF"},
         "hf_data": {"x": "hf_x.txt", "y": "hf_y.txt", "fidelity": "HF"},
         "lf_model": {"kind": "gpr"},

@@ -32,9 +32,9 @@ The schema, with every section optional unless a command needs it::
     lf_data/hf_data (tagged "LF"/"HF" by default) with lf_model/mf_model is
     the two-level chain written another way. A config uses one form. The
     ``--lf-*``/``--hf-*`` flags replace the lowest/highest level's x/y.
-    A relative data path is read against the config file's directory, or,
-    given by a flag, against the working directory; ``RunConfig.raw`` holds
-    every data path made absolute.
+    A relative data path or ``out_dir`` is read against the config file's
+    directory, or, given by a flag, against the working directory;
+    ``RunConfig.raw`` holds every data path and ``out_dir`` made absolute.
 
 Kernel tokens: ``rbf``, ``maternNU`` with NU in {0.5, 1.5, 2.5}, and
 ``constant*`` prefixes of either to make the signal variance tunable.
@@ -235,9 +235,9 @@ def load_config(
     maps ``lf_data``/``hf_data`` to ``x``/``y`` paths, relative ones read
     against the working directory; ``None`` values are ignored. The returned
     ``raw`` is the effective config: the file's sections with the seed and
-    every override folded in, and every data path absolute (a relative one
-    in the file is read against the file's directory), so a copy of it
-    reruns the run from any directory.
+    every override folded in, and every data path and ``out_dir`` absolute
+    (a relative one in the file is read against the file's directory), so a
+    copy of it reruns the run from any directory.
     """
     path = Path(path)
     if not path.exists():
@@ -314,6 +314,8 @@ def load_config(
     sizes = tuple(int(s) for s in conv_raw.get("sizes", []))
     conv_model = _model_kind(conv_raw.get("model", model_kind), "convergence.model")
 
+    if raw.get("out_dir") is not None:
+        raw["out_dir"] = os.path.abspath(base / str(raw["out_dir"]))
     out_dir = out_override or raw.get("out_dir")
     return RunConfig(
         seed=seed,

@@ -36,7 +36,9 @@ Every kernel matrix is built in one buffer: ``_scaled_sq_dist`` forms r^2
 in the output of the cross product, and ``_kernel_from_sq`` turns it into
 the kernel in place (Matern 1.5 and 2.5 use one and two more buffers). Each
 element sees the operations of the formulas above in their order, so K and
-Ks are the bytes the out-of-place expressions give.
+Ks are the bytes the out-of-place expressions give, except that a training
+kernel's self-distances are exactly 0 rather than the few ulps of
+cancellation the expanded r^2 leaves there.
 
 ``GprModel.predict`` computes the mean alone; only ``gpr_predict`` (the path
 ``metrics.uq_report`` takes) pays for the O(n^2) triangular solve behind the
@@ -52,18 +54,23 @@ exists, because ``gpr_fit`` gets them from checked scipy calls and
 ``modelstore.load_model`` checks them, so neither path re-checks them per
 query; query points are checked once per batch, in ``GprModel._predict``.
 
-Hyperparameter optimization evaluates the lml thousands of times, mostly on
-a few dozen rows, where per-call overhead costs more than the arithmetic. So
-``optimize_hyperparameters`` does not call ``gpr_fit`` per evaluation:
-``_lml_evaluator`` checks X and Y once, and per hyperparameter vector builds
-K with the distance and kernel helpers ``kernel_eval`` uses, adds the noise
-to the diagonal in place (the same sums as ``K + sn2*I``), and calls LAPACK's
-``dpotrf`` and ``dpotrs``, the routines behind scipy's ``cholesky`` and
-``cho_solve``. These are gpr_fit's floating-point operations in gpr_fit's
-order, so each lml equals ``gpr_fit(...).lml`` bit for bit, L-BFGS-B takes
-the same path, and the tuned hyperparameters are the same. When the
-factorization fails or the lml is not finite, the evaluation is redone with
-``gpr_fit``, which runs the jitter ladder and scipy's finite-value checks.
+Hyperparameter optimization maximizes the lml with L-BFGS-B on its exact
+gradient in the log-hyperparameters (GPML eq. 5.9), which
+``_lml_gradient`` forms from K^-1 (LAPACK's ``dpotri`` on L) and the
+derivative factors beside ``_kernel_from_sq``. Finite differences would
+cost one more lml evaluation per hyperparameter per step and stop short of
+the optimum. ``optimize_hyperparameters`` does not call ``gpr_fit`` per
+evaluation: ``_lml_evaluator`` checks X and Y once, and per hyperparameter
+vector builds K with the distance and kernel helpers ``kernel_eval`` uses,
+adds the noise to the diagonal in place (the same sums as ``K + sn2*I``),
+and calls LAPACK's ``dpotrf`` and ``dpotrs``, the routines behind scipy's
+``cholesky`` and ``cho_solve``. These are gpr_fit's floating-point
+operations in gpr_fit's order, so each lml equals ``gpr_fit(...).lml`` bit
+for bit. When the factorization fails or the lml is not finite, the
+evaluation is redone with ``gpr_fit``, which runs the jitter ladder and
+scipy's finite-value checks, and the gradient comes from its factor. An
+L-BFGS-B run whose line search stalls on a steep slope is resumed from
+where it stopped (``_lbfgsb``).
 """
 
 from __future__ import annotations
@@ -75,8 +82,9 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.optimize import minimize
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
+from scipy.optimize import OptimizeResult, minimize
 
 from surrkit.errors import InputError, NumericError
 
@@ -89,6 +97,11 @@ _JITTER_MAX = 1e-6
 # many bytes: 936 points at n_train = 560. A block is a whole number of
 # 8-row groups, so BLAS tiles its rows as it would tile the whole batch's.
 _KS_BLOCK_BYTES = 4 << 20
+# An L-BFGS-B run that ends where the largest projected lml gradient exceeds
+# _STALL_SLOPE * max(1, |lml|) is resumed, at most _MAX_RESUMES times
+# (``_lbfgsb``).
+_STALL_SLOPE = 1e-3
+_MAX_RESUMES = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +229,9 @@ def _scaled_sq_dist(
 ) -> np.ndarray:
     """Squared length-scale-weighted distances r^2 between the rows of A and B.
 
-    Both arguments are ``_scale_inputs`` results; they may be the same one.
+    Both arguments are ``_scale_inputs`` results. When they are the same
+    one, the rows' distances to themselves are set to exactly 0:
+    cancellation leaves them up to ~4e-16, a kink in Matern 0.5's lml.
     """
     (As, As_sq), (Bs, Bs_sq) = A_scaled, B_scaled
     # ||a||^2 - 2 a.b + ||b||^2, evaluated left to right in the product's
@@ -227,6 +242,8 @@ def _scaled_sq_dist(
     np.subtract(As_sq[:, np.newaxis], sq, out=sq)
     sq += Bs_sq[np.newaxis, :]
     np.maximum(sq, 0.0, out=sq)
+    if A_scaled is B_scaled:
+        np.fill_diagonal(sq, 0.0)
     return sq
 
 
@@ -273,8 +290,49 @@ def _kernel_from_sq(spec: KernelSpec, sq: np.ndarray, sf2: float) -> np.ndarray:
     return sq
 
 
+def _length_scale_factor(
+    spec: KernelSpec, sq: np.ndarray, K: np.ndarray, sf2: float
+) -> np.ndarray:
+    """D with dK/dlog(l_k) = D * r_k^2, r_k^2 the k-th input's share of ``sq``.
+
+    ``K`` is ``_kernel_from_sq``'s result at ``sq``; only its off-diagonal
+    entries need to be the noise-free kernel, because r_k^2 is 0 on the
+    diagonal. The factors are -2 dk/d(r^2) of the formulas above:
+
+        rbf                k
+        matern, nu=0.5     k / r               (0 at r = 0)
+        matern, nu=1.5     3 sf2 exp(-sqrt(3) r)
+        matern, nu=2.5     5/3 sf2 (1 + sqrt(5) r) exp(-sqrt(5) r)
+
+    The rbf factor is ``K`` itself; the Matern ones are new arrays (2.5 uses
+    one more), and ``sq`` is left as it is.
+    """
+    if not spec.is_matern:
+        return K
+    r = np.sqrt(sq)
+    if spec.nu == 0.5:
+        return np.divide(K, r, out=r, where=r > 0.0)
+    if spec.nu == 1.5:
+        r *= -math.sqrt(3.0)
+        np.exp(r, out=r)
+        r *= 3.0 * sf2
+        return r
+    r *= math.sqrt(5.0)
+    decay = np.negative(r)
+    np.exp(decay, out=decay)
+    r += 1.0
+    r *= decay
+    r *= (5.0 / 3.0) * sf2
+    return r
+
+
 def kernel_eval(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Covariance matrix K(A, B), shape (len(A), len(B))."""
+    """Covariance matrix K(A, B), shape (len(A), len(B)).
+
+    ``kernel_eval(spec, X, X)`` with one array on both sides is the training
+    kernel, whose self-distances are exactly 0 (see ``_scaled_sq_dist``).
+    """
+    same = B is A
     A = _as_matrix(A, "A")
     B = _as_matrix(B, "B")
     if A.shape[1] != B.shape[1]:
@@ -282,8 +340,9 @@ def kernel_eval(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
             f"kernel inputs must share dimension: {A.shape[1]} vs {B.shape[1]}"
         )
     ls = spec.length_scale_vector(A.shape[1])
-    sq = _scaled_sq_dist(_scale_inputs(A, ls), _scale_inputs(B, ls))
-    return _kernel_from_sq(spec, sq, spec.signal_variance)
+    A_scaled = _scale_inputs(A, ls)
+    B_scaled = A_scaled if same else _scale_inputs(B, ls)
+    return _kernel_from_sq(spec, _scaled_sq_dist(A_scaled, B_scaled), spec.signal_variance)
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,6 +385,12 @@ class GprModel:
         return _scale_inputs(self.X_train, self._length_scales)
 
     @cached_property
+    def _L_fortran(self) -> np.ndarray:
+        """``L`` in Fortran order, as ``gpr_fit`` makes it: a loaded model's
+        C-ordered copy would make ``solve_triangular`` round differently."""
+        return np.asfortranarray(self.L)
+
+    @cached_property
     def _block_rows(self) -> int:
         """Query points per prediction block, as ``_KS_BLOCK_BYTES`` sets it."""
         return max(8, _KS_BLOCK_BYTES // (64 * self.n_train) * 8)
@@ -366,7 +431,7 @@ class GprModel:
         mean = Ks.T @ self.alpha
         if not with_variance:
             return mean, None
-        v = solve_triangular(self.L, Ks, lower=True, check_finite=False)
+        v = solve_triangular(self._L_fortran, Ks, lower=True, check_finite=False)
         variance = np.full(Ks.shape[1], self.kernel.signal_variance)
         variance -= np.einsum("ij,ij->j", v, v)
         np.maximum(variance, 0.0, out=variance)
@@ -498,7 +563,7 @@ def _theta_to_spec(spec: KernelSpec, theta: np.ndarray) -> KernelSpec:
 
 def _lml_evaluator(
     X: np.ndarray, Y: np.ndarray, spec: KernelSpec
-) -> Callable[[np.ndarray], float]:
+) -> Callable[..., float | tuple[float, np.ndarray]]:
     """``theta -> gpr_fit(X, Y, _theta_to_spec(spec, theta)).lml``, without the overhead.
 
     ``X`` and ``Y`` are checked matrices, as ``_training_pair`` returns them. Each
@@ -509,12 +574,21 @@ def _lml_evaluator(
     finite, the evaluation is redone with ``gpr_fit`` itself: that runs the
     jitter ladder and scipy's finite-value checks, and a ``NumericError``
     gives ``-inf``.
+
+    Called with ``gradient=True``, it returns ``(lml, dlml/dtheta)`` (see
+    ``_lml_gradient``); after a redo the gradient comes from the jittered
+    model's ``L`` and ``alpha``, and it is 0 where the lml is not finite.
     """
     n, q = Y.shape
     n_ls = np.atleast_1d(np.asarray(spec.length_scale)).size
     log_norm = q * 0.5 * n * math.log(2.0 * math.pi)
+    # Per-dimension squared differences of the unscaled inputs, one row per
+    # input, for the ARD gradient; K itself is always built from r^2 above.
+    sq_diffs = None
+    if n_ls > 1:
+        sq_diffs = np.square(X.T[:, :, np.newaxis] - X.T[:, np.newaxis, :]).reshape(n_ls, -1)
 
-    def lml_at(theta: np.ndarray) -> float:
+    def lml_at(theta: np.ndarray, gradient: bool = False):
         # The unpacking of _theta_to_spec, without building a spec.
         ls = np.exp(theta[:n_ls])
         pos = n_ls
@@ -525,22 +599,99 @@ def _lml_evaluator(
             sf2 = spec.signal_variance
         noise = float(math.exp(theta[pos]))
         X_scaled = _scale_inputs(X, ls)
-        K = _kernel_from_sq(spec, _scaled_sq_dist(X_scaled, X_scaled), sf2)
+        sq = _scaled_sq_dist(X_scaled, X_scaled)
+        r2 = sq.copy() if gradient else None
+        K = _kernel_from_sq(spec, sq, sf2)
         _add_to_diagonal(K, noise)
         L, info = dpotrf(K, lower=1, clean=1)
+        lml = -np.inf
         if info == 0:
             alpha, info = dpotrs(L, Y, lower=1)
             lml = float(
                 -0.5 * np.sum(Y * alpha) - q * np.sum(np.log(np.diag(L))) - log_norm
             )
-            if info == 0 and math.isfinite(lml):
-                return lml
-        try:
-            return gpr_fit(X, Y, _theta_to_spec(spec, theta)).lml
-        except NumericError:
-            return -np.inf
+        if info != 0 or not math.isfinite(lml):
+            try:
+                model = gpr_fit(X, Y, _theta_to_spec(spec, theta))
+                L, alpha, lml = model.L, model.alpha, model.lml
+            except NumericError:
+                lml = -np.inf
+        if not gradient:
+            return lml
+        if not math.isfinite(lml):
+            return lml, np.zeros(len(theta))
+        return lml, _lml_gradient(spec, K, r2, L, alpha, sf2, noise, ls, sq_diffs)
 
     return lml_at
+
+
+def _lml_gradient(
+    spec: KernelSpec,
+    K: np.ndarray,
+    sq: np.ndarray,
+    L: np.ndarray,
+    alpha: np.ndarray,
+    sf2: float,
+    noise: float,
+    ls: np.ndarray,
+    sq_diffs: np.ndarray | None,
+) -> np.ndarray:
+    """The lml's gradient in the log-hyperparameters (GPML eq. 5.9).
+
+    With W = alpha alpha^T - q K^-1 (alpha summed over its q columns), each
+    entry is 1/2 sum(W * dK/dtheta), where dK/dlog(sf2) is the noise-free
+    kernel, dK/dlog(sn2) = sn2 I and dK/dlog(l_k) = D * r_k^2 with D from
+    ``_length_scale_factor``. ``K`` is the kernel with the noise at ``sq``
+    (r^2) and ``L`` its Cholesky factor, jittered or not, which this
+    consumes. An ARD kernel (``sq_diffs`` given) takes r_k^2 as the k-th row
+    of ``sq_diffs`` over l_k^2. The entries are ordered as theta is.
+    """
+    # W's lower triangle in L's buffer: dpotri leaves K^-1 there (the upper
+    # triangle stays 0) and dsyrk adds alpha alpha^T. Every dK/dtheta is
+    # symmetric, so sum(W * dK) keeps its value when the off-diagonal
+    # entries of one triangle count twice and those of the other not at all.
+    K_inv, _ = dpotri(L, lower=1, overwrite_c=1)
+    W = dsyrk(1.0, alpha, beta=-float(alpha.shape[1]), c=K_inv, lower=1, overwrite_c=1).T
+    W *= 2.0
+    _add_to_diagonal(W, -0.5 * np.diagonal(W))
+    trace = float(np.trace(W))
+    entries = [0.5 * noise * trace]
+    if spec.tunes_signal_variance:
+        entries.insert(0, 0.5 * (np.vdot(W, K) - noise * trace))
+    W *= _length_scale_factor(spec, sq, K, sf2)
+    if sq_diffs is None:
+        ls_entries = [0.5 * np.vdot(W, sq)]
+    else:
+        ls_entries = 0.5 * (sq_diffs @ W.reshape(-1)) / (ls * ls)
+    return np.array([*ls_entries, *entries])
+
+
+def _lbfgsb(
+    objective: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    theta0: np.ndarray,
+    log_bounds: list[tuple[float, float]],
+) -> OptimizeResult:
+    """L-BFGS-B from ``theta0``, resumed from where it stops while it stops on
+    a steep slope and the resumed run gains.
+
+    Its line search can stall where the lml is still steep: a far-off probe
+    early in a run leaves curvature pairs that point the search across a
+    curved ridge, and the run ends on "relative reduction of f" with a
+    projected gradient of order 1 (seen on a 6-row multi-fidelity stage).
+    A resumed run starts with an empty curvature memory. At a true optimum
+    the projected gradient is far below ``_STALL_SLOPE`` * max(1, |lml|).
+    """
+    lo, hi = np.array(log_bounds).T
+    result = minimize(objective, theta0, jac=True, method="L-BFGS-B", bounds=log_bounds)
+    for _ in range(_MAX_RESUMES):
+        slope = np.max(np.abs(np.clip(result.x - result.jac, lo, hi) - result.x))
+        if slope <= _STALL_SLOPE * max(1.0, abs(result.fun)):
+            break
+        resumed = minimize(objective, result.x, jac=True, method="L-BFGS-B", bounds=log_bounds)
+        if not resumed.fun < result.fun:
+            break
+        result = resumed
+    return result
 
 
 def optimize_hyperparameters(
@@ -569,9 +720,11 @@ def optimize_hyperparameters(
     hi = np.array([b[1] for b in log_bounds])
     lml_at = _lml_evaluator(X, Y, spec)
 
-    def neg_lml(theta: np.ndarray) -> float:
-        value = lml_at(theta)
-        return 1e25 if not np.isfinite(value) else -value
+    def neg_lml(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        value, grad = lml_at(theta, gradient=True)
+        if not (math.isfinite(value) and np.isfinite(grad).all()):
+            return 1e25, np.zeros_like(theta)
+        return -value, -grad
 
     rng = np.random.default_rng(seed)
     starts = [_spec_to_theta(spec, log_bounds)]
@@ -586,7 +739,7 @@ def optimize_hyperparameters(
         if start_lml > best_lml:
             best_lml, best_theta = start_lml, theta0
         try:
-            result = minimize(neg_lml, theta0, method="L-BFGS-B", bounds=log_bounds)
+            result = _lbfgsb(neg_lml, theta0, log_bounds)
         except Exception as exc:  # pragma: no cover - scipy internal failure
             failures.append(str(exc))
             continue

@@ -397,6 +397,26 @@ class TestConfigCopy:
         assert run(["mf-train", "--config", "first/config.json", "--out", "second"]) == 0
         assert payloads(Path("first")) and payloads(Path("first")) == payloads(Path("second"))
 
+    @pytest.mark.parametrize("workdir", [".", "bench"])
+    def test_relative_out_dir_is_read_against_the_config_file(
+        self, tmp_path, monkeypatch, workdir
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert run(["synth", "--pair", "forrester", "--n-lf", "30", "--n-hf", "8",
+                    "--seed", "3", "--out", "bench"]) == 0
+        cfg = json.loads(Path("bench/mf_config.json").read_text())
+        assert cfg["out_dir"] == "run"
+        write_config(Path("bench/mf_config.json"), {**cfg, "gpr": FAST_GPR})
+        monkeypatch.chdir(tmp_path / workdir)
+        config = Path(os.path.relpath(tmp_path / "bench" / "mf_config.json"))
+        assert run(["mf-train", "--config", str(config)]) == 0
+        run_dir = tmp_path / "bench" / "run"
+        assert payloads(run_dir)
+        assert not (tmp_path / "bench" / "bench").exists()
+        copy = json.loads((run_dir / "config.json").read_text())
+        assert Path(copy["out_dir"]).is_absolute()
+        assert Path(copy["out_dir"]).samefile(run_dir)
+
     @pytest.mark.parametrize("key", ["split", "model", "gpr", "data"])
     def test_section_that_is_not_an_object_exits_2(self, tmp_path, capsys, key):
         cfg = write_config(tmp_path / "cfg.json", {key: 5})

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.optimize import minimize
 
 from helpers import direct_gpr_oracle, pooled_r2
 from surrkit import gpr
@@ -26,6 +27,8 @@ from surrkit.gpr import (
     kernel_from_name,
     optimize_hyperparameters,
 )
+from surrkit.preprocess import SplitSpec, preprocess_data_pipeline
+from surrkit.synthbench import Sampler, forrester_pair, generate_pair_dataset
 
 
 class TestKernelEval:
@@ -244,11 +247,16 @@ class TestMeanPath:
 
 
 def _out_of_place_kernel(spec, A, B):
-    """K(A, B) as the textbook expressions give it, one new array per step."""
+    """K(A, B) as the textbook expressions give it, one new array per step.
+
+    With one array on both sides the self-distances are exactly 0.
+    """
     ls = spec.length_scale_vector(A.shape[1])
     As, Bs = A / ls, B / ls
     sq = np.sum(As * As, axis=1)[:, np.newaxis] - 2.0 * As @ Bs.T + np.sum(Bs * Bs, axis=1)
     sq = np.maximum(sq, 0.0)
+    if B is A:
+        np.fill_diagonal(sq, 0.0)
     sf2 = spec.signal_variance
     if not spec.is_matern:
         return sf2 * np.exp(-0.5 * sq)
@@ -501,55 +509,181 @@ class TestLeanLml:
         assert _lml_evaluator(X, Y, spec)(theta) == -np.inf
 
 
+class TestLmlGradient:
+    """The evaluator's gradient is the lml's, and the optimizer runs on it."""
+
+    _rng = np.random.default_rng(43)
+    X = _rng.uniform(0, 1, (30, 3))
+    Y = np.column_stack([np.sin(4 * X[:, 0]), X[:, 1] * X[:, 2]])
+
+    @pytest.mark.parametrize("base", ALL_KERNELS, ids=_kernel_id)
+    @SCALES
+    def test_matches_central_differences(self, base, length_scale):
+        spec = replace(base, length_scale=length_scale)
+        lml_at = _lml_evaluator(self.X, self.Y, spec)
+        theta = np.log([*np.atleast_1d(length_scale),
+                        *([0.7] if spec.tunes_signal_variance else []), 1e-3])
+        lml, grad = lml_at(theta, gradient=True)
+        assert lml == lml_at(theta)
+        eps = 1e-5
+        numeric = np.array([
+            (lml_at(theta + step) - lml_at(theta - step)) / (2.0 * eps)
+            for step in eps * np.eye(len(theta))
+        ])
+        denom = np.maximum(np.maximum(np.abs(grad), np.abs(numeric)), 1e-8)
+        assert np.max(np.abs(grad - numeric) / denom) < 1e-6
+
+    def test_jittered_evaluation_has_the_jittered_factors_gradient(self):
+        X = np.array([[0.1], [0.1], [0.5], [0.9]])
+        Y = np.array([[1.0], [1.0], [0.0], [2.0]])
+        spec = KernelSpec(kind="rbf")
+        theta = np.log([0.3, 1e-20])
+        model = gpr_fit(X, Y, _theta_to_spec(spec, theta))
+        assert model.jitter_used > 0.0
+        lml, grad = _lml_evaluator(X, Y, spec)(theta, gradient=True)
+        assert lml == model.lml
+        # 1/2 tr((alpha alpha^T - K^-1) dK/dtheta) with the jittered factor.
+        K_inv = cho_solve((model.L, True), np.eye(4))
+        W = model.alpha @ model.alpha.T - K_inv
+        K_f = kernel_eval(model.kernel, X, X)
+        r2 = (X - X.T) ** 2 / 0.3**2
+        want = 0.5 * np.array([np.sum(W * K_f * r2), 1e-20 * np.trace(W)])
+        np.testing.assert_allclose(grad, want, rtol=1e-9)
+
+    def test_unfactorable_kernel_gives_a_zero_gradient(self):
+        X = 1e4 + np.linspace(0.0, 1e-3, 8)[:, np.newaxis]
+        Y = np.sin(np.arange(8.0))[:, np.newaxis]
+        lml, grad = _lml_evaluator(X, Y, KernelSpec(kind="rbf"))(
+            np.log([1e-2, 1e-10]), gradient=True
+        )
+        assert lml == -np.inf
+        assert grad.tobytes() == np.zeros(2).tobytes()
+
+    def test_a_stalled_run_is_resumed(self):
+        """From the second start, one L-BFGS-B run stalls on a steep slope of
+        this 6-row lml (a multi-fidelity stage of a Forrester chain); resumed,
+        it reaches the optimum."""
+        X = np.array([[1.681607, 1.46385], [0.602682, 0.29277], [-0.719446, -0.87831],
+                      [-1.512849, -1.46385], [-0.05153, -0.29277], [-0.000464, 0.87831]])
+        Y = np.array([[0.460139], [0.737189], [0.425173], [-0.051384], [0.597773],
+                      [-2.168889]])
+        spec = KernelSpec(kind="constant*rbf")
+        log_bounds = _pack_bounds(spec, 2, HyperBounds())
+        theta0 = np.random.default_rng(500).uniform(*np.array(log_bounds).T)
+        lml_at = _lml_evaluator(X, Y, spec)
+
+        def neg_lml(theta):
+            lml, grad = lml_at(theta, gradient=True)
+            return -lml, -grad
+
+        one_run = minimize(neg_lml, theta0, jac=True, method="L-BFGS-B", bounds=log_bounds)
+        assert -one_run.fun < -4.0 and np.max(np.abs(one_run.jac)) > 1.0
+        tuned = optimize_hyperparameters(X, Y, spec, restarts=2, seed=500)
+        assert gpr_fit(X, Y, tuned).lml > -0.8
+
+    def test_forrester_lf_tune_evaluates_less_than_half_as_often(self, monkeypatch):
+        """626 evaluations with finite-difference gradients; fewer than half now."""
+        lf, _ = generate_pair_dataset(forrester_pair(), 50, 8, Sampler("uniform-grid", 1))
+        prepared = preprocess_data_pipeline(lf, SplitSpec(seed=1))
+        X, Y = prepared.X_train.values, prepared.Y_train.values
+        assert X.shape == (34, 1)
+        calls, inner = [], gpr._lml_evaluator
+
+        def counted(*args):
+            lml_at = inner(*args)
+
+            def evaluate(*a, **kw):
+                calls.append(1)
+                return lml_at(*a, **kw)
+
+            return evaluate
+
+        monkeypatch.setattr(gpr, "_lml_evaluator", counted)
+        optimize_hyperparameters(X, Y, KernelSpec(kind="constant*rbf"), restarts=3, seed=1)
+        assert 0 < len(calls) < 626 / 2
+
+
 # optimize_hyperparameters results on one problem, as float.hex of the length
 # scales, sf2 and noise. They pin the optimizer's path: an edit to the lml
 # evaluation or the search that changes any bit of a trained model shows here.
 PINNED_OPTIMA = {
     ("rbf", 1.5, "isotropic"):
-        "0x1.ecb57cff82e1cp-2 0x1.0000000000000p+0 0x1.12e9d96432ec7p-28",
+        "0x1.ecb581a9ad16dp-2 0x1.0000000000000p+0 0x1.47b589fa45e72p-30",
     ("rbf", 1.5, "per-dim"):
-        "0x1.b3a32e60d73e9p-2 0x1.67647cf8cefc8p-1 0x1.0000000000000p+0 0x1.692ca9f32453cp-18",
+        "0x1.b3a2194ce6044p-2 0x1.67652d25fd48dp-1 0x1.0000000000000p+0 0x1.6924a1f919644p-18",
     ("constant*rbf", 1.5, "isotropic"):
-        "0x1.0657b22344d25p-1 0x1.7133a1469e53bp+0 0x1.5d6024c339dd7p-27",
+        "0x1.06569fa2a8013p-1 0x1.7132a47d21b51p+0 0x1.b7cdfd9d7bdb8p-34",
     ("constant*rbf", 1.5, "per-dim"):
-        "0x1.c92133b6bbfeap-2 0x1.741df396d7ec9p-1 0x1.5afc52f364f02p+0 0x1.225475afb7120p-18",
+        "0x1.c921f43b84295p-2 0x1.741e2c10fe055p-1 0x1.5afb974a8a122p+0 0x1.22c3f2a276339p-18",
     ("matern", 0.5, "isotropic"):
-        "0x1.eb196210c9980p+0 0x1.0000000000000p+0 0x1.a2e5078285034p-14",
+        "0x1.eb0afab6aeb9bp+0 0x1.0000000000000p+0 0x1.90faff5913098p-26",
     ("matern", 0.5, "per-dim"):
-        "0x1.913bfcbc2360ap+0 0x1.7d9cfbc3f1aafp+1 0x1.0000000000000p+0 0x1.a20837c99b3c6p-14",
+        "0x1.90f768daa16d4p+0 0x1.7d2c6964f3fa4p+1 0x1.0000000000000p+0 0x1.3ced51330f215p-31",
     ("matern", 1.5, "isotropic"):
-        "0x1.a4e589ce5d819p-1 0x1.0000000000000p+0 0x1.fcdd053f9053fp-27",
+        "0x1.a4e58d83e3712p-1 0x1.0000000000000p+0 0x1.f1f428efc47a7p-28",
     ("matern", 1.5, "per-dim"):
-        "0x1.6e438e0b266cdp-1 0x1.38504ee7de57ep+0 0x1.0000000000000p+0 0x1.d7db254410acep-29",
+        "0x1.6e429576526d1p-1 0x1.3850a4e2f2cf8p+0 0x1.0000000000000p+0 0x1.cfdd2fe913109p-29",
     ("matern", 2.5, "isotropic"):
-        "0x1.58d44c2ebe931p-1 0x1.0000000000000p+0 0x1.03d7c5dd14f1ap-27",
+        "0x1.58d4495e99af3p-1 0x1.0000000000000p+0 0x1.b7cdfd9d7bdb8p-34",
     ("matern", 2.5, "per-dim"):
-        "0x1.33ceaef4f491dp-1 0x1.0740f1d5bd8eap+0 0x1.0000000000000p+0 0x1.f79b48b421111p-30",
+        "0x1.33ceae24e9cf9p-1 0x1.07412106c8a24p+0 0x1.0000000000000p+0 0x1.b7cdfd9d7bdb8p-34",
     ("constant*matern", 0.5, "isotropic"):
-        "0x1.e45359d152f49p-1 0x1.0dfae69d524cep-1 0x1.9fc0cf0a2602ep-14",
+        "0x1.11e58be768025p+0 0x1.229113a129bd0p-1 0x1.58422c46bb590p-32",
     ("constant*matern", 0.5, "per-dim"):
-        "0x1.84fe434a3a407p-2 0x1.6c2dd4ec8a0fap-1 0x1.469ed545b38dfp-2 0x1.a2c3a0b3766d5p-14",
+        "0x1.b7cfdb6a175afp-1 0x1.a132589e85564p+0 0x1.1ca1223d80353p-1 0x1.16e8823ff37d9p-31",
     ("constant*matern", 1.5, "isotropic"):
-        "0x1.d2b38f873414fp-1 0x1.4657683c0b566p+0 0x1.15ffd475b1c4ap-27",
+        "0x1.d2a9d2d90a78cp-1 0x1.464968a0602a1p+0 0x1.d6ddf7a9f2f5ep-32",
     ("constant*matern", 1.5, "per-dim"):
-        "0x1.e33e0095afd6bp-1 0x1.a2a6d70477772p+0 0x1.f74ae05a30e78p+0 0x1.4eff9e0159fc4p-27",
+        "0x1.e33f500803e53p-1 0x1.a2a81efce2238p+0 0x1.f74dd75edc243p+0 0x1.b7cdfd9d7bdb8p-34",
     ("constant*matern", 2.5, "isotropic"):
-        "0x1.94e1604a80ef5p-1 0x1.affb4def5286ep+0 0x1.2592b97f1869ep-28",
+        "0x1.94e1f911a34f9p-1 0x1.b000ad3772d13p+0 0x1.b9a49a30a73c9p-34",
     ("constant*matern", 2.5, "per-dim"):
-        "0x1.da416e7ed14b2p-1 0x1.b1babf0fff678p+0 0x1.297a6b5d90e67p+2 0x1.b7cdfd9d7bdb8p-34",
+        "0x1.da42ca5d042f5p-1 0x1.b1bbfc08a94ccp+0 0x1.297d31b873617p+2 0x1.b7cdfd9d7bdb8p-34",
 }
 
 
-@pytest.mark.parametrize("kind, nu, scales", PINNED_OPTIMA)
-def test_optimizer_results_pinned(kind, nu, scales):
+# The lml each of those problems reached when L-BFGS-B ran on finite-difference
+# gradients: the exact gradient must reach it too.
+FINITE_DIFFERENCE_LML = {
+    ("rbf", 1.5, "isotropic"): 10.147572103739066,
+    ("rbf", 1.5, "per-dim"): 18.625410665950383,
+    ("constant*rbf", 1.5, "isotropic"): 10.441621040262596,
+    ("constant*rbf", 1.5, "per-dim"): 18.915714319811627,
+    ("matern", 0.5, "isotropic"): -16.440554189361077,
+    ("matern", 0.5, "per-dim"): -14.989205806987176,
+    ("matern", 1.5, "isotropic"): -5.351045640225692,
+    ("matern", 1.5, "per-dim"): -1.8400735986835315,
+    ("matern", 2.5, "isotropic"): -0.0927230945456543,
+    ("matern", 2.5, "per-dim"): 5.430033547227225,
+    ("constant*matern", 0.5, "isotropic"): -16.15888651354896,
+    ("constant*matern", 0.5, "per-dim"): -15.891460142360273,
+    ("constant*matern", 1.5, "isotropic"): -5.298693949014453,
+    ("constant*matern", 1.5, "per-dim"): -1.5189392804835897,
+    ("constant*matern", 2.5, "isotropic"): 0.19051542814834121,
+    ("constant*matern", 2.5, "per-dim"): 7.134286936819464,
+}
+
+
+def _pinned_problem(kind, nu, scales):
     rng = np.random.default_rng(31)
     X = rng.uniform(0, 1, (16, 2))
     Y = np.column_stack([np.sin(5 * X[:, 0]) + X[:, 1], np.cos(3 * X.sum(axis=1))])
     length_scale = 0.5 if scales == "isotropic" else np.array([0.5, 0.5])
     spec = KernelSpec(kind=kind, nu=nu, length_scale=length_scale, noise=1e-4)
-    tuned = optimize_hyperparameters(X, Y, spec, restarts=2, seed=3)
+    return X, Y, optimize_hyperparameters(X, Y, spec, restarts=2, seed=3)
+
+
+@pytest.mark.parametrize("kind, nu, scales", PINNED_OPTIMA)
+def test_optimizer_results_pinned(kind, nu, scales):
+    _, _, tuned = _pinned_problem(kind, nu, scales)
     values = [*np.atleast_1d(tuned.length_scale), tuned.signal_variance, tuned.noise]
     assert " ".join(float(v).hex() for v in values) == PINNED_OPTIMA[kind, nu, scales]
+
+
+@pytest.mark.parametrize("kind, nu, scales", FINITE_DIFFERENCE_LML)
+def test_optimum_reaches_the_finite_difference_lml(kind, nu, scales):
+    X, Y, tuned = _pinned_problem(kind, nu, scales)
+    assert gpr_fit(X, Y, tuned).lml >= FINITE_DIFFERENCE_LML[kind, nu, scales]
 
 
 class TestKernelNames:

@@ -9,12 +9,12 @@ import pytest
 
 from helpers import resign_checksums
 from surrkit.errors import StoreError
-from surrkit.gpr import KernelSpec
+from surrkit.gpr import KernelSpec, gpr_predict
 from surrkit.mlp import TrainConfig
 from surrkit.modelstore import load_model, save_model
 from surrkit.multifid import train_mf, train_single_fidelity
 from surrkit.preprocess import SplitSpec
-from surrkit.synthbench import Sampler, forrester_pair, generate_pair_dataset
+from surrkit.synthbench import Sampler, forrester_pair, generate_pair_dataset, trig4_pair
 from surrkit.tuner import GprGrid, MlpGrid
 
 
@@ -36,6 +36,16 @@ def mlp_surrogate():
     surr, _ = train_single_fidelity(
         hf, "mlp", SplitSpec(seed=1),
         mlp_grid=MlpGrid(layer_counts=(1,), widths=(8,), train=cfg),
+    )
+    return surr
+
+
+@pytest.fixture(scope="module")
+def trig4_gpr_surrogate():
+    lf, _ = generate_pair_dataset(trig4_pair(), 200, 8, Sampler(seed=4))
+    surr, _ = train_single_fidelity(
+        lf, "gpr", SplitSpec(seed=4),
+        gpr_grid=GprGrid(kernels=(KernelSpec(kind="constant*rbf"),), restarts=1, seed=4),
     )
     return surr
 
@@ -89,6 +99,21 @@ class TestRoundTrip:
         np.testing.assert_allclose(
             loaded.predict_raw(X), gpr_surrogate.predict_raw(X), rtol=0, atol=1e-12
         )
+
+    @pytest.mark.parametrize("payload_format", ["text", "binary"])
+    def test_single_site_variances_equal_the_fitted_models(
+        self, trig4_gpr_surrogate, tmp_path, payload_format
+    ):
+        """A fitted model's Cholesky factor is Fortran-ordered and a loaded
+        one's C-ordered; the variance solve gives both the same bytes."""
+        fitted = trig4_gpr_surrogate.model
+        bundle = save_model(trig4_gpr_surrogate, tmp_path, "trig4", payload_format=payload_format)
+        loaded = load_model(bundle).model
+        assert loaded.L.tobytes() == fitted.L.tobytes()
+        for site in np.random.default_rng(5).uniform(-1.5, 1.5, (50, 1, 4)):
+            assert gpr_predict(loaded, site).variance.tobytes() == (
+                gpr_predict(fitted, site).variance.tobytes()
+            )
 
     def test_nested_chain_round_trip(self, composite, tmp_path):
         """A composite whose low-fidelity member is itself a composite."""
