@@ -49,10 +49,20 @@ the working memory of a batch is a few blocks' worth whatever its size. A
 batch that fits in one block is predicted in one step. Ks is built from the
 training side of the kernel (X_train divided by the length scales, and its
 squared row norms), which each model computes once, on first use, and
-keeps. ``X_train``, ``L`` and ``alpha`` are finite from the moment a model
-exists, because ``gpr_fit`` gets them from checked scipy calls and
-``modelstore.load_model`` checks them, so neither path re-checks them per
-query; query points are checked once per batch, in ``GprModel._predict``.
+keeps. ``X_train`` and ``alpha`` are finite from the moment a model exists,
+because ``gpr_fit`` gets them from checked scipy calls and
+``modelstore.load_model`` checks them, and ``L`` comes from scipy's checked
+``cholesky``, so neither path re-checks them per query; query points are
+checked once per batch, in ``GprModel._predict``.
+
+The factor ``L`` is a pure function of ``X_train``, the hyperparameters and
+``jitter_used``, so bundles do not store it. ``gpr_fit`` hands its factor to
+the model; a model built without one, as every loaded model is, computes it
+on its first variance request (``GprModel.L``) with ``gpr_fit``'s operations
+in ``gpr_fit``'s order: ``kernel_eval``, the noise and then any jitter added
+to the diagonal, and scipy's ``cholesky``. It gets the same bytes under the
+same BLAS build and thread count. Means use ``alpha`` alone and never
+factor.
 
 Hyperparameter optimization maximizes the lml with L-BFGS-B on its exact
 gradient in the log-hyperparameters (GPML eq. 5.9), which
@@ -77,13 +87,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky
 from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
 from scipy.optimize import OptimizeResult, minimize
 
 from surrkit.errors import InputError, NumericError
@@ -347,15 +357,39 @@ def kernel_eval(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GprModel:
-    """Trained state: inputs, Cholesky factor, and dual weights."""
+    """Trained state: inputs, dual weights, and the Cholesky factor ``L``.
+
+    ``L`` is computed on first use when the model is built without it
+    (``factor``), as every loaded model is; ``gpr_fit`` hands over the one
+    it found.
+    """
 
     kernel: KernelSpec
     X_train: np.ndarray
-    L: np.ndarray
     alpha: np.ndarray
     y_dim: int
     lml: float
     jitter_used: float
+    factor: InitVar[np.ndarray | None] = None
+
+    def __post_init__(self, factor: np.ndarray | None) -> None:
+        if factor is not None:
+            self.__dict__["L"] = factor
+
+    @cached_property
+    def L(self) -> np.ndarray:
+        """cholesky(K(X_train) + (noise + jitter_used) I), lower: the factor
+        ``gpr_fit`` found, rebuilt with ``gpr_fit``'s operations in their order."""
+        K, _ = _noisy_training_kernel(self.kernel, self.X_train)
+        if self.jitter_used:
+            _add_to_diagonal(K, self.jitter_used)
+        try:
+            return cholesky(K, lower=True)
+        except np.linalg.LinAlgError:
+            raise NumericError(
+                f"Cholesky factorization of the training kernel failed at the "
+                f"stored jitter {self.jitter_used:.3g}"
+            ) from None
 
     @property
     def n_train(self) -> int:
@@ -383,12 +417,6 @@ class GprModel:
     @cached_property
     def _train_scaled(self) -> tuple[np.ndarray, np.ndarray]:
         return _scale_inputs(self.X_train, self._length_scales)
-
-    @cached_property
-    def _L_fortran(self) -> np.ndarray:
-        """``L`` in Fortran order, as ``gpr_fit`` makes it: a loaded model's
-        C-ordered copy would make ``solve_triangular`` round differently."""
-        return np.asfortranarray(self.L)
 
     @cached_property
     def _block_rows(self) -> int:
@@ -431,7 +459,9 @@ class GprModel:
         mean = Ks.T @ self.alpha
         if not with_variance:
             return mean, None
-        v = solve_triangular(self._L_fortran, Ks, lower=True, check_finite=False)
+        # The LAPACK routine solve_triangular calls; L's diagonal is positive,
+        # so the solve cannot fail.
+        v, _ = dtrtrs(self.L, Ks, lower=1)
         variance = np.full(Ks.shape[1], self.kernel.signal_variance)
         variance -= np.einsum("ij,ij->j", v, v)
         np.maximum(variance, 0.0, out=variance)
@@ -475,13 +505,19 @@ def _factor_with_jitter(K_noisy: np.ndarray, diag_scale: float) -> tuple[np.ndar
     )
 
 
+def _noisy_training_kernel(spec: KernelSpec, X: np.ndarray) -> tuple[np.ndarray, float]:
+    """``K(X, X) + noise * I`` in one buffer, and the mean of K's diagonal
+    before the noise, which scales the jitter ladder."""
+    K = kernel_eval(spec, X, X)
+    diag_scale = float(np.mean(np.diag(K)))
+    return _add_to_diagonal(K, spec.noise), diag_scale
+
+
 def gpr_fit(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> GprModel:
     """Factor the kernel matrix and solve for the dual weights."""
     X, Y = _training_pair(X, Y)
     n, q = Y.shape
-    K = kernel_eval(spec, X, X)
-    diag_scale = float(np.mean(np.diag(K)))
-    _add_to_diagonal(K, spec.noise)
+    K, diag_scale = _noisy_training_kernel(spec, X)
     L, jitter_used = _factor_with_jitter(K, diag_scale)
     alpha = cho_solve((L, True), Y)
     lml = float(
@@ -492,11 +528,11 @@ def gpr_fit(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> GprModel:
     return GprModel(
         kernel=spec,
         X_train=X.copy(),
-        L=L,
         alpha=alpha,
         y_dim=q,
         lml=lml,
         jitter_used=jitter_used,
+        factor=L,
     )
 
 

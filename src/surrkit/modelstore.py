@@ -11,8 +11,19 @@ A bundle is a directory that fully describes one trained surrogate:
         lf_model/        nested bundles, composites only
         mf_model/
 
-Saving never overwrites: each save under the same project name claims the
-first free ``_v<k>`` suffix with an exclusive ``mkdir``, so concurrent saves
+A GPR bundle's payloads are ``X_train``, ``alpha`` and the scalers. The
+Cholesky factor is not stored: it is a pure function of ``X_train``, the
+hyperparameters and ``training.jitter_used``, and a loaded model rebuilds it
+on its first variance request (``gpr.GprModel.L``), so loading factors
+nothing. Bundles saved with an ``L`` payload still load: the file is hashed
+as listed and then ignored.
+
+Saving never overwrites and never publishes a partial bundle: each save
+writes into a hidden staging directory beside the versions and renames it to
+the first free ``<project>_v<k>`` once it is complete. A save that raises
+removes its staging directory; a process killed mid-save leaves it behind
+under its hidden name, never as a version. A rename that finds its name
+taken by a concurrent save moves on to the next ``k``, so concurrent saves
 get distinct versions. Text payloads store every float in its shortest
 round-trip decimal form, so a reloaded model reproduces the original's
 predictions exactly. Binary payloads are raw little-endian float64, C order,
@@ -25,9 +36,13 @@ model's arrays are finite, and its predictions need not re-check them.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
+import math
 import os
+import secrets
+import shutil
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -186,21 +201,25 @@ def _read_payload(
     return _parse_array(files[entry["file"]], path, entry["format"], tuple(entry["shape"]))
 
 
-def _claim_version_dir(path: Path, project_name: str) -> Path:
-    """Create and return the first free ``<project>_v<k>`` under ``path``.
+def _publish(staging: Path, project_name: str) -> Path:
+    """Rename ``staging`` to the first free ``<project>_v<k>`` beside it.
 
-    The exclusive ``mkdir`` is the claim, so concurrent saves under one
-    project name each get their own version.
+    A name that exists is skipped without a rename, because renaming onto an
+    empty directory would replace it. A rename that loses a name to a
+    concurrent save fails, the name then being a nonempty directory, and
+    moves on to the next ``k``.
     """
-    path.mkdir(parents=True, exist_ok=True)
     version = 1
     while True:
-        bundle_dir = path / f"{project_name}_v{version}"
-        try:
-            bundle_dir.mkdir()
-            return bundle_dir
-        except FileExistsError:
-            version += 1
+        bundle_dir = staging.parent / f"{project_name}_v{version}"
+        if not os.path.lexists(bundle_dir):
+            try:
+                os.rename(staging, bundle_dir)
+                return bundle_dir
+            except OSError as exc:
+                if exc.errno not in (errno.ENOTEMPTY, errno.EEXIST, errno.ENOTDIR):
+                    raise
+        version += 1
 
 
 def save_model(
@@ -209,12 +228,22 @@ def save_model(
     project_name: str,
     payload_format: str = "text",
 ) -> Path:
-    """Write a versioned bundle directory and return its path."""
+    """Write a versioned bundle directory and return its path.
+
+    A save that fails partway removes what it wrote and claims no version.
+    """
     if payload_format not in PAYLOAD_FORMATS:
         raise StoreError(f"payload_format must be one of {PAYLOAD_FORMATS}")
-    bundle_dir = _claim_version_dir(Path(path), project_name)
-    _write_bundle(obj, bundle_dir, payload_format)
-    return bundle_dir
+    parent = Path(path)
+    parent.mkdir(parents=True, exist_ok=True)
+    staging = parent / f".{project_name}.{secrets.token_hex(8)}.partial"
+    staging.mkdir()
+    try:
+        _write_bundle(obj, staging, payload_format)
+        return _publish(staging, project_name)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
 
 
 def _write_bundle(obj, bundle_dir: Path, payload_format: str) -> None:
@@ -256,7 +285,6 @@ def _write_surrogate(surr: FittedSurrogate, bundle_dir: Path, payload_format: st
             "noise": spec.noise,
         }
         writer.add("X_train", model.X_train)
-        writer.add("L", model.L)
         writer.add("alpha", model.alpha)
         meta["training"].update(
             {
@@ -377,13 +405,11 @@ def _load_surrogate(
 
     if model_type == "gpr":
         X_train = read("X_train")
-        L = read("L")
         alpha = read("alpha")
-        n = X_train.shape[0]
-        if L.shape != (n, n) or alpha.shape[0] != n:
+        if alpha.shape[0] != X_train.shape[0]:
             raise StoreError(
                 f"inconsistent GPR payload shapes: X_train {X_train.shape}, "
-                f"L {L.shape}, alpha {alpha.shape}"
+                f"alpha {alpha.shape}"
             )
         ls = hyper["length_scale"]
         spec = KernelSpec(
@@ -394,14 +420,20 @@ def _load_surrogate(
             noise=float(hyper["noise"]),
         )
         training = meta.get("training", {})
+        # The jitter rebuilds the Cholesky factor, so it must be there.
+        jitter_used = training.get("jitter_used")
+        if type(jitter_used) not in (int, float) or not 0.0 <= jitter_used < math.inf:
+            raise StoreError(
+                f"malformed bundle {bundle_dir}: training.jitter_used must be a "
+                f"finite number >= 0, got {jitter_used!r}"
+            )
         model: GprModel | MlpModel = GprModel(
             kernel=spec,
             X_train=X_train,
-            L=L,
             alpha=alpha,
             y_dim=alpha.shape[1],
             lml=float(training.get("lml", float("nan"))),
-            jitter_used=float(training.get("jitter_used", 0.0)),
+            jitter_used=float(jitter_used),
         )
     else:
         arch = MlpArchitecture(

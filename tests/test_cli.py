@@ -518,8 +518,10 @@ class TestErrorsExit2WithoutTraceback:
         assert "y_layout" in result.stderr
 
     def test_nan_in_cholesky_factor(self, sf_bundle, sites_csv, tmp_path):
+        """Bundles no longer store the Cholesky factor, so the NaN goes into
+        ``alpha``, the dual weights."""
         bundle = save_model(load_model(sf_bundle), tmp_path, "bin", payload_format="binary")
-        path = bundle / "payload" / "L.bin"
+        path = bundle / "payload" / "alpha.bin"
         values = np.frombuffer(path.read_bytes(), dtype="<f8").copy()
         values[0] = np.nan
         path.write_bytes(values.tobytes())

@@ -201,6 +201,36 @@ class TestPredict:
         pred = gpr_predict(model, rng.uniform(0, 1, (200, 1)))
         assert (pred.variance >= 0).all()
 
+    def test_variance_bytes_equal_those_of_solve_triangular(self):
+        """The variance solve calls LAPACK's dtrtrs itself, the routine
+        scipy's solve_triangular calls for a Fortran-ordered factor."""
+        rng = np.random.default_rng(7)
+        X = rng.uniform(0, 1, (60, 3))
+        spec = KernelSpec(kind="constant*matern", nu=2.5, length_scale=0.4, noise=1e-6)
+        model = gpr_fit(X, np.sin(X.sum(axis=1, keepdims=True)), spec)
+        assert model.L.flags.f_contiguous
+        for Xq in [*rng.uniform(-0.2, 1.2, (30, 1, 3)), rng.uniform(-0.2, 1.2, (40, 3))]:
+            v = solve_triangular(model.L, kernel_eval(spec, X, Xq), lower=True)
+            variance = np.full(len(Xq), spec.signal_variance)
+            variance -= np.einsum("ij,ij->j", v, v)
+            np.maximum(variance, 0.0, out=variance)
+            assert gpr_predict(model, Xq).variance.tobytes() == variance.tobytes()
+
+    def test_fit_hands_its_factor_to_the_model(self, monkeypatch):
+        """A fitted model's variance reuses the fit's factor; only a model
+        built without one factors on its first variance request."""
+        real_cholesky, calls = gpr.cholesky, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real_cholesky(*args, **kwargs)
+
+        monkeypatch.setattr(gpr, "cholesky", counted)
+        X = np.linspace(0, 1, 12)[:, None]
+        model = gpr_fit(X, np.sin(6 * X), KernelSpec(kind="rbf", length_scale=0.3, noise=1e-6))
+        gpr_predict(model, X + 0.05)
+        assert len(calls) == 1
+
     def test_dimension_mismatch(self):
         model = gpr_fit(np.zeros((2, 2)) + [[0, 0], [1, 1]], np.ones((2, 1)), KernelSpec())
         with pytest.raises(InputError, match="dims"):

@@ -3,13 +3,15 @@
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from helpers import resign_checksums
-from surrkit.errors import StoreError
-from surrkit.gpr import KernelSpec, gpr_predict
+from surrkit import gpr, modelstore
+from surrkit.errors import NumericError, StoreError
+from surrkit.gpr import KernelSpec, gpr_fit, gpr_predict
 from surrkit.mlp import TrainConfig
 from surrkit.modelstore import load_model, save_model
 from surrkit.multifid import train_mf, train_single_fidelity
@@ -48,6 +50,15 @@ def trig4_gpr_surrogate():
         gpr_grid=GprGrid(kernels=(KernelSpec(kind="constant*rbf"),), restarts=1, seed=4),
     )
     return surr
+
+
+@pytest.fixture(scope="module")
+def jittered_surrogate(gpr_surrogate):
+    """A GPR stage whose fit needed jitter: duplicate rows, noise 1e-20."""
+    X = np.array([[0.1], [0.1], [0.4], [0.7], [0.7], [0.9]])
+    model = gpr_fit(X, np.sin(6.0 * X), KernelSpec(kind="constant*rbf", noise=1e-20))
+    assert model.jitter_used > 0.0
+    return replace(gpr_surrogate, model=model)
 
 
 @pytest.fixture(scope="module")
@@ -104,8 +115,8 @@ class TestRoundTrip:
     def test_single_site_variances_equal_the_fitted_models(
         self, trig4_gpr_surrogate, tmp_path, payload_format
     ):
-        """A fitted model's Cholesky factor is Fortran-ordered and a loaded
-        one's C-ordered; the variance solve gives both the same bytes."""
+        """A loaded model rebuilds the fitted model's Cholesky factor, so the
+        variance solve gives both the same bytes."""
         fitted = trig4_gpr_surrogate.model
         bundle = save_model(trig4_gpr_surrogate, tmp_path, "trig4", payload_format=payload_format)
         loaded = load_model(bundle).model
@@ -114,6 +125,19 @@ class TestRoundTrip:
             assert gpr_predict(loaded, site).variance.tobytes() == (
                 gpr_predict(fitted, site).variance.tobytes()
             )
+
+    @pytest.mark.parametrize("payload_format", ["text", "binary"])
+    @pytest.mark.parametrize("surrogate", ["gpr_surrogate", "jittered_surrogate"])
+    def test_loaded_factor_equals_the_fitted_one(
+        self, request, surrogate, payload_format, tmp_path
+    ):
+        surr = request.getfixturevalue(surrogate)
+        fitted = surr.model
+        assert (fitted.jitter_used > 0.0) == (surrogate == "jittered_surrogate")
+        bundle = save_model(surr, tmp_path, "factor", payload_format=payload_format)
+        loaded = load_model(bundle).model
+        assert loaded.jitter_used == fitted.jitter_used
+        assert loaded.L.tobytes() == fitted.L.tobytes()
 
     def test_nested_chain_round_trip(self, composite, tmp_path):
         """A composite whose low-fidelity member is itself a composite."""
@@ -167,6 +191,23 @@ class TestVersioning:
         expected = composite.predict_raw(X).tobytes()
         for bundle in bundles:
             assert load_model(bundle).predict_raw(X).tobytes() == expected
+
+    def test_failed_save_leaves_no_version(self, composite, tmp_path, monkeypatch):
+        real_save_array, written = modelstore._save_array, []
+
+        def fail_partway(path, arr, fmt):
+            if len(written) == 5:
+                raise OSError("disk full")
+            written.append(path)
+            real_save_array(path, arr, fmt)
+
+        monkeypatch.setattr(modelstore, "_save_array", fail_partway)
+        with pytest.raises(OSError, match="disk full"):
+            save_model(composite, tmp_path, "proj")
+        assert written and list(tmp_path.iterdir()) == []
+        monkeypatch.undo()
+        assert save_model(composite, tmp_path, "proj").name == "proj_v1"
+        assert [p.name for p in tmp_path.iterdir()] == ["proj_v1"]
 
     def test_metadata_records_fit_details(self, gpr_surrogate, tmp_path):
         bundle = save_model(gpr_surrogate, tmp_path, "meta_demo")
@@ -256,8 +297,8 @@ class TestIntegrity:
         bundle = save_model(gpr_surrogate, tmp_path, "unlisted_payload")
         checksums = bundle / "CHECKSUMS"
         lines = checksums.read_text().splitlines()
-        checksums.write_text("\n".join(l for l in lines if not l.endswith("/L.txt")) + "\n")
-        with pytest.raises(StoreError, match="L.txt is not listed in CHECKSUMS"):
+        checksums.write_text("\n".join(l for l in lines if not l.endswith("/alpha.txt")) + "\n")
+        with pytest.raises(StoreError, match="alpha.txt is not listed in CHECKSUMS"):
             load_model(bundle)
 
     def test_binary_payload_of_partial_values_rejected(self, gpr_surrogate, tmp_path):
@@ -270,7 +311,7 @@ class TestIntegrity:
 
     @pytest.mark.parametrize(
         "payload, value",
-        [("L", np.nan), ("L", np.inf), ("X_train", np.nan), ("alpha", -np.inf),
+        [("alpha", np.nan), ("X_train", np.inf), ("X_train", np.nan), ("alpha", -np.inf),
          ("x_scaler_means", np.nan), ("y_scaler_stds", np.inf)],
     )
     def test_non_finite_payload_rejected(self, gpr_surrogate, tmp_path, payload, value):
@@ -282,6 +323,80 @@ class TestIntegrity:
         resign_checksums(bundle)
         with pytest.raises(StoreError, match=f"{payload}.bin: payload holds non-finite"):
             load_model(bundle)
+
+
+class TestLazyFactor:
+    """Bundles store no Cholesky factor; a loaded model refactors on its
+    first variance request, and only then."""
+
+    def test_gpr_bundle_lists_no_factor(self, gpr_surrogate, tmp_path):
+        bundle = save_model(gpr_surrogate, tmp_path, "nofactor")
+        meta = json.loads((bundle / "meta.json").read_text())
+        assert sorted(meta["payloads"]) == [
+            "X_train", "alpha", "x_scaler_means", "x_scaler_stds",
+            "y_scaler_means", "y_scaler_stds",
+        ]
+        assert sorted(p.name for p in (bundle / "payload").iterdir()) == sorted(
+            f"{name}.txt" for name in meta["payloads"]
+        )
+
+    def test_only_the_first_variance_request_factors(
+        self, trig4_gpr_surrogate, tmp_path, monkeypatch
+    ):
+        bundle = save_model(trig4_gpr_surrogate, tmp_path, "lazy")
+        X = np.random.default_rng(6).uniform(-1.5, 1.5, (20, 4))
+        real_cholesky, calls = gpr.cholesky, []
+
+        def no_cholesky(*args, **kwargs):
+            raise AssertionError("factored outside a variance request")
+
+        monkeypatch.setattr(gpr, "cholesky", no_cholesky)
+        loaded = load_model(bundle)
+        assert loaded.predict_raw(X).tobytes() == trig4_gpr_surrogate.predict_raw(X).tobytes()
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real_cholesky(*args, **kwargs)
+
+        monkeypatch.setattr(gpr, "cholesky", counted)
+        first = gpr_predict(loaded.model, X)
+        assert len(calls) == 1
+        second = gpr_predict(loaded.model, X)
+        assert len(calls) == 1
+        expected = gpr_predict(trig4_gpr_surrogate.model, X).variance.tobytes()
+        assert first.variance.tobytes() == second.variance.tobytes() == expected
+
+    @pytest.mark.parametrize("payload_format", ["text", "binary"])
+    def test_bundle_with_a_stored_factor_still_loads(
+        self, gpr_surrogate, tmp_path, payload_format
+    ):
+        """Bundles saved before the factor was dropped list an ``L`` payload;
+        it is hashed as listed and then ignored."""
+        fitted = gpr_surrogate.model
+        bundle = save_model(gpr_surrogate, tmp_path, "old", payload_format=payload_format)
+        suffix = "txt" if payload_format == "text" else "bin"
+        modelstore._save_array(bundle / "payload" / f"L.{suffix}", fitted.L, payload_format)
+        checksums = bundle / "CHECKSUMS"
+        checksums.write_text(checksums.read_text() + f"0  payload/L.{suffix}\n")
+        edit_meta(bundle, lambda meta: meta["payloads"].update(
+            L={"file": f"payload/L.{suffix}", "format": payload_format,
+               "shape": list(fitted.L.shape)}))
+        loaded = load_model(bundle)
+        X = queries(1)
+        assert loaded.predict_raw(X).tobytes() == gpr_surrogate.predict_raw(X).tobytes()
+        assert gpr_predict(loaded.model, X).variance.tobytes() == (
+            gpr_predict(fitted, X).variance.tobytes()
+        )
+
+    def test_a_factor_that_fails_is_a_numeric_error(self, jittered_surrogate, tmp_path):
+        """The jittered fit's kernel does not factor without its jitter."""
+        bundle = save_model(jittered_surrogate, tmp_path, "nojitter")
+        edit_meta(bundle, lambda meta: meta["training"].update(jitter_used=0.0))
+        loaded = load_model(bundle)
+        X = queries(1)
+        assert loaded.predict_raw(X).tobytes() == jittered_surrogate.predict_raw(X).tobytes()
+        with pytest.raises(NumericError, match="Cholesky"):
+            gpr_predict(loaded.model, X)
 
 
 def edit_meta(bundle, change, child="."):
@@ -311,4 +426,22 @@ class TestSchemaErrors:
         bundle = save_model(composite, tmp_path, "dims")
         edit_meta(bundle, lambda meta: meta["dims"].update({key: 2}))
         with pytest.raises(StoreError, match=f"dims.{key}"):
+            load_model(bundle)
+
+    @pytest.mark.parametrize(
+        "jitter_used", [None, float("nan"), float("inf"), -1e-12, "0.0", True],
+        ids=["missing", "nan", "inf", "negative", "string", "bool"],
+    )
+    def test_jitter_used_must_be_a_finite_nonnegative_number(
+        self, gpr_surrogate, tmp_path, jitter_used
+    ):
+        def change(meta):
+            if jitter_used is None:
+                del meta["training"]["jitter_used"]
+            else:
+                meta["training"]["jitter_used"] = jitter_used
+
+        bundle = save_model(gpr_surrogate, tmp_path, "jitter")
+        edit_meta(bundle, change)
+        with pytest.raises(StoreError, match="training.jitter_used must be a finite number"):
             load_model(bundle)
