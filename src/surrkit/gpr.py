@@ -47,13 +47,17 @@ points whose Ks fits in ``_KS_BLOCK_BYTES`` (4 MiB, 936 points at
 n_train = 560) and writes each block's rows into preallocated outputs, so
 the working memory of a batch is a few blocks' worth whatever its size. A
 batch that fits in one block is predicted in one step. Ks is built from the
-training side of the kernel (X_train divided by the length scales, and its
-squared row norms), which each model computes once, on first use, and
-keeps. ``X_train`` and ``alpha`` are finite from the moment a model exists,
+training side of the kernel (X_train divided by the length scales, twice
+that, and its squared row norms), which each model computes once, on first
+use, and keeps; a query then allocates only its own scaled row and Ks.
+``X_train`` and ``alpha`` are finite from the moment a model exists,
 because ``gpr_fit`` gets them from checked scipy calls and
 ``modelstore.load_model`` checks them, and ``L`` comes from scipy's checked
 ``cholesky``, so neither path re-checks them per query; query points are
-checked once per batch, in ``GprModel._predict``.
+checked once per batch, in ``GprModel._predict``. That check is of the
+scaled query, so it also catches a finite raw site that overflows when a
+scaler divides it, which the raw-site check (``preprocess.design_sites``)
+lets through.
 
 The factor ``L`` is a pure function of ``X_train``, the hyperparameters and
 ``jitter_used``, so bundles do not store it. ``gpr_fit`` hands its factor to
@@ -231,24 +235,31 @@ def _training_pair(X, Y) -> tuple[np.ndarray, np.ndarray]:
 def _scale_inputs(X: np.ndarray, ls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``X`` divided by the length scales ``ls``, and that matrix's squared row norms."""
     Xs = X / ls
-    return Xs, np.sum(Xs * Xs, axis=1)
+    return Xs, (Xs * Xs).sum(axis=1)
 
 
 def _scaled_sq_dist(
-    A_scaled: tuple[np.ndarray, np.ndarray], B_scaled: tuple[np.ndarray, np.ndarray]
+    A_scaled: tuple[np.ndarray, np.ndarray],
+    B_scaled: tuple[np.ndarray, np.ndarray],
+    A_doubled: np.ndarray | None = None,
 ) -> np.ndarray:
     """Squared length-scale-weighted distances r^2 between the rows of A and B.
 
     Both arguments are ``_scale_inputs`` results. When they are the same
     one, the rows' distances to themselves are set to exactly 0:
     cancellation leaves them up to ~4e-16, a kink in Matern 0.5's lml.
+    ``A_doubled`` is ``2.0 * As`` where the caller keeps it, as a model
+    does for its training side; it is formed here otherwise.
     """
     (As, As_sq), (Bs, Bs_sq) = A_scaled, B_scaled
     # ||a||^2 - 2 a.b + ||b||^2, evaluated left to right in the product's
-    # buffer; clip tiny negatives from cancellation. 2.0 * As is a new array,
-    # so the product never multiplies an array by its own transpose, which
-    # numpy may send to a rank-k update that rounds differently.
-    sq = (2.0 * As) @ Bs.T
+    # buffer; clip tiny negatives from cancellation. 2.0 * As is exact and a
+    # new array, so the product never multiplies an array by its own
+    # transpose, which numpy may send to a rank-k update that rounds
+    # differently.
+    if A_doubled is None:
+        A_doubled = 2.0 * As
+    sq = A_doubled @ Bs.T
     np.subtract(As_sq[:, np.newaxis], sq, out=sq)
     sq += Bs_sq[np.newaxis, :]
     np.maximum(sq, 0.0, out=sq)
@@ -419,6 +430,11 @@ class GprModel:
         return _scale_inputs(self.X_train, self._length_scales)
 
     @cached_property
+    def _train_doubled(self) -> np.ndarray:
+        """``2.0 * X_train / ls``, the training factor of every Ks product."""
+        return 2.0 * self._train_scaled[0]
+
+    @cached_property
     def _block_rows(self) -> int:
         """Query points per prediction block, as ``_KS_BLOCK_BYTES`` sets it."""
         return max(8, _KS_BLOCK_BYTES // (64 * self.n_train) * 8)
@@ -454,7 +470,9 @@ class GprModel:
         self, X_star: np.ndarray, with_variance: bool
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """``_predict`` for checked query points, all at once."""
-        sq = _scaled_sq_dist(self._train_scaled, _scale_inputs(X_star, self._length_scales))
+        sq = _scaled_sq_dist(
+            self._train_scaled, _scale_inputs(X_star, self._length_scales), self._train_doubled
+        )
         Ks = _kernel_from_sq(self.kernel, sq, self.kernel.signal_variance)
         mean = Ks.T @ self.alpha
         if not with_variance:

@@ -19,7 +19,7 @@ import numpy as np
 from surrkit.data import DataTensor, write_csv
 from surrkit.errors import InputError, UnsupportedModelError
 from surrkit.gpr import GprModel, gpr_predict
-from surrkit.preprocess import inverse_transform, transform
+from surrkit.preprocess import design_sites, inverse_transform, transform
 
 
 def r_squared(y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -181,15 +181,14 @@ def uq_report(surrogate, X_raw: np.ndarray) -> UqReport:
 
     The shared latent standard deviation is multiplied by each output's
     scaler std, the back-map consistent with one kernel serving all outputs.
+    The sites are checked as ``predict_raw`` checks them (``design_sites``).
     """
     model = surrogate.model
     if not isinstance(model, GprModel):
         raise UnsupportedModelError(
             f"uncertainty reporting requires a GPR model, got {type(model).__name__}"
         )
-    X_raw = np.asarray(X_raw, dtype=np.float64)
-    if X_raw.ndim == 1:
-        X_raw = X_raw[:, np.newaxis]
+    X_raw = design_sites(X_raw, surrogate.input_dim)
     pred = gpr_predict(model, transform(surrogate.x_scaler, X_raw))
     mean = inverse_transform(surrogate.y_scaler, pred.mean)
     latent_std = np.sqrt(pred.variance)
@@ -197,28 +196,11 @@ def uq_report(surrogate, X_raw: np.ndarray) -> UqReport:
     return UqReport(sites=X_raw, mean=mean, std=std)
 
 
-def uq_error_correlation(report: UqReport, y_true_raw: np.ndarray) -> float:
-    """Pearson correlation between |error| and predicted std, pooled.
-
-    Reported as data only; no threshold is attached to it.
-    """
-    y_true_raw = np.asarray(y_true_raw, dtype=np.float64)
-    if y_true_raw.shape != report.mean.shape:
-        raise InputError(f"shape mismatch: {y_true_raw.shape} vs {report.mean.shape}")
-    err = np.abs(report.mean - y_true_raw).ravel()
-    std = report.std.ravel()
-    if err.size < 2 or np.std(err) == 0.0 or np.std(std) == 0.0:
-        return float("nan")
-    return float(np.corrcoef(err, std)[0, 1])
-
-
 def throughput_benchmark(surrogate, X_raw: np.ndarray, repeats: int = 1) -> float:
     """Single-site predictions per second over ``repeats`` sweeps of X."""
     if repeats < 1:
         raise InputError(f"repeats must be >= 1, got {repeats}")
-    X_raw = np.asarray(X_raw, dtype=np.float64)
-    if X_raw.ndim == 1:
-        X_raw = X_raw[:, np.newaxis]
+    X_raw = design_sites(X_raw, surrogate.input_dim)
     rows = [X_raw[i : i + 1] for i in range(X_raw.shape[0])]
     # Warm-up outside the timed window.
     surrogate.predict_raw(rows[0])

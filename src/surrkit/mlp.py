@@ -93,7 +93,14 @@ class MlpModel:
         return self.architecture.describe()
 
     def predict(self, X_scaled: np.ndarray) -> np.ndarray:
-        """Network output at inputs in scaled space."""
+        """Network output at inputs in scaled space.
+
+        Non-finite inputs raise ``InputError``, as in ``GprModel.predict``:
+        a finite raw site can overflow when its scaler divides it.
+        """
+        X_scaled = np.asarray(X_scaled, dtype=np.float64)
+        if not np.isfinite(X_scaled).all():
+            raise InputError("X_scaled contains non-finite entries")
         return mlp_forward(self, X_scaled)
 
 

@@ -15,6 +15,14 @@ and the augmented matrix is standardized by a scaler fit only on it, which
 keeps every transform single-purpose and auditable. Deeper fidelity stacks
 fold the same step, treating the previous composite as the next level's
 low-fidelity model.
+
+A prediction checks its raw sites once per call, with
+``preprocess.design_sites``: the outermost ``predict_raw`` (or
+``build_mf_input``) checks them, and passes ``checked=True`` to the stages
+inside it. Each model still checks its scaled query, which is what catches a
+finite raw site that overflows in scaling, and each scaler checks its column
+count. ``build_mf_input`` writes ``[F_lf(x) | x]`` into one preallocated
+array.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from surrkit.mlp import MlpModel
 from surrkit.preprocess import (
     SplitSpec,
     StandardScaler,
+    design_sites,
     inverse_transform,
     preprocess_data_pipeline,
     transform,
@@ -98,12 +107,13 @@ class FittedSurrogate:
     def output_dim(self) -> int:
         return self.y_scaler.fitted_on
 
-    def predict_raw(self, X_raw: np.ndarray) -> np.ndarray:
-        X_raw = np.asarray(X_raw, dtype=np.float64)
-        if X_raw.ndim == 1:
-            X_raw = X_raw[:, np.newaxis]
-        if not np.isfinite(X_raw).all():
-            raise InputError("design sites contain non-finite values")
+    def predict_raw(self, X_raw: np.ndarray, *, checked: bool = False) -> np.ndarray:
+        """Predictions at raw sites, in raw units.
+
+        ``checked=True`` says ``X_raw`` already passed ``design_sites``.
+        """
+        if not checked:
+            X_raw = design_sites(X_raw, self.input_dim)
         pred = self.model.predict(transform(self.x_scaler, X_raw))
         return inverse_transform(self.y_scaler, pred)
 
@@ -146,9 +156,11 @@ class MfComposite:
     def y_layout(self) -> TensorLayout:
         return self.mf.y_layout
 
-    def predict_raw(self, X_raw: np.ndarray) -> np.ndarray:
-        augmented = build_mf_input(self.lf, X_raw)
-        return self.mf.predict_raw(augmented.values)
+    def predict_raw(self, X_raw: np.ndarray, *, checked: bool = False) -> np.ndarray:
+        """Predictions at raw sites, in raw units; ``build_mf_input`` checks
+        the sites unless ``checked`` says they passed ``design_sites``."""
+        augmented = build_mf_input(self.lf, X_raw, checked=checked)
+        return self.mf.predict_raw(augmented, checked=True)
 
     def describe(self) -> str:
         return f"mf-composite(lf={self.lf.describe()}, mf={self.mf.describe()})"
@@ -178,22 +190,26 @@ def _unique_names(names: list[str]) -> tuple[str, ...]:
 
 
 def build_mf_input(
-    lf: "FittedSurrogate | MfComposite", X_raw: FlatMatrix | np.ndarray
-) -> FlatMatrix:
-    """Column-concatenate raw LF predictions ahead of the raw inputs.
+    lf: "FittedSurrogate | MfComposite",
+    X_raw: FlatMatrix | np.ndarray,
+    *,
+    checked: bool = False,
+) -> np.ndarray:
+    """Raw LF predictions ahead of the raw inputs, in one new array.
 
     Column order is fixed: the q_lf prediction columns come first, then the d
-    original input columns.
+    original input columns. The sites are checked with ``design_sites``
+    against ``lf.input_dim`` unless ``checked`` says they already were.
     """
-    values = X_raw.values if isinstance(X_raw, FlatMatrix) else np.asarray(X_raw, dtype=np.float64)
-    if values.ndim != 2:
-        raise InputError(f"expected a 2-D input matrix, got rank {values.ndim}")
-    if values.shape[1] != lf.input_dim:
-        raise InputError(
-            f"inputs have {values.shape[1]} columns, LF model expects {lf.input_dim}"
-        )
-    lf_pred = lf.predict_raw(values)
-    return FlatMatrix.from_array(np.hstack([lf_pred, values]))
+    values = X_raw.values if isinstance(X_raw, FlatMatrix) else X_raw
+    if not checked:
+        values = design_sites(values, lf.input_dim)
+    lf_pred = lf.predict_raw(values, checked=True)
+    q = lf_pred.shape[1]
+    augmented = np.empty((values.shape[0], q + values.shape[1]))
+    augmented[:, :q] = lf_pred
+    augmented[:, q:] = values
+    return augmented
 
 
 def train_single_fidelity(
@@ -237,7 +253,7 @@ def compose_with_lf(
     aug_names = _unique_names(
         lf_surr.y_layout.column_names("lf_") + TensorLayout.of(hf_data.X).column_names()
     )
-    aug_tensor = DataTensor.from_values(augmented.values[:, :, np.newaxis], aug_names)
+    aug_tensor = DataTensor.from_values(augmented[:, :, np.newaxis], aug_names)
     aug_dataset = FidelityDataset(
         fidelity=hf_data.fidelity,
         X=aug_tensor,

@@ -4,13 +4,17 @@ Splitting shuffles ``0..n-1`` with numpy's ``default_rng`` (PCG64) and
 partitions the permutation into train/test/validation bins, so the same seed
 reproduces the same bins on any machine. Scalers are fit on the training bin
 only and applied to every bin; standardization uses the population standard
-deviation (divide by n).
+deviation (divide by n). A scaler builds its divisor (the stds, with 1 for a
+constant column) once, when it is made, so applying it costs its arithmetic.
+
+``design_sites`` is the one check of raw query sites, shared by every
+``predict_raw`` and by ``metrics.uq_report``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,12 +83,14 @@ class StandardScaler:
     """Per-column mean/std map fitted once and frozen.
 
     Constant columns are recorded with std 0; they transform to 0 and
-    inverse-transform back to the stored mean.
+    inverse-transform back to the stored mean. ``divisor`` is ``stds`` with
+    1 in place of 0, built once here, read-only like the parameters.
     """
 
     means: np.ndarray
     stds: np.ndarray
     fitted_on: int
+    divisor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         means = np.asarray(self.means, dtype=np.float64)
@@ -93,18 +99,14 @@ class StandardScaler:
             raise InputError("scaler parameter lengths must match fitted_on")
         if (stds < 0).any():
             raise InputError("scaler stds must be nonnegative")
-        means.setflags(write=False)
-        stds.setflags(write=False)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "stds", stds)
+        divisor = np.where(stds == 0.0, 1.0, stds)
+        for name, value in (("means", means), ("stds", stds), ("divisor", divisor)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @classmethod
     def identity(cls, n_cols: int) -> "StandardScaler":
         return cls(np.zeros(n_cols), np.ones(n_cols), n_cols)
-
-    @property
-    def _scale(self) -> np.ndarray:
-        return np.where(self.stds == 0.0, 1.0, self.stds)
 
 
 def fit_scaler(matrix: FlatMatrix | np.ndarray) -> StandardScaler:
@@ -119,6 +121,26 @@ def fit_scaler(matrix: FlatMatrix | np.ndarray) -> StandardScaler:
     return StandardScaler(means, stds, values.shape[1])
 
 
+def design_sites(X_raw, n_cols: int) -> np.ndarray:
+    """Raw query sites as a finite float64 matrix of ``n_cols`` columns.
+
+    A rank-1 array is one column of sites. A rank other than 1 or 2, another
+    column count, or a NaN or infinity raises ``InputError``.
+    """
+    X = np.asarray(X_raw, dtype=np.float64)
+    if X.ndim == 1:
+        X = X[:, np.newaxis]
+    if X.ndim != 2:
+        raise InputError(f"expected a 2-D input matrix, got rank {X.ndim}")
+    if X.shape[1] != n_cols:
+        raise InputError(
+            f"design sites have {X.shape[1]} input columns, model expects {n_cols}"
+        )
+    if not np.isfinite(X).all():
+        raise InputError("design sites contain non-finite values")
+    return X
+
+
 def _apply(scaler: StandardScaler, matrix, forward: bool):
     values = matrix.values if isinstance(matrix, FlatMatrix) else np.asarray(matrix)
     if values.ndim != 2 or values.shape[1] != scaler.fitted_on:
@@ -127,9 +149,12 @@ def _apply(scaler: StandardScaler, matrix, forward: bool):
             f"scaler fitted on {scaler.fitted_on} columns, got matrix with {got}"
         )
     if forward:
-        out = (values - scaler.means) / scaler._scale
+        # A finite value too large to scale becomes inf without a warning;
+        # the model's check of its scaled query reports it as an InputError.
+        with np.errstate(over="ignore"):
+            out = (values - scaler.means) / scaler.divisor
     else:
-        out = values * scaler._scale + scaler.means
+        out = values * scaler.divisor + scaler.means
     if isinstance(matrix, FlatMatrix):
         return matrix.with_values(out)
     return out

@@ -1,6 +1,8 @@
 """Command line pipeline: exit codes, artifacts, determinism."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import surrkit
 from helpers import resign_checksums
@@ -532,3 +536,80 @@ class TestErrorsExit2WithoutTraceback:
         )
         self.assert_one_line_exit_2(result)
         assert "non-finite" in result.stderr
+
+    def test_overflowing_site(self, sf_bundle, tmp_path):
+        """1e308 is finite but overflows when scaled; the scaled-query check
+        reports it, and no overflow warning adds a line."""
+        sites = tmp_path / "big.csv"
+        sites.write_text("x\n0.5\n1e308\n")
+        result = cli_process(
+            "predict", "--model-dir", str(sf_bundle), "--sites", str(sites),
+            "--out", str(tmp_path / "pred.csv"),
+        )
+        self.assert_one_line_exit_2(result)
+        assert "non-finite" in result.stderr
+
+
+@pytest.fixture(scope="module")
+def predict_bundles(tmp_path_factory):
+    """A single-fidelity and a composite bundle on 1-D Forrester data."""
+    root = tmp_path_factory.mktemp("fuzz")
+    assert run(["synth", "--pair", "forrester", "--n-lf", "50", "--n-hf", "8",
+                "--seed", "7", "--out", str(root / "bench")]) == 0
+    sf_cfg = write_config(root / "sf.json", {
+        "seed": 7,
+        "data": {"x": str(root / "bench" / "lf_x.txt"), "y": str(root / "bench" / "lf_y.txt")},
+        "gpr": FAST_GPR,
+    })
+    assert run(["train", "--config", str(sf_cfg), "--out", str(root / "sf")]) == 0
+    mf_cfg = json.loads((root / "bench" / "mf_config.json").read_text())
+    mf_cfg["gpr"] = FAST_GPR
+    mf_path = write_config(root / "bench" / "mf_fast.json", mf_cfg)
+    assert run(["mf-train", "--config", str(mf_path), "--out", str(root / "mf")]) == 0
+    return root, (root / "sf" / "model_v1", root / "mf" / "mf_model_v1")
+
+
+# Cells that break the predict input contract, one kind per strategy: text
+# that is no number (no 'i' or 'n', so never a spelling of inf or nan), a
+# non-finite number, and a finite number that overflows when scaled.
+BAD_CELLS = st.one_of(
+    st.text(alphabet="abcdefghjklmopqrstuvwxyz!?$%", min_size=1, max_size=6),
+    st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e999", "-1e400"]),
+    st.builds(
+        lambda sign, v: repr(sign * v),
+        st.sampled_from([1.0, -1.0]),
+        st.floats(min_value=1e308, max_value=np.finfo(np.float64).max),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    which=st.integers(0, 1),
+    good=st.lists(st.floats(0.0, 1.0), min_size=0, max_size=4),
+    where=st.integers(0, 4),
+    bad=st.one_of(BAD_CELLS, st.just("wide-header"), st.just("wide-row")),
+)
+def test_malformed_sites_exit_2_with_one_line(predict_bundles, which, good, where, bad):
+    """``surrkit predict`` on a site file with a non-numeric token, a NaN or
+    infinity, the wrong width or an overflowing value exits 2 with one line
+    on stderr; an escaping exception or warning fails the test."""
+    root, bundles = predict_bundles
+    cells = [repr(v) for v in good]
+    header = "x"
+    if bad == "wide-header":
+        header = "x,z"
+        rows = [f"{c},{c}" for c in cells] or ["0.5,0.5"]
+    elif bad == "wide-row":
+        rows = cells[:where] + ["0.5,0.5"] + cells[where:]
+    else:
+        rows = cells[:where] + [f'"{bad}"'] + cells[where:]
+    sites = root / "sites.csv"
+    sites.write_text("\n".join([header, *rows]) + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["predict", "--model-dir", str(bundles[which]), "--sites", str(sites),
+                     "--out", str(root / "pred.csv")])
+    assert code == 2
+    lines = err.getvalue().strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines

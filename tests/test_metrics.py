@@ -16,7 +16,6 @@ from surrkit.metrics import (
     r_squared,
     rmse,
     throughput_benchmark,
-    uq_error_correlation,
     uq_report,
 )
 from surrkit.mlp import MlpArchitecture, init_model
@@ -243,17 +242,6 @@ class TestUqReport:
         surr = identity_surrogate(init_model(MlpArchitecture(1, (4,), 1), 0), 1, 1)
         with pytest.raises(UnsupportedModelError, match="GPR"):
             uq_report(surr, np.zeros((1, 1)))
-
-    def test_error_correlation_is_data_only(self):
-        rng = np.random.default_rng(7)
-        X = np.sort(rng.uniform(0, 1, 25))[:, None]
-        Y = np.sin(5 * X)
-        model = gpr_fit(X, Y, KernelSpec(kind="rbf", length_scale=0.3, noise=1e-6))
-        surr = identity_surrogate(model, 1, 1)
-        Xq = np.linspace(-0.3, 1.3, 60)[:, None]
-        report = uq_report(surr, Xq)
-        corr = uq_error_correlation(report, np.sin(5 * Xq))
-        assert np.isfinite(corr)
 
 
 class TestThroughput:

@@ -71,27 +71,27 @@ class TestBuildMfInput:
         lf = constant_mlp_surrogate(4, [1.0, 2.0])
         X = rng.uniform(0, 1, (400, 4))
         augmented = build_mf_input(lf, X)
-        assert augmented.values.shape == (400, 6)
+        assert augmented.shape == (400, 6)
 
     def test_identity_model_duplicates_input(self):
         lf = identity_mlp_surrogate()
         X = np.array([[0.25], [0.5]])
         augmented = build_mf_input(lf, X)
-        np.testing.assert_allclose(augmented.values, [[0.25, 0.25], [0.5, 0.5]], atol=1e-12)
+        np.testing.assert_allclose(augmented, [[0.25, 0.25], [0.5, 0.5]], atol=1e-12)
 
     def test_wide_output_block(self):
         """q_lf = 12796 prediction columns ahead of d = 4 inputs."""
         q = 12796
         lf = constant_mlp_surrogate(4, np.zeros(q))
         augmented = build_mf_input(lf, np.zeros((3, 4)))
-        assert augmented.values.shape == (3, q + 4)
+        assert augmented.shape == (3, q + 4)
 
     def test_prediction_block_comes_first(self):
         lf = constant_mlp_surrogate(2, [10.0, 20.0])
         X = np.array([[1.0, 2.0], [3.0, 4.0]])
         augmented = build_mf_input(lf, X)
-        np.testing.assert_allclose(augmented.values[:, :2], [[10, 20], [10, 20]])
-        np.testing.assert_allclose(augmented.values[:, 2:], X)
+        np.testing.assert_allclose(augmented[:, :2], [[10, 20], [10, 20]])
+        np.testing.assert_allclose(augmented[:, 2:], X)
 
     def test_dimension_mismatch(self):
         lf = constant_mlp_surrogate(3, [0.0])
@@ -235,7 +235,7 @@ class TestPredictAtDesignSites:
         online = comp.predict_raw(X_raw)
         # training-time route, assembled by hand from the pieces
         augmented = build_mf_input(comp.lf, X_raw)
-        manual = comp.mf.predict_raw(augmented.values)
+        manual = comp.mf.predict_raw(augmented)
         assert np.max(np.abs(online - manual)) < 1e-10
 
     def test_dimension_checked(self):
@@ -257,7 +257,7 @@ class TestConstantLfDegeneracy:
         lf_const = constant_mlp_surrogate(1, [7.0])
         augmented = build_mf_input(lf_const, flatten(hf.X))
         aug_ds = FidelityDataset(
-            "HF", DataTensor.from_values(augmented.values[:, :, None]), hf.Y
+            "HF", DataTensor.from_values(augmented[:, :, None]), hf.Y
         )
         mf_surr, _ = train_single_fidelity(aug_ds, "gpr", split, gpr_grid=grid)
         composite = MfComposite(
@@ -326,16 +326,17 @@ class TestAugmentedColumnOrderStability:
         aug_train = build_mf_input(lf, X_train_raw)
         aug_query = build_mf_input(lf, X_query_raw)
         for aug, X in ((aug_train, X_train_raw), (aug_query, X_query_raw)):
-            np.testing.assert_allclose(aug.values[:, 0], 10.0)
-            np.testing.assert_allclose(aug.values[:, 1], 20.0)
-            np.testing.assert_allclose(aug.values[:, 2], 30.0)
-            np.testing.assert_allclose(aug.values[:, 3:], X)
+            np.testing.assert_allclose(aug[:, 0], 10.0)
+            np.testing.assert_allclose(aug[:, 1], 20.0)
+            np.testing.assert_allclose(aug[:, 2], 30.0)
+            np.testing.assert_allclose(aug[:, 3:], X)
 
 
 @pytest.mark.parametrize("kind", ["gpr", "mlp"])
 def test_non_finite_sites_rejected_for_every_kind(kind):
-    """The check sits in FittedSurrogate.predict_raw, so GPR and MLP models
-    reject NaN/inf alike, and a composite rejects them at its LF stage."""
+    """The check is ``preprocess.design_sites``, made once per call by the
+    outermost ``predict_raw``, so GPR and MLP models reject NaN/inf alike,
+    and a composite rejects them before its LF stage runs."""
     _, hf = generate_pair_dataset(forrester_pair(), 20, 20, Sampler(seed=13))
     cfg = TrainConfig(max_epochs=5, early_stop_patience=5, seed=13)
     surr, _ = train_single_fidelity(
@@ -359,7 +360,7 @@ def test_mean_paths_never_solve_for_the_variance(monkeypatch):
     layout = TensorLayout(("y",), ("0",))
     lf_model = gpr.gpr_fit(X, np.sin(8 * X), KernelSpec(kind="rbf", length_scale=0.2))
     lf = FittedSurrogate(lf_model, identity(1), identity(1), layout)
-    A = build_mf_input(lf, X).values
+    A = build_mf_input(lf, X)
     mf = FittedSurrogate(
         gpr.gpr_fit(A, np.sin(8 * X) + X, KernelSpec(kind="rbf", length_scale=0.5)),
         identity(2), identity(1), layout,
