@@ -51,21 +51,26 @@ training side of the kernel (X_train divided by the length scales, twice
 that, and its squared row norms), which each model computes once, on first
 use, and keeps; a query then allocates only its own scaled row and Ks.
 ``X_train`` and ``alpha`` are finite from the moment a model exists,
-because ``gpr_fit`` gets them from checked scipy calls and
-``modelstore.load_model`` checks them, and ``L`` comes from scipy's checked
-``cholesky``, so neither path re-checks them per query; query points are
+because ``gpr_fit`` checks its inputs and rejects a non-finite lml (which
+any non-finite entry of ``alpha`` makes) and ``modelstore.load_model``
+checks them, so neither path re-checks them per query; query points are
 checked once per batch, in ``GprModel._predict``. That check is of the
 scaled query, so it also catches a finite raw site that overflows when a
 scaler divides it, which the raw-site check (``preprocess.design_sites``)
 lets through.
 
-The factor ``L`` is a pure function of ``X_train``, the hyperparameters and
-``jitter_used``, so bundles do not store it. ``gpr_fit`` hands its factor to
-the model; a model built without one, as every loaded model is, computes it
-on its first variance request (``GprModel.L``) with ``gpr_fit``'s operations
-in ``gpr_fit``'s order: ``kernel_eval``, the noise and then any jitter added
-to the diagonal, and scipy's ``cholesky``. It gets the same bytes under the
-same BLAS build and thread count. Means use ``alpha`` alone and never
+Every factorization of a training kernel goes through ``_fit_at``, GPML
+Algorithm 2.1: given K + sn2*I and Y it returns ``L``, ``alpha``, the lml
+and the jitter it needed, with ``_factor`` trying no jitter first and then
+the jitter ladder. ``gpr_fit`` builds K with ``kernel_eval``; the
+optimizer's ``_lml_evaluator`` checks X and Y once and builds K per
+hyperparameter vector with the helpers ``kernel_eval`` uses, so each lml it
+returns is ``gpr_fit``'s bit for bit. The factor ``L`` is a pure function
+of ``X_train``, the hyperparameters and ``jitter_used``, so bundles do not
+store it: a model built without one, as every loaded model is, rebuilds it
+on its first variance request (``GprModel.L``) with ``kernel_eval`` and
+``_factor`` at the stored jitter alone, which gives the fit's bytes under
+the same BLAS build and thread count. Means use ``alpha`` alone and never
 factor.
 
 Hyperparameter optimization maximizes the lml with L-BFGS-B on its exact
@@ -73,18 +78,10 @@ gradient in the log-hyperparameters (GPML eq. 5.9), which
 ``_lml_gradient`` forms from K^-1 (LAPACK's ``dpotri`` on L) and the
 derivative factors beside ``_kernel_from_sq``. Finite differences would
 cost one more lml evaluation per hyperparameter per step and stop short of
-the optimum. ``optimize_hyperparameters`` does not call ``gpr_fit`` per
-evaluation: ``_lml_evaluator`` checks X and Y once, and per hyperparameter
-vector builds K with the distance and kernel helpers ``kernel_eval`` uses,
-adds the noise to the diagonal in place (the same sums as ``K + sn2*I``),
-and calls LAPACK's ``dpotrf`` and ``dpotrs``, the routines behind scipy's
-``cholesky`` and ``cho_solve``. These are gpr_fit's floating-point
-operations in gpr_fit's order, so each lml equals ``gpr_fit(...).lml`` bit
-for bit. When the factorization fails or the lml is not finite, the
-evaluation is redone with ``gpr_fit``, which runs the jitter ladder and
-scipy's finite-value checks, and the gradient comes from its factor. An
-L-BFGS-B run whose line search stalls on a steep slope is resumed from
-where it stopped (``_lbfgsb``).
+the optimum. An L-BFGS-B run whose line search stalls on a steep slope is
+resumed from where it stopped (``_lbfgsb``). ``optimize_hyperparameters``
+fits each start and each run's result with ``gpr_fit`` and returns the best
+of those models, so a caller never fits the winner again.
 """
 
 from __future__ import annotations
@@ -95,7 +92,6 @@ from dataclasses import InitVar, dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
 from scipy.optimize import OptimizeResult, minimize
@@ -105,11 +101,15 @@ from surrkit.errors import InputError, NumericError
 KERNEL_KINDS = ("rbf", "matern", "constant*rbf", "constant*matern")
 MATERN_NUS = (0.5, 1.5, 2.5)
 
-_JITTER_START = 1e-10
-_JITTER_MAX = 1e-6
+# A training kernel that does not factor is retried with these multiples of
+# its mean noise-free diagonal added to the diagonal, in this order.
+_JITTER_STEPS = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 # Prediction takes a batch in blocks of query points whose Ks fits in this
-# many bytes: 936 points at n_train = 560. A block is a whole number of
-# 8-row groups, so BLAS tiles its rows as it would tile the whole batch's.
+# many bytes: 936 points at n_train = 560. The block loop is the one predict
+# path, for single sites and batches alike. A block need not round as the
+# same rows of one whole-batch product would (a short tail block can differ
+# in the last bits), so a site predicted alone agrees with its batch row to
+# within perfbench's AGREE_RTOL, not bit for bit.
 _KS_BLOCK_BYTES = 4 << 20
 # An L-BFGS-B run that ends where the largest projected lml gradient exceeds
 # _STALL_SLOPE * max(1, |lml|) is resumed, at most _MAX_RESUMES times
@@ -137,14 +137,19 @@ class KernelSpec:
         if self.kind not in KERNEL_KINDS:
             raise InputError(f"unknown kernel kind {self.kind!r}; use one of {KERNEL_KINDS}")
         ls = np.atleast_1d(np.asarray(self.length_scale, dtype=np.float64))
-        if ls.ndim != 1 or (ls <= 0).any():
-            raise InputError(f"length_scale must be positive, got {self.length_scale}")
-        if self.signal_variance <= 0:
-            raise InputError(f"signal_variance must be positive, got {self.signal_variance}")
+        # Written so that NaN fails each test.
+        if ls.ndim != 1 or not ((ls > 0) & (ls < math.inf)).all():
+            raise InputError(f"length_scale must be positive and finite, got {self.length_scale}")
+        if not 0 < self.signal_variance < math.inf:
+            raise InputError(
+                f"signal_variance must be positive and finite, got {self.signal_variance}"
+            )
         if self.is_matern and self.nu not in MATERN_NUS:
             raise InputError(f"nu must be one of {MATERN_NUS}, got {self.nu}")
-        if self.noise < 0:
-            raise InputError(f"noise variance must be nonnegative, got {self.noise}")
+        if not 0 <= self.noise < math.inf:
+            raise InputError(
+                f"noise variance must be nonnegative and finite, got {self.noise}"
+            )
 
     @property
     def is_matern(self) -> bool:
@@ -391,16 +396,8 @@ class GprModel:
     def L(self) -> np.ndarray:
         """cholesky(K(X_train) + (noise + jitter_used) I), lower: the factor
         ``gpr_fit`` found, rebuilt with ``gpr_fit``'s operations in their order."""
-        K, _ = _noisy_training_kernel(self.kernel, self.X_train)
-        if self.jitter_used:
-            _add_to_diagonal(K, self.jitter_used)
-        try:
-            return cholesky(K, lower=True)
-        except np.linalg.LinAlgError:
-            raise NumericError(
-                f"Cholesky factorization of the training kernel failed at the "
-                f"stored jitter {self.jitter_used:.3g}"
-            ) from None
+        K = kernel_eval(self.kernel, self.X_train, self.X_train)
+        return _factor(_add_to_diagonal(K, self.kernel.noise), (self.jitter_used,))[0]
 
     @property
     def n_train(self) -> int:
@@ -504,50 +501,73 @@ def _add_to_diagonal(K: np.ndarray, value: float) -> np.ndarray:
     return K
 
 
-def _factor_with_jitter(K_noisy: np.ndarray, diag_scale: float) -> tuple[np.ndarray, float]:
-    try:
-        return cholesky(K_noisy, lower=True), 0.0
-    except np.linalg.LinAlgError:
-        pass
-    jitter = _JITTER_START
-    while jitter <= _JITTER_MAX * (1.0 + 1e-12):
-        bumped = jitter * diag_scale
+def cholesky(K: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of ``K``, Fortran-ordered, upper triangle 0.
+
+    This is LAPACK's ``dpotrf`` as scipy's ``cholesky(K, lower=True)`` calls
+    it, without scipy's finiteness check. ``K`` is left as it is. Raises
+    ``np.linalg.LinAlgError`` if ``K`` is not positive definite.
+    """
+    L, info = dpotrf(K, lower=1, clean=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"leading minor {info} is not positive definite")
+    return L
+
+
+def _factor(K: np.ndarray, jitters: tuple[float, ...]) -> tuple[np.ndarray, float]:
+    """``cholesky(K + j I)`` for the first jitter j in ``jitters`` that
+    factors, and that j. K is left as it is; a nonzero j is added to a copy."""
+    for jitter in jitters:
         try:
-            L = cholesky(_add_to_diagonal(K_noisy.copy(), bumped), lower=True)
-            return L, bumped
+            return cholesky(_add_to_diagonal(K.copy(), jitter) if jitter else K), jitter
         except np.linalg.LinAlgError:
-            jitter *= 10.0
+            pass
     raise NumericError(
-        "Cholesky factorization failed even with maximum jitter; the kernel "
-        "matrix is ill-conditioned (duplicate training points with zero noise?)"
+        f"Cholesky factorization of the training kernel failed at jitter "
+        f"{jitters[-1]:.3g}; the kernel matrix is ill-conditioned (duplicate "
+        f"training points with zero noise?)"
     )
 
 
-def _noisy_training_kernel(spec: KernelSpec, X: np.ndarray) -> tuple[np.ndarray, float]:
-    """``K(X, X) + noise * I`` in one buffer, and the mean of K's diagonal
-    before the noise, which scales the jitter ladder."""
-    K = kernel_eval(spec, X, X)
-    diag_scale = float(np.mean(np.diag(K)))
-    return _add_to_diagonal(K, spec.noise), diag_scale
+def _fit_at(
+    K: np.ndarray, Y: np.ndarray, sf2: float
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """``(L, alpha, lml, jitter)`` for the noisy training kernel ``K`` of
+    amplitude ``sf2`` and the targets ``Y`` (GPML Algorithm 2.1).
 
-
-def gpr_fit(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> GprModel:
-    """Factor the kernel matrix and solve for the dual weights."""
-    X, Y = _training_pair(X, Y)
+    K is factored as it is, and if that fails with each step of the jitter
+    ladder in turn: ``_JITTER_STEPS`` times the mean of K's noise-free
+    diagonal, whose n entries are all sf2, so the mean is formed only on
+    failure. K itself is not changed. A kernel that no jitter factors, or a
+    non-finite lml, raises ``NumericError``.
+    """
     n, q = Y.shape
-    K, diag_scale = _noisy_training_kernel(spec, X)
-    L, jitter_used = _factor_with_jitter(K, diag_scale)
-    alpha = cho_solve((L, True), Y)
+    try:
+        L, jitter = _factor(K, (0.0,))
+    except NumericError:
+        scale = float(np.mean(np.full(n, sf2)))
+        L, jitter = _factor(K, tuple(step * scale for step in _JITTER_STEPS))
+    alpha, _ = dpotrs(L, Y, lower=1)
     lml = float(
         -0.5 * np.sum(Y * alpha)
         - q * np.sum(np.log(np.diag(L)))
         - q * 0.5 * n * math.log(2.0 * math.pi)
     )
+    if not math.isfinite(lml):
+        raise NumericError(f"the log marginal likelihood is not finite ({lml})")
+    return L, alpha, lml, jitter
+
+
+def gpr_fit(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> GprModel:
+    """Factor the kernel matrix and solve for the dual weights."""
+    X, Y = _training_pair(X, Y)
+    K = _add_to_diagonal(kernel_eval(spec, X, X), spec.noise)
+    L, alpha, lml, jitter_used = _fit_at(K, Y, spec.signal_variance)
     return GprModel(
         kernel=spec,
         X_train=X.copy(),
         alpha=alpha,
-        y_dim=q,
+        y_dim=Y.shape[1],
         lml=lml,
         jitter_used=jitter_used,
         factor=L,
@@ -601,79 +621,51 @@ def _spec_to_theta(spec: KernelSpec, log_bounds: list[tuple[float, float]]) -> n
     return np.clip(theta, lo, hi)
 
 
-def _theta_to_spec(spec: KernelSpec, theta: np.ndarray) -> KernelSpec:
-    n_ls = np.atleast_1d(np.asarray(spec.length_scale)).size
-    ls = np.exp(theta[:n_ls])
-    length_scale = float(ls[0]) if n_ls == 1 else ls
-    pos = n_ls
+def _unpack_theta(spec: KernelSpec, theta: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """The length scales (an array), sf2 and the noise variance at the
+    log-hyperparameters ``theta``, ordered as ``_pack_bounds`` orders them."""
+    noise = float(math.exp(theta[-1]))
     if spec.tunes_signal_variance:
-        sf2 = float(math.exp(theta[pos]))
-        pos += 1
-    else:
-        sf2 = spec.signal_variance
-    noise = float(math.exp(theta[pos]))
+        return np.exp(theta[:-2]), float(math.exp(theta[-2])), noise
+    return np.exp(theta[:-1]), spec.signal_variance, noise
+
+
+def _theta_to_spec(spec: KernelSpec, theta: np.ndarray) -> KernelSpec:
+    ls, sf2, noise = _unpack_theta(spec, theta)
+    length_scale = float(ls[0]) if ls.size == 1 else ls
     return replace(spec, length_scale=length_scale, signal_variance=sf2, noise=noise)
 
 
 def _lml_evaluator(
     X: np.ndarray, Y: np.ndarray, spec: KernelSpec
-) -> Callable[..., float | tuple[float, np.ndarray]]:
-    """``theta -> gpr_fit(X, Y, _theta_to_spec(spec, theta)).lml``, without the overhead.
+) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
+    """``theta -> (lml, dlml/dtheta)``, the lml being
+    ``gpr_fit(X, Y, _theta_to_spec(spec, theta)).lml`` bit for bit.
 
-    ``X`` and ``Y`` are checked matrices, as ``_training_pair`` returns them. Each
-    evaluation repeats ``gpr_fit``'s floating-point operations in the same
-    order, on the same arrays, and calls the LAPACK routines scipy's
-    ``cholesky`` and ``cho_solve`` call, so a successful evaluation returns
-    gpr_fit's lml bit for bit. If the factorization fails or the lml is not
-    finite, the evaluation is redone with ``gpr_fit`` itself: that runs the
-    jitter ladder and scipy's finite-value checks, and a ``NumericError``
-    gives ``-inf``.
-
-    Called with ``gradient=True``, it returns ``(lml, dlml/dtheta)`` (see
-    ``_lml_gradient``); after a redo the gradient comes from the jittered
-    model's ``L`` and ``alpha``, and it is 0 where the lml is not finite.
+    ``X`` and ``Y`` are checked matrices, as ``_training_pair`` returns them.
+    Each evaluation builds K + sn2*I with the helpers ``kernel_eval`` uses,
+    in its order, without a spec, and hands it to ``_fit_at`` as
+    ``gpr_fit`` does. The gradient (``_lml_gradient``) comes from the factor
+    ``_fit_at`` found, jittered or not. Where ``_fit_at`` raises
+    ``NumericError`` the evaluation is ``(-inf, 0)``.
     """
-    n, q = Y.shape
     n_ls = np.atleast_1d(np.asarray(spec.length_scale)).size
-    log_norm = q * 0.5 * n * math.log(2.0 * math.pi)
     # Per-dimension squared differences of the unscaled inputs, one row per
     # input, for the ARD gradient; K itself is always built from r^2 above.
     sq_diffs = None
     if n_ls > 1:
         sq_diffs = np.square(X.T[:, :, np.newaxis] - X.T[:, np.newaxis, :]).reshape(n_ls, -1)
 
-    def lml_at(theta: np.ndarray, gradient: bool = False):
-        # The unpacking of _theta_to_spec, without building a spec.
-        ls = np.exp(theta[:n_ls])
-        pos = n_ls
-        if spec.tunes_signal_variance:
-            sf2 = float(math.exp(theta[pos]))
-            pos += 1
-        else:
-            sf2 = spec.signal_variance
-        noise = float(math.exp(theta[pos]))
+    def lml_at(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        ls, sf2, noise = _unpack_theta(spec, theta)
         X_scaled = _scale_inputs(X, ls)
         sq = _scaled_sq_dist(X_scaled, X_scaled)
-        r2 = sq.copy() if gradient else None
-        K = _kernel_from_sq(spec, sq, sf2)
-        _add_to_diagonal(K, noise)
-        L, info = dpotrf(K, lower=1, clean=1)
-        lml = -np.inf
-        if info == 0:
-            alpha, info = dpotrs(L, Y, lower=1)
-            lml = float(
-                -0.5 * np.sum(Y * alpha) - q * np.sum(np.log(np.diag(L))) - log_norm
-            )
-        if info != 0 or not math.isfinite(lml):
-            try:
-                model = gpr_fit(X, Y, _theta_to_spec(spec, theta))
-                L, alpha, lml = model.L, model.alpha, model.lml
-            except NumericError:
-                lml = -np.inf
-        if not gradient:
-            return lml
-        if not math.isfinite(lml):
-            return lml, np.zeros(len(theta))
+        r2 = sq.copy()
+        K = _add_to_diagonal(_kernel_from_sq(spec, sq, sf2), noise)
+        try:
+            L, alpha, lml, _ = _fit_at(K, Y, sf2)
+        except NumericError:
+            return -np.inf, np.zeros(len(theta))
         return lml, _lml_gradient(spec, K, r2, L, alpha, sf2, noise, ls, sq_diffs)
 
     return lml_at
@@ -755,15 +747,16 @@ def optimize_hyperparameters(
     restarts: int = 3,
     bounds: HyperBounds | None = None,
     seed: int = 0,
-) -> KernelSpec:
-    """Maximize the log marginal likelihood over log-hyperparameters.
+) -> GprModel:
+    """Maximize the log marginal likelihood over log-hyperparameters, and
+    return the model fitted at the best point.
 
     The first start is the supplied spec (clipped into bounds); the remaining
     ``restarts - 1`` starts are drawn log-uniformly within bounds from
-    ``seed``. The returned spec attains the highest lml seen across every
-    start point and every optimizer result, so it is never worse than any
-    tested initialization. Ties keep the earliest restart. ``nu`` and the
-    kernel kind are never modified.
+    ``seed``. Every start point and every optimizer result is fitted with
+    ``gpr_fit``, and the model with the highest lml is returned, so it is
+    never worse than any tested initialization. Ties keep the earliest.
+    ``nu`` and the kernel kind are never modified.
     """
     if restarts < 1:
         raise InputError(f"restarts must be >= 1, got {restarts}")
@@ -775,7 +768,7 @@ def optimize_hyperparameters(
     lml_at = _lml_evaluator(X, Y, spec)
 
     def neg_lml(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad = lml_at(theta, gradient=True)
+        value, grad = lml_at(theta)
         if not (math.isfinite(value) and np.isfinite(grad).all()):
             return 1e25, np.zeros_like(theta)
         return -value, -grad
@@ -785,26 +778,27 @@ def optimize_hyperparameters(
     for _ in range(restarts - 1):
         starts.append(rng.uniform(lo, hi))
 
-    best_theta: np.ndarray | None = None
-    best_lml = -np.inf
+    thetas: list[np.ndarray] = []
     failures: list[str] = []
     for theta0 in starts:
-        start_lml = lml_at(theta0)
-        if start_lml > best_lml:
-            best_lml, best_theta = start_lml, theta0
+        thetas.append(theta0)
         try:
-            result = _lbfgsb(neg_lml, theta0, log_bounds)
+            thetas.append(_lbfgsb(neg_lml, theta0, log_bounds).x)
         except Exception as exc:  # pragma: no cover - scipy internal failure
             failures.append(str(exc))
-            continue
-        cand_lml = lml_at(result.x)
-        if cand_lml > best_lml:
-            best_lml, best_theta = cand_lml, result.x
 
-    if best_theta is None or not np.isfinite(best_lml):
+    best: GprModel | None = None
+    for theta in thetas:
+        try:
+            model = gpr_fit(X, Y, _theta_to_spec(spec, theta))
+        except NumericError:
+            continue
+        if best is None or model.lml > best.lml:
+            best = model
+    if best is None:
         detail = f" ({'; '.join(failures)})" if failures else ""
         raise NumericError(
             f"all {restarts} hyperparameter restarts failed to produce a "
             f"finite log marginal likelihood{detail}"
         )
-    return _theta_to_spec(spec, best_theta)
+    return best

@@ -182,8 +182,9 @@ def uq_report(surrogate, X_raw: np.ndarray) -> UqReport:
     The shared latent standard deviation is multiplied by each output's
     scaler std, the back-map consistent with one kernel serving all outputs.
     The sites are checked as ``predict_raw`` checks them (``design_sites``).
+    A composite, which has no single model, is unsupported.
     """
-    model = surrogate.model
+    model = getattr(surrogate, "model", surrogate)
     if not isinstance(model, GprModel):
         raise UnsupportedModelError(
             f"uncertainty reporting requires a GPR model, got {type(model).__name__}"

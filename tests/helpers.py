@@ -3,11 +3,23 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
 
 from surrkit.mlp import MlpArchitecture, MlpModel, init_model, loss_gradients, mse_loss
+
+# Hyperparameters that json.loads reads from a bundle's meta.json (as
+# Infinity and NaN) but that no kernel may have: (key, value) pairs.
+NON_FINITE_HYPERPARAMETERS = [
+    ("length_scale", [math.inf]),
+    ("length_scale", [math.nan]),
+    ("signal_variance", math.nan),
+    ("signal_variance", math.inf),
+    ("noise", math.nan),
+]
+NON_FINITE_HYPERPARAMETER_IDS = ["ls-inf", "ls-nan", "sf2-nan", "sf2-inf", "noise-nan"]
 
 
 def direct_gpr_oracle(K_noisy, Ks, Kss_diag, Y):

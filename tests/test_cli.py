@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import surrkit
-from helpers import resign_checksums
+from helpers import (
+    NON_FINITE_HYPERPARAMETER_IDS,
+    NON_FINITE_HYPERPARAMETERS,
+    resign_checksums,
+)
 from surrkit.cli import main
 from surrkit.data import DataTensor, export_tensor
 from surrkit.modelstore import load_model, save_model
@@ -613,3 +618,25 @@ def test_malformed_sites_exit_2_with_one_line(predict_bundles, which, good, wher
     assert code == 2
     lines = err.getvalue().strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.parametrize("key, value", NON_FINITE_HYPERPARAMETERS,
+                         ids=NON_FINITE_HYPERPARAMETER_IDS)
+def test_non_finite_hyperparameter_exits_2_with_one_line(predict_bundles, tmp_path, key, value):
+    """A bundle whose meta.json holds a NaN or infinite hyperparameter, with
+    its checksums re-signed, is refused at load rather than served."""
+    bundle = shutil.copytree(predict_bundles[1][0], tmp_path / "model")
+    meta = json.loads((bundle / "meta.json").read_text())
+    meta["hyperparameters"][key] = value
+    (bundle / "meta.json").write_text(json.dumps(meta))
+    resign_checksums(bundle)
+    sites = tmp_path / "sites.csv"
+    sites.write_text("x\n0.25\n0.75\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["predict", "--model-dir", str(bundle), "--sites", str(sites),
+                     "--out", str(tmp_path / "pred.csv")])
+    assert code == 2
+    lines = err.getvalue().strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and key in lines[0], lines
+    assert not (tmp_path / "pred.csv").exists()

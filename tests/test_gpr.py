@@ -409,6 +409,25 @@ class TestBlockedPrediction:
         assert peak < 16e6
 
 
+class TestCholesky:
+    """``gpr.cholesky`` is scipy's ``cholesky(K, lower=True)`` without its checks."""
+
+    def test_bytes_equal_scipy_cholesky(self):
+        rng = np.random.default_rng(17)
+        X = rng.uniform(0, 1, (40, 2))
+        K = kernel_eval(KernelSpec(kind="constant*matern", nu=1.5, length_scale=0.3), X, X)
+        K = K + 1e-6 * np.eye(40)
+        before = K.copy()
+        L = gpr.cholesky(K)
+        assert L.flags.f_contiguous
+        assert L.tobytes() == cholesky(K, lower=True).tobytes()
+        assert K.tobytes() == before.tobytes()
+
+    def test_indefinite_matrix_raises_linalg_error(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            gpr.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
 class TestLmlDirection:
     def test_gross_noise_lowers_lml_on_noiseless_data(self):
         rng = np.random.default_rng(7)
@@ -426,7 +445,7 @@ class TestOptimize:
         Y = np.sin(4 * X) + 0.01 * rng.standard_normal((20, 1))
         start = KernelSpec(kind="constant*rbf", length_scale=0.3, noise=1e-4)
         start_lml = gpr_fit(X, Y, start).lml
-        tuned = optimize_hyperparameters(X, Y, start, restarts=3, seed=0)
+        tuned = optimize_hyperparameters(X, Y, start, restarts=3, seed=0).kernel
         assert gpr_fit(X, Y, tuned).lml >= start_lml - 1e-9
 
     def test_deterministic_given_seed(self):
@@ -434,8 +453,8 @@ class TestOptimize:
         X = rng.uniform(0, 1, (15, 2))
         Y = rng.standard_normal((15, 1))
         spec = KernelSpec(kind="constant*matern", nu=1.5, noise=1e-4)
-        a = optimize_hyperparameters(X, Y, spec, restarts=3, seed=5)
-        b = optimize_hyperparameters(X, Y, spec, restarts=3, seed=5)
+        a = optimize_hyperparameters(X, Y, spec, restarts=3, seed=5).kernel
+        b = optimize_hyperparameters(X, Y, spec, restarts=3, seed=5).kernel
         assert np.atleast_1d(a.length_scale)[0] == np.atleast_1d(b.length_scale)[0]
         assert a.noise == b.noise
         assert a.signal_variance == b.signal_variance
@@ -446,7 +465,7 @@ class TestOptimize:
         Y = np.sin(X)
         tuned = optimize_hyperparameters(
             X, Y, KernelSpec(kind="constant*rbf", noise=1e-6), restarts=3, seed=0
-        )
+        ).kernel
         model = gpr_fit(X, Y, tuned)
         Xq = np.linspace(0, 6, 120)[:, None]
         pred = gpr_predict(model, Xq)
@@ -457,7 +476,7 @@ class TestOptimize:
         X = rng.uniform(0, 1, (10, 1))
         Y = rng.standard_normal((10, 1))
         spec = KernelSpec(kind="constant*matern", nu=2.5, noise=1e-4)
-        tuned = optimize_hyperparameters(X, Y, spec, restarts=2, seed=1)
+        tuned = optimize_hyperparameters(X, Y, spec, restarts=2, seed=1).kernel
         assert tuned.nu == 2.5
         assert tuned.kind == "constant*matern"
 
@@ -468,7 +487,7 @@ class TestOptimize:
         bounds = HyperBounds(length_scale=(0.1, 10.0), noise=(1e-8, 0.5))
         tuned = optimize_hyperparameters(
             X, Y, KernelSpec(kind="rbf", noise=1e-4), restarts=2, bounds=bounds, seed=2
-        )
+        ).kernel
         ls = float(np.atleast_1d(tuned.length_scale)[0])
         assert 0.1 <= ls <= 10.0
         assert 1e-8 <= tuned.noise <= 0.5
@@ -478,6 +497,29 @@ class TestOptimize:
             optimize_hyperparameters(
                 np.zeros((2, 1)), np.zeros((2, 1)), KernelSpec(), restarts=0
             )
+
+    @pytest.mark.parametrize("case", ["ard", "jittered"])
+    def test_returns_the_model_gpr_fit_gives_at_its_kernel(self, case):
+        if case == "ard":
+            rng = np.random.default_rng(13)
+            X = rng.uniform(0, 1, (18, 3))
+            Y = np.column_stack([np.sin(4 * X[:, 0]) + X[:, 1], X[:, 2] ** 2])
+            spec = KernelSpec(kind="constant*matern", nu=2.5, length_scale=np.full(3, 0.5))
+            bounds = HyperBounds()
+        else:
+            # Duplicate rows and noise held near 1e-20: no fit without jitter.
+            X = np.array([[0.1], [0.1], [0.4], [0.7], [0.7], [0.9]])
+            Y = np.sin(6.0 * X)
+            spec = KernelSpec(kind="rbf", noise=1e-20)
+            bounds = HyperBounds(noise=(1e-20, 1e-19))
+        model = optimize_hyperparameters(X, Y, spec, restarts=2, bounds=bounds, seed=4)
+        assert (model.jitter_used > 0.0) == (case == "jittered")
+        refit = gpr_fit(X, Y, model.kernel)
+        for name in ("X_train", "L", "alpha"):
+            assert getattr(model, name).tobytes() == getattr(refit, name).tobytes()
+        assert model.lml == refit.lml
+        assert model.jitter_used == refit.jitter_used
+        assert model.kernel.describe() == refit.kernel.describe()
 
 
 @pytest.mark.parametrize("train", [
@@ -516,7 +558,7 @@ class TestLeanLml:
             for lo, hi in _pack_bounds(spec, 4, HyperBounds())
         ])
         X, Y = self.X, self.Y[:, :q]
-        assert _lml_evaluator(X, Y, spec)(theta) == _fit_lml(X, Y, spec, theta)
+        assert _lml_evaluator(X, Y, spec)(theta)[0] == _fit_lml(X, Y, spec, theta)
 
     def test_duplicate_rows_give_the_jittered_lml(self):
         X = np.array([[0.1], [0.1], [0.5], [0.9]])
@@ -525,7 +567,7 @@ class TestLeanLml:
         # Noise at the lower edge of HyperBounds(noise=(1e-20, 1.0)).
         theta = np.log([0.3, 1e-20])
         assert gpr_fit(X, Y, _theta_to_spec(spec, theta)).jitter_used > 0.0
-        assert _lml_evaluator(X, Y, spec)(theta) == _fit_lml(X, Y, spec, theta)
+        assert _lml_evaluator(X, Y, spec)(theta)[0] == _fit_lml(X, Y, spec, theta)
 
     def test_unfactorable_kernel_gives_minus_inf(self):
         # Far from the origin the expanded distance loses the small gaps, and
@@ -536,7 +578,7 @@ class TestLeanLml:
         theta = np.log([1e-2, 1e-10])
         with pytest.raises(NumericError):
             gpr_fit(X, Y, _theta_to_spec(spec, theta))
-        assert _lml_evaluator(X, Y, spec)(theta) == -np.inf
+        assert _lml_evaluator(X, Y, spec)(theta)[0] == -np.inf
 
 
 class TestLmlGradient:
@@ -553,11 +595,11 @@ class TestLmlGradient:
         lml_at = _lml_evaluator(self.X, self.Y, spec)
         theta = np.log([*np.atleast_1d(length_scale),
                         *([0.7] if spec.tunes_signal_variance else []), 1e-3])
-        lml, grad = lml_at(theta, gradient=True)
-        assert lml == lml_at(theta)
+        lml, grad = lml_at(theta)
+        assert lml == lml_at(theta)[0]
         eps = 1e-5
         numeric = np.array([
-            (lml_at(theta + step) - lml_at(theta - step)) / (2.0 * eps)
+            (lml_at(theta + step)[0] - lml_at(theta - step)[0]) / (2.0 * eps)
             for step in eps * np.eye(len(theta))
         ])
         denom = np.maximum(np.maximum(np.abs(grad), np.abs(numeric)), 1e-8)
@@ -570,7 +612,7 @@ class TestLmlGradient:
         theta = np.log([0.3, 1e-20])
         model = gpr_fit(X, Y, _theta_to_spec(spec, theta))
         assert model.jitter_used > 0.0
-        lml, grad = _lml_evaluator(X, Y, spec)(theta, gradient=True)
+        lml, grad = _lml_evaluator(X, Y, spec)(theta)
         assert lml == model.lml
         # 1/2 tr((alpha alpha^T - K^-1) dK/dtheta) with the jittered factor.
         K_inv = cho_solve((model.L, True), np.eye(4))
@@ -583,9 +625,7 @@ class TestLmlGradient:
     def test_unfactorable_kernel_gives_a_zero_gradient(self):
         X = 1e4 + np.linspace(0.0, 1e-3, 8)[:, np.newaxis]
         Y = np.sin(np.arange(8.0))[:, np.newaxis]
-        lml, grad = _lml_evaluator(X, Y, KernelSpec(kind="rbf"))(
-            np.log([1e-2, 1e-10]), gradient=True
-        )
+        lml, grad = _lml_evaluator(X, Y, KernelSpec(kind="rbf"))(np.log([1e-2, 1e-10]))
         assert lml == -np.inf
         assert grad.tobytes() == np.zeros(2).tobytes()
 
@@ -603,12 +643,12 @@ class TestLmlGradient:
         lml_at = _lml_evaluator(X, Y, spec)
 
         def neg_lml(theta):
-            lml, grad = lml_at(theta, gradient=True)
+            lml, grad = lml_at(theta)
             return -lml, -grad
 
         one_run = minimize(neg_lml, theta0, jac=True, method="L-BFGS-B", bounds=log_bounds)
         assert -one_run.fun < -4.0 and np.max(np.abs(one_run.jac)) > 1.0
-        tuned = optimize_hyperparameters(X, Y, spec, restarts=2, seed=500)
+        tuned = optimize_hyperparameters(X, Y, spec, restarts=2, seed=500).kernel
         assert gpr_fit(X, Y, tuned).lml > -0.8
 
     def test_forrester_lf_tune_evaluates_less_than_half_as_often(self, monkeypatch):
@@ -700,7 +740,7 @@ def _pinned_problem(kind, nu, scales):
     Y = np.column_stack([np.sin(5 * X[:, 0]) + X[:, 1], np.cos(3 * X.sum(axis=1))])
     length_scale = 0.5 if scales == "isotropic" else np.array([0.5, 0.5])
     spec = KernelSpec(kind=kind, nu=nu, length_scale=length_scale, noise=1e-4)
-    return X, Y, optimize_hyperparameters(X, Y, spec, restarts=2, seed=3)
+    return X, Y, optimize_hyperparameters(X, Y, spec, restarts=2, seed=3).kernel
 
 
 @pytest.mark.parametrize("kind, nu, scales", PINNED_OPTIMA)

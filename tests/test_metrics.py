@@ -19,7 +19,7 @@ from surrkit.metrics import (
     uq_report,
 )
 from surrkit.mlp import MlpArchitecture, init_model
-from surrkit.multifid import FittedSurrogate, TensorLayout, predict_tensor
+from surrkit.multifid import FittedSurrogate, MfComposite, TensorLayout, predict_tensor
 from surrkit.preprocess import StandardScaler
 
 
@@ -242,6 +242,19 @@ class TestUqReport:
         surr = identity_surrogate(init_model(MlpArchitecture(1, (4,), 1), 0), 1, 1)
         with pytest.raises(UnsupportedModelError, match="GPR"):
             uq_report(surr, np.zeros((1, 1)))
+
+    def test_composite_unsupported(self):
+        X = np.array([[0.0, 0.0], [1.0, 1.0]])
+        stage = identity_surrogate(gpr_fit(X[:, :1], X[:, :1], KernelSpec()), 1, 1)
+        composite = MfComposite(
+            lf=stage,
+            mf=identity_surrogate(gpr_fit(X, X[:, :1], KernelSpec()), 2, 1),
+            input_dim=1,
+            lf_output_dim=1,
+            hf_output_dim=1,
+        )
+        with pytest.raises(UnsupportedModelError, match="GPR model, got MfComposite"):
+            uq_report(composite, np.zeros((1, 1)))
 
 
 class TestThroughput:

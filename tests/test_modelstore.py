@@ -8,7 +8,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import resign_checksums
+from helpers import (
+    NON_FINITE_HYPERPARAMETER_IDS,
+    NON_FINITE_HYPERPARAMETERS,
+    resign_checksums,
+)
 from surrkit import gpr, modelstore
 from surrkit.errors import NumericError, StoreError
 from surrkit.gpr import KernelSpec, gpr_fit, gpr_predict
@@ -426,6 +430,14 @@ class TestSchemaErrors:
         bundle = save_model(composite, tmp_path, "dims")
         edit_meta(bundle, lambda meta: meta["dims"].update({key: 2}))
         with pytest.raises(StoreError, match=f"dims.{key}"):
+            load_model(bundle)
+
+    @pytest.mark.parametrize("key, value", NON_FINITE_HYPERPARAMETERS,
+                             ids=NON_FINITE_HYPERPARAMETER_IDS)
+    def test_non_finite_hyperparameter_is_store_error(self, gpr_surrogate, tmp_path, key, value):
+        bundle = save_model(gpr_surrogate, tmp_path, "hyper")
+        edit_meta(bundle, lambda meta: meta["hyperparameters"].update({key: value}))
+        with pytest.raises(StoreError, match=f"{key}.* must be .*finite"):
             load_model(bundle)
 
     @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import pooled_r2
+from surrkit import tuner
 from surrkit.errors import InputError
 from surrkit.gpr import KernelSpec, gpr_fit
 from surrkit.metrics import rmse
@@ -128,6 +129,24 @@ class TestTuneGpr:
             assert getattr(result.model, name).tobytes() == getattr(refit, name).tobytes()
         assert result.model.lml == refit.lml == params["lml"]
         assert result.model.kernel.describe() == refit.kernel.describe()
+
+    def test_model_is_the_one_the_optimizer_returned(self, monkeypatch):
+        """The sweep keeps the optimizer's model: nothing is fitted again."""
+        returned, inner = [], tuner.optimize_hyperparameters
+
+        def recorded(*args, **kwargs):
+            returned.append(inner(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(tuner, "optimize_hyperparameters", recorded)
+        grid = GprGrid(
+            kernels=(KernelSpec(kind="constant*rbf"), KernelSpec(kind="constant*matern")),
+            restarts=1,
+            seed=6,
+        )
+        result = tune_gpr(prepared_trig4(30, seed=6), grid)
+        assert len(returned) == 2
+        assert result.model is returned[result.selected]
 
 
 class TestTuneMlp:
