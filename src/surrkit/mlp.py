@@ -4,11 +4,14 @@ Each neuron computes z = w0 + sum_i w_i x_i followed by an activation; the
 output layer is identity because targets are standardized reals. Training
 minimizes mean squared error with adaptive-moment updates (plain gradient
 descent is available for convexity checks), restores the parameters with the
-best validation loss, and is bitwise deterministic for a given seed.
+best validation loss, and is bitwise deterministic for a given seed. It keeps
+every weight and bias in one flat vector, of which the model's arrays are
+views, so each minibatch makes one optimizer update over the whole vector.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,18 +115,27 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     return z
 
 
-def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
-    if kind == "relu":
-        return np.where(z > 0, 1.0, 0.0)
-    return np.ones_like(z)
+def _layer_views(flat: np.ndarray, arch: MlpArchitecture):
+    """Weight matrices and bias vectors as views, layer by layer, into ``flat``."""
+    weights, biases, at = [], [], 0
+    dims = arch.layer_dims()
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights.append(flat[at : at + fan_in * fan_out].reshape(fan_in, fan_out))
+        at += fan_in * fan_out
+        biases.append(flat[at : at + fan_out])
+        at += fan_out
+    return weights, biases
+
+
+def _model_at(arch: MlpArchitecture, theta: np.ndarray) -> MlpModel:
+    """A model whose weights and biases are views into the parameter vector ``theta``."""
+    weights, biases = _layer_views(theta, arch)
+    return MlpModel(architecture=arch, weights=weights, biases=biases)
 
 
 def init_model(arch: MlpArchitecture, seed: int) -> MlpModel:
     """Scaled-uniform fan-in initialization, deterministic per seed."""
-    return _init_from_rng(arch, np.random.default_rng(seed))
+    return _model_at(arch, _init_theta(arch, np.random.default_rng(seed)))
 
 
 def mlp_forward(model: MlpModel, X: np.ndarray) -> np.ndarray:
@@ -144,63 +156,58 @@ def mlp_forward(model: MlpModel, X: np.ndarray) -> np.ndarray:
     return a
 
 
+def _mean_square(diff: np.ndarray) -> float:
+    """``np.mean(diff * diff)``: the same sum and division, without its dispatch."""
+    sq = diff * diff
+    return float(np.add.reduce(sq, axis=None) / sq.size)
+
+
 def mse_loss(model: MlpModel, X: np.ndarray, Y: np.ndarray) -> float:
-    diff = mlp_forward(model, X) - Y
-    return float(np.mean(diff * diff))
+    return _mean_square(mlp_forward(model, X) - Y)
 
 
 def loss_gradients(
-    model: MlpModel, X: np.ndarray, Y: np.ndarray
+    model: MlpModel, X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """MSE loss and its gradient for every weight matrix and bias vector."""
+    """MSE loss and its gradient for every weight matrix and bias vector.
+
+    The gradients are views into ``out``, a flat vector laid out as the
+    training parameter vector (a new one when ``None``). The backward pass
+    reads the activations the forward pass stored.
+    """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim == 1:
         Y = Y[:, np.newaxis]
-    act = model.architecture.activation
+    arch = model.architecture
+    act = arch.activation
     last = len(model.weights) - 1
 
-    pre: list[np.ndarray] = []
     activations: list[np.ndarray] = [X]
     a = X
     for i, (W, b) in enumerate(zip(model.weights, model.biases)):
         z = a @ W + b
-        pre.append(z)
         a = z if i == last else _activate(z, act)
         activations.append(a)
 
     diff = activations[-1] - Y
-    loss = float(np.mean(diff * diff))
+    loss = _mean_square(diff)
     delta = (2.0 / diff.size) * diff
 
-    grads_w = [np.empty(0)] * len(model.weights)
-    grads_b = [np.empty(0)] * len(model.biases)
+    if out is None:
+        out = np.empty(arch.parameter_count())
+    grads_w, grads_b = _layer_views(out, arch)
     for i in range(last, -1, -1):
-        grads_w[i] = activations[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
+        np.matmul(activations[i].T, delta, out=grads_w[i])
+        np.add.reduce(delta, axis=0, out=grads_b[i])
         if i > 0:
-            delta = (delta @ model.weights[i].T) * _activate_grad(pre[i - 1], act)
+            delta = delta @ model.weights[i].T
+            if act == "tanh":
+                a = activations[i]
+                delta *= 1.0 - a * a
+            elif act == "relu":
+                delta *= activations[i] > 0
     return loss, grads_w, grads_b
-
-
-class _Adam:
-    def __init__(self, params: list[np.ndarray], lr: float):
-        self.lr = lr
-        self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
-        self.t = 0
-
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
 
 
 def mlp_train(
@@ -217,50 +224,46 @@ def mlp_train(
     An empty validation set disables early stopping and keeps the final
     parameters.
     """
-    X_train = np.asarray(X_train, dtype=np.float64)
-    Y_train = np.asarray(Y_train, dtype=np.float64)
-    X_val = np.asarray(X_val, dtype=np.float64)
-    Y_val = np.asarray(Y_val, dtype=np.float64)
-    if Y_train.ndim == 1:
-        Y_train = Y_train[:, np.newaxis]
-    if Y_val.ndim == 1:
-        Y_val = Y_val[:, np.newaxis]
+    X_train, Y_train = _checked_bin(arch, X_train, Y_train, "training")
+    X_val, Y_val = _checked_bin(arch, X_val, Y_val, "validation")
     n = X_train.shape[0]
     if n == 0:
         raise InputError("training set is empty")
-    if X_train.shape[1] != arch.input_dim or Y_train.shape[1] != arch.output_dim:
-        raise InputError(
-            f"data shapes ({X_train.shape[1]} -> {Y_train.shape[1]}) do not match "
-            f"architecture ({arch.input_dim} -> {arch.output_dim})"
-        )
     have_val = X_val.shape[0] > 0
 
     rng = np.random.default_rng(cfg.seed)
-    model = _init_from_rng(arch, rng)
-    params = model.weights + model.biases
-    adam = _Adam(params, cfg.learning_rate) if cfg.optimizer == "adam" else None
+    theta = _init_theta(arch, rng)
+    model = _model_at(arch, theta)
+    grad = np.empty_like(theta)
+    lr, adam = cfg.learning_rate, cfg.optimizer == "adam"
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m, v, step = np.zeros_like(theta), np.zeros_like(theta), 0
 
     best_val = np.inf
-    best_params: list[np.ndarray] | None = None
+    best_theta: np.ndarray | None = None
     bad_epochs = 0
     history: list[tuple[int, float, float]] = []
 
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(n)
+        X_epoch, Y_epoch = X_train[order], Y_train[order]
         for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            loss, grads_w, grads_b = loss_gradients(model, X_train[idx], Y_train[idx])
-            if not np.isfinite(loss):
+            stop = start + cfg.batch_size
+            loss = loss_gradients(model, X_epoch[start:stop], Y_epoch[start:stop], out=grad)[0]
+            if not math.isfinite(loss):
                 raise NumericError(
                     f"training diverged at epoch {epoch} "
                     f"(learning_rate={cfg.learning_rate})"
                 )
-            grads = grads_w + grads_b
-            if adam is not None:
-                adam.step(params, grads)
+            if adam:
+                step += 1
+                m *= beta1
+                m += (1.0 - beta1) * grad
+                v *= beta2
+                v += (1.0 - beta2) * grad * grad
+                theta -= lr * (m / (1.0 - beta1**step)) / (np.sqrt(v / (1.0 - beta2**step)) + eps)
             else:
-                for p, g in zip(params, grads):
-                    p -= cfg.learning_rate * g
+                theta -= lr * grad
 
         train_loss = mse_loss(model, X_train, Y_train)
         val_loss = mse_loss(model, X_val, Y_val) if have_val else float("nan")
@@ -273,29 +276,46 @@ def mlp_train(
         if have_val:
             if val_loss < best_val:
                 best_val = val_loss
-                best_params = [p.copy() for p in params]
+                best_theta = theta.copy()
                 bad_epochs = 0
             else:
                 bad_epochs += 1
                 if bad_epochs > cfg.early_stop_patience:
                     break
 
-    if best_params is not None:
-        k = len(model.weights)
-        model.weights = best_params[:k]
-        model.biases = best_params[k:]
+    if best_theta is not None:
+        model = _model_at(arch, best_theta)
     model.training_history = history
     return model
 
 
-def _init_from_rng(arch: MlpArchitecture, rng: np.random.Generator) -> MlpModel:
-    weights, biases = [], []
-    dims = arch.layer_dims()
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        limit = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MlpModel(architecture=arch, weights=weights, biases=biases)
+def _checked_bin(arch: MlpArchitecture, X, Y, label: str) -> tuple[np.ndarray, np.ndarray]:
+    """Finite inputs and targets of one bin, as matrices with equal row counts
+    and the architecture's column counts; a rank-1 array is one column."""
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    X, Y = (A[:, np.newaxis] if A.ndim == 1 else A for A in (X, Y))
+    if X.ndim != 2 or Y.ndim != 2:
+        raise InputError(f"{label} inputs and targets must be 2-D matrices")
+    if X.shape[0] != Y.shape[0]:
+        raise InputError(f"{label} set has {X.shape[0]} input rows but {Y.shape[0]} target rows")
+    if (X.shape[1], Y.shape[1]) != (arch.input_dim, arch.output_dim):
+        raise InputError(
+            f"{label} data shapes ({X.shape[1]} -> {Y.shape[1]}) do not match "
+            f"architecture ({arch.input_dim} -> {arch.output_dim})"
+        )
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise InputError(f"{label} set contains non-finite entries")
+    return X, Y
+
+
+def _init_theta(arch: MlpArchitecture, rng: np.random.Generator) -> np.ndarray:
+    """Parameter vector with scaled-uniform fan-in weights and zero biases."""
+    theta = np.zeros(arch.parameter_count())
+    for W in _layer_views(theta, arch)[0]:
+        limit = 1.0 / np.sqrt(W.shape[0])
+        W[:] = rng.uniform(-limit, limit, size=W.shape)
+    return theta
 
 
 def export_history_csv(model: MlpModel, path) -> None:

@@ -187,10 +187,12 @@ class PreparedData:
 
 
 def _verify_inverse(scaler: StandardScaler, raw: np.ndarray, label: str) -> None:
+    # The round trip subtracts and adds the column mean, so its rounding error
+    # scales with |raw| + |mean|, not with |raw| alone.
     restored = inverse_transform(scaler, transform(scaler, raw))
-    tol = 1e-12 * np.maximum(1.0, np.abs(raw))
-    if not (np.abs(restored - raw) <= tol).all():
-        worst = float(np.max(np.abs(restored - raw) / np.maximum(1.0, np.abs(raw))))
+    scale = np.maximum(1.0, np.abs(raw) + np.abs(scaler.means))
+    if not (np.abs(restored - raw) <= 1e-12 * scale).all():
+        worst = float(np.max(np.abs(restored - raw) / scale))
         raise NumericError(
             f"inverse transform failed to restore {label} bin "
             f"(worst relative error {worst:.3e})"
@@ -201,7 +203,7 @@ def preprocess_data_pipeline(data: FidelityDataset, spec: SplitSpec) -> Prepared
     """Flatten, split, fit scalers on the training bin, and scale every bin.
 
     After scaling, each bin is checked to restore its raw values through the
-    inverse transform to within 1e-12 relative.
+    inverse transform to within 1e-12 of max(1, |raw| + |column mean|).
     """
     X = flatten(data.X)
     Y = flatten(data.Y)

@@ -1,9 +1,13 @@
 """Feed-forward network: forward pass, gradients, training behavior."""
 
+import math
+
 import numpy as np
 import pytest
 
-from helpers import max_gradient_error, pooled_r2
+from helpers import max_gradient_error, pooled_r2, reference_mlp_train
+from surrkit import mlp
+from surrkit.data import DataTensor, FidelityDataset
 from surrkit.errors import InputError, NumericError
 from surrkit.mlp import (
     MlpArchitecture,
@@ -13,6 +17,8 @@ from surrkit.mlp import (
     mlp_forward,
     mlp_train,
 )
+from surrkit.preprocess import SplitSpec, preprocess_data_pipeline
+from surrkit.tuner import MlpGrid, tune_mlp
 
 
 class TestForward:
@@ -150,6 +156,113 @@ class TestTraining:
         )
         with pytest.raises(NumericError, match="diverged at epoch"):
             mlp_train(MlpArchitecture(1, (8,), 1, "relu"), cfg, X, Y, X[:5], Y[:5])
+
+
+def _two_output_problem(n=45, n_val=11, seed=3):
+    """A 3-input, 2-output regression with a validation set drawn apart."""
+    rng = np.random.default_rng(seed)
+
+    def target(X):
+        return np.column_stack([np.sin(X[:, 0]), X[:, 1] * X[:, 2]])
+
+    X, Xv = rng.standard_normal((n, 3)), rng.standard_normal((n_val, 3))
+    return X, target(X), Xv, target(Xv)
+
+
+def _grid_config(optimizer="adam"):
+    # 45 rows in batches of 8 leave a last batch of 5.
+    return TrainConfig(
+        learning_rate=1e-2, max_epochs=60, batch_size=8,
+        early_stop_patience=5, seed=4, optimizer=optimizer,
+    )
+
+
+def _parameter_bytes(model):
+    return [p.tobytes() for p in model.weights + model.biases]
+
+
+class TestTrainingBytes:
+    """``mlp_train`` keeps the bytes of the per-array reference loop in helpers."""
+
+    @pytest.mark.parametrize("with_val", [True, False], ids=["val", "no-val"])
+    @pytest.mark.parametrize("hidden", [(6,), (5, 4, 3)], ids=["1-layer", "3-layer"])
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
+    def test_matches_the_reference_loop(self, activation, optimizer, hidden, with_val):
+        X, Y, Xv, Yv = _two_output_problem()
+        if not with_val:
+            Xv, Yv = Xv[:0], Yv[:0]
+        cfg = _grid_config(optimizer)
+        arch = MlpArchitecture(3, hidden, 2, activation)
+        model = mlp_train(arch, cfg, X, Y, Xv, Yv)
+        weights, biases, history = reference_mlp_train(arch, cfg, X, Y, Xv, Yv)
+        assert _parameter_bytes(model) == [p.tobytes() for p in weights + biases]
+        assert np.array(model.training_history).tobytes() == np.array(history).tobytes()
+
+    def test_the_grid_covers_an_early_stop(self):
+        X, Y, Xv, Yv = _two_output_problem()
+        cfg = _grid_config()
+        model = mlp_train(MlpArchitecture(3, (6,), 2), cfg, X, Y, Xv, Yv)
+        assert len(model.training_history) < cfg.max_epochs
+
+
+class TestTrainingContract:
+    def test_one_loss_gradients_call_per_minibatch(self, monkeypatch):
+        """Tracing wraps ``mlp.loss_gradients``; training calls it through the module."""
+        calls = []
+        exact = mlp.loss_gradients
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return exact(*args, **kwargs)
+
+        monkeypatch.setattr(mlp, "loss_gradients", counting)
+        X, Y, Xv, Yv = _two_output_problem()
+        cfg = _grid_config()
+        model = mlp_train(MlpArchitecture(3, (6,), 2), cfg, X, Y, Xv, Yv)
+        assert len(calls) == len(model.training_history) * math.ceil(45 / cfg.batch_size)
+
+    @pytest.mark.parametrize("with_val", [True, False], ids=["val", "no-val"])
+    def test_trained_model_shares_no_buffer_with_later_training(self, with_val):
+        X, Y, Xv, Yv = _two_output_problem()
+        if not with_val:
+            Xv, Yv = Xv[:0], Yv[:0]
+        cfg = TrainConfig(max_epochs=30, early_stop_patience=30, seed=2)
+        arch = MlpArchitecture(3, (6,), 2)
+        first = mlp_train(arch, cfg, X, Y, Xv, Yv)
+        kept = _parameter_bytes(first)
+        second = mlp_train(arch, cfg, X, -Y, Xv, -Yv)
+        data = FidelityDataset(
+            "HF",
+            DataTensor.from_values(np.vstack([X, Xv])[:, :, np.newaxis]),
+            DataTensor.from_values(np.vstack([Y, Yv])[:, :, np.newaxis]),
+        )
+        grid = MlpGrid(layer_counts=(1,), widths=(6, 4), train=cfg)
+        tune_mlp(preprocess_data_pipeline(data, SplitSpec(seed=0)), grid)
+        assert _parameter_bytes(first) == kept
+        for a in first.weights + first.biases:
+            assert not any(np.shares_memory(a, b) for b in second.weights + second.biases)
+
+
+class TestTrainingInputs:
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda d: d.update(Y_val=d["Y_val"][:, :1]), "validation data shapes"),
+            (lambda d: d.update(Y_train=d["Y_train"][:-1]), "training set has 45 input rows"),
+            (lambda d: d.update(X_val=d["X_val"][:-2]), "validation set has 9 input rows"),
+            (lambda d: d["X_train"].__setitem__((3, 1), np.nan), "training set contains non-"),
+            (lambda d: d["Y_val"].__setitem__((0, 0), np.inf), "validation set contains non-"),
+        ],
+        ids=["val-columns", "train-rows", "val-rows", "nan-input", "inf-val-target"],
+    )
+    def test_rejected_before_training(self, edit, match):
+        X, Y, Xv, Yv = _two_output_problem()
+        bins = {"X_train": X, "Y_train": Y, "X_val": Xv, "Y_val": Yv}
+        edit(bins)
+        cfg = TrainConfig(max_epochs=5, early_stop_patience=5, seed=0)
+        with pytest.raises(InputError, match=match):
+            mlp_train(MlpArchitecture(3, (6,), 2), cfg, **bins)
 
 
 class TestConfigValidation:

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surrkit.data import DataTensor, FidelityDataset
-from surrkit.errors import InputError
+from surrkit import preprocess
+from surrkit.errors import InputError, NumericError
 from surrkit.preprocess import (
     SplitSpec,
     StandardScaler,
@@ -148,6 +149,18 @@ class TestPipeline:
         combined = np.sort(np.concatenate(prepared.split_indices))
         np.testing.assert_array_equal(combined, np.arange(83))
 
+    def test_inverse_that_misses_by_a_std_perturbation_raises(self, monkeypatch):
+        """The round-trip check still catches an inverse whose std is off by 1e-9."""
+        exact = preprocess.inverse_transform
+
+        def perturbed(scaler, matrix):
+            off = StandardScaler(scaler.means, scaler.stds * (1.0 + 1e-9), scaler.fitted_on)
+            return exact(off, matrix)
+
+        monkeypatch.setattr(preprocess, "inverse_transform", perturbed)
+        with pytest.raises(NumericError, match="inverse transform failed to restore X train"):
+            preprocess_data_pipeline(make_dataset(50, seed=8), SplitSpec(seed=8))
+
     def test_inverse_identity_on_every_bin(self):
         data = make_dataset(50, seed=8)
         prepared = preprocess_data_pipeline(data, SplitSpec(seed=8))
@@ -165,6 +178,8 @@ class TestPipeline:
 
 @settings(max_examples=20, deadline=None)
 @given(scale=st.floats(1e-6, 1e6), seed=st.integers(0, 2**31))
+# A round-trip error of 1.26e-12 |raw|, within 4e-16 (|raw| + |mean|).
+@example(scale=68102.0, seed=1056)
 def test_standardization_invariance(scale, seed):
     """Pre-scaling the raw data by any positive constant leaves the
     transformed training bin unchanged."""
