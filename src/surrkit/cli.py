@@ -23,7 +23,6 @@ from surrkit.config import DataSource, RunConfig, load_config
 from surrkit.data import (
     DataTensor,
     FidelityDataset,
-    _format_float,
     export_tensor,
     import_tensor,
     write_csv,
@@ -236,12 +235,7 @@ def cmd_predict(args) -> int:
     out = write_csv(
         args.pred_out,
         TensorLayout.of(sites).column_names() + model.y_layout.column_names(),
-        (
-            [_format_float(v) for v in row]
-            for row in np.hstack(
-                [sites.values.reshape(sites.n, -1), pred.values.reshape(pred.n, -1)]
-            )
-        ),
+        np.hstack([sites.values.reshape(sites.n, -1), pred.values.reshape(pred.n, -1)]),
     )
     print(f"wrote {sites.n} predictions to {out}")
     return EXIT_OK

@@ -19,7 +19,8 @@ Tensor-text file format (bit-exact round trip)::
 
 Lines starting with ``#`` are comments; blank lines are ignored. Floats are
 written with the shortest decimal representation that round-trips exactly,
-so export followed by import reproduces every value bit for bit.
+so export followed by import reproduces every value bit for bit. Every float
+text surface goes through :func:`format_rows` and :func:`parse_rows`.
 
 CSV format (RFC-4180 style): header row of scalar names, one row per
 sample; implies ``l = 1``.
@@ -44,10 +45,22 @@ CSV_FORMAT = "csv"
 _METADATA_KEYS = ("scalar_names", "coord_labels", "units")
 
 
-def _format_float(v: float) -> str:
-    # repr() emits the shortest decimal string that parses back to the same
-    # IEEE-754 double, which is what makes text round trips exact.
-    return repr(float(v))
+def format_rows(values: np.ndarray, sep: str = " ") -> list[str]:
+    """Each row of a 2-D float array as one line. A float's ``repr`` is the
+    shortest decimal that parses back to the same double: round trips are exact."""
+    if values.shape[1] == 1:
+        return list(map(repr, values.ravel().tolist()))
+    return [sep.join(map(repr, row)) for row in values.tolist()]
+
+
+def parse_rows(lines: list[str]) -> np.ndarray:
+    """The whitespace-separated floats of ``lines`` as a 2-D array, in one
+    ``np.loadtxt`` call that rounds as ``float()`` does. ValueError on ragged or
+    empty lines and on refused tokens, some of which ``float()`` takes
+    (``1_000``, non-ASCII digits): callers then go token by token."""
+    if not any(map(str.strip, lines)):  # loadtxt would only warn
+        raise ValueError("no data lines")
+    return np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
 
 
 def _default_scalar_names(m: int) -> tuple[str, ...]:
@@ -271,14 +284,21 @@ def _split_metadata_list(value: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in value.split(","))
 
 
-def _locate_bad_token(lines: list[tuple[int, list[str]]]) -> tuple[int, int, str]:
-    for lineno, tokens in lines:
-        for col, tok in enumerate(tokens, start=1):
-            try:
-                float(tok)
-            except ValueError:
-                return lineno, col, tok
-    raise AssertionError("no bad token found")  # pragma: no cover
+def _parse_cells(path: Path, rows: list[tuple[int, list[str]]]) -> np.ndarray:
+    """Equal-length rows of numeric strings, ``(lineno, cells)``, as one
+    array; ``np.array`` takes exactly the strings ``float()`` takes."""
+    try:
+        return np.array([cells for _, cells in rows], dtype=np.float64)
+    except ValueError:
+        for lineno, cells in rows:
+            for col, cell in enumerate(cells, start=1):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise InputError(
+                        f"{path}:{lineno}: non-numeric token {cell!r} in column {col}"
+                    ) from None
+        raise
 
 
 def import_tensor(path: str | Path, fmt: str = TENSOR_TEXT) -> DataTensor:
@@ -295,7 +315,7 @@ def import_tensor(path: str | Path, fmt: str = TENSOR_TEXT) -> DataTensor:
 
 def _import_tensor_text(path: Path) -> DataTensor:
     header: tuple[int, int, int] | None = None
-    data_lines: list[tuple[int, list[str]]] = []
+    data_lines: list[tuple[int, str]] = []
     metadata: dict[str, str] = {}
 
     with open(path, "r", encoding="utf-8") as fh:
@@ -325,7 +345,7 @@ def _import_tensor_text(path: Path) -> DataTensor:
                     raise InputError(f"{path}:{lineno}: shape axes must be >= 1")
                 header = (n, m, l)
                 continue
-            data_lines.append((lineno, line.split()))
+            data_lines.append((lineno, line))
 
     if header is None:
         raise InputError(f"{path}: missing 'n m l' shape header")
@@ -335,26 +355,23 @@ def _import_tensor_text(path: Path) -> DataTensor:
             f"{path}: shape header declares {n}x{m} = {n * m} data lines, "
             f"found {len(data_lines)}"
         )
-    for lineno, tokens in data_lines:
-        if len(tokens) != l:
-            raise InputError(
-                f"{path}:{lineno}: expected {l} values on data line, got {len(tokens)}"
-            )
-
-    flat_tokens = [tok for _, tokens in data_lines for tok in tokens]
     try:
-        values = np.array(flat_tokens, dtype=np.float64)
+        values = parse_rows([line for _, line in data_lines])
     except ValueError:
-        lineno, col, tok = _locate_bad_token(data_lines)
-        raise InputError(
-            f"{path}:{lineno}: non-numeric token {tok!r} in column {col}"
-        ) from None
+        values = None
+    if values is None or values.shape != (n * m, l):
+        rows = [(lineno, line.split()) for lineno, line in data_lines]
+        for lineno, tokens in rows:
+            if len(tokens) != l:
+                raise InputError(
+                    f"{path}:{lineno}: expected {l} values on data line, got {len(tokens)}"
+                )
+        values = _parse_cells(path, rows)
     if not np.isfinite(values).all():
-        idx = int(np.argmin(np.isfinite(values)))
-        lineno, _ = data_lines[idx // l]
+        row, col = np.argwhere(~np.isfinite(values))[0]
+        lineno, line = data_lines[row]
         raise InputError(
-            f"{path}:{lineno}: non-finite value {flat_tokens[idx]!r} in column "
-            f"{idx % l + 1}"
+            f"{path}:{lineno}: non-finite value {line.split()[col]!r} in column {col + 1}"
         )
 
     scalar_names = (
@@ -392,26 +409,19 @@ def _import_csv(path: Path) -> DataTensor:
         if len(set(names)) != len(names):
             dupes = sorted({s for s in names if names.count(s) > 1})
             raise InputError(f"{path}: duplicate scalar names in CSV header: {dupes}")
-        rows: list[list[float]] = []
+        rows: list[tuple[int, list[str]]] = []
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != len(names):
+                _parse_cells(path, rows)  # a bad cell on an earlier row is named first
                 raise InputError(
                     f"{path}:{lineno}: expected {len(names)} cells, got {len(row)}"
                 )
-            parsed = []
-            for col, cell in enumerate(row, start=1):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise InputError(
-                        f"{path}:{lineno}: non-numeric token {cell!r} in column {col}"
-                    ) from None
-            rows.append(parsed)
+            rows.append((lineno, row))
     if not rows:
         raise InputError(f"{path}: CSV file has a header but no data rows")
-    values = np.array(rows, dtype=np.float64)
+    values = _parse_cells(path, rows)
     if not np.isfinite(values).all():
         r, c = np.argwhere(~np.isfinite(values))[0]
         raise InputError(f"{path}:{int(r) + 2}: non-finite value in column {int(c) + 1}")
@@ -448,9 +458,7 @@ def _export_tensor_text(tensor: DataTensor, path: Path) -> None:
     if tensor.units is not None:
         _check_metadata_tokens("unit", tensor.units)
         lines.append("# units: " + ",".join(tensor.units))
-    flat = tensor.values.reshape(n * m, l)
-    for row in flat:
-        lines.append(" ".join(_format_float(v) for v in row))
+    lines += format_rows(tensor.values.reshape(n * m, l))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -459,19 +467,20 @@ def _export_csv(tensor: DataTensor, path: Path) -> None:
         raise InputError(
             f"CSV export requires l=1 (tabular data), tensor has l={tensor.l}"
         )
-    write_csv(
-        path,
-        tensor.scalar_names,
-        ([_format_float(v) for v in row] for row in tensor.values[:, :, 0]),
-    )
+    write_csv(path, tensor.scalar_names, tensor.values[:, :, 0])
 
 
 def write_csv(path: str | Path, header, rows) -> Path:
-    """Write a header row and then ``rows``, creating parent directories."""
+    """Write a header row and then ``rows``, creating parent directories.
+    ``rows`` is cell lists, or a 2-D float array written by :func:`format_rows`
+    (a float's ``repr`` holds nothing ``csv`` would quote)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        if isinstance(rows, np.ndarray):
+            fh.write("".join(line + "\r\n" for line in format_rows(rows, ",")))
+        else:
+            writer.writerows(rows)
     return path

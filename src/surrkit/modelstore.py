@@ -24,10 +24,11 @@ the first free ``<project>_v<k>`` once it is complete. A save that raises
 removes its staging directory; a process killed mid-save leaves it behind
 under its hidden name, never as a version. A rename that finds its name
 taken by a concurrent save moves on to the next ``k``, so concurrent saves
-get distinct versions. Text payloads store every float in its shortest
-round-trip decimal form, so a reloaded model reproduces the original's
-predictions exactly. Binary payloads are raw little-endian float64, C order,
-with shapes recorded in the metadata. Bundles are self-describing; loading
+get distinct versions. Text payloads hold a ``rows cols`` header and then
+every float in its shortest round-trip decimal form (``data.format_rows``),
+so a reloaded model reproduces the original's predictions exactly. Binary
+payloads are raw little-endian float64, C order, with shapes recorded in the
+metadata. Bundles are self-describing; loading
 needs no external configuration. Loading reads each file CHECKSUMS lists
 once, so the bytes it hashes are the bytes it parses, and it rejects a payload
 that CHECKSUMS does not list or that holds a NaN or an infinity: a loaded
@@ -50,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from surrkit import __version__ as _tool_version
-from surrkit.data import _format_float
+from surrkit.data import format_rows, parse_rows
 from surrkit.errors import InputError, StoreError
 from surrkit.gpr import GprModel, KernelSpec
 from surrkit.mlp import MlpArchitecture, MlpModel
@@ -66,9 +67,7 @@ def _save_array(path: Path, arr: np.ndarray, fmt: str) -> None:
     arr = np.atleast_2d(np.asarray(arr, dtype=np.float64))
     path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "text":
-        lines = [f"{arr.shape[0]} {arr.shape[1]}"]
-        for row in arr:
-            lines.append(" ".join(_format_float(v) for v in row))
+        lines = [f"{arr.shape[0]} {arr.shape[1]}", *format_rows(arr)]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     else:
         path.write_bytes(np.ascontiguousarray(arr, dtype="<f8").tobytes())
@@ -78,14 +77,19 @@ def _parse_array(raw: np.ndarray, path: Path, fmt: str, shape: tuple[int, int]) 
     """Array from a payload file's bytes, given as a uint8 array."""
     if fmt == "text":
         lines = str(raw, "utf-8").splitlines()
-        header = lines[0].split()
-        rows, cols = int(header[0]), int(header[1])
+        try:
+            rows, cols = map(int, lines[0].split())
+        except (IndexError, ValueError):
+            raise StoreError(f"{path}: text payload needs a 'rows cols' header") from None
         if (rows, cols) != tuple(shape):
             raise StoreError(
                 f"{path}: payload header {rows}x{cols} disagrees with metadata "
                 f"shape {shape}"
             )
-        values = np.array(" ".join(lines[1:]).split(), dtype=np.float64)
+        try:
+            values = parse_rows(lines[1:])
+        except ValueError:
+            values = np.array(" ".join(lines[1:]).split(), dtype=np.float64)
     else:
         if raw.size % 8:
             raise StoreError(f"{path}: size is not a whole number of float64 values")

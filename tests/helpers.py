@@ -29,6 +29,12 @@ NON_FINITE_HYPERPARAMETERS = [
 NON_FINITE_HYPERPARAMETER_IDS = ["ls-inf", "ls-nan", "sf2-nan", "sf2-inf", "noise-nan"]
 
 
+def reference_format_row(row) -> str:
+    """One row of floats as text, value by value: the bytes every float-text
+    writer must reproduce."""
+    return " ".join(repr(float(v)) for v in row)
+
+
 def direct_gpr_oracle(K_noisy, Ks, Kss_diag, Y):
     """Mean/variance/lml via explicit inverse and determinant, no Cholesky.
 

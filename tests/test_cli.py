@@ -640,3 +640,33 @@ def test_non_finite_hyperparameter_exits_2_with_one_line(predict_bundles, tmp_pa
     lines = err.getvalue().strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and key in lines[0], lines
     assert not (tmp_path / "pred.csv").exists()
+
+
+@pytest.mark.parametrize("edit", ["empty", "blank-line", "rows-only", "three-tokens"])
+def test_text_payload_without_a_two_integer_header_exits_2_with_one_line(
+    predict_bundles, tmp_path, edit
+):
+    """A composite whose LF ``alpha.txt`` lost its ``rows cols`` header, or
+    gained a third header token, with every checksum re-signed, is refused at
+    load with one line on stderr instead of a traceback."""
+    bundle = shutil.copytree(predict_bundles[1][1], tmp_path / "model")
+    alpha = bundle / "lf_model" / "payload" / "alpha.txt"
+    header, _, body = alpha.read_text().partition("\n")
+    alpha.write_text({
+        "empty": "",
+        "blank-line": "\n",
+        "rows-only": header.split()[0] + "\n",
+        "three-tokens": f"{header} x\n{body}",
+    }[edit])
+    resign_checksums(bundle)
+    sites = tmp_path / "sites.csv"
+    sites.write_text("x\n0.25\n0.75\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["predict", "--model-dir", str(bundle), "--sites", str(sites),
+                     "--out", str(tmp_path / "pred.csv")])
+    assert code == 2
+    lines = err.getvalue().strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "alpha.txt: text payload needs a 'rows cols' header" in lines[0], lines
+    assert not (tmp_path / "pred.csv").exists()

@@ -4,17 +4,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from helpers import reference_format_row
 from surrkit.data import (
     DataTensor,
     FidelityDataset,
     FlatMatrix,
     export_tensor,
     flatten,
+    format_rows,
     import_tensor,
+    parse_rows,
     unflatten,
+    write_csv,
 )
 from surrkit.errors import InputError
+from surrkit.modelstore import _parse_array
 
 
 def write_tensor_text(path, n, m, l, values, extra_lines=()):
@@ -60,23 +66,51 @@ class TestImportTensorText:
             import_tensor(path)
 
     def test_wrong_line_width(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("1 1 3\n1.0 2.0\n")
-        with pytest.raises(InputError, match="expected 3 values"):
-            import_tensor(path)
+        """Named for ragged lines, which the one-call parse refuses, for even
+        but narrow lines, which it reads, and before any bad token."""
+        for text, lineno, width, count in [
+            ("1 1 3\n1.0 2.0\n", 2, 3, 2),
+            ("2 1 3\n1 2 3\n4 5\n", 3, 3, 2),
+            ("2 1 3\n1 2\n3 4\n", 2, 3, 2),
+            ("2 1 2\nx 2\n3\n", 3, 2, 1),
+        ]:
+            path = tmp_path / "bad.txt"
+            path.write_text(text)
+            with pytest.raises(InputError) as exc:
+                import_tensor(path)
+            assert str(exc.value) == (
+                f"{path}:{lineno}: expected {width} values on data line, got {count}"
+            )
 
     def test_non_numeric_token_reports_line_and_column(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2 1 2\n1.0 2.0\n3.0 oops\n")
         with pytest.raises(InputError, match=r"bad\.txt:3.*'oops'.*column 2"):
             import_tensor(path)
+        path.write_text("3 1 3\n1.0 2.0 3.0\n# note\n4.0 5.0 6.0\n7.0 8.0 x9\n")
+        with pytest.raises(InputError) as exc:
+            import_tensor(path)
+        assert str(exc.value) == f"{path}:5: non-numeric token 'x9' in column 3"
 
     def test_nan_and_inf_rejected(self, tmp_path):
-        for token in ("nan", "inf", "-inf"):
-            path = tmp_path / f"{token.strip('-')}.txt"
-            path.write_text(f"1 1 2\n1.0 {token}\n")
-            with pytest.raises(InputError, match="non-finite"):
+        for token in ("nan", "NaN", "inf", "-inf", "Infinity", "1e999"):
+            path = tmp_path / "bad.txt"
+            path.write_text(f"2 1 3\n1 2 3\n\n4 {token} 6\n")
+            with pytest.raises(InputError) as exc:
                 import_tensor(path)
+            assert str(exc.value) == f"{path}:4: non-finite value {token!r} in column 2"
+
+    def test_tokens_float_takes_but_loadtxt_refuses(self, tmp_path):
+        """``1_000`` and non-ASCII digits load with the values ``float()``
+        gives them, in tensor files and in text bundle payloads alike."""
+        body = "1_000 \u0663\n2.5 \u0661\u0662.\u0665\n"
+        path = tmp_path / "t.txt"
+        path.write_text("2 1 2\n" + body, encoding="utf-8")
+        assert import_tensor(path).values.ravel().tolist() == [1000.0, 3.0, 2.5, 12.5]
+        raw = np.frombuffer(("2 2\n" + body).encode(), np.uint8)
+        assert _parse_array(raw, path, "text", (2, 2)).ravel().tolist() == [
+            1000.0, 3.0, 2.5, 12.5
+        ]
 
     def test_duplicate_scalar_names_rejected(self, tmp_path):
         path = tmp_path / "dup.txt"
@@ -87,6 +121,49 @@ class TestImportTensorText:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="not found"):
             import_tensor(tmp_path / "nope.txt")
+
+
+# Values whose shortest round-trip spelling is easy to get wrong.
+SPECIAL_FLOATS = [-0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1e-5, 1e16, 1e22, 2.0**53 + 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.integers(1, 12).flatmap(
+        lambda rows: st.sampled_from([1, 2, 7]).flatmap(
+            lambda width: arrays(
+                np.float64, (rows, width),
+                elements=st.floats(width=64) | st.sampled_from(SPECIAL_FLOATS),
+            )
+        )
+    )
+)
+def test_format_rows_matches_the_per_value_reference(values):
+    assert format_rows(values) == [reference_format_row(row) for row in values]
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_csv_rows_from_an_array_match_cell_by_cell_rows(tmp_path, width):
+    values = np.array(SPECIAL_FLOATS[:6], dtype=np.float64).reshape(-1, width)
+    header = [f"c{j}" for j in range(width)]
+    fast = write_csv(tmp_path / "fast.csv", header, values)
+    cells = write_csv(
+        tmp_path / "cells.csv", header, ([repr(float(v)) for v in row] for row in values)
+    )
+    assert fast.read_bytes() == cells.read_bytes()
+
+
+def test_reader_returns_the_bytes_np_array_gives(tmp_path):
+    """Unusual but valid spellings, separated by tabs and runs of spaces,
+    parse to the bits ``np.array`` of their tokens gives."""
+    lines = [".5\t5.   +1", "1E+05 \t 007.5\t\t1234567890123456789012345"]
+    expected = np.array(" ".join(lines).split(), dtype=np.float64).reshape(2, 3)
+    assert parse_rows(lines).tobytes() == expected.tobytes()
+    path = tmp_path / "t.txt"
+    path.write_text("2 1 3\n" + "\n".join(lines) + "\n")
+    assert import_tensor(path).values.tobytes() == expected.tobytes()
+    raw = np.frombuffer(("2 3\n" + "\n".join(lines) + "\n").encode(), np.uint8)
+    assert _parse_array(raw, path, "text", (2, 3)).tobytes() == expected.tobytes()
 
 
 class TestImportCsv:
@@ -109,6 +186,19 @@ class TestImportCsv:
         path.write_text("a,b\n1,x\n")
         with pytest.raises(InputError, match="column 2"):
             import_tensor(path, "csv")
+
+    def test_bad_cell_is_named_before_a_later_short_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b\n1,2\n3,x\n4\n")
+        with pytest.raises(InputError) as exc:
+            import_tensor(path, "csv")
+        assert str(exc.value) == f"{path}:3: non-numeric token 'x' in column 2"
+
+    def test_cells_parse_as_float_does(self, tmp_path):
+        path = tmp_path / "odd.csv"
+        path.write_text('a,b,c\n1_000, 2.5 ,\u0663\n".5",5.,1E+05\n', encoding="utf-8")
+        tensor = import_tensor(path, "csv")
+        assert tensor.values.ravel().tolist() == [1000.0, 2.5, 3.0, 0.5, 5.0, 1e5]
 
 
 class TestFlatten:
