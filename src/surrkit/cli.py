@@ -235,7 +235,12 @@ def cmd_predict(args) -> int:
     out = write_csv(
         args.pred_out,
         TensorLayout.of(sites).column_names() + model.y_layout.column_names(),
-        np.hstack([sites.values.reshape(sites.n, -1), pred.values.reshape(pred.n, -1)]),
+        (
+            map(repr, row)
+            for row in np.hstack(
+                [sites.values.reshape(sites.n, -1), pred.values.reshape(pred.n, -1)]
+            ).tolist()
+        ),
     )
     print(f"wrote {sites.n} predictions to {out}")
     return EXIT_OK

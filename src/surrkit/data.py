@@ -20,7 +20,7 @@ Tensor-text file format (bit-exact round trip)::
 Lines starting with ``#`` are comments; blank lines are ignored. Floats are
 written with the shortest decimal representation that round-trips exactly,
 so export followed by import reproduces every value bit for bit. Every float
-text surface goes through :func:`format_rows` and :func:`parse_rows`.
+row written as text goes through :func:`format_rows`.
 
 CSV format (RFC-4180 style): header row of scalar names, one row per
 sample; implies ``l = 1``.
@@ -45,22 +45,12 @@ CSV_FORMAT = "csv"
 _METADATA_KEYS = ("scalar_names", "coord_labels", "units")
 
 
-def format_rows(values: np.ndarray, sep: str = " ") -> list[str]:
+def format_rows(values: np.ndarray) -> list[str]:
     """Each row of a 2-D float array as one line. A float's ``repr`` is the
     shortest decimal that parses back to the same double: round trips are exact."""
     if values.shape[1] == 1:
         return list(map(repr, values.ravel().tolist()))
-    return [sep.join(map(repr, row)) for row in values.tolist()]
-
-
-def parse_rows(lines: list[str]) -> np.ndarray:
-    """The whitespace-separated floats of ``lines`` as a 2-D array, in one
-    ``np.loadtxt`` call that rounds as ``float()`` does. ValueError on ragged or
-    empty lines and on refused tokens, some of which ``float()`` takes
-    (``1_000``, non-ASCII digits): callers then go token by token."""
-    if not any(map(str.strip, lines)):  # loadtxt would only warn
-        raise ValueError("no data lines")
-    return np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+    return [" ".join(map(repr, row)) for row in values.tolist()]
 
 
 def _default_scalar_names(m: int) -> tuple[str, ...]:
@@ -355,8 +345,13 @@ def _import_tensor_text(path: Path) -> DataTensor:
             f"{path}: shape header declares {n}x{m} = {n * m} data lines, "
             f"found {len(data_lines)}"
         )
+    # One loadtxt call rounds as float() does. It raises on ragged lines and on
+    # the few tokens float() takes but it refuses (1_000, non-ASCII digits);
+    # the per-token path then words the error or accepts those tokens.
     try:
-        values = parse_rows([line for _, line in data_lines])
+        values = np.loadtxt(
+            [line for _, line in data_lines], dtype=np.float64, comments=None, ndmin=2
+        )
     except ValueError:
         values = None
     if values is None or values.shape != (n * m, l):
@@ -467,20 +462,19 @@ def _export_csv(tensor: DataTensor, path: Path) -> None:
         raise InputError(
             f"CSV export requires l=1 (tabular data), tensor has l={tensor.l}"
         )
-    write_csv(path, tensor.scalar_names, tensor.values[:, :, 0])
+    write_csv(
+        path,
+        tensor.scalar_names,
+        (map(repr, row) for row in tensor.values[:, :, 0].tolist()),
+    )
 
 
 def write_csv(path: str | Path, header, rows) -> Path:
-    """Write a header row and then ``rows``, creating parent directories.
-    ``rows`` is cell lists, or a 2-D float array written by :func:`format_rows`
-    (a float's ``repr`` holds nothing ``csv`` would quote)."""
+    """Write a header row and then ``rows``, creating parent directories."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        if isinstance(rows, np.ndarray):
-            fh.write("".join(line + "\r\n" for line in format_rows(rows, ",")))
-        else:
-            writer.writerows(rows)
+        writer.writerows(rows)
     return path

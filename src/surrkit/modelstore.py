@@ -51,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from surrkit import __version__ as _tool_version
-from surrkit.data import format_rows, parse_rows
+from surrkit.data import format_rows
 from surrkit.errors import InputError, StoreError
 from surrkit.gpr import GprModel, KernelSpec
 from surrkit.mlp import MlpArchitecture, MlpModel
@@ -86,10 +86,7 @@ def _parse_array(raw: np.ndarray, path: Path, fmt: str, shape: tuple[int, int]) 
                 f"{path}: payload header {rows}x{cols} disagrees with metadata "
                 f"shape {shape}"
             )
-        try:
-            values = parse_rows(lines[1:])
-        except ValueError:
-            values = np.array(" ".join(lines[1:]).split(), dtype=np.float64)
+        values = np.array(" ".join(lines[1:]).split(), dtype=np.float64)
     else:
         if raw.size % 8:
             raise StoreError(f"{path}: size is not a whole number of float64 values")
