@@ -259,16 +259,15 @@ def cmd_evaluate(args) -> int:
 
 def cmd_convergence(args) -> int:
     cfg = load_config(args.config, args.seed, args.out, _split_flags(args))
+    try:
+        sizes = tuple(map(int, args.sizes.split(","))) if args.sizes else cfg.convergence_sizes
+    except ValueError:
+        raise InputError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
+    if not sizes:
+        raise InputError("no sizes given; set convergence.sizes or pass --sizes")
     run = _Run(_out_dir(cfg, args), args.verbose)
     _write_config_copy(cfg, run)
     dataset = _load_single_dataset(cfg)
-    sizes = (
-        tuple(int(s) for s in args.sizes.split(","))
-        if args.sizes
-        else cfg.convergence_sizes
-    )
-    if not sizes:
-        raise InputError("no sizes given; set convergence.sizes or pass --sizes")
     with _stage("convergence"):
         curve = convergence_study(
             dataset, cfg.convergence_model, list(sizes), cfg.split

@@ -1,40 +1,20 @@
 """Run configuration: a strict JSON schema for the pipeline commands.
 
-Every key is validated before any stage runs; unknown keys are rejected with
-their full path. CLI flags (``--seed``, ``--out``, the split fractions and
-``mf-train``'s data paths) override config values.
-The schema, with every section optional unless a command needs it::
+``_SCHEMA`` lists every key once, with the reader that checks its JSON type
+(a bool is no number, and an integer key takes a float only if it is
+integral); README's "Configuration" shows a full config. Every key is
+checked before any stage runs, an unknown key is rejected with its full
+path, and an omitted key keeps the default of the dataclass field it sets.
+CLI flags (``--seed``, ``--out``, the split fractions and ``mf-train``'s
+data paths) override config values.
 
-    {
-      "seed": 7,
-      "out_dir": "runs/demo",
-      "split":   {"train_frac": 0.7, "test_frac": 0.15, "val_frac": 0.15},
-      "data":    {"x": "x.txt", "y": "y.txt", "format": "tensor-text",
-                  "fidelity": "HF"},
-      "lf_data": {...like data...},
-      "hf_data": {...like data...},
-      "fidelity_chain": [{...like data, plus "model"...}, ...],
-      "model":    {"kind": "gpr"},
-      "lf_model": {"kind": "gpr"},
-      "mf_model": {"kind": "gpr"},
-      "gpr": {"kernels": ["rbf", "matern0.5", "matern1.5", "matern2.5"],
-              "restarts": 3,
-              "length_scale_bounds": [1e-2, 1e2],
-              "signal_variance_bounds": [1e-3, 1e3],
-              "noise_bounds": [1e-10, 1.0]},
-      "mlp": {"layers": [1, 2, 3], "widths": [16, 32, 64, 128],
-              "learning_rate": 1e-3, "max_epochs": 500, "batch_size": 32,
-              "early_stop_patience": 50, "optimizer": "adam"},
-      "convergence": {"sizes": [8, 16, 32], "model": "gpr"}
-    }
-
-    ``fidelity_chain`` lists two or more levels, lowest fidelity first;
-    lf_data/hf_data (tagged "LF"/"HF" by default) with lf_model/mf_model is
-    the two-level chain written another way. A config uses one form. The
-    ``--lf-*``/``--hf-*`` flags replace the lowest/highest level's x/y.
-    A relative data path or ``out_dir`` is read against the config file's
-    directory, or, given by a flag, against the working directory;
-    ``RunConfig.raw`` holds every data path and ``out_dir`` made absolute.
+``fidelity_chain`` lists two or more levels, lowest fidelity first;
+lf_data/hf_data (tagged "LF"/"HF" by default) with lf_model/mf_model is the
+two-level chain written another way. A config uses one form. The
+``--lf-*``/``--hf-*`` flags replace the lowest/highest level's x/y. A
+relative data path or ``out_dir`` is read against the config file's
+directory, or, given by a flag, against the working directory;
+``RunConfig.raw`` holds every data path and ``out_dir`` made absolute.
 
 Kernel tokens: ``rbf``, ``maternNU`` with NU in {0.5, 1.5, 2.5}, and
 ``constant*`` prefixes of either to make the signal variance tunable.
@@ -44,33 +24,123 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from surrkit.errors import InputError
-from surrkit.gpr import HyperBounds, default_kernel_grid, kernel_from_name
+from surrkit.gpr import HyperBounds, KernelSpec, kernel_from_name
 from surrkit.mlp import TrainConfig
 from surrkit.preprocess import SplitSpec
 from surrkit.tuner import MODEL_KINDS, GprGrid, MlpGrid
 
-_SCHEMA: dict[str, tuple[str, ...]] = {
-    "": ("seed", "out_dir", "split", "data", "lf_data", "hf_data",
-         "fidelity_chain", "model", "lf_model", "mf_model", "gpr", "mlp",
-         "convergence"),
-    "split": ("train_frac", "test_frac", "val_frac"),
-    "data": ("x", "y", "format", "fidelity"),
-    "lf_data": ("x", "y", "format", "fidelity"),
-    "hf_data": ("x", "y", "format", "fidelity"),
-    "fidelity_chain[]": ("x", "y", "format", "fidelity", "model"),
-    "model": ("kind",),
-    "lf_model": ("kind",),
-    "mf_model": ("kind",),
-    "gpr": ("kernels", "restarts", "length_scale_bounds",
-            "signal_variance_bounds", "noise_bounds"),
-    "mlp": ("layers", "widths", "learning_rate", "max_epochs", "batch_size",
-            "early_stop_patience", "optimizer"),
-    "convergence": ("sizes", "model"),
-}
+
+def _wrong(where: str, expected: str, value) -> InputError:
+    return InputError(f"config key {where!r} must be {expected}, got {value!r}")
+
+
+def _integer(value, where: str) -> int:
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise _wrong(where, "an integer", value)
+
+
+def _number(value, where: str) -> float:
+    if type(value) not in (int, float):
+        raise _wrong(where, "a number", value)
+    return float(value)
+
+
+def _string(value, where: str) -> str:
+    if type(value) is not str:
+        raise _wrong(where, "a string", value)
+    return value
+
+
+def _string_or_null(value, where: str) -> str | None:
+    return None if value is None else _string(value, where)
+
+
+def _one_of(*options: str):
+    def read(value, where: str) -> str:
+        if value not in options:
+            raise _wrong(where, f"one of {options}", value)
+        return value
+
+    return read
+
+
+def _list_of(read, items: str):
+    def read_list(value, where: str) -> tuple:
+        if type(value) is not list or not value:
+            raise _wrong(where, f"a nonempty list of {items}", value)
+        return tuple(read(v, f"{where}[{i}]") for i, v in enumerate(value))
+
+    return read_list
+
+
+def _pair(value, where: str) -> tuple[float, float]:
+    if type(value) is not list or len(value) != 2:
+        raise _wrong(where, "a [lo, hi] pair of numbers", value)
+    return _number(value[0], f"{where}[0]"), _number(value[1], f"{where}[1]")
+
+
+def _kernel(value, where: str) -> KernelSpec:
+    token = _string(value, where)
+    try:
+        return kernel_from_name(token)
+    except InputError as exc:
+        raise InputError(f"config key {where!r}: {exc}") from None
+
+
+def _object(readers: dict):
+    """A reader of an object whose keys ``readers`` lists; it returns the
+    checked values by dataclass field name."""
+
+    def read(value, where: str) -> dict:
+        if type(value) is not dict:
+            raise InputError(f"config key {where!r} must be an object")
+        paths = {key: f"{where}.{key}" if where else key for key in value}
+        for key, path in paths.items():
+            if key not in readers:
+                raise InputError(
+                    f"unknown config key {path!r}; allowed here: {sorted(readers)}"
+                )
+        return {_FIELD.get(k, k): readers[k](v, paths[k]) for k, v in value.items()}
+
+    return read
+
+
+# Config keys that set a dataclass field of another name.
+_FIELD = {"layers": "layer_counts", "length_scale_bounds": "length_scale",
+          "signal_variance_bounds": "signal_variance", "noise_bounds": "noise"}
+_DATA = {"x": _string, "y": _string, "format": _one_of("tensor-text", "csv"),
+         "fidelity": _string}
+_KIND = _one_of(*MODEL_KINDS)
+_MODEL = _object({"kind": _KIND})
+_INTEGERS = _list_of(_integer, "integers")
+_SCHEMA = _object({
+    "seed": _integer,
+    "out_dir": _string_or_null,
+    "split": _object({"train_frac": _number, "test_frac": _number, "val_frac": _number}),
+    "data": _object(_DATA),
+    "lf_data": _object(_DATA),
+    "hf_data": _object(_DATA),
+    "fidelity_chain": _list_of(_object({**_DATA, "model": _KIND}), "fidelity levels"),
+    "model": _MODEL,
+    "lf_model": _MODEL,
+    "mf_model": _MODEL,
+    "gpr": _object({
+        "kernels": _list_of(_kernel, "kernel tokens"), "restarts": _integer,
+        "length_scale_bounds": _pair, "signal_variance_bounds": _pair,
+        "noise_bounds": _pair,
+    }),
+    "mlp": _object({
+        "layers": _INTEGERS, "widths": _INTEGERS, "learning_rate": _number,
+        "max_epochs": _integer, "batch_size": _integer,
+        "early_stop_patience": _integer, "optimizer": _string,
+    }),
+    "convergence": _object({"sizes": _INTEGERS, "model": _KIND}),
+})
 
 
 @dataclass(frozen=True)
@@ -96,30 +166,11 @@ class RunConfig:
     raw: dict
 
 
-def _reject_unknown(section: dict, path: str) -> None:
-    allowed = _SCHEMA[path]
-    for key in section:
-        if key not in allowed:
-            where = f"{path}.{key}" if path else key
-            raise InputError(
-                f"unknown config key {where!r}; allowed here: {sorted(allowed)}"
-            )
-
-
-def _require(section: dict, key: str, path: str):
-    if key not in section:
-        where = f"{path}.{key}" if path else key
-        raise InputError(f"missing required config key {where!r}")
-    return section[key]
-
-
-def _section(raw: dict, key: str) -> dict:
-    """The top-level object ``key`` (empty when absent), checked against the schema."""
-    section = raw.get(key, {})
-    if not isinstance(section, dict):
-        raise InputError(f"config key {key!r} must be an object")
-    _reject_unknown(section, key)
-    return section
+def _build(cls, values: dict, **fixed):
+    """``cls`` from ``fixed`` and the ``values`` that name its fields; a field
+    that neither gives keeps its default."""
+    names = {f.name for f in fields(cls)}
+    return cls(**{**{k: v for k, v in values.items() if k in names}, **fixed})
 
 
 def _given(overrides: dict | None) -> dict:
@@ -130,95 +181,68 @@ def _absolute_paths(section: dict, base: Path) -> dict:
     """``section`` with its ``x``/``y`` data paths made absolute, a relative one
     read against ``base``."""
     return {
-        key: os.path.abspath(base / str(value)) if key in ("x", "y") else value
+        key: os.path.abspath(base / value) if key in ("x", "y") else value
         for key, value in section.items()
     }
 
 
-def _data_source(section: dict, path: str, default_fidelity: str = "") -> DataSource:
-    fmt = section.get("format", "tensor-text")
-    if fmt not in ("tensor-text", "csv"):
-        raise InputError(f"{path}.format must be 'tensor-text' or 'csv', got {fmt!r}")
-    return DataSource(
-        x=Path(_require(section, "x", path)),
-        y=Path(_require(section, "y", path)),
-        format=fmt,
-        fidelity=str(section.get("fidelity", "")) or default_fidelity,
+def _data_source(level: dict, where: str, fidelity: str) -> DataSource:
+    for key in ("x", "y"):
+        if key not in level:
+            raise InputError(f"missing required config key '{where}.{key}'")
+    return _build(
+        DataSource, level, x=Path(level["x"]), y=Path(level["y"]),
+        fidelity=level.get("fidelity") or fidelity,
     )
-
-
-def _model_kind(value, where: str) -> str:
-    kind = str(value)
-    if kind not in MODEL_KINDS:
-        raise InputError(f"{where} must be one of {MODEL_KINDS}, got {kind!r}")
-    return kind
-
-
-def _bounds_pair(raw, name: str) -> tuple[float, float]:
-    if (
-        not isinstance(raw, (list, tuple))
-        or len(raw) != 2
-        or not all(isinstance(v, (int, float)) for v in raw)
-    ):
-        raise InputError(f"gpr.{name} must be a [lo, hi] pair of numbers")
-    return float(raw[0]), float(raw[1])
 
 
 _CHAIN_ENDS = {"lf_data": 0, "hf_data": -1}
 
 
 def _fidelity_chain(
-    raw: dict, base: Path, data_overrides: dict | None
+    raw: dict, top: dict, base: Path, data_overrides: dict | None
 ) -> tuple[tuple[DataSource, str], ...]:
     """The fidelity levels to fuse, lowest first, each with its model kind.
 
-    Makes the levels' data paths in ``raw`` absolute and folds the
-    ``lf_data``/``hf_data`` path overrides, read against the working
-    directory, into the lowest/highest level, in whichever of the two forms
-    ``raw`` gives the levels.
+    Reads either form of the checked config ``top`` as a list of levels,
+    folds the ``lf_data``/``hf_data`` path overrides, read against the
+    working directory, into the lowest/highest level, and writes the levels
+    back to ``raw`` in its form with every data path absolute.
     """
     flags = {
         key: _absolute_paths(_given((data_overrides or {}).get(key)), Path())
         for key in _CHAIN_ENDS
     }
-    if "fidelity_chain" not in raw:
-        for key in _CHAIN_ENDS:
-            if key in raw or flags[key]:
-                raw[key] = {**_absolute_paths(_section(raw, key), base), **flags[key]}
-        kinds = [
-            _model_kind(_section(raw, key).get("kind", "gpr"), f"{key}.kind")
-            for key in ("lf_model", "mf_model")
-        ]
-        if not any(key in raw for key in _CHAIN_ENDS):
+    chain = "fidelity_chain" in top
+    if chain:
+        mixed = [k for k in ("lf_data", "hf_data", "lf_model", "mf_model") if k in top]
+        if mixed:
+            raise InputError(
+                f"config gives both 'fidelity_chain' and {mixed[0]!r}; "
+                "give the fidelity levels in one form"
+            )
+        levels = list(top["fidelity_chain"])
+        if len(levels) < 2:
+            raise InputError("fidelity_chain must list at least two fidelity levels")
+        names = [f"fidelity_chain[{i}]" for i in range(len(levels))]
+        kinds = [level.get("model", "gpr") for level in levels]
+        fidelities = [f"level{i}" for i in range(len(levels))]
+    else:
+        if not any(key in top or flags[key] for key in _CHAIN_ENDS):
             return ()
-        return tuple(
-            (_data_source(_section(raw, key), key, fidelity), kind)
-            for key, fidelity, kind in zip(_CHAIN_ENDS, ("LF", "HF"), kinds)
-        )
-
-    mixed = [key for key in ("lf_data", "hf_data", "lf_model", "mf_model") if key in raw]
-    if mixed:
-        raise InputError(
-            f"config gives both 'fidelity_chain' and {mixed[0]!r}; "
-            "give the fidelity levels in one form"
-        )
-    levels = raw["fidelity_chain"]
-    if not isinstance(levels, list) or len(levels) < 2:
-        raise InputError("fidelity_chain must list at least two fidelity levels")
-    for i, level in enumerate(levels):
-        if not isinstance(level, dict):
-            raise InputError(f"fidelity_chain[{i}] must be an object")
-        _reject_unknown(level, "fidelity_chain[]")
-    levels = raw["fidelity_chain"] = [_absolute_paths(level, base) for level in levels]
+        names, fidelities = list(_CHAIN_ENDS), ["LF", "HF"]
+        levels = [top.get(key, {}) for key in names]
+        kinds = [top.get(key, {}).get("kind", "gpr") for key in ("lf_model", "mf_model")]
+    levels = [_absolute_paths(level, base) for level in levels]
     for key, end in _CHAIN_ENDS.items():
-        if flags[key]:
-            levels[end] = {**levels[end], **flags[key]}
+        levels[end] = {**levels[end], **flags[key]}
+    if chain:
+        raw["fidelity_chain"] = levels
+    else:
+        raw.update((key, level) for key, level in zip(names, levels) if level)
     return tuple(
-        (
-            _data_source(level, "fidelity_chain[]", f"level{i}"),
-            _model_kind(level.get("model", "gpr"), f"fidelity_chain[{i}].model"),
-        )
-        for i, level in enumerate(levels)
+        (_data_source(level, name, fidelity), kind)
+        for level, name, fidelity, kind in zip(levels, names, fidelities, kinds)
     )
 
 
@@ -244,78 +268,34 @@ def load_config(
         raise InputError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise InputError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise InputError(f"config {path} must be a JSON object")
-    _reject_unknown(raw, "")
+    top = _SCHEMA(raw, "")
     base = path.parent
 
-    seed = seed_override if seed_override is not None else int(raw.get("seed", 0))
-    raw["seed"] = seed
-
-    split_raw = _section(raw, "split")
+    if seed_override is not None:
+        top["seed"] = seed_override
+    split_given = {**top.get("split", {}), **_given(split_overrides)}
+    # The run's seed, the file's or the default, is the split's.
+    split = _build(SplitSpec, {**top, **split_given})
+    raw["seed"] = seed = split.seed
     if _given(split_overrides):
-        split_raw = raw["split"] = {**split_raw, **_given(split_overrides)}
-    split = SplitSpec(
-        train_frac=float(split_raw.get("train_frac", 0.70)),
-        test_frac=float(split_raw.get("test_frac", 0.15)),
-        val_frac=float(split_raw.get("val_frac", 0.15)),
-        seed=seed,
-    )
+        raw["split"] = split_given
 
     data = None
-    if "data" in raw:
-        raw["data"] = _absolute_paths(_section(raw, "data"), base)
+    if "data" in top:
+        raw["data"] = _absolute_paths(top["data"], base)
         data = _data_source(raw["data"], "data", "data")
-    chain = _fidelity_chain(raw, base, data_overrides)
-    model_kind = _model_kind(_section(raw, "model").get("kind", "gpr"), "model.kind")
+    chain = _fidelity_chain(raw, top, base, data_overrides)
+    model_kind = top.get("model", {}).get("kind", "gpr")
+    gpr = top.get("gpr", {})
+    mlp = top.get("mlp", {})
+    convergence = top.get("convergence", {})
 
-    gpr_raw = _section(raw, "gpr")
-    kernel_names = gpr_raw.get("kernels")
-    if kernel_names is not None:
-        if not isinstance(kernel_names, list) or not kernel_names:
-            raise InputError("gpr.kernels must be a nonempty list of kernel tokens")
-        kernels = tuple(kernel_from_name(str(k)) for k in kernel_names)
-    else:
-        kernels = default_kernel_grid()
-    bounds = HyperBounds(
-        length_scale=_bounds_pair(
-            gpr_raw.get("length_scale_bounds", [1e-2, 1e2]), "length_scale_bounds"
-        ),
-        signal_variance=_bounds_pair(
-            gpr_raw.get("signal_variance_bounds", [1e-3, 1e3]), "signal_variance_bounds"
-        ),
-        noise=_bounds_pair(gpr_raw.get("noise_bounds", [1e-10, 1.0]), "noise_bounds"),
-    )
-    gpr_grid = GprGrid(
-        kernels=kernels,
-        restarts=int(gpr_raw.get("restarts", 3)),
-        bounds=bounds,
-        seed=seed,
-    )
-
-    mlp_raw = _section(raw, "mlp")
-    train_cfg = TrainConfig(
-        learning_rate=float(mlp_raw.get("learning_rate", 1e-3)),
-        max_epochs=int(mlp_raw.get("max_epochs", 500)),
-        batch_size=int(mlp_raw.get("batch_size", 32)),
-        early_stop_patience=int(mlp_raw.get("early_stop_patience", 50)),
-        seed=seed,
-        optimizer=str(mlp_raw.get("optimizer", "adam")),
-    )
-    mlp_grid = MlpGrid(
-        layer_counts=tuple(int(c) for c in mlp_raw.get("layers", [1, 2, 3])),
-        widths=tuple(int(w) for w in mlp_raw.get("widths", [16, 32, 64, 128])),
-        train=train_cfg,
-    )
-
-    conv_raw = _section(raw, "convergence")
-    sizes = tuple(int(s) for s in conv_raw.get("sizes", []))
-    conv_model = _model_kind(conv_raw.get("model", model_kind), "convergence.model")
-
-    if raw.get("out_dir") is not None:
-        raw["out_dir"] = os.path.abspath(base / str(raw["out_dir"]))
+    if top.get("out_dir") is not None:
+        raw["out_dir"] = os.path.abspath(base / top["out_dir"])
     out_dir = out_override or raw.get("out_dir")
     return RunConfig(
         seed=seed,
@@ -324,9 +304,9 @@ def load_config(
         data=data,
         fidelity_chain=chain,
         model_kind=model_kind,
-        gpr_grid=gpr_grid,
-        mlp_grid=mlp_grid,
-        convergence_sizes=sizes,
-        convergence_model=conv_model,
+        gpr_grid=_build(GprGrid, gpr, bounds=_build(HyperBounds, gpr), seed=seed),
+        mlp_grid=_build(MlpGrid, mlp, train=_build(TrainConfig, mlp, seed=seed)),
+        convergence_sizes=convergence.get("sizes", ()),
+        convergence_model=convergence.get("model", model_kind),
         raw=raw,
     )

@@ -296,11 +296,12 @@ def import_tensor(path: str | Path, fmt: str = TENSOR_TEXT) -> DataTensor:
     path = Path(path)
     if not path.exists():
         raise InputError(f"data file not found: {path}")
-    if fmt == TENSOR_TEXT:
-        return _import_tensor_text(path)
-    if fmt == CSV_FORMAT:
-        return _import_csv(path)
-    raise InputError(f"unknown data format {fmt!r}; use 'tensor-text' or 'csv'")
+    if fmt not in (TENSOR_TEXT, CSV_FORMAT):
+        raise InputError(f"unknown data format {fmt!r}; use 'tensor-text' or 'csv'")
+    try:
+        return _import_tensor_text(path) if fmt == TENSOR_TEXT else _import_csv(path)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _import_tensor_text(path: Path) -> DataTensor:
@@ -419,7 +420,7 @@ def _import_csv(path: Path) -> DataTensor:
     values = _parse_cells(path, rows)
     if not np.isfinite(values).all():
         r, c = np.argwhere(~np.isfinite(values))[0]
-        raise InputError(f"{path}:{int(r) + 2}: non-finite value in column {int(c) + 1}")
+        raise InputError(f"{path}:{rows[r][0]}: non-finite value in column {int(c) + 1}")
     return DataTensor(values[:, :, np.newaxis], names, ("0",))
 
 

@@ -63,6 +63,14 @@ FORMAT_VERSION = 1
 PAYLOAD_FORMATS = ("text", "binary")
 
 
+def _json_number(value, where: str, kinds: tuple = (int, float)):
+    """``value`` if its type is one of ``kinds``; a JSON bool is no number."""
+    if type(value) not in kinds:
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise TypeError(f"{where} must be {names}, got {value!r}")
+    return value
+
+
 def _save_array(path: Path, arr: np.ndarray, fmt: str) -> None:
     arr = np.atleast_2d(np.asarray(arr, dtype=np.float64))
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -116,11 +124,11 @@ def _read_checked(bundle_dir: Path) -> dict[str, np.ndarray]:
     checksums = bundle_dir / "CHECKSUMS"
     if not checksums.exists():
         raise StoreError(f"bundle is missing its CHECKSUMS file: {bundle_dir}")
-    entries = [
-        line.partition("  ")
-        for line in checksums.read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
+    try:
+        lines = checksums.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError:
+        raise StoreError(f"{checksums} is not UTF-8 text") from None
+    entries = [line.partition("  ") for line in lines if line.strip()]
     if "meta.json" not in {rel for _, _, rel in entries}:
         raise StoreError(f"{checksums} does not cover meta.json")
     files = {}
@@ -349,11 +357,11 @@ def load_model(path: str | Path) -> FittedSurrogate | MfComposite:
         raise StoreError(f"not a model bundle (no meta.json): {bundle_dir}")
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise StoreError(f"corrupted meta.json in {bundle_dir}: {exc}") from None
 
     version = meta.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is bool or version != FORMAT_VERSION:
         raise StoreError(
             f"unsupported bundle format_version {version!r}; this build reads "
             f"version {FORMAT_VERSION}"
@@ -387,7 +395,7 @@ def _load_composite(bundle_dir: Path, meta: dict) -> MfComposite:
         "hf_output_dim": mf.output_dim,
     }
     for key, value in dims.items():
-        if int(meta["dims"][key]) != value:
+        if _json_number(meta["dims"][key], f"dims.{key}", (int,)) != value:
             raise StoreError(
                 f"composite {bundle_dir} records dims.{key} = {meta['dims'][key]}, "
                 f"but its child models give {value}"
@@ -412,14 +420,14 @@ def _load_surrogate(
                 f"inconsistent GPR payload shapes: X_train {X_train.shape}, "
                 f"alpha {alpha.shape}"
             )
-        ls = hyper["length_scale"]
+        ls = [_json_number(v, "hyperparameters.length_scale") for v in hyper["length_scale"]]
         spec = KernelSpec(
             kind=hyper["kind"],
-            length_scale=float(ls[0]) if len(ls) == 1 else np.asarray(ls),
-            signal_variance=float(hyper["signal_variance"]),
-            nu=float(hyper["nu"]),
-            noise=float(hyper["noise"]),
+            length_scale=float(ls[0]) if len(ls) == 1 else np.asarray(ls, dtype=np.float64),
+            **{key: float(_json_number(hyper[key], f"hyperparameters.{key}"))
+               for key in ("signal_variance", "nu", "noise")},
         )
+        spec.length_scale_vector(X_train.shape[1])  # one entry, or one per input dim
         training = meta.get("training", {})
         # The jitter rebuilds the Cholesky factor, so it must be there.
         jitter_used = training.get("jitter_used")
@@ -433,14 +441,17 @@ def _load_surrogate(
             X_train=X_train,
             alpha=alpha,
             y_dim=alpha.shape[1],
-            lml=float(training.get("lml", float("nan"))),
+            lml=float(_json_number(training.get("lml", math.nan), "training.lml")),
             jitter_used=float(jitter_used),
         )
     else:
         arch = MlpArchitecture(
-            input_dim=int(hyper["input_dim"]),
-            hidden_layers=tuple(int(w) for w in hyper["hidden_layers"]),
-            output_dim=int(hyper["output_dim"]),
+            input_dim=_json_number(hyper["input_dim"], "hyperparameters.input_dim", (int,)),
+            hidden_layers=tuple(
+                _json_number(w, "hyperparameters.hidden_layers", (int,))
+                for w in hyper["hidden_layers"]
+            ),
+            output_dim=_json_number(hyper["output_dim"], "hyperparameters.output_dim", (int,)),
             activation=hyper["activation"],
         )
         dims = arch.layer_dims()

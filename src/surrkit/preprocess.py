@@ -42,6 +42,8 @@ class SplitSpec:
         total = self.train_frac + self.test_frac + self.val_frac
         if abs(total - 1.0) > 1e-12:
             raise InputError(f"split fractions must sum to 1, got {total!r}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 def _round_half_up(x: float) -> int:

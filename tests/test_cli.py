@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import surrkit
@@ -22,9 +23,13 @@ from helpers import (
     resign_checksums,
 )
 from surrkit.cli import main
+from surrkit.config import DataSource, load_config
 from surrkit.data import DataTensor, export_tensor
+from surrkit.errors import StoreError
 from surrkit.modelstore import load_model, save_model
+from surrkit.preprocess import SplitSpec
 from surrkit.synthbench import Sampler, forrester_pair, sample, truth_evaluate
+from surrkit.tuner import GprGrid, MlpGrid
 
 
 def run(argv):
@@ -670,3 +675,228 @@ def test_text_payload_without_a_two_integer_header_exits_2_with_one_line(
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert "alpha.txt: text payload needs a 'rows cols' header" in lines[0], lines
     assert not (tmp_path / "pred.csv").exists()
+
+
+def run_captured(argv):
+    """``main(argv)`` in process: its exit code and its stderr lines."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue().strip().splitlines()
+
+
+@pytest.fixture(scope="module")
+def mlp_bundle(predict_bundles):
+    """A single-fidelity MLP bundle on the same Forrester data."""
+    root, _ = predict_bundles
+    cfg = write_config(root / "mlp.json", {
+        "data": {"x": str(root / "bench" / "lf_x.txt"), "y": str(root / "bench" / "lf_y.txt")},
+        "model": {"kind": "mlp"},
+        "mlp": {"layers": [1], "widths": [4], "max_epochs": 5, "early_stop_patience": 5},
+    })
+    assert run(["train", "--config", str(cfg), "--out", str(root / "mlp")]) == 0
+    return root / "mlp" / "model_v1"
+
+
+# Re-signed meta.json edits that put a bool where a number is due, or a
+# length-scale vector of the wrong length for the 1-D model: (bundle, keys, value).
+BAD_META = {
+    "format_version": ("sf", ["format_version"], True),
+    "signal_variance": ("sf", ["hyperparameters", "signal_variance"], True),
+    "noise": ("sf", ["hyperparameters", "noise"], True),
+    "length_scale-bool": ("sf", ["hyperparameters", "length_scale"], [True]),
+    "length_scale-empty": ("sf", ["hyperparameters", "length_scale"], []),
+    "length_scale-3": ("sf", ["hyperparameters", "length_scale"], [1.0, 2.0, 3.0]),
+    "lml": ("sf", ["training", "lml"], True),
+    "dims": ("mf", ["dims", "input_dim"], True),
+    "mlp-input_dim": ("mlp", ["hyperparameters", "input_dim"], True),
+    "mlp-hidden_layers": ("mlp", ["hyperparameters", "hidden_layers"], [True]),
+    "mlp-output_dim": ("mlp", ["hyperparameters", "output_dim"], True),
+}
+
+
+@pytest.mark.parametrize("which, keys, value", BAD_META.values(), ids=BAD_META.keys())
+def test_mistyped_bundle_metadata_is_refused_at_load(
+    predict_bundles, mlp_bundle, tmp_path, which, keys, value
+):
+    """A bool where meta.json needs a number loads as 1 if unchecked, and a
+    length-scale vector of the wrong length fails only at the first predict
+    under a message that blames the sites; both are refused at load."""
+    source = {"sf": predict_bundles[1][0], "mf": predict_bundles[1][1], "mlp": mlp_bundle}
+    bundle = shutil.copytree(source[which], tmp_path / "model")
+    meta = json.loads((bundle / "meta.json").read_text())
+    section = meta
+    for key in keys[:-1]:
+        section = section[key]
+    section[keys[-1]] = value
+    (bundle / "meta.json").write_text(json.dumps(meta))
+    resign_checksums(bundle)
+    sites = tmp_path / "sites.csv"
+    sites.write_text("x\n0.25\n0.75\n")
+    with pytest.raises(StoreError):
+        load_model(bundle)
+    code, lines = run_captured(["predict", "--model-dir", str(bundle), "--sites", str(sites),
+                                "--out", str(tmp_path / "pred.csv")])
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert not (tmp_path / "pred.csv").exists()
+
+
+NOT_UTF8 = b"\xff\xfex\x00\n\x000\x00.\x005\x00\n\x00"  # "x\n0.5\n" in UTF-16
+
+
+def test_non_utf8_data_file_exits_2_with_one_line(tmp_path):
+    data = tmp_path / "utf16.txt"
+    data.write_bytes(NOT_UTF8)
+    code, lines = run_captured(["ingest", "--input", str(data)])
+    assert code == 2
+    assert lines == [f"error: {data}: not UTF-8 text (invalid start byte at byte 0)"]
+
+
+def test_non_utf8_sites_csv_exits_2_with_one_line(predict_bundles, tmp_path):
+    sites = tmp_path / "sites.csv"
+    sites.write_bytes(NOT_UTF8)
+    code, lines = run_captured(["predict", "--model-dir", str(predict_bundles[1][0]),
+                                "--sites", str(sites), "--out", str(tmp_path / "pred.csv")])
+    assert code == 2
+    assert len(lines) == 1 and "not UTF-8 text" in lines[0], lines
+    assert not (tmp_path / "pred.csv").exists()
+
+
+def test_convergence_sizes_flag_that_is_no_integer_list_exits_2(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", {"data": {"x": "x.txt", "y": "y.txt"}})
+    code, lines = run_captured(["convergence", "--config", str(cfg), "--sizes", "3,x",
+                                "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert lines == ["error: --sizes must be comma-separated integers, got '3,x'"]
+    assert not (tmp_path / "r").exists()
+
+
+# Configs that end in a traceback, or are silently read as another value,
+# unless the config reader checks each key's type and the seed's sign.
+MALFORMED_CONFIGS = {
+    "seed-negative": {"seed": -1},
+    "seed-string": {"seed": "x"},
+    "seed-list": {"seed": [1]},
+    "seed-fraction": {"seed": 1.7},
+    "seed-bool": {"seed": True},
+    "restarts-string": {"gpr": {"restarts": "two"}},
+    "restarts-fraction": {"gpr": {"restarts": 2.9}},
+    "widths-string": {"mlp": {"widths": "abc"}},
+    "widths-digits": {"mlp": {"widths": "123"}},
+    "layers-integer": {"mlp": {"layers": 2}},
+    "max_epochs-null": {"mlp": {"max_epochs": None}},
+    "sizes-digits": {"convergence": {"sizes": "816"}},
+    "learning_rate-string": {"mlp": {"learning_rate": "0.01"}},
+    "train_frac-string": {"split": {"train_frac": "0.7"}},
+    "fidelity-integer": {"data": {"x": "x.txt", "y": "y.txt", "fidelity": 3}},
+    "noise_bounds-bool": {"gpr": {"noise_bounds": [True, 1.0]}},
+}
+
+
+def assert_config_exits_2_with_one_line(cfg, out):
+    code, lines = run_captured(["train", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("body", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys())
+def test_malformed_config_exits_2_with_one_line(tmp_path, body):
+    cfg = write_config(tmp_path / "cfg.json", {"data": {"x": "x.txt", "y": "y.txt"}, **body})
+    assert_config_exits_2_with_one_line(cfg, tmp_path / "r")
+
+
+# Config or meta.json bytes that json.loads cannot take: UTF-16 text, and
+# arrays nested deeper than the decoder's recursion limit.
+UNREADABLE_JSON = {
+    "utf16": json.dumps({"data": {"x": "x.txt", "y": "y.txt"}}).encode("utf-16"),
+    "deep": b'{"seed": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+}
+
+
+@pytest.mark.parametrize("content", UNREADABLE_JSON.values(), ids=UNREADABLE_JSON.keys())
+def test_config_that_is_no_json_text_exits_2_with_one_line(tmp_path, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    assert_config_exits_2_with_one_line(cfg, tmp_path / "r")
+
+
+@pytest.mark.parametrize("name, content", [
+    ("meta.json", UNREADABLE_JSON["utf16"]),
+    ("meta.json", UNREADABLE_JSON["deep"]),
+    ("CHECKSUMS", "abc  meta.json\n".encode("utf-16")),
+], ids=["meta-utf16", "meta-deep", "checksums-utf16"])
+def test_bundle_file_that_is_no_text_exits_2_with_one_line(
+    predict_bundles, tmp_path, name, content
+):
+    bundle = shutil.copytree(predict_bundles[1][0], tmp_path / "model")
+    (bundle / name).write_bytes(content)
+    sites = tmp_path / "sites.csv"
+    sites.write_text("x\n0.25\n")
+    code, lines = run_captured(["predict", "--model-dir", str(bundle), "--sites", str(sites),
+                                "--out", str(tmp_path / "pred.csv")])
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+# A config that sets every key but out_dir (for which null is valid), each
+# leaf with the JSON type its reader takes: ints where an integer is due.
+VALID_CONFIG = {
+    "seed": 7,
+    "split": {"train_frac": 0.6, "test_frac": 0.2, "val_frac": 0.2},
+    "data": {"x": "x.txt", "y": "y.txt", "format": "csv", "fidelity": "HF"},
+    "model": {"kind": "gpr"},
+    "gpr": {"kernels": ["constant*rbf", "matern1.5"], "restarts": 2,
+            "length_scale_bounds": [0.01, 100.0], "signal_variance_bounds": [0.001, 1000.0],
+            "noise_bounds": [1e-10, 1.0]},
+    "mlp": {"layers": [1, 2], "widths": [8, 16], "learning_rate": 0.001, "max_epochs": 50,
+            "batch_size": 16, "early_stop_patience": 10, "optimizer": "sgd"},
+    "convergence": {"sizes": [8, 16], "model": "mlp"},
+}
+
+
+def config_paths(node, path=()):
+    """The key path of every value in ``node``: sections, lists and their items too."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from config_paths(value, path + (key,))
+
+
+def test_valid_config_loads(tmp_path):
+    cfg = load_config(write_config(tmp_path / "cfg.json", VALID_CONFIG))
+    assert cfg.seed == 7 and cfg.mlp_grid.widths == (8, 16) and cfg.gpr_grid.restarts == 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    leaf=st.sampled_from(list(config_paths(VALID_CONFIG))),
+    value=st.sampled_from([True, False, "abc", "1", [1], [], None, 2.5]),
+)
+def test_one_mistyped_leaf_exits_2_with_one_line(tmp_path_factory, leaf, value):
+    """Setting any one value of a valid config to one of another JSON type (a
+    bool, a string, a list, null, or a fraction where an integer is due) is
+    refused with one line before the run directory is made."""
+    body = json.loads(json.dumps(VALID_CONFIG))
+    node = body
+    for key in leaf[:-1]:
+        node = node[key]
+    original = node[leaf[-1]]
+    assume(type(value) is not type(original))
+    node[leaf[-1]] = value
+    tmp = tmp_path_factory.mktemp("mistyped")
+    assert_config_exits_2_with_one_line(write_config(tmp / "cfg.json", body), tmp / "r")
+
+
+def test_defaults_come_from_the_dataclasses(tmp_path):
+    cfg = load_config(write_config(tmp_path / "cfg.json", {"data": {"x": "x", "y": "y"}}))
+    assert cfg.split == SplitSpec(seed=0)
+    # KernelSpec compares by identity, so the kernels compare by description.
+    default = GprGrid()
+    assert [k.describe() for k in cfg.gpr_grid.kernels] == [k.describe() for k in default.kernels]
+    assert dataclasses.replace(cfg.gpr_grid, kernels=default.kernels) == default
+    assert cfg.mlp_grid == MlpGrid()
+    assert cfg.data == DataSource(x=tmp_path / "x", y=tmp_path / "y", fidelity="data")
+    assert cfg.raw == {"data": {"x": str(tmp_path / "x"), "y": str(tmp_path / "y")}, "seed": 0}

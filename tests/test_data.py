@@ -194,6 +194,13 @@ class TestImportCsv:
             import_tensor(path, "csv")
         assert str(exc.value) == f"{path}:3: non-numeric token 'x' in column 2"
 
+    def test_non_finite_cell_is_named_by_its_file_line(self, tmp_path):
+        path = tmp_path / "gap.csv"
+        path.write_text("a\n1\n\n5\nnan\n")
+        with pytest.raises(InputError) as exc:
+            import_tensor(path, "csv")
+        assert str(exc.value) == f"{path}:5: non-finite value in column 1"
+
     def test_cells_parse_as_float_does(self, tmp_path):
         path = tmp_path / "odd.csv"
         path.write_text('a,b,c\n1_000, 2.5 ,\u0663\n".5",5.,1E+05\n', encoding="utf-8")
