@@ -1,38 +1,38 @@
 """Versioned on-disk bundles for trained models, scalers, and metadata.
 
-A bundle is a directory that fully describes one trained surrogate:
+A bundle is a directory of three files, whatever the model:
 
     <project>_v<k>/
-        meta.json        model type, hyperparameters, training metadata
-        CHECKSUMS        sha256 of meta.json and of each payload file; a
-                         composite's lists its meta.json and its children's
-                         CHECKSUMS instead of payloads
-        payload/*.txt    numeric arrays (text by default, optional binary)
-        lf_model/        nested bundles, composites only
-        mf_model/
+        meta.json      model type, hyperparameters, training metadata, and
+                       the file, format and shape of each payload array; a
+                       composite nests its stages under "lf" and "mf"
+        payload.txt    every array of every stage (payload.bin if binary)
+        CHECKSUMS      sha256 of the payload file and of meta.json
 
-A GPR bundle's payloads are ``X_train``, ``alpha`` and the scalers. The
-Cholesky factor is not stored: it is a pure function of ``X_train``, the
-hyperparameters and ``training.jitter_used``, and a loaded model rebuilds it
-on its first variance request (``gpr.GprModel.L``), so loading factors
-nothing. Bundles saved with an ``L`` payload still load: the file is hashed
-as listed and then ignored.
+The payload holds the arrays in the order meta.json lists them, depth first
+and "lf" before "mf". A text payload has one section per array: a ``rows
+cols`` header, then one line per row of shortest round-trip floats
+(``data.format_rows``), so a reloaded model predicts exactly as the saved
+one. A binary payload is one little-endian float64 blob, C order, which the
+shapes cut into arrays. A GPR stage stores no Cholesky factor: a loaded
+model rebuilds it from ``X_train``, the kernel and ``training.jitter_used``
+on its first variance request (``gpr.GprModel.L``).
 
-Saving never overwrites and never publishes a partial bundle: each save
-writes into a hidden staging directory beside the versions and renames it to
-the first free ``<project>_v<k>`` once it is complete. A save that raises
-removes its staging directory; a process killed mid-save leaves it behind
-under its hidden name, never as a version. A rename that finds its name
-taken by a concurrent save moves on to the next ``k``, so concurrent saves
-get distinct versions. Text payloads hold a ``rows cols`` header and then
-every float in its shortest round-trip decimal form (``data.format_rows``),
-so a reloaded model reproduces the original's predictions exactly. Binary
-payloads are raw little-endian float64, C order, with shapes recorded in the
-metadata. Bundles are self-describing; loading
-needs no external configuration. Loading reads each file CHECKSUMS lists
-once, so the bytes it hashes are the bytes it parses, and it rejects a payload
-that CHECKSUMS does not list or that holds a NaN or an infinity: a loaded
-model's arrays are finite, and its predictions need not re-check them.
+Format 1 bundles still load. There each array is a file under ``payload/``,
+and a composite's stages are nested bundles in ``lf_model/`` and
+``mf_model/`` whose CHECKSUMS the parent's CHECKSUMS covers. Such a file is
+a one-section payload, so one parser and one model builder serve both
+formats; the format decides only where a stage's metadata and arrays are
+found. A stored ``L`` payload is read and ignored.
+
+Saving never overwrites and never publishes a partial bundle: it writes a
+hidden staging directory and renames it to the first free
+``<project>_v<k>``, moving on to the next ``k`` if a concurrent save took
+the name. A save that raises removes its staging directory; a killed one
+leaves it under its hidden name, never as a version. Loading reads
+each file CHECKSUMS lists once, so the bytes it hashes are the bytes it
+parses, and rejects a payload that CHECKSUMS does not list or that holds a
+NaN or an infinity, so a loaded model's arrays are finite.
 """
 
 from __future__ import annotations
@@ -44,8 +44,9 @@ import math
 import os
 import secrets
 import shutil
+from bisect import bisect_right
 from datetime import datetime, timezone
-from functools import partial
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -59,8 +60,9 @@ from surrkit.multifid import FittedSurrogate, MfComposite, TensorLayout
 from surrkit.preprocess import StandardScaler
 from surrkit.tuner import MODEL_KINDS
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 PAYLOAD_FORMATS = ("text", "binary")
+_PAYLOAD_FILES = {"text": "payload.txt", "binary": "payload.bin"}
 
 
 def _json_number(value, where: str, kinds: tuple = (int, float)):
@@ -71,61 +73,82 @@ def _json_number(value, where: str, kinds: tuple = (int, float)):
     return value
 
 
-def _save_array(path: Path, arr: np.ndarray, fmt: str) -> None:
-    arr = np.atleast_2d(np.asarray(arr, dtype=np.float64))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "text":
-        lines = [f"{arr.shape[0]} {arr.shape[1]}", *format_rows(arr)]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    else:
-        path.write_bytes(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def _parse_array(raw: np.ndarray, path: Path, fmt: str, shape: tuple[int, int]) -> np.ndarray:
-    """Array from a payload file's bytes, given as a uint8 array."""
+def _parse_payload(raw: np.ndarray, path: Path, fmt: str, shapes: dict) -> dict[str, np.ndarray]:
+    """The arrays of a payload file, from its bytes as a uint8 array and each
+    section's key and shape in file order, all values in one conversion."""
+    labels = [str(path) if len(shapes) == 1 else f"{path}[{key}]" for key in shapes]
+    sizes = [rows * cols for rows, cols in shapes.values()]
     if fmt == "text":
         lines = str(raw, "utf-8").splitlines()
-        try:
-            rows, cols = map(int, lines[0].split())
-        except (IndexError, ValueError):
-            raise StoreError(f"{path}: text payload needs a 'rows cols' header") from None
-        if (rows, cols) != tuple(shape):
-            raise StoreError(
-                f"{path}: payload header {rows}x{cols} disagrees with metadata "
-                f"shape {shape}"
-            )
-        values = np.array(" ".join(lines[1:]).split(), dtype=np.float64)
+        tokens, at = [], 0
+        for k, (label, shape) in enumerate(zip(labels, shapes.values())):
+            try:
+                rows, cols = map(int, lines[at].split())
+            except (IndexError, ValueError):
+                raise StoreError(f"{label}: text payload needs a 'rows cols' header") from None
+            if (rows, cols) != shape:
+                raise StoreError(
+                    f"{label}: payload header {rows}x{cols} disagrees with metadata "
+                    f"shape {shape}"
+                )
+            # The last section takes every line left, so stray lines fail its count.
+            end = at + 1 + rows if k + 1 < len(sizes) else len(lines)
+            section = " ".join(lines[at + 1 : end]).split()
+            if len(section) != sizes[k]:
+                raise StoreError(f"{label}: expected {sizes[k]} values, got {len(section)}")
+            tokens += section
+            at = end
+        values = np.array(tokens, dtype=np.float64)
     else:
         if raw.size % 8:
             raise StoreError(f"{path}: size is not a whole number of float64 values")
         values = raw.view("<f8").astype(np.float64, copy=False)
-    if values.size != shape[0] * shape[1]:
-        raise StoreError(f"{path}: expected {shape[0] * shape[1]} values, got {values.size}")
-    if not np.isfinite(values).all():
-        raise StoreError(f"{path}: payload holds non-finite values")
-    return values.reshape(shape)
+        if values.size != sum(sizes):
+            raise StoreError(f"{path}: expected {sum(sizes)} values, got {values.size}")
+    bounds = list(accumulate(sizes, initial=0))
+    finite = np.isfinite(values)
+    if not finite.all():
+        first = bisect_right(bounds, int(np.argmin(finite))) - 1
+        raise StoreError(f"{labels[first]}: payload holds non-finite values")
+    return {
+        key: values[lo:hi].reshape(shape)
+        for (key, shape), lo, hi in zip(shapes.items(), bounds, bounds[1:])
+    }
 
 
-def _write_meta_and_checksums(bundle_dir: Path, meta: dict, files: list[Path]) -> None:
-    """Write meta.json, then a CHECKSUMS covering ``files`` and meta.json."""
-    meta_path = bundle_dir / "meta.json"
-    meta_path.write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
-    lines = [
-        f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(bundle_dir).as_posix()}"
-        for p in [*files, meta_path]
-    ]
-    (bundle_dir / "CHECKSUMS").write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _read_raw(path: Path) -> np.ndarray:
+    """A file's bytes as a uint8 array, which binary payloads are viewed through."""
+    with open(path, "rb", buffering=0) as fh:
+        raw = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
+        if fh.readinto(raw) != raw.size:
+            raise StoreError(f"short read from {path}")
+    return raw
 
 
-def _read_checked(bundle_dir: Path) -> dict[str, np.ndarray]:
-    """Every file CHECKSUMS lists, by its listed name: read once, as a uint8
-    array that binary payloads are then viewed through without a copy, and
-    checked against its sha256."""
-    checksums = bundle_dir / "CHECKSUMS"
-    if not checksums.exists():
-        raise StoreError(f"bundle is missing its CHECKSUMS file: {bundle_dir}")
+def _read_bundle(bundle_dir: Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """A bundle directory's meta.json, parsed once its version is one this
+    build reads, and every file CHECKSUMS lists by name, checked by sha256."""
     try:
-        lines = checksums.read_text(encoding="utf-8").splitlines()
+        meta_raw = _read_raw(bundle_dir / "meta.json")
+    except (FileNotFoundError, NotADirectoryError):
+        raise StoreError(f"not a model bundle (no meta.json): {bundle_dir}") from None
+    try:
+        meta = json.loads(str(meta_raw, "utf-8"))
+    except (ValueError, RecursionError) as exc:  # ValueError covers bad JSON and UTF-8
+        raise StoreError(f"corrupted meta.json in {bundle_dir}: {exc}") from None
+    version = meta.get("format_version") if isinstance(meta, dict) else None
+    if type(version) is bool or version not in (1, FORMAT_VERSION):
+        raise StoreError(
+            f"unsupported bundle format_version {version!r}; this build reads "
+            f"versions 1 and {FORMAT_VERSION}"
+        )
+
+    checksums = bundle_dir / "CHECKSUMS"
+    try:
+        # Lines end at "\n" alone, so that no changed byte reads as the same list.
+        lines = str(_read_raw(checksums), "utf-8").split("\n")
+    except FileNotFoundError:
+        raise StoreError(f"bundle is missing its CHECKSUMS file: {bundle_dir}") from None
     except UnicodeDecodeError:
         raise StoreError(f"{checksums} is not UTF-8 text") from None
     entries = [line.partition("  ") for line in lines if line.strip()]
@@ -135,11 +158,9 @@ def _read_checked(bundle_dir: Path) -> dict[str, np.ndarray]:
     for expected, _, rel in entries:
         target = bundle_dir / rel
         try:
-            with open(target, "rb", buffering=0) as fh:
-                raw = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
-                if fh.readinto(raw) != raw.size:
-                    raise StoreError(f"short read from {target}")
-        except (FileNotFoundError, IsADirectoryError):
+            raw = meta_raw if rel == "meta.json" else _read_raw(target)
+        # A NUL byte in a listed name is a ValueError from open.
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError):
             raise StoreError(f"file listed in CHECKSUMS is missing: {target}") from None
         actual = hashlib.sha256(raw).hexdigest()
         if actual != expected:
@@ -148,66 +169,17 @@ def _read_checked(bundle_dir: Path) -> dict[str, np.ndarray]:
                 f"got {actual[:16]}... (corrupted or edited file)"
             )
         files[rel] = raw
-    return files
+    return meta, files
 
 
-def _layout_to_dict(layout: TensorLayout) -> dict:
-    return {
-        "scalar_names": list(layout.scalar_names),
-        "coord_labels": list(layout.coord_labels),
-        "units": list(layout.units) if layout.units is not None else None,
-    }
-
-
-def _layout_from_dict(d: dict) -> TensorLayout:
-    return TensorLayout(
-        scalar_names=tuple(d["scalar_names"]),
-        coord_labels=tuple(d["coord_labels"]),
-        units=tuple(d["units"]) if d.get("units") is not None else None,
-    )
-
-
-class _PayloadWriter:
-    def __init__(self, bundle_dir: Path, fmt: str):
-        self.bundle_dir = bundle_dir
-        self.fmt = fmt
-        self.entries: dict[str, dict] = {}
-        self.files: list[Path] = []
-
-    def add(self, name: str, arr: np.ndarray) -> None:
-        arr = np.atleast_2d(np.asarray(arr, dtype=np.float64))
-        suffix = "txt" if self.fmt == "text" else "bin"
-        rel = f"payload/{name}.{suffix}"
-        path = self.bundle_dir / rel
-        _save_array(path, arr, self.fmt)
-        self.entries[name] = {"file": rel, "format": self.fmt, "shape": list(arr.shape)}
-        self.files.append(path)
-
-
-def _scaler_payloads(writer: _PayloadWriter, prefix: str, scaler: StandardScaler) -> None:
-    writer.add(f"{prefix}_means", scaler.means)
-    writer.add(f"{prefix}_stds", scaler.stds)
-
-
-def _load_scaler(read, payloads: dict, prefix: str) -> StandardScaler:
-    for key in (f"{prefix}_means", f"{prefix}_stds"):
-        if key not in payloads:
-            raise StoreError(f"bundle is missing scaler payload {key!r}")
-    means = read(f"{prefix}_means").ravel()
-    stds = read(f"{prefix}_stds").ravel()
+def _load_scaler(arrays: dict[str, np.ndarray], key: str) -> StandardScaler:
+    try:
+        means, stds = arrays[f"{key}_means"].ravel(), arrays[f"{key}_stds"].ravel()
+    except KeyError as exc:
+        raise StoreError(f"bundle is missing scaler payload {exc}") from None
     if means.size != stds.size:
-        raise StoreError(f"scaler {prefix!r} has inconsistent parameter lengths")
+        raise StoreError(f"scaler {key!r} has inconsistent parameter lengths")
     return StandardScaler(means, stds, means.size)
-
-
-def _read_payload(
-    bundle_dir: Path, files: dict[str, np.ndarray], payloads: dict, name: str
-) -> np.ndarray:
-    entry = payloads[name]
-    path = bundle_dir / entry["file"]
-    if entry["file"] not in files:
-        raise StoreError(f"payload {path} is not listed in CHECKSUMS")
-    return _parse_array(files[entry["file"]], path, entry["format"], tuple(entry["shape"]))
 
 
 def _publish(staging: Path, project_name: str) -> Path:
@@ -257,143 +229,158 @@ def save_model(
 
 def _write_bundle(obj, bundle_dir: Path, payload_format: str) -> None:
     """Write ``obj`` into the existing, empty directory ``bundle_dir``."""
-    if isinstance(obj, MfComposite):
-        _write_composite(obj, bundle_dir, payload_format)
-    elif isinstance(obj, FittedSurrogate):
-        _write_surrogate(obj, bundle_dir, payload_format)
-    else:
-        raise StoreError(f"cannot persist object of type {type(obj).__name__}")
+    entry = {"file": _PAYLOAD_FILES[payload_format], "format": payload_format}
+    arrays: list[np.ndarray] = []
+    meta = _stage_meta(obj, arrays, entry)
+    payload = bundle_dir / entry["file"]
+    with open(payload, "wb") as fh:
+        for arr in arrays:
+            if payload_format == "text":
+                header = f"{arr.shape[0]} {arr.shape[1]}"
+                fh.write("\n".join([header, *format_rows(arr), ""]).encode("utf-8"))
+            else:
+                fh.write(np.ascontiguousarray(arr, dtype="<f8"))
+    (bundle_dir / "meta.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+    lines = [
+        f"{hashlib.sha256((bundle_dir / name).read_bytes()).hexdigest()}  {name}"
+        for name in (entry["file"], "meta.json")
+    ]
+    (bundle_dir / "CHECKSUMS").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _base_meta(model_type: str, fidelity: str) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "model_type": model_type,
-        "fidelity_level": fidelity,
-        "training": {
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-            "tool_version": _tool_version,
-        },
-    }
+    training = {"timestamp": datetime.now(timezone.utc).isoformat(), "tool_version": _tool_version}
+    return {"format_version": FORMAT_VERSION, "model_type": model_type,
+            "fidelity_level": fidelity, "training": training}
 
 
-def _write_surrogate(surr: FittedSurrogate, bundle_dir: Path, payload_format: str) -> None:
-    writer = _PayloadWriter(bundle_dir, payload_format)
-    _scaler_payloads(writer, "x_scaler", surr.x_scaler)
-    _scaler_payloads(writer, "y_scaler", surr.y_scaler)
+def _stage_meta(obj, arrays: list[np.ndarray], entry: dict) -> dict:
+    """The meta.json tree of ``obj``. Each stage's arrays go onto ``arrays``
+    in the order its "payloads" lists them, each listed as ``entry`` (file
+    and format) plus its shape."""
+    if isinstance(obj, MfComposite):
+        meta = _base_meta("mf-composite", obj.mf.fidelity)
+        meta["dims"] = {"input_dim": obj.input_dim, "lf_output_dim": obj.lf_output_dim,
+                        "hf_output_dim": obj.hf_output_dim}
+        meta["lf"] = _stage_meta(obj.lf, arrays, entry)
+        meta["mf"] = _stage_meta(obj.mf, arrays, entry)
+        return meta
+    if not isinstance(obj, FittedSurrogate):
+        raise StoreError(f"cannot persist object of type {type(obj).__name__}")
 
-    model = surr.model
+    named = {"x_scaler_means": obj.x_scaler.means, "x_scaler_stds": obj.x_scaler.stds,
+             "y_scaler_means": obj.y_scaler.means, "y_scaler_stds": obj.y_scaler.stds}
+    model = obj.model
     if isinstance(model, GprModel):
-        meta = _base_meta("gpr", surr.fidelity)
+        meta = _base_meta("gpr", obj.fidelity)
         spec = model.kernel
         meta["hyperparameters"] = {
-            "kind": spec.kind,
-            "length_scale": np.atleast_1d(spec.length_scale).tolist(),
-            "signal_variance": spec.signal_variance,
-            "nu": spec.nu,
-            "noise": spec.noise,
+            "kind": spec.kind, "length_scale": np.atleast_1d(spec.length_scale).tolist(),
+            "signal_variance": spec.signal_variance, "nu": spec.nu, "noise": spec.noise,
         }
-        writer.add("X_train", model.X_train)
-        writer.add("alpha", model.alpha)
+        named.update(X_train=model.X_train, alpha=model.alpha)
         meta["training"].update(
-            {
-                "lml": model.lml,
-                "jitter_used": model.jitter_used,
-                "n_train": model.n_train,
-                "input_dim": model.input_dim,
-                "y_dim": model.y_dim,
-            }
+            lml=model.lml, jitter_used=model.jitter_used, n_train=model.n_train,
+            input_dim=model.input_dim, y_dim=model.y_dim,
         )
     elif isinstance(model, MlpModel):
-        meta = _base_meta("mlp", surr.fidelity)
+        meta = _base_meta("mlp", obj.fidelity)
         arch = model.architecture
         meta["hyperparameters"] = {
-            "input_dim": arch.input_dim,
-            "hidden_layers": list(arch.hidden_layers),
-            "output_dim": arch.output_dim,
-            "activation": arch.activation,
+            "input_dim": arch.input_dim, "hidden_layers": list(arch.hidden_layers),
+            "output_dim": arch.output_dim, "activation": arch.activation,
         }
         for i, (W, b) in enumerate(zip(model.weights, model.biases)):
-            writer.add(f"W{i}", W)
-            writer.add(f"b{i}", b)
+            named[f"W{i}"] = W
+            named[f"b{i}"] = b
         history = model.training_history
         meta["training"].update(
-            {
-                "epochs_run": len(history),
-                "final_train_loss": history[-1][1] if history else None,
-                "final_val_loss": history[-1][2] if history else None,
-            }
+            epochs_run=len(history),
+            final_train_loss=history[-1][1] if history else None,
+            final_val_loss=history[-1][2] if history else None,
         )
     else:
         raise StoreError(f"cannot persist model of type {type(model).__name__}")
 
-    meta["y_layout"] = _layout_to_dict(surr.y_layout)
-    meta["payloads"] = writer.entries
-    _write_meta_and_checksums(bundle_dir, meta, writer.files)
-
-
-def _write_composite(comp: MfComposite, bundle_dir: Path, payload_format: str) -> None:
-    meta = _base_meta("mf-composite", comp.mf.fidelity)
-    meta["dims"] = {
-        "input_dim": comp.input_dim,
-        "lf_output_dim": comp.lf_output_dim,
-        "hf_output_dim": comp.hf_output_dim,
+    layout = obj.y_layout
+    meta["y_layout"] = {
+        "scalar_names": list(layout.scalar_names),
+        "coord_labels": list(layout.coord_labels),
+        "units": list(layout.units) if layout.units is not None else None,
     }
-    meta["children"] = {"lf": "lf_model", "mf": "mf_model"}
     meta["payloads"] = {}
-    # Children first, so this bundle's CHECKSUMS can cover theirs.
-    for child, model in (("lf_model", comp.lf), ("mf_model", comp.mf)):
-        (bundle_dir / child).mkdir()
-        _write_bundle(model, bundle_dir / child, payload_format)
-    children = [bundle_dir / child / "CHECKSUMS" for child in ("lf_model", "mf_model")]
-    _write_meta_and_checksums(bundle_dir, meta, children)
+    for name, arr in named.items():
+        arr = np.atleast_2d(np.asarray(arr, dtype=np.float64))
+        arrays.append(arr)
+        meta["payloads"][name] = {**entry, "shape": list(arr.shape)}
+    return meta
 
 
 def load_model(path: str | Path) -> FittedSurrogate | MfComposite:
     """Reconstruct a model from a bundle, verifying version and checksums."""
     bundle_dir = Path(path)
-    meta_path = bundle_dir / "meta.json"
-    if not meta_path.exists():
-        raise StoreError(f"not a model bundle (no meta.json): {bundle_dir}")
-    try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise StoreError(f"corrupted meta.json in {bundle_dir}: {exc}") from None
-
-    version = meta.get("format_version")
-    if type(version) is bool or version != FORMAT_VERSION:
-        raise StoreError(
-            f"unsupported bundle format_version {version!r}; this build reads "
-            f"version {FORMAT_VERSION}"
-        )
-    files = _read_checked(bundle_dir)
-
+    meta, files = _read_bundle(bundle_dir)
     # A key missing from meta.json, a value of the wrong type, or numbers
     # that the model constructors reject all mean a malformed bundle.
     try:
-        model_type = meta.get("model_type")
-        if model_type == "mf-composite":
-            return _load_composite(bundle_dir, meta)
-        if model_type in MODEL_KINDS:
-            return _load_surrogate(bundle_dir, meta, model_type, files)
+        if meta["format_version"] == 1:
+            _graft_format_1(bundle_dir, meta, files)
+        return _build(bundle_dir, meta, _read_arrays(bundle_dir, meta, files))
     except KeyError as exc:
         raise StoreError(f"malformed bundle {bundle_dir}: meta.json lacks key {exc}") from None
-    except (TypeError, ValueError, InputError) as exc:
+    except (TypeError, ValueError, AttributeError, RecursionError, InputError) as exc:
         raise StoreError(f"malformed bundle {bundle_dir}: {exc}") from None
-    raise StoreError(f"unknown model_type {model_type!r} in {bundle_dir}")
 
 
-def _load_composite(bundle_dir: Path, meta: dict) -> MfComposite:
-    children = meta.get("children", {})
-    lf = load_model(bundle_dir / children.get("lf", "lf_model"))
-    mf = load_model(bundle_dir / children.get("mf", "mf_model"))
+def _graft_format_1(bundle_dir: Path, meta: dict, files: dict, prefix: str = "") -> None:
+    """Put a format-1 bundle's stages where format 2 keeps them: each nested
+    bundle's meta.json under its parent's "lf" or "mf" key, and its checked
+    files into ``files``, every file named from ``bundle_dir``."""
+    if meta.get("model_type") == "mf-composite":
+        for key in ("lf", "mf"):
+            child = f"{prefix}{meta['children'][key]}/"
+            meta[key], child_files = _read_bundle(bundle_dir / child)
+            files.update((child + rel, raw) for rel, raw in child_files.items())
+            _graft_format_1(bundle_dir, meta[key], files, child)
+    else:
+        for entry in meta.get("payloads", {}).values():
+            entry["file"] = prefix + entry["file"]
+
+
+def _read_arrays(bundle_dir: Path, meta: dict, files: dict) -> dict[str, np.ndarray]:
+    """Every payload array of the tree, each payload file parsed once. An
+    array's key is its stage's path and its name, "lf/alpha" for instance;
+    the stages are walked in payload order, depth first, "lf" before "mf"."""
+    by_file: dict[tuple[str, str], dict[str, tuple]] = {}
+    stack = [("", meta)]
+    while stack:
+        stage, node = stack.pop()
+        if node.get("model_type") == "mf-composite":
+            stack += [(f"{stage}mf/", node["mf"]), (f"{stage}lf/", node["lf"])]
+            continue
+        for name, entry in node.get("payloads", {}).items():
+            shapes = by_file.setdefault((entry["file"], entry["format"]), {})
+            shapes[stage + name] = tuple(entry["shape"])
+    arrays = {}
+    for (rel, fmt), shapes in by_file.items():
+        if rel not in files:
+            raise StoreError(f"payload {bundle_dir / rel} is not listed in CHECKSUMS")
+        arrays.update(_parse_payload(files[rel], bundle_dir / rel, fmt, shapes))
+    return arrays
+
+
+def _build(bundle_dir: Path, meta: dict, arrays: dict, stage: str = ""):
+    model_type = meta.get("model_type")
+    if model_type in MODEL_KINDS:
+        return _build_surrogate(bundle_dir, meta, arrays, stage)
+    if model_type != "mf-composite":
+        raise StoreError(f"unknown model_type {model_type!r} in {bundle_dir}")
+    lf = _build(bundle_dir, meta["lf"], arrays, f"{stage}lf/")
+    mf = _build(bundle_dir, meta["mf"], arrays, f"{stage}mf/")
     if not isinstance(mf, FittedSurrogate):
         raise StoreError("the top model of a composite must be a single-model bundle")
-    dims = {
-        "input_dim": lf.input_dim,
-        "lf_output_dim": lf.output_dim,
-        "hf_output_dim": mf.output_dim,
-    }
+    dims = {"input_dim": lf.input_dim, "lf_output_dim": lf.output_dim,
+            "hf_output_dim": mf.output_dim}
     for key, value in dims.items():
         if _json_number(meta["dims"][key], f"dims.{key}", (int,)) != value:
             raise StoreError(
@@ -403,18 +390,14 @@ def _load_composite(bundle_dir: Path, meta: dict) -> MfComposite:
     return MfComposite(lf=lf, mf=mf, **dims)
 
 
-def _load_surrogate(
-    bundle_dir: Path, meta: dict, model_type: str, files: dict[str, np.ndarray]
-) -> FittedSurrogate:
-    payloads = meta.get("payloads", {})
-    read = partial(_read_payload, bundle_dir, files, payloads)
-    x_scaler = _load_scaler(read, payloads, "x_scaler")
-    y_scaler = _load_scaler(read, payloads, "y_scaler")
+def _build_surrogate(bundle_dir: Path, meta: dict, arrays: dict, stage: str) -> FittedSurrogate:
+    x_scaler = _load_scaler(arrays, f"{stage}x_scaler")
+    y_scaler = _load_scaler(arrays, f"{stage}y_scaler")
     hyper = meta["hyperparameters"]
 
-    if model_type == "gpr":
-        X_train = read("X_train")
-        alpha = read("alpha")
+    if meta["model_type"] == "gpr":
+        X_train = arrays[f"{stage}X_train"]
+        alpha = arrays[f"{stage}alpha"]
         if alpha.shape[0] != X_train.shape[0]:
             raise StoreError(
                 f"inconsistent GPR payload shapes: X_train {X_train.shape}, "
@@ -457,8 +440,8 @@ def _load_surrogate(
         dims = arch.layer_dims()
         weights, biases = [], []
         for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-            W = read(f"W{i}")
-            b = read(f"b{i}").ravel()
+            W = arrays[f"{stage}W{i}"]
+            b = arrays[f"{stage}b{i}"].ravel()
             if W.shape != (fan_in, fan_out) or b.shape != (fan_out,):
                 raise StoreError(
                     f"layer {i} payload shapes {W.shape}/{b.shape} do not match "
@@ -468,7 +451,12 @@ def _load_surrogate(
             biases.append(b)
         model = MlpModel(architecture=arch, weights=weights, biases=biases)
 
-    layout = _layout_from_dict(meta["y_layout"])
+    d = meta["y_layout"]
+    layout = TensorLayout(
+        scalar_names=tuple(d["scalar_names"]),
+        coord_labels=tuple(d["coord_labels"]),
+        units=tuple(d["units"]) if d.get("units") is not None else None,
+    )
     if y_scaler.fitted_on != layout.m * layout.l:
         raise StoreError(
             f"y scaler covers {y_scaler.fitted_on} columns but the output layout "

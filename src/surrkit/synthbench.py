@@ -119,6 +119,8 @@ class Sampler:
     def __post_init__(self) -> None:
         if self.kind not in SAMPLER_KINDS:
             raise InputError(f"unknown sampler {self.kind!r}; use one of {SAMPLER_KINDS}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 def _check_bounds(bounds) -> np.ndarray:

@@ -53,6 +53,8 @@ class GprGrid:
     def __post_init__(self) -> None:
         if len(self.kernels) == 0:
             raise InputError("GPR grid must contain at least one kernel")
+        if self.restarts < 1:
+            raise InputError(f"restarts must be >= 1, got {self.restarts}")
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from pathlib import Path
 
@@ -211,12 +212,34 @@ def pooled_r2(y_true, y_pred) -> float:
 
 
 def resign_checksums(bundle) -> None:
-    """Recompute every line of every CHECKSUMS under a bundle, innermost
-    bundles first, as a hand edit that also fixes the checksums would."""
-    for checksums in sorted(Path(bundle).rglob("CHECKSUMS"), key=lambda p: -len(p.parts)):
-        lines = []
-        for line in filter(str.strip, checksums.read_text().splitlines()):
-            rel = line.partition("  ")[2]
-            digest = hashlib.sha256((checksums.parent / rel).read_bytes()).hexdigest()
-            lines.append(f"{digest}  {rel}")
-        checksums.write_text("\n".join(lines) + "\n")
+    """Recompute every line of a bundle's CHECKSUMS, as a hand edit that also
+    fixes the checksums would."""
+    checksums = Path(bundle) / "CHECKSUMS"
+    lines = []
+    for line in filter(str.strip, checksums.read_text().splitlines()):
+        rel = line.partition("  ")[2]
+        digest = hashlib.sha256((checksums.parent / rel).read_bytes()).hexdigest()
+        lines.append(f"{digest}  {rel}")
+    checksums.write_text("\n".join(lines) + "\n")
+
+
+def payload_sections(bundle) -> dict[str, tuple[int, tuple[int, int]]]:
+    """Where each array lies in a format-2 bundle's payload: its first value's
+    index and its shape, by stage path and name ("lf/alpha"), read from
+    meta.json independently of the loader."""
+    meta = json.loads((Path(bundle) / "meta.json").read_text())
+    sections, start = {}, 0
+
+    def walk(stage, prefix):
+        nonlocal start
+        if stage["model_type"] == "mf-composite":
+            walk(stage["lf"], prefix + "lf/")
+            walk(stage["mf"], prefix + "mf/")
+            return
+        for name, entry in stage["payloads"].items():
+            rows, cols = entry["shape"]
+            sections[prefix + name] = (start, (rows, cols))
+            start += rows * cols
+
+    walk(meta, "")
+    return sections

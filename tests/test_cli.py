@@ -13,13 +13,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import surrkit
 from helpers import (
     NON_FINITE_HYPERPARAMETER_IDS,
     NON_FINITE_HYPERPARAMETERS,
+    payload_sections,
     resign_checksums,
 )
 from surrkit.cli import main
@@ -56,13 +57,8 @@ def write_config(path, body):
 
 
 def payloads(run_dir):
-    """The payload files of a run's composite bundle, by path within it."""
-    bundle = run_dir / "mf_model_v1"
-    return {
-        str(path.relative_to(bundle)): path.read_bytes()
-        for path in sorted(bundle.rglob("*"))
-        if path.is_file() and "payload" in path.parts
-    }
+    """The payload file of a run's composite bundle, by name."""
+    return {path.name: path.read_bytes() for path in (run_dir / "mf_model_v1").glob("payload.*")}
 
 
 class TestSynth:
@@ -296,9 +292,8 @@ class TestFidelityChainConfig:
         bundle = next(run_dir.glob("mf_model_v*"))
         meta = json.loads((bundle / "meta.json").read_text())
         assert meta["model_type"] == "mf-composite"
-        assert (bundle / "lf_model" / "meta.json").exists()
-        inner = json.loads((bundle / "lf_model" / "meta.json").read_text())
-        assert inner["model_type"] == "mf-composite"  # nested level
+        assert meta["lf"]["model_type"] == "mf-composite"  # nested level
+        assert sorted(p.name for p in bundle.iterdir()) == ["CHECKSUMS", "meta.json", "payload.txt"]
         assert (run_dir / "lf_sweep.csv").exists()
         assert (run_dir / "mf_sweep.csv").exists()
 
@@ -535,9 +530,9 @@ class TestErrorsExit2WithoutTraceback:
         """Bundles no longer store the Cholesky factor, so the NaN goes into
         ``alpha``, the dual weights."""
         bundle = save_model(load_model(sf_bundle), tmp_path, "bin", payload_format="binary")
-        path = bundle / "payload" / "alpha.bin"
+        path = bundle / "payload.bin"
         values = np.frombuffer(path.read_bytes(), dtype="<f8").copy()
-        values[0] = np.nan
+        values[payload_sections(bundle)["alpha"][0]] = np.nan
         path.write_bytes(values.tobytes())
         resign_checksums(bundle)
         result = cli_process(
@@ -546,6 +541,13 @@ class TestErrorsExit2WithoutTraceback:
         )
         self.assert_one_line_exit_2(result)
         assert "non-finite" in result.stderr
+
+    def test_negative_synth_seed(self, tmp_path):
+        out = tmp_path / "bench"
+        result = cli_process("synth", "--pair", "forrester", "--seed", "-1", "--out", str(out))
+        self.assert_one_line_exit_2(result)
+        assert "seed must be >= 0, got -1" in result.stderr
+        assert not out.exists()
 
     def test_overflowing_site(self, sf_bundle, tmp_path):
         """1e308 is finite but overflows when scaled; the scaled-query check
@@ -651,17 +653,20 @@ def test_non_finite_hyperparameter_exits_2_with_one_line(predict_bundles, tmp_pa
 def test_text_payload_without_a_two_integer_header_exits_2_with_one_line(
     predict_bundles, tmp_path, edit
 ):
-    """A composite whose LF ``alpha.txt`` lost its ``rows cols`` header, or
-    gained a third header token, with every checksum re-signed, is refused at
-    load with one line on stderr instead of a traceback."""
+    """A composite whose last section, the mf stage's ``alpha``, lost its
+    ``rows cols`` header, or gained a third header token, with the checksums
+    re-signed, is refused at load with one line on stderr instead of a
+    traceback."""
     bundle = shutil.copytree(predict_bundles[1][1], tmp_path / "model")
-    alpha = bundle / "lf_model" / "payload" / "alpha.txt"
-    header, _, body = alpha.read_text().partition("\n")
-    alpha.write_text({
+    payload = bundle / "payload.txt"
+    rows = payload_sections(bundle)["mf/alpha"][1][0]
+    lines = payload.read_text().splitlines(keepends=True)
+    before, header, body = lines[:-rows - 1], lines[-rows - 1], lines[-rows:]
+    payload.write_text("".join(before) + {
         "empty": "",
         "blank-line": "\n",
         "rows-only": header.split()[0] + "\n",
-        "three-tokens": f"{header} x\n{body}",
+        "three-tokens": f"{header.strip()} x\n" + "".join(body),
     }[edit])
     resign_checksums(bundle)
     sites = tmp_path / "sites.csv"
@@ -673,7 +678,7 @@ def test_text_payload_without_a_two_integer_header_exits_2_with_one_line(
     assert code == 2
     lines = err.getvalue().strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
-    assert "alpha.txt: text payload needs a 'rows cols' header" in lines[0], lines
+    assert "payload.txt[mf/alpha]: text payload needs a 'rows cols' header" in lines[0], lines
     assert not (tmp_path / "pred.csv").exists()
 
 
@@ -742,6 +747,55 @@ def test_mistyped_bundle_metadata_is_refused_at_load(
     assert not (tmp_path / "pred.csv").exists()
 
 
+@pytest.fixture(scope="module")
+def flip_bundles(predict_bundles, mlp_bundle, tmp_path_factory):
+    """A GPR, an MLP and a composite bundle, each in text and in binary."""
+    root = tmp_path_factory.mktemp("flip")
+    sources = {"gpr": predict_bundles[1][0], "mlp": mlp_bundle, "mf": predict_bundles[1][1]}
+    return {
+        (name, fmt): save_model(load_model(source), root, f"{name}_{fmt}", payload_format=fmt)
+        for name, source in sources.items() for fmt in ("text", "binary")
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    which=st.sampled_from([(name, fmt) for name in ("gpr", "mlp", "mf")
+                           for fmt in ("text", "binary")]),
+    file=st.sampled_from(["meta.json", "payload", "CHECKSUMS"]),
+    where=st.floats(0.0, 1.0, exclude_max=True),
+    delta=st.integers(1, 255),
+)
+# The newline after CHECKSUMS' first line (byte 77 of 154) turned into a
+# carriage return, which would end a line as well.
+@example(which=("gpr", "text"), file="CHECKSUMS", where=0.5, delta=3)
+def test_one_changed_byte_in_a_bundle_is_refused(
+    flip_bundles, tmp_path_factory, which, file, where, delta
+):
+    """Any single byte of any of a bundle's three files, changed without
+    re-signing, makes the load raise StoreError, and ``predict`` exit 2 with
+    one stderr line. Lines are counted at newlines: a message may quote a
+    file name that holds a carriage return."""
+    tmp = tmp_path_factory.mktemp("flipped")
+    bundle = shutil.copytree(flip_bundles[which], tmp / "model")
+    path = next(bundle.glob("payload.*")) if file == "payload" else bundle / file
+    data = bytearray(path.read_bytes())
+    i = int(where * len(data))
+    data[i] = (data[i] + delta) % 256
+    path.write_bytes(bytes(data))
+    with pytest.raises(StoreError):
+        load_model(bundle)
+    sites = tmp / "sites.csv"
+    sites.write_text("x\n0.25\n0.75\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["predict", "--model-dir", str(bundle), "--sites", str(sites),
+                     "--out", str(tmp / "pred.csv")])
+    assert code == 2
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert not (tmp / "pred.csv").exists()
+
+
 NOT_UTF8 = b"\xff\xfex\x00\n\x000\x00.\x005\x00\n\x00"  # "x\n0.5\n" in UTF-16
 
 
@@ -782,6 +836,7 @@ MALFORMED_CONFIGS = {
     "seed-bool": {"seed": True},
     "restarts-string": {"gpr": {"restarts": "two"}},
     "restarts-fraction": {"gpr": {"restarts": 2.9}},
+    "restarts-zero": {"gpr": {"restarts": 0}},
     "widths-string": {"mlp": {"widths": "abc"}},
     "widths-digits": {"mlp": {"widths": "123"}},
     "layers-integer": {"mlp": {"layers": 2}},

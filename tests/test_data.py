@@ -19,7 +19,7 @@ from surrkit.data import (
     write_csv,
 )
 from surrkit.errors import InputError
-from surrkit.modelstore import _parse_array
+from surrkit.modelstore import _parse_payload
 
 
 def write_tensor_text(path, n, m, l, values, extra_lines=()):
@@ -107,7 +107,7 @@ class TestImportTensorText:
         path.write_text("2 1 2\n" + body, encoding="utf-8")
         assert import_tensor(path).values.ravel().tolist() == [1000.0, 3.0, 2.5, 12.5]
         raw = np.frombuffer(("2 2\n" + body).encode(), np.uint8)
-        assert _parse_array(raw, path, "text", (2, 2)).ravel().tolist() == [
+        assert _parse_payload(raw, path, "text", {"a": (2, 2)})["a"].ravel().tolist() == [
             1000.0, 3.0, 2.5, 12.5
         ]
 
@@ -162,8 +162,9 @@ def test_reader_returns_the_bytes_np_array_gives(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("2 1 3\n" + "\n".join(lines) + "\n")
     assert import_tensor(path).values.tobytes() == expected.tobytes()
-    raw = np.frombuffer(("2 3\n" + "\n".join(lines) + "\n").encode(), np.uint8)
-    assert _parse_array(raw, path, "text", (2, 3)).tobytes() == expected.tobytes()
+    raw = np.frombuffer((("2 3\n" + "\n".join(lines) + "\n") * 2).encode(), np.uint8)
+    sections = _parse_payload(raw, path, "text", {"a": (2, 3), "b": (2, 3)})
+    assert [a.tobytes() for a in sections.values()] == [expected.tobytes()] * 2
 
 
 class TestImportCsv:

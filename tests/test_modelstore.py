@@ -1,9 +1,11 @@
 """Bundle persistence: versioning, round trips, checksums, format guards."""
 
 import json
+import shutil
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,17 +13,26 @@ import pytest
 from helpers import (
     NON_FINITE_HYPERPARAMETER_IDS,
     NON_FINITE_HYPERPARAMETERS,
+    payload_sections,
+    reference_format_row,
     resign_checksums,
 )
 from surrkit import gpr, modelstore
+from surrkit.data import DataTensor, FidelityDataset
 from surrkit.errors import NumericError, StoreError
-from surrkit.gpr import KernelSpec, gpr_fit, gpr_predict
+from surrkit.gpr import GprModel, KernelSpec, gpr_fit, gpr_predict
+from surrkit.metrics import uq_report
 from surrkit.mlp import TrainConfig
 from surrkit.modelstore import load_model, save_model
-from surrkit.multifid import train_mf, train_single_fidelity
+from surrkit.multifid import MfComposite, compose_with_lf, train_mf, train_single_fidelity
 from surrkit.preprocess import SplitSpec
-from surrkit.synthbench import Sampler, forrester_pair, generate_pair_dataset, trig4_pair
+from surrkit.synthbench import Sampler, forrester_pair, generate_pair_dataset, sample, trig4_pair
 from surrkit.tuner import GprGrid, MlpGrid
+
+# Format-1 bundles saved by the last release that wrote format 1, and the
+# predictions it gave from them (see CHANGES.md for how they were made).
+FORMAT_1 = Path(__file__).parent / "fixtures" / "format1"
+FAST_GPR = GprGrid(kernels=(KernelSpec(kind="constant*rbf"),), restarts=1, seed=2)
 
 
 @pytest.fixture(scope="module")
@@ -68,10 +79,43 @@ def jittered_surrogate(gpr_surrogate):
 @pytest.fixture(scope="module")
 def composite():
     lf, hf = generate_pair_dataset(forrester_pair(), 30, 8, Sampler(seed=2))
-    return train_mf(
-        lf, hf, split=SplitSpec(seed=2),
-        gpr_grid=GprGrid(kernels=(KernelSpec(kind="constant*rbf"),), restarts=1, seed=2),
+    return train_mf(lf, hf, split=SplitSpec(seed=2), gpr_grid=FAST_GPR)
+
+
+@pytest.fixture(scope="module")
+def gpr_mlp_composite():
+    lf, hf = generate_pair_dataset(forrester_pair(), 30, 20, Sampler(seed=3))
+    cfg = TrainConfig(learning_rate=1e-2, max_epochs=20, batch_size=64,
+                      early_stop_patience=20, seed=3)
+    return train_mf(lf, hf, mf_kind="mlp", split=SplitSpec(seed=3), gpr_grid=FAST_GPR,
+                    mlp_grid=MlpGrid(layer_counts=(1,), widths=(4,), train=cfg))
+
+
+@pytest.fixture(scope="module")
+def chain(composite):
+    """A composite whose low-fidelity member is itself a composite."""
+    pair = forrester_pair()
+    X_top = sample(Sampler(seed=9), pair.bounds, 10)
+    top = FidelityDataset(
+        "HF2",
+        DataTensor.from_values(X_top[:, :, None], ("x",)),
+        DataTensor.from_values(pair.hf(X_top)[:, :, None], ("y",)),
     )
+    return compose_with_lf(
+        composite, top, "gpr", SplitSpec(seed=9),
+        gpr_grid=GprGrid(kernels=(KernelSpec(kind="constant*rbf"),), restarts=1, seed=9),
+    )
+
+
+def stage_arrays(obj):
+    """Every array a model holds, stage by stage: scalers, then model arrays."""
+    if isinstance(obj, MfComposite):
+        return stage_arrays(obj.lf) + stage_arrays(obj.mf)
+    model = obj.model
+    arrays = [obj.x_scaler.means, obj.x_scaler.stds, obj.y_scaler.means, obj.y_scaler.stds]
+    if isinstance(model, GprModel):
+        return arrays + [model.X_train, model.alpha]
+    return arrays + [a for pair in zip(model.weights, model.biases) for a in pair]
 
 
 def queries(d, seed=3):
@@ -143,29 +187,32 @@ class TestRoundTrip:
         assert loaded.jitter_used == fitted.jitter_used
         assert loaded.L.tobytes() == fitted.L.tobytes()
 
-    def test_nested_chain_round_trip(self, composite, tmp_path):
-        """A composite whose low-fidelity member is itself a composite."""
-        from surrkit.multifid import compose_with_lf
-        from surrkit.data import DataTensor, FidelityDataset
-        from surrkit.synthbench import forrester_pair, sample
-
-        pair = forrester_pair()
-        X_top = sample(Sampler(seed=9), pair.bounds, 10)
-        top = FidelityDataset(
-            "HF2",
-            DataTensor.from_values(X_top[:, :, None], ("x",)),
-            DataTensor.from_values(pair.hf(X_top)[:, :, None], ("y",)),
-        )
-        chain = compose_with_lf(
-            composite, top, "gpr", SplitSpec(seed=9),
-            gpr_grid=GprGrid(kernels=(KernelSpec(kind="constant*rbf"),), restarts=1, seed=9),
-        )
+    def test_nested_chain_round_trip(self, chain, tmp_path):
         bundle = save_model(chain, tmp_path, "chain")
         loaded = load_model(bundle)
         X = queries(1, seed=9)
         np.testing.assert_allclose(
             loaded.predict_raw(X), chain.predict_raw(X), rtol=0, atol=1e-12
         )
+
+    @pytest.mark.parametrize("payload_format", ["text", "binary"])
+    @pytest.mark.parametrize(
+        "model", ["gpr_surrogate", "mlp_surrogate", "composite", "gpr_mlp_composite", "chain"]
+    )
+    def test_bundle_is_three_files_and_loads_every_array_exactly(
+        self, request, model, payload_format, tmp_path
+    ):
+        obj = request.getfixturevalue(model)
+        bundle = save_model(obj, tmp_path, "three", payload_format=payload_format)
+        payload = "payload.txt" if payload_format == "text" else "payload.bin"
+        assert sorted(p.name for p in bundle.iterdir()) == ["CHECKSUMS", "meta.json", payload]
+        loaded = load_model(bundle)
+        saved, back = stage_arrays(obj), stage_arrays(loaded)
+        assert len(saved) == len(back)
+        for a, b in zip(saved, back):
+            assert np.atleast_2d(a).tobytes() == np.atleast_2d(b).tobytes()
+        X = queries(1)
+        assert loaded.predict_raw(X).tobytes() == obj.predict_raw(X).tobytes()
 
 
 class TestVersioning:
@@ -197,15 +244,17 @@ class TestVersioning:
             assert load_model(bundle).predict_raw(X).tobytes() == expected
 
     def test_failed_save_leaves_no_version(self, composite, tmp_path, monkeypatch):
-        real_save_array, written = modelstore._save_array, []
+        """The sixth of the composite's twelve arrays fails to format, after
+        the payload file holds five."""
+        real_format_rows, written = modelstore.format_rows, []
 
-        def fail_partway(path, arr, fmt):
+        def fail_partway(arr):
             if len(written) == 5:
                 raise OSError("disk full")
-            written.append(path)
-            real_save_array(path, arr, fmt)
+            written.append(arr)
+            return real_format_rows(arr)
 
-        monkeypatch.setattr(modelstore, "_save_array", fail_partway)
+        monkeypatch.setattr(modelstore, "format_rows", fail_partway)
         with pytest.raises(OSError, match="disk full"):
             save_model(composite, tmp_path, "proj")
         assert written and list(tmp_path.iterdir()) == []
@@ -219,13 +268,13 @@ class TestVersioning:
         assert "jitter_used" in meta["training"]
         assert "lml" in meta["training"]
         assert meta["model_type"] == "gpr"
-        assert meta["format_version"] == 1
+        assert meta["format_version"] == 2
 
 
 class TestLoadGuards:
     def test_tampered_payload_fails_checksum(self, gpr_surrogate, tmp_path):
         bundle = save_model(gpr_surrogate, tmp_path, "tamper")
-        payload = next((bundle / "payload").glob("*.txt"))
+        payload = bundle / "payload.txt"
         data = bytearray(payload.read_bytes())
         data[len(data) // 2] ^= 0x01  # flip one bit
         payload.write_bytes(bytes(data))
@@ -239,7 +288,10 @@ class TestLoadGuards:
             load_model(bundle)
 
     def test_missing_scaler_payload_rejected(self, gpr_surrogate, tmp_path):
-        bundle = save_model(gpr_surrogate, tmp_path, "noscaler")
+        """The entry and its section, the payload's first 1x1 array, both go."""
+        bundle = save_model(gpr_surrogate, tmp_path, "noscaler", payload_format="binary")
+        path = bundle / "payload.bin"
+        path.write_bytes(path.read_bytes()[8:])
         edit_meta(bundle, lambda meta: meta["payloads"].pop("x_scaler_means"))
         with pytest.raises(StoreError, match="scaler"):
             load_model(bundle)
@@ -249,8 +301,9 @@ class TestLoadGuards:
             load_model(tmp_path)
 
     def test_composite_checksums_cover_children(self, composite, tmp_path):
+        """The payload's first byte belongs to the lf stage."""
         bundle = save_model(composite, tmp_path, "nested")
-        payload = next((bundle / "lf_model" / "payload").glob("*"))
+        payload = bundle / "payload.txt"
         data = bytearray(payload.read_bytes())
         data[0] ^= 0xFF
         payload.write_bytes(bytes(data))
@@ -266,25 +319,27 @@ class TestIntegrity:
             text = (directory / "CHECKSUMS").read_text()
             return [line.partition("  ")[2] for line in text.splitlines()]
 
-        assert listed(bundle) == ["lf_model/CHECKSUMS", "mf_model/CHECKSUMS", "meta.json"]
-        for child in ("lf_model", "mf_model"):
-            payloads = sorted(p.relative_to(bundle / child).as_posix()
-                              for p in (bundle / child / "payload").iterdir())
-            assert sorted(listed(bundle / child)) == sorted(payloads + ["meta.json"])
+        assert listed(bundle) == ["payload.txt", "meta.json"]
+        assert sorted(p.name for p in bundle.iterdir()) == ["CHECKSUMS", "meta.json", "payload.txt"]
+        meta = json.loads((bundle / "meta.json").read_text())
+        for stage in ("lf", "mf"):
+            files = {entry["file"] for entry in meta[stage]["payloads"].values()}
+            assert files == {"payload.txt"}
 
     def test_edited_child_hyperparameter_fails_checksum(self, composite, tmp_path):
         bundle = save_model(composite, tmp_path, "edited")
-        meta_path = bundle / "lf_model" / "meta.json"
+        meta_path = bundle / "meta.json"
         meta = json.loads(meta_path.read_text())
-        meta["hyperparameters"]["length_scale"] = [
-            3.0 * v for v in meta["hyperparameters"]["length_scale"]
+        meta["lf"]["hyperparameters"]["length_scale"] = [
+            3.0 * v for v in meta["lf"]["hyperparameters"]["length_scale"]
         ]
         meta_path.write_text(json.dumps(meta, indent=2) + "\n")
-        with pytest.raises(StoreError, match="checksum mismatch.*lf_model/meta.json"):
+        with pytest.raises(StoreError, match="checksum mismatch.*edited_v1/meta.json"):
             load_model(bundle)
 
-    def test_child_resigned_alone_fails_parent_checksum(self, composite, tmp_path):
-        bundle = save_model(composite, tmp_path, "resigned")
+    def test_child_resigned_alone_fails_parent_checksum(self, tmp_path):
+        """Format 1 nests a composite's stages as bundles of their own."""
+        bundle = shutil.copytree(FORMAT_1 / "mf_text_v1", tmp_path / "resigned")
         edit_meta(bundle / "lf_model", lambda meta: meta["training"].update(lml=0.0))
         with pytest.raises(StoreError, match="checksum mismatch.*lf_model/CHECKSUMS"):
             load_model(bundle)
@@ -301,13 +356,13 @@ class TestIntegrity:
         bundle = save_model(gpr_surrogate, tmp_path, "unlisted_payload")
         checksums = bundle / "CHECKSUMS"
         lines = checksums.read_text().splitlines()
-        checksums.write_text("\n".join(l for l in lines if not l.endswith("/alpha.txt")) + "\n")
-        with pytest.raises(StoreError, match="alpha.txt is not listed in CHECKSUMS"):
+        checksums.write_text("\n".join(l for l in lines if not l.endswith("  payload.txt")) + "\n")
+        with pytest.raises(StoreError, match="payload.txt is not listed in CHECKSUMS"):
             load_model(bundle)
 
     def test_binary_payload_of_partial_values_rejected(self, gpr_surrogate, tmp_path):
         bundle = save_model(gpr_surrogate, tmp_path, "ragged", payload_format="binary")
-        path = bundle / "payload" / "alpha.bin"
+        path = bundle / "payload.bin"
         path.write_bytes(path.read_bytes() + b"\0\0\0")
         resign_checksums(bundle)
         with pytest.raises(StoreError, match="not a whole number of float64"):
@@ -320,12 +375,13 @@ class TestIntegrity:
     )
     def test_non_finite_payload_rejected(self, gpr_surrogate, tmp_path, payload, value):
         bundle = save_model(gpr_surrogate, tmp_path, "nonfinite", payload_format="binary")
-        path = bundle / "payload" / f"{payload}.bin"
+        path = bundle / "payload.bin"
+        start, (rows, cols) = payload_sections(bundle)[payload]
         values = np.frombuffer(path.read_bytes(), dtype="<f8").copy()
-        values[-1] = value
+        values[start + rows * cols - 1] = value
         path.write_bytes(values.tobytes())
         resign_checksums(bundle)
-        with pytest.raises(StoreError, match=f"{payload}.bin: payload holds non-finite"):
+        with pytest.raises(StoreError, match=rf"payload.bin\[{payload}\]: payload holds non-finite"):
             load_model(bundle)
 
 
@@ -340,9 +396,7 @@ class TestLazyFactor:
             "X_train", "alpha", "x_scaler_means", "x_scaler_stds",
             "y_scaler_means", "y_scaler_stds",
         ]
-        assert sorted(p.name for p in (bundle / "payload").iterdir()) == sorted(
-            f"{name}.txt" for name in meta["payloads"]
-        )
+        assert sorted(p.name for p in bundle.iterdir()) == ["CHECKSUMS", "meta.json", "payload.txt"]
 
     def test_only_the_first_variance_request_factors(
         self, trig4_gpr_surrogate, tmp_path, monkeypatch
@@ -371,25 +425,30 @@ class TestLazyFactor:
         assert first.variance.tobytes() == second.variance.tobytes() == expected
 
     @pytest.mark.parametrize("payload_format", ["text", "binary"])
-    def test_bundle_with_a_stored_factor_still_loads(
-        self, gpr_surrogate, tmp_path, payload_format
-    ):
-        """Bundles saved before the factor was dropped list an ``L`` payload;
-        it is hashed as listed and then ignored."""
-        fitted = gpr_surrogate.model
-        bundle = save_model(gpr_surrogate, tmp_path, "old", payload_format=payload_format)
+    def test_bundle_with_a_stored_factor_still_loads(self, tmp_path, payload_format):
+        """Format-1 bundles saved before the factor was dropped list an ``L``
+        payload; it is read as listed and then ignored."""
+        fixture = FORMAT_1 / f"mf_{payload_format}_v1"
+        plain = load_model(fixture)
+        L = plain.lf.model.L
+        bundle = shutil.copytree(fixture, tmp_path / "old")
+        stage = bundle / "lf_model"
         suffix = "txt" if payload_format == "text" else "bin"
-        modelstore._save_array(bundle / "payload" / f"L.{suffix}", fitted.L, payload_format)
-        checksums = bundle / "CHECKSUMS"
+        if payload_format == "text":
+            rows = [f"{L.shape[0]} {L.shape[1]}", *map(reference_format_row, L)]
+            (stage / "payload" / "L.txt").write_text("\n".join(rows) + "\n")
+        else:
+            (stage / "payload" / "L.bin").write_bytes(np.ascontiguousarray(L, "<f8").tobytes())
+        checksums = stage / "CHECKSUMS"
         checksums.write_text(checksums.read_text() + f"0  payload/L.{suffix}\n")
-        edit_meta(bundle, lambda meta: meta["payloads"].update(
-            L={"file": f"payload/L.{suffix}", "format": payload_format,
-               "shape": list(fitted.L.shape)}))
+        edit_meta(stage, lambda meta: meta["payloads"].update(
+            L={"file": f"payload/L.{suffix}", "format": payload_format, "shape": list(L.shape)}))
+        resign_checksums(bundle)
         loaded = load_model(bundle)
         X = queries(1)
-        assert loaded.predict_raw(X).tobytes() == gpr_surrogate.predict_raw(X).tobytes()
-        assert gpr_predict(loaded.model, X).variance.tobytes() == (
-            gpr_predict(fitted, X).variance.tobytes()
+        assert loaded.predict_raw(X).tobytes() == plain.predict_raw(X).tobytes()
+        assert gpr_predict(loaded.lf.model, X).variance.tobytes() == (
+            gpr_predict(plain.lf.model, X).variance.tobytes()
         )
 
     def test_a_factor_that_fails_is_a_numeric_error(self, jittered_surrogate, tmp_path):
@@ -403,25 +462,29 @@ class TestLazyFactor:
             gpr_predict(loaded.model, X)
 
 
-def edit_meta(bundle, change, child="."):
-    """Edit the meta.json of a saved bundle (or of one of its children) and
-    re-sign the bundle's checksums, so the edit gets past checksum
-    verification to the schema checks."""
-    meta_path = bundle / child / "meta.json"
+def edit_meta(bundle, change, stage=()):
+    """Edit the meta.json of a saved bundle, at the stage its keys ``stage``
+    lead to, and re-sign the bundle's CHECKSUMS, so the edit gets past
+    checksum verification to the schema checks."""
+    meta_path = bundle / "meta.json"
     meta = json.loads(meta_path.read_text())
-    change(meta)
+    node = meta
+    for key in stage:
+        node = node[key]
+    change(node)
     meta_path.write_text(json.dumps(meta))
     resign_checksums(bundle)
 
 
 class TestSchemaErrors:
-    @pytest.mark.parametrize(
-        "child, key",
-        [("mf_model", "y_layout"), ("lf_model", "hyperparameters"), (".", "dims")],
-    )
-    def test_missing_meta_key_is_store_error(self, composite, tmp_path, child, key):
+    @pytest.mark.parametrize("stage, key", [
+        pytest.param(("mf",), "y_layout", id="mf_model-y_layout"),
+        pytest.param(("lf",), "hyperparameters", id="lf_model-hyperparameters"),
+        pytest.param((), "dims", id=".-dims"),
+    ])
+    def test_missing_meta_key_is_store_error(self, composite, tmp_path, stage, key):
         bundle = save_model(composite, tmp_path, "schema")
-        edit_meta(bundle, lambda meta: meta.pop(key), child)
+        edit_meta(bundle, lambda meta: meta.pop(key), stage)
         with pytest.raises(StoreError, match=key):
             load_model(bundle)
 
@@ -456,4 +519,92 @@ class TestSchemaErrors:
         bundle = save_model(gpr_surrogate, tmp_path, "jitter")
         edit_meta(bundle, change)
         with pytest.raises(StoreError, match="training.jitter_used must be a finite number"):
+            load_model(bundle)
+
+
+def flip_byte(path):
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+def resign_format_1(stage):
+    """Re-sign a format-1 stage's CHECKSUMS, then its parent bundle's."""
+    resign_checksums(stage)
+    resign_checksums(stage.parent)
+
+
+def drop_header(path):
+    path.write_text(path.read_text().partition("\n")[2])
+    resign_format_1(path.parent.parent)
+
+
+def pad_bytes(path):
+    path.write_bytes(path.read_bytes() + b"\0\0\0")
+    resign_format_1(path.parent.parent)
+
+
+def nan_value(path):
+    values = np.frombuffer(path.read_bytes(), dtype="<f8").copy()
+    values[0] = np.nan
+    path.write_bytes(values.tobytes())
+    resign_format_1(path.parent.parent)
+
+
+def unlist(path):
+    checksums = path.parent.parent / "CHECKSUMS"
+    lines = checksums.read_text().splitlines()
+    checksums.write_text("\n".join(l for l in lines if not l.endswith(path.name)) + "\n")
+    resign_checksums(checksums.parent.parent)
+
+
+# A guard of format-1 loading, by the bundle and the lf stage payload it
+# edits, and the message that names it.
+FORMAT_1_GUARDS = {
+    "checksum": ("mf_text_v1", "alpha.txt", flip_byte,
+                 "checksum mismatch for .*lf_model/payload/alpha.txt"),
+    "header": ("mf_text_v1", "alpha.txt", drop_header,
+               "lf_model/payload/alpha.txt: text payload needs a 'rows cols' header"),
+    "partial": ("mf_binary_v1", "alpha.bin", pad_bytes,
+                "lf_model/payload/alpha.bin: size is not a whole number of float64"),
+    "non-finite": ("mf_binary_v1", "X_train.bin", nan_value,
+                   "lf_model/payload/X_train.bin: payload holds non-finite"),
+    "unlisted": ("mf_text_v1", "alpha.txt", unlist,
+                 "lf_model/payload/alpha.txt is not listed in CHECKSUMS"),
+}
+
+
+class TestFormat1:
+    """Format-1 bundles, as the last release that wrote them saved them."""
+
+    @pytest.mark.parametrize("name", ["mf_text_v1", "mf_binary_v1", "mlp_text_v1"])
+    def test_fixture_predicts_the_bytes_it_was_saved_with(self, name):
+        expected = json.loads((FORMAT_1 / "expected.json").read_text())
+        sites = np.array(expected["sites"])[:, None]
+        loaded = load_model(FORMAT_1 / name)
+        mean = np.array(expected[name]["mean"])
+        assert loaded.predict_raw(sites).ravel().tobytes() == mean.tobytes()
+        if "lf_std" in expected[name]:
+            std = np.array(expected[name]["lf_std"])
+            assert uq_report(loaded.lf, sites).std.ravel().tobytes() == std.tobytes()
+
+    def test_resaved_fixture_is_format_2_and_predicts_alike(self, tmp_path):
+        loaded = load_model(FORMAT_1 / "mf_text_v1")
+        bundle = save_model(loaded, tmp_path, "resaved")
+        assert json.loads((bundle / "meta.json").read_text())["format_version"] == 2
+        X = queries(1)
+        assert load_model(bundle).predict_raw(X).tobytes() == loaded.predict_raw(X).tobytes()
+
+    @pytest.mark.parametrize("fixture, payload, edit, message",
+                             FORMAT_1_GUARDS.values(), ids=FORMAT_1_GUARDS.keys())
+    def test_load_guards_name_the_format_1_file(self, tmp_path, fixture, payload, edit, message):
+        bundle = shutil.copytree(FORMAT_1 / fixture, tmp_path / "old")
+        edit(bundle / "lf_model" / "payload" / payload)
+        with pytest.raises(StoreError, match=message):
+            load_model(bundle)
+
+    def test_future_format_version_rejected(self, tmp_path):
+        bundle = shutil.copytree(FORMAT_1 / "mlp_text_v1", tmp_path / "old")
+        edit_meta(bundle, lambda meta: meta.update(format_version=3))
+        with pytest.raises(StoreError, match="unsupported bundle format_version 3"):
             load_model(bundle)
