@@ -9,12 +9,11 @@ inputs augmented with low-fidelity predictions.
 
 __version__ = "0.1.0"
 
-from surrkit.data import DataTensor, FidelityDataset, FlatMatrix, flatten, unflatten
+from surrkit.data import DataTensor, FidelityDataset, flatten, unflatten
 
 __all__ = [
     "DataTensor",
     "FidelityDataset",
-    "FlatMatrix",
     "flatten",
     "unflatten",
     "__version__",

@@ -24,6 +24,7 @@ from surrkit.data import (
     DataTensor,
     FidelityDataset,
     export_tensor,
+    flatten,
     import_tensor,
     write_csv,
 )
@@ -237,9 +238,7 @@ def cmd_predict(args) -> int:
         TensorLayout.of(sites).column_names() + model.y_layout.column_names(),
         (
             map(repr, row)
-            for row in np.hstack(
-                [sites.values.reshape(sites.n, -1), pred.values.reshape(pred.n, -1)]
-            ).tolist()
+            for row in np.hstack([flatten(sites), flatten(pred)]).tolist()
         ),
     )
     print(f"wrote {sites.n} predictions to {out}")
@@ -313,9 +312,8 @@ def cmd_synth(args) -> int:
 def cmd_bench(args) -> int:
     model = load_model(args.model_dir)
     sites = import_tensor(args.sites, args.sites_format)
-    X = sites.values.reshape(sites.n, -1)
     with _stage("bench"):
-        rate = throughput_benchmark(model, X, repeats=args.repeats)
+        rate = throughput_benchmark(model, flatten(sites), repeats=args.repeats)
     print(f"{rate:.1f} single-site predictions/second "
           f"({sites.n} sites x {args.repeats} repeats)")
     if args.out is not None:

@@ -146,48 +146,6 @@ class DataTensor:
 
 
 @dataclass(frozen=True, eq=False)
-class FlatMatrix:
-    """2-D training layout of a tensor: shape ``(n, m*l)``, scalar-major.
-
-    Column ``j`` holds scalar ``j // l`` at coordinate ``j % l``. Scalar names
-    and coordinate labels are carried along so a flattened tensor can be
-    reassembled without external bookkeeping.
-    """
-
-    values: np.ndarray
-    scalar_names: tuple[str, ...] | None = None
-    coord_labels: tuple[str, ...] | None = None
-    units: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise InputError(f"flat matrix must be rank 2, got rank {values.ndim}")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
-
-    @classmethod
-    def from_array(cls, values: np.ndarray) -> "FlatMatrix":
-        """Wrap a plain matrix, treating each column as its own l=1 scalar."""
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 2:
-            raise InputError(f"expected a rank-2 array, got rank {values.ndim}")
-        return cls(values)
-
-    def with_values(self, values: np.ndarray) -> "FlatMatrix":
-        """Same column structure, different numbers (e.g. after scaling)."""
-        return FlatMatrix(values, self.scalar_names, self.coord_labels, self.units)
-
-
-@dataclass(frozen=True, eq=False)
 class FidelityDataset:
     """Paired input/output tensors for one fidelity level."""
 
@@ -208,19 +166,15 @@ class FidelityDataset:
         return self.X.n
 
 
-def flatten(tensor: DataTensor) -> FlatMatrix:
-    """Flatten ``(n, m, l)`` to ``(n, m*l)`` with scalar-major columns."""
+def flatten(tensor: DataTensor) -> np.ndarray:
+    """Flatten ``(n, m, l)`` to ``(n, m*l)`` with scalar-major columns, as a
+    read-only view of the tensor's values."""
     n, m, l = tensor.shape
-    return FlatMatrix(
-        tensor.values.reshape(n, m * l),
-        tensor.scalar_names,
-        tensor.coord_labels,
-        tensor.units,
-    )
+    return tensor.values.reshape(n, m * l)
 
 
 def unflatten(
-    matrix: FlatMatrix | np.ndarray,
+    matrix: np.ndarray,
     m: int,
     l: int | None = None,
     scalar_names: tuple[str, ...] | None = None,
@@ -229,16 +183,10 @@ def unflatten(
 ) -> DataTensor:
     """Exact inverse of :func:`flatten`.
 
-    ``l`` may be omitted when the column count determines it. Names default
-    to those carried by the matrix, then to generated placeholders.
+    ``l`` may be omitted when the column count determines it. The array
+    carries no names: those not given are generated placeholders.
     """
-    if isinstance(matrix, FlatMatrix):
-        values = matrix.values
-        scalar_names = scalar_names or matrix.scalar_names
-        coord_labels = coord_labels or matrix.coord_labels
-        units = units or matrix.units
-    else:
-        values = np.asarray(matrix, dtype=np.float64)
+    values = np.asarray(matrix, dtype=np.float64)
     if values.ndim != 2:
         raise InputError(f"expected a rank-2 matrix, got rank {values.ndim}")
     cols = values.shape[1]

@@ -73,6 +73,12 @@ def _json_number(value, where: str, kinds: tuple = (int, float)):
     return value
 
 
+def _printable(path: Path) -> str:
+    """``path`` with each non-printable character backslash-escaped, so a
+    name read from a bundle cannot move the terminal's cursor."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(path))
+
+
 def _parse_payload(raw: np.ndarray, path: Path, fmt: str, shapes: dict) -> dict[str, np.ndarray]:
     """The arrays of a payload file, from its bytes as a uint8 array and each
     section's key and shape in file order, all values in one conversion."""
@@ -161,11 +167,11 @@ def _read_bundle(bundle_dir: Path) -> tuple[dict, dict[str, np.ndarray]]:
             raw = meta_raw if rel == "meta.json" else _read_raw(target)
         # A NUL byte in a listed name is a ValueError from open.
         except (FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError):
-            raise StoreError(f"file listed in CHECKSUMS is missing: {target}") from None
+            raise StoreError(f"file listed in CHECKSUMS is missing: {_printable(target)}") from None
         actual = hashlib.sha256(raw).hexdigest()
         if actual != expected:
             raise StoreError(
-                f"checksum mismatch for {target}: expected {expected[:16]}..., "
+                f"checksum mismatch for {_printable(target)}: expected {expected[:16]}..., "
                 f"got {actual[:16]}... (corrupted or edited file)"
             )
         files[rel] = raw
@@ -261,7 +267,7 @@ def _stage_meta(obj, arrays: list[np.ndarray], entry: dict) -> dict:
     if isinstance(obj, MfComposite):
         meta = _base_meta("mf-composite", obj.mf.fidelity)
         meta["dims"] = {"input_dim": obj.input_dim, "lf_output_dim": obj.lf_output_dim,
-                        "hf_output_dim": obj.hf_output_dim}
+                        "hf_output_dim": obj.output_dim}
         meta["lf"] = _stage_meta(obj.lf, arrays, entry)
         meta["mf"] = _stage_meta(obj.mf, arrays, entry)
         return meta
@@ -387,7 +393,7 @@ def _build(bundle_dir: Path, meta: dict, arrays: dict, stage: str = ""):
                 f"composite {bundle_dir} records dims.{key} = {meta['dims'][key]}, "
                 f"but its child models give {value}"
             )
-    return MfComposite(lf=lf, mf=mf, **dims)
+    return MfComposite(lf=lf, mf=mf)
 
 
 def _build_surrogate(bundle_dir: Path, meta: dict, arrays: dict, stage: str) -> FittedSurrogate:

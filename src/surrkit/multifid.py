@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from surrkit.data import DataTensor, FidelityDataset, FlatMatrix, flatten, unflatten
+from surrkit.data import DataTensor, FidelityDataset, flatten, unflatten
 from surrkit.errors import InputError
 # gpr_fit and gpr_predict are not used here; perfbench/test_perfbench.py
 # checks that its tracer rebinds them in this module.
@@ -70,7 +70,7 @@ class TensorLayout:
 
     def tensor_from_flat(self, values: np.ndarray) -> DataTensor:
         return unflatten(
-            np.asarray(values, dtype=np.float64),
+            values,
             self.m,
             self.l,
             scalar_names=self.scalar_names,
@@ -134,9 +134,6 @@ class MfComposite:
 
     lf: "FittedSurrogate | MfComposite"
     mf: FittedSurrogate
-    input_dim: int
-    lf_output_dim: int
-    hf_output_dim: int
     lf_sweep: SweepResult | None = None
     mf_sweep: SweepResult | None = None
 
@@ -149,8 +146,16 @@ class MfComposite:
             )
 
     @property
+    def input_dim(self) -> int:
+        return self.lf.input_dim
+
+    @property
+    def lf_output_dim(self) -> int:
+        return self.lf.output_dim
+
+    @property
     def output_dim(self) -> int:
-        return self.hf_output_dim
+        return self.mf.output_dim
 
     @property
     def y_layout(self) -> TensorLayout:
@@ -172,14 +177,10 @@ def predict_tensor(
     """Predict at design sites given as a tensor, in raw units.
 
     The one online path for every surrogate: the sites are flattened, run
-    through ``predict_raw`` and reshaped to the model's output layout.
+    through ``predict_raw`` (which checks their column count) and reshaped to
+    the model's output layout.
     """
-    d = sites.m * sites.l
-    if d != surrogate.input_dim:
-        raise InputError(
-            f"design sites have {d} input columns, model expects {surrogate.input_dim}"
-        )
-    pred = surrogate.predict_raw(sites.values.reshape(sites.n, d))
+    pred = surrogate.predict_raw(flatten(sites))
     return surrogate.y_layout.tensor_from_flat(pred)
 
 
@@ -191,24 +192,23 @@ def _unique_names(names: list[str]) -> tuple[str, ...]:
 
 def build_mf_input(
     lf: "FittedSurrogate | MfComposite",
-    X_raw: FlatMatrix | np.ndarray,
+    X_raw: np.ndarray,
     *,
     checked: bool = False,
 ) -> np.ndarray:
-    """Raw LF predictions ahead of the raw inputs, in one new array.
+    """Raw LF predictions ahead of the raw input array, in one new array.
 
     Column order is fixed: the q_lf prediction columns come first, then the d
     original input columns. The sites are checked with ``design_sites``
     against ``lf.input_dim`` unless ``checked`` says they already were.
     """
-    values = X_raw.values if isinstance(X_raw, FlatMatrix) else X_raw
     if not checked:
-        values = design_sites(values, lf.input_dim)
-    lf_pred = lf.predict_raw(values, checked=True)
+        X_raw = design_sites(X_raw, lf.input_dim)
+    lf_pred = lf.predict_raw(X_raw, checked=True)
     q = lf_pred.shape[1]
-    augmented = np.empty((values.shape[0], q + values.shape[1]))
+    augmented = np.empty((X_raw.shape[0], q + X_raw.shape[1]))
     augmented[:, :q] = lf_pred
-    augmented[:, q:] = values
+    augmented[:, q:] = X_raw
     return augmented
 
 
@@ -263,15 +263,7 @@ def compose_with_lf(
     mf_surr, mf_sweep = train_single_fidelity(
         aug_dataset, mf_kind, split, gpr_grid, mlp_grid
     )
-    return MfComposite(
-        lf=lf_surr,
-        mf=mf_surr,
-        input_dim=d_hf,
-        lf_output_dim=lf_surr.output_dim,
-        hf_output_dim=mf_surr.output_dim,
-        lf_sweep=lf_sweep,
-        mf_sweep=mf_sweep,
-    )
+    return MfComposite(lf=lf_surr, mf=mf_surr, lf_sweep=lf_sweep, mf_sweep=mf_sweep)
 
 
 def train_mf(

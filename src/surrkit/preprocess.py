@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from surrkit.data import FidelityDataset, FlatMatrix, flatten
+from surrkit.data import FidelityDataset, flatten
 from surrkit.errors import InputError, NumericError
 
 
@@ -111,9 +111,9 @@ class StandardScaler:
         return cls(np.zeros(n_cols), np.ones(n_cols), n_cols)
 
 
-def fit_scaler(matrix: FlatMatrix | np.ndarray) -> StandardScaler:
-    """Fit per-column means and population stds."""
-    values = matrix.values if isinstance(matrix, FlatMatrix) else np.asarray(matrix)
+def fit_scaler(matrix: np.ndarray) -> StandardScaler:
+    """Fit per-column means and population stds of a 2-D array."""
+    values = np.asarray(matrix)
     if values.ndim != 2:
         raise InputError(f"expected a rank-2 matrix, got rank {values.ndim}")
     if values.shape[0] < 1:
@@ -143,45 +143,43 @@ def design_sites(X_raw, n_cols: int) -> np.ndarray:
     return X
 
 
-def _apply(scaler: StandardScaler, matrix, forward: bool):
-    values = matrix.values if isinstance(matrix, FlatMatrix) else np.asarray(matrix)
+def _apply(scaler: StandardScaler, matrix, forward: bool) -> np.ndarray:
+    values = np.asarray(matrix)
     if values.ndim != 2 or values.shape[1] != scaler.fitted_on:
         got = values.shape[1] if values.ndim == 2 else None
         raise InputError(
             f"scaler fitted on {scaler.fitted_on} columns, got matrix with {got}"
         )
-    if forward:
-        # A finite value too large to scale becomes inf without a warning;
-        # the model's check of its scaled query reports it as an InputError.
-        with np.errstate(over="ignore"):
-            out = (values - scaler.means) / scaler.divisor
-    else:
-        out = values * scaler.divisor + scaler.means
-    if isinstance(matrix, FlatMatrix):
-        return matrix.with_values(out)
-    return out
+    if not forward:
+        return values * scaler.divisor + scaler.means
+    # A finite value too large to scale becomes inf without a warning;
+    # the model's check of its scaled query reports it as an InputError.
+    with np.errstate(over="ignore"):
+        return (values - scaler.means) / scaler.divisor
 
 
-def transform(scaler: StandardScaler, matrix: FlatMatrix | np.ndarray):
-    """Standardize columns: (v - mean) / std, constant columns to 0."""
+def transform(scaler: StandardScaler, matrix: np.ndarray) -> np.ndarray:
+    """Standardize the columns of a 2-D array into a new array:
+    (v - mean) / std, constant columns to 0."""
     return _apply(scaler, matrix, forward=True)
 
 
-def inverse_transform(scaler: StandardScaler, matrix: FlatMatrix | np.ndarray):
+def inverse_transform(scaler: StandardScaler, matrix: np.ndarray) -> np.ndarray:
     """Undo :func:`transform`; constant columns return to the stored mean."""
     return _apply(scaler, matrix, forward=False)
 
 
 @dataclass(frozen=True, eq=False)
 class PreparedData:
-    """Scaled train/test/validation bins plus the scalers that made them."""
+    """Scaled train/test/validation bins, each a read-only ``(rows, m*l)``
+    float64 array, plus the scalers that made them."""
 
-    X_train: FlatMatrix
-    X_test: FlatMatrix
-    X_val: FlatMatrix
-    Y_train: FlatMatrix
-    Y_test: FlatMatrix
-    Y_val: FlatMatrix
+    X_train: np.ndarray
+    X_test: np.ndarray
+    X_val: np.ndarray
+    Y_train: np.ndarray
+    Y_test: np.ndarray
+    Y_val: np.ndarray
     x_scaler: StandardScaler
     y_scaler: StandardScaler
     split_indices: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -211,19 +209,18 @@ def preprocess_data_pipeline(data: FidelityDataset, spec: SplitSpec) -> Prepared
     Y = flatten(data.Y)
     train, test, val = split_data_cv(data.n, spec)
 
-    x_scaler = fit_scaler(X.values[train])
-    y_scaler = fit_scaler(Y.values[train])
+    x_scaler = fit_scaler(X[train])
+    y_scaler = fit_scaler(Y[train])
 
     bins = {}
     for label, idx in (("train", train), ("test", test), ("val", val)):
-        x_raw = X.values[idx]
-        y_raw = Y.values[idx]
+        x_raw = X[idx]
+        y_raw = Y[idx]
         _verify_inverse(x_scaler, x_raw, f"X {label}")
         _verify_inverse(y_scaler, y_raw, f"Y {label}")
-        bins[label] = (
-            X.with_values(transform(x_scaler, x_raw)),
-            Y.with_values(transform(y_scaler, y_raw)),
-        )
+        bins[label] = (transform(x_scaler, x_raw), transform(y_scaler, y_raw))
+        for scaled in bins[label]:
+            scaled.setflags(write=False)
 
     return PreparedData(
         X_train=bins["train"][0],

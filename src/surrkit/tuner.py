@@ -111,13 +111,37 @@ def select_winner(entries: tuple[SweepEntry, ...], tol: float = RMSE_TIE_TOL) ->
     return winner.index
 
 
-def _val_rmse_original_units(prepared: PreparedData, pred_scaled: np.ndarray) -> float:
-    y_true = inverse_transform(prepared.y_scaler, prepared.Y_val.values)
-    y_pred = inverse_transform(prepared.y_scaler, pred_scaled)
-    return rmse(y_true, y_pred)
+def _sweep(
+    prepared: PreparedData, candidates: list[tuple[str, dict, object]], fit
+) -> SweepResult:
+    """Fit and score every ``(label, failed_params, candidate)``.
 
-
-def _sweep_result(entries: list[SweepEntry], models: list) -> SweepResult:
+    ``fit(candidate)`` returns the fitted model, its entry params and its
+    parameter count. A candidate that raises ``NumericError`` is recorded with
+    ``failed_params``, an infinite RMSE and no model.
+    """
+    y_true = inverse_transform(prepared.y_scaler, prepared.Y_val)
+    entries, models = [], []
+    for index, (label, failed_params, candidate) in enumerate(candidates):
+        start = time.perf_counter()
+        try:
+            model, params, count = fit(candidate)
+            pred = inverse_transform(prepared.y_scaler, model.predict(prepared.X_val))
+            score = rmse(y_true, pred)
+        except NumericError:
+            model = None
+            score, params, count = float("inf"), {**failed_params, "failed": True}, 0
+        models.append(model)
+        entries.append(
+            SweepEntry(
+                index=index,
+                label=label,
+                params=params,
+                val_rmse=score,
+                param_count=count,
+                fit_seconds=time.perf_counter() - start,
+            )
+        )
     entries = tuple(entries)
     selected = select_winner(entries)
     return SweepResult(entries=entries, selected=selected, model=models[selected])
@@ -125,81 +149,52 @@ def _sweep_result(entries: list[SweepEntry], models: list) -> SweepResult:
 
 def tune_gpr(prepared: PreparedData, grid: GprGrid) -> SweepResult:
     """Optimize each candidate kernel's lml, then score by validation RMSE."""
-    entries, models = [], []
-    for index, spec in enumerate(grid.kernels):
-        start = time.perf_counter()
-        try:
-            model = optimize_hyperparameters(
-                prepared.X_train.values,
-                prepared.Y_train.values,
-                spec,
-                restarts=grid.restarts,
-                bounds=grid.bounds,
-                seed=grid.seed,
-            )
-            tuned = model.kernel
-            score = _val_rmse_original_units(prepared, model.predict(prepared.X_val.values))
-            params = {
-                "kind": tuned.kind,
-                "length_scale": np.atleast_1d(tuned.length_scale).tolist(),
-                "signal_variance": tuned.signal_variance,
-                "nu": tuned.nu,
-                "noise": tuned.noise,
-                "lml": model.lml,
-            }
-            count = model.parameter_count()
-        except NumericError:
-            model = None
-            score, params, count = float("inf"), {"kind": spec.kind, "failed": True}, 0
-        models.append(model)
-        entries.append(
-            SweepEntry(
-                index=index,
-                label=spec.kind + (f"(nu={spec.nu})" if spec.is_matern else ""),
-                params=params,
-                val_rmse=score,
-                param_count=count,
-                fit_seconds=time.perf_counter() - start,
-            )
+
+    def fit(spec: KernelSpec):
+        model = optimize_hyperparameters(
+            prepared.X_train,
+            prepared.Y_train,
+            spec,
+            restarts=grid.restarts,
+            bounds=grid.bounds,
+            seed=grid.seed,
         )
-    return _sweep_result(entries, models)
+        tuned = model.kernel
+        params = {
+            "kind": tuned.kind,
+            "length_scale": np.atleast_1d(tuned.length_scale).tolist(),
+            "signal_variance": tuned.signal_variance,
+            "nu": tuned.nu,
+            "noise": tuned.noise,
+            "lml": model.lml,
+        }
+        return model, params, model.parameter_count()
+
+    candidates = [
+        (spec.kind + (f"(nu={spec.nu})" if spec.is_matern else ""), {"kind": spec.kind}, spec)
+        for spec in grid.kernels
+    ]
+    return _sweep(prepared, candidates, fit)
 
 
 def tune_mlp(prepared: PreparedData, grid: MlpGrid) -> SweepResult:
     """Train each layer/width candidate with a shared config and compare."""
-    d = prepared.X_train.cols
-    q = prepared.Y_train.cols
-    entries, models = [], []
-    for index, hidden in enumerate(grid.hidden_candidates()):
+    d = prepared.X_train.shape[1]
+    q = prepared.Y_train.shape[1]
+
+    def fit(hidden: tuple[int, ...]):
         arch = MlpArchitecture(input_dim=d, hidden_layers=hidden, output_dim=q)
-        start = time.perf_counter()
-        try:
-            model = mlp_train(
-                arch,
-                grid.train,
-                prepared.X_train.values,
-                prepared.Y_train.values,
-                prepared.X_val.values,
-                prepared.Y_val.values,
-            )
-            score = _val_rmse_original_units(prepared, model.predict(prepared.X_val.values))
-            count = arch.parameter_count()
-            params = {"hidden_layers": list(hidden), "activation": arch.activation}
-        except NumericError:
-            model = None
-            score, params, count = float("inf"), {"hidden_layers": list(hidden), "failed": True}, 0
-        models.append(model)
-        entries.append(
-            SweepEntry(
-                index=index,
-                label="x".join(map(str, hidden)),
-                params=params,
-                val_rmse=score,
-                param_count=count,
-                fit_seconds=time.perf_counter() - start,
-            )
+        model = mlp_train(
+            arch, grid.train, prepared.X_train, prepared.Y_train, prepared.X_val, prepared.Y_val
         )
-    return _sweep_result(entries, models)
+        params = {"hidden_layers": list(hidden), "activation": arch.activation}
+        return model, params, arch.parameter_count()
+
+    candidates = [
+        ("x".join(map(str, hidden)), {"hidden_layers": list(hidden)}, hidden)
+        for hidden in grid.hidden_candidates()
+    ]
+    return _sweep(prepared, candidates, fit)
 
 
 def tune(
@@ -250,8 +245,8 @@ def convergence_study(
     if sorted(sizes) != sizes:
         raise InputError(f"sizes must be increasing, got {sizes}")
 
-    X = flatten(data.X).values
-    Y = flatten(data.Y).values
+    X = flatten(data.X)
+    Y = flatten(data.Y)
     train_idx, test_idx, _ = split_data_cv(data.n, split)
     if max(sizes) > len(train_idx):
         raise InputError(

@@ -774,8 +774,7 @@ def test_one_changed_byte_in_a_bundle_is_refused(
 ):
     """Any single byte of any of a bundle's three files, changed without
     re-signing, makes the load raise StoreError, and ``predict`` exit 2 with
-    one stderr line. Lines are counted at newlines: a message may quote a
-    file name that holds a carriage return."""
+    one stderr line."""
     tmp = tmp_path_factory.mktemp("flipped")
     bundle = shutil.copytree(flip_bundles[which], tmp / "model")
     path = next(bundle.glob("payload.*")) if file == "payload" else bundle / file
@@ -794,6 +793,74 @@ def test_one_changed_byte_in_a_bundle_is_refused(
     assert code == 2
     assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
     assert not (tmp / "pred.csv").exists()
+
+
+@pytest.mark.parametrize("name, shown", [("\rayload.txt", "\\rayload.txt"),
+                                         ("\u00e9ayload.txt", "\u00e9ayload.txt")],
+                         ids=["carriage-return", "printable-non-ascii"])
+def test_checksums_name_is_printed_with_control_characters_escaped(
+    predict_bundles, tmp_path, name, shown
+):
+    """A name in CHECKSUMS whose first letter became a carriage return is
+    printed escaped, so the error line cannot overwrite itself on a terminal;
+    a printable name is printed as it is."""
+    bundle = shutil.copytree(predict_bundles[1][0], tmp_path / "model")
+    checksums = bundle / "CHECKSUMS"
+    listed = checksums.read_text(encoding="utf-8").replace("  payload.txt", "  " + name)
+    checksums.write_bytes(listed.encode("utf-8"))
+    sites = tmp_path / "sites.csv"
+    sites.write_text("x\n0.25\n0.75\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["predict", "--model-dir", str(bundle), "--sites", str(sites),
+                     "--out", str(tmp_path / "pred.csv")])
+    assert code == 2
+    assert "\r" not in err.getvalue()
+    assert err.getvalue() == f"error: file listed in CHECKSUMS is missing: {bundle}/{shown}\n"
+
+
+# Small valid input files, by the command that reads them and their format.
+# The predict sites fit the 1-D Forrester bundles.
+CUT_INPUTS = {
+    ("ingest", "tensor-text"): "2 2 3\n# scalar_names: p,T\n# coord_labels: a,b,c\n"
+                               "# units: \u00b5m,K\n1.5 -2.0 3e-05\n4.0 5.25 6.0\n"
+                               "0.125 1e+20 -7.5\n8.0 9.0 10.0\n",
+    ("ingest", "csv"): "p,T,\u00b5\n1.5,-2.0,3e-05\n4.0,5.25,6.0\n",
+    ("predict", "tensor-text"): "3 1 1\n# scalar_names: x\n# units: \u00b5m\n0.25\n0.5\n0.75\n",
+    ("predict", "csv"): "x\n0.25\n0.5\n0.75\n",
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=st.sampled_from(sorted(CUT_INPUTS)).flatmap(
+        lambda key: st.tuples(
+            st.just(key), st.integers(0, len(CUT_INPUTS[key].encode("utf-8")))
+        )
+    ),
+    which=st.integers(0, 1),
+)
+def test_input_file_cut_at_any_byte_exits_0_or_2_with_at_most_one_line(
+    predict_bundles, case, which
+):
+    """A tensor-text or CSV file cut at any byte, given to ``ingest --input``
+    or to ``predict --sites`` of a single-fidelity or a composite bundle,
+    exits 0 with no stderr, or 2 with one line; an escaping exception or
+    warning fails the test."""
+    (command, fmt), cut = case
+    root, bundles = predict_bundles
+    path = root / "cut_input"
+    path.write_bytes(CUT_INPUTS[command, fmt].encode("utf-8")[:cut])
+    if command == "ingest":
+        argv = ["ingest", "--input", str(path), "--format", fmt]
+    else:
+        argv = ["predict", "--model-dir", str(bundles[which]), "--sites", str(path),
+                "--sites-format", fmt, "--out", str(root / "cut_pred.csv")]
+    code, lines = run_captured(argv)
+    if code == 0:
+        assert lines == []
+    else:
+        assert code == 2 and len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 NOT_UTF8 = b"\xff\xfex\x00\n\x000\x00.\x005\x00\n\x00"  # "x\n0.5\n" in UTF-16

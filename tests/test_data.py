@@ -10,7 +10,6 @@ from helpers import reference_format_row
 from surrkit.data import (
     DataTensor,
     FidelityDataset,
-    FlatMatrix,
     export_tensor,
     flatten,
     format_rows,
@@ -213,38 +212,43 @@ class TestFlatten:
     def test_field_shape_arithmetic(self):
         tensor = DataTensor.from_values(np.zeros((400, 7, 1828)))
         flat = flatten(tensor)
-        assert (flat.rows, flat.cols) == (400, 12796)
+        assert flat.shape == (400, 12796)
 
     def test_scalar_major_layout(self):
         values = np.array([[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]])
         flat = flatten(DataTensor.from_values(values, ["A", "B"]))
-        np.testing.assert_array_equal(flat.values[0], [1, 2, 3, 4, 5, 6])
+        np.testing.assert_array_equal(flat[0], [1, 2, 3, 4, 5, 6])
+
+    def test_read_only_view_of_the_tensor(self):
+        tensor = DataTensor.from_values(np.zeros((2, 3, 4)))
+        flat = flatten(tensor)
+        assert np.shares_memory(flat, tensor.values) and not flat.flags.writeable
 
     def test_l_equals_one_degenerate(self):
         rng = np.random.default_rng(2)
         values = rng.standard_normal((6, 4, 1))
         flat = flatten(DataTensor.from_values(values))
-        assert (flat.rows, flat.cols) == (6, 4)
-        np.testing.assert_array_equal(flat.values, values[:, :, 0])
+        assert flat.shape == (6, 4)
+        np.testing.assert_array_equal(flat, values[:, :, 0])
 
 
 class TestUnflatten:
     def test_round_trip_exact(self):
         rng = np.random.default_rng(3)
         tensor = DataTensor.from_values(rng.standard_normal((3, 2, 5)), ["p", "q"])
-        back = unflatten(flatten(tensor), 2, 5)
+        back = unflatten(flatten(tensor), 2, 5, tensor.scalar_names, tensor.coord_labels)
         np.testing.assert_array_equal(back.values, tensor.values)
         assert back.scalar_names == tensor.scalar_names
         assert back.coord_labels == tensor.coord_labels
 
     def test_explicit_split(self):
-        matrix = FlatMatrix.from_array(np.arange(12, dtype=float).reshape(2, 6))
+        matrix = np.arange(12, dtype=float).reshape(2, 6)
         tensor = unflatten(matrix, 2, 3)
         assert tensor.shape == (2, 2, 3)
         np.testing.assert_array_equal(tensor.values[0, 1], [3, 4, 5])
 
     def test_indivisible_columns(self):
-        matrix = FlatMatrix.from_array(np.zeros((2, 6)))
+        matrix = np.zeros((2, 6))
         with pytest.raises(InputError, match="cannot be split"):
             unflatten(matrix, 4)
 

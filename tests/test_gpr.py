@@ -655,7 +655,7 @@ class TestLmlGradient:
         """626 evaluations with finite-difference gradients; fewer than half now."""
         lf, _ = generate_pair_dataset(forrester_pair(), 50, 8, Sampler("uniform-grid", 1))
         prepared = preprocess_data_pipeline(lf, SplitSpec(seed=1))
-        X, Y = prepared.X_train.values, prepared.Y_train.values
+        X, Y = prepared.X_train, prepared.Y_train
         assert X.shape == (34, 1)
         calls, inner = [], gpr._lml_evaluator
 

@@ -249,9 +249,6 @@ class TestUqReport:
         composite = MfComposite(
             lf=stage,
             mf=identity_surrogate(gpr_fit(X, X[:, :1], KernelSpec()), 2, 1),
-            input_dim=1,
-            lf_output_dim=1,
-            hf_output_dim=1,
         )
         with pytest.raises(UnsupportedModelError, match="GPR model, got MfComposite"):
             uq_report(composite, np.zeros((1, 1)))

@@ -117,7 +117,7 @@ class TestTrainMf:
         assert comp.input_dim == 4
         assert comp.lf_output_dim == 3
         assert comp.mf.input_dim == 7
-        assert comp.hf_output_dim == 3
+        assert comp.output_dim == 3
 
     def test_composite_accuracy_on_held_out_truth(self):
         pair = forrester_pair()
@@ -231,7 +231,7 @@ class TestPredictAtDesignSites:
         """Raw HF inputs through the online chain equal the training-time
         numbers: no double scaling, no skipped inverse transform."""
         _, hf, comp = self.make_composite(seed=5)
-        X_raw = flatten(hf.X).values
+        X_raw = flatten(hf.X)
         online = comp.predict_raw(X_raw)
         # training-time route, assembled by hand from the pieces
         augmented = build_mf_input(comp.lf, X_raw)
@@ -260,9 +260,7 @@ class TestConstantLfDegeneracy:
             "HF", DataTensor.from_values(augmented[:, :, None]), hf.Y
         )
         mf_surr, _ = train_single_fidelity(aug_ds, "gpr", split, gpr_grid=grid)
-        composite = MfComposite(
-            lf=lf_const, mf=mf_surr, input_dim=1, lf_output_dim=1, hf_output_dim=1
-        )
+        composite = MfComposite(lf=lf_const, mf=mf_surr)
 
         single, _ = train_single_fidelity(hf, "gpr", split, gpr_grid=grid)
         Xq = np.linspace(0, 1, 50)[:, None]
@@ -343,10 +341,7 @@ def test_non_finite_sites_rejected_for_every_kind(kind):
         hf, kind, SplitSpec(seed=13), gpr_grid=fast_grid(13),
         mlp_grid=MlpGrid(layer_counts=(1,), widths=(4,), train=cfg),
     )
-    composite = MfComposite(
-        lf=surr, mf=constant_mlp_surrogate(2, [0.0]),
-        input_dim=1, lf_output_dim=1, hf_output_dim=1,
-    )
+    composite = MfComposite(lf=surr, mf=constant_mlp_surrogate(2, [0.0]))
     for model in (surr, composite):
         for bad in (np.nan, np.inf):
             with pytest.raises(InputError, match="non-finite"):
@@ -365,7 +360,7 @@ def test_mean_paths_never_solve_for_the_variance(monkeypatch):
         gpr.gpr_fit(A, np.sin(8 * X) + X, KernelSpec(kind="rbf", length_scale=0.5)),
         identity(2), identity(1), layout,
     )
-    comp = MfComposite(lf=lf, mf=mf, input_dim=1, lf_output_dim=1, hf_output_dim=1)
+    comp = MfComposite(lf=lf, mf=mf)
     Xq = rng.uniform(0, 1, (7, 1))
     calls = (lambda: lf_model.predict(Xq), lambda: lf.predict_raw(Xq),
              lambda: comp.predict_raw(Xq))

@@ -123,25 +123,31 @@ class TestPipeline:
     def test_field_sized_shapes(self):
         data = make_dataset(400, mx=4, lx=1, my=7, ly=1828, seed=1)
         prepared = preprocess_data_pipeline(data, SplitSpec(seed=0))
-        assert prepared.X_train.values.shape == (280, 4)
-        assert prepared.Y_train.values.shape == (280, 12796)
-        assert prepared.X_test.values.shape == (60, 4)
-        assert prepared.X_val.values.shape == (60, 4)
+        assert prepared.X_train.shape == (280, 4)
+        assert prepared.Y_train.shape == (280, 12796)
+        assert prepared.X_test.shape == (60, 4)
+        assert prepared.X_val.shape == (60, 4)
+
+    def test_bins_are_read_only_float64_arrays(self):
+        prepared = preprocess_data_pipeline(make_dataset(50, seed=3), SplitSpec(seed=3))
+        for bin_ in (prepared.X_train, prepared.X_test, prepared.X_val,
+                     prepared.Y_train, prepared.Y_test, prepared.Y_val):
+            assert bin_.dtype == np.float64 and not bin_.flags.writeable
 
     def test_train_bin_standardized(self):
         prepared = preprocess_data_pipeline(make_dataset(200), SplitSpec(seed=2))
-        for bin_ in (prepared.X_train.values, prepared.Y_train.values):
+        for bin_ in (prepared.X_train, prepared.Y_train):
             assert np.abs(bin_.mean(axis=0)).max() < 1e-10
             assert np.abs(bin_.std(axis=0) - 1.0).max() < 1e-10
 
     def test_test_bin_mean_generally_nonzero(self):
         prepared = preprocess_data_pipeline(make_dataset(60, seed=5), SplitSpec(seed=5))
-        assert np.abs(prepared.X_test.values.mean(axis=0)).max() > 1e-6
+        assert np.abs(prepared.X_test.mean(axis=0)).max() > 1e-6
 
     def test_rerun_identical(self):
         a = preprocess_data_pipeline(make_dataset(50, seed=3), SplitSpec(seed=4))
         b = preprocess_data_pipeline(make_dataset(50, seed=3), SplitSpec(seed=4))
-        np.testing.assert_array_equal(a.X_train.values, b.X_train.values)
+        np.testing.assert_array_equal(a.X_train, b.X_train)
         np.testing.assert_array_equal(a.split_indices[0], b.split_indices[0])
 
     def test_split_indices_partition(self):
@@ -166,12 +172,12 @@ class TestPipeline:
         prepared = preprocess_data_pipeline(data, SplitSpec(seed=8))
         from surrkit.data import flatten
 
-        raw_x = flatten(data.X).values
+        raw_x = flatten(data.X)
         for bin_idx, scaled in zip(
             prepared.split_indices,
             (prepared.X_train, prepared.X_test, prepared.X_val),
         ):
-            restored = inverse_transform(prepared.x_scaler, scaled.values)
+            restored = inverse_transform(prepared.x_scaler, scaled)
             raw = raw_x[bin_idx]
             assert np.max(np.abs(restored - raw) / np.maximum(1.0, np.abs(raw))) < 1e-12
 
@@ -198,5 +204,5 @@ def test_standardization_invariance(scale, seed):
     spec = SplitSpec(seed=seed % 1000)
     a = preprocess_data_pipeline(base, spec)
     b = preprocess_data_pipeline(scaled, spec)
-    np.testing.assert_allclose(a.X_train.values, b.X_train.values, atol=1e-10)
-    np.testing.assert_allclose(a.Y_train.values, b.Y_train.values, atol=1e-10)
+    np.testing.assert_allclose(a.X_train, b.X_train, atol=1e-10)
+    np.testing.assert_allclose(a.Y_train, b.Y_train, atol=1e-10)

@@ -150,5 +150,5 @@ class TestGeneratePairDataset:
     def test_output_feeds_preprocess_pipeline(self):
         lf, _ = generate_pair_dataset(forrester_pair(), 40, 8, Sampler(seed=2))
         prepared = preprocess_data_pipeline(lf, SplitSpec(seed=2))
-        assert prepared.X_train.values.shape == (28, 1)
-        assert flatten(lf.Y).cols == 1
+        assert prepared.X_train.shape == (28, 1)
+        assert flatten(lf.Y).shape[1] == 1

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import pooled_r2
 from surrkit import tuner
-from surrkit.errors import InputError
+from surrkit.errors import InputError, NumericError
 from surrkit.gpr import KernelSpec, gpr_fit
 from surrkit.metrics import rmse
 from surrkit.mlp import MlpArchitecture, TrainConfig, mlp_train
@@ -100,9 +100,9 @@ class TestTuneGpr:
         )
         result = tune_gpr(prepared, grid)
         pred = inverse_transform(
-            prepared.y_scaler, result.model.predict(prepared.X_val.values)
+            prepared.y_scaler, result.model.predict(prepared.X_val)
         )
-        truth = inverse_transform(prepared.y_scaler, prepared.Y_val.values)
+        truth = inverse_transform(prepared.y_scaler, prepared.Y_val)
         assert pooled_r2(truth, pred) > 0.99
 
     def test_model_is_bit_identical_to_a_refit_of_the_winner(self):
@@ -124,7 +124,7 @@ class TestTuneGpr:
             nu=params["nu"],
             noise=params["noise"],
         )
-        refit = gpr_fit(prepared.X_train.values, prepared.Y_train.values, spec)
+        refit = gpr_fit(prepared.X_train, prepared.Y_train, spec)
         for name in ("X_train", "L", "alpha"):
             assert getattr(result.model, name).tobytes() == getattr(refit, name).tobytes()
         assert result.model.lml == refit.lml == params["lml"]
@@ -185,9 +185,9 @@ class TestTuneMlp:
         assert len(result.entries) == 2
         # score the winner on the held-out test bin
         pred = inverse_transform(
-            prepared.y_scaler, result.model.predict(prepared.X_test.values)
+            prepared.y_scaler, result.model.predict(prepared.X_test)
         )
-        truth = inverse_transform(prepared.y_scaler, prepared.Y_test.values)
+        truth = inverse_transform(prepared.y_scaler, prepared.Y_test)
         assert pooled_r2(truth, pred) > 0.999
 
     def test_model_is_bit_identical_to_a_retrain_of_the_winner(self):
@@ -197,14 +197,60 @@ class TestTuneMlp:
         hidden = tuple(result.winner.params["hidden_layers"])
         retrained = mlp_train(
             MlpArchitecture(2, hidden, 1), grid.train,
-            prepared.X_train.values, prepared.Y_train.values,
-            prepared.X_val.values, prepared.Y_val.values,
+            prepared.X_train, prepared.Y_train,
+            prepared.X_val, prepared.Y_val,
         )
         assert result.model.architecture == retrained.architecture
         for got, want in zip(result.model.weights + result.model.biases,
                              retrained.weights + retrained.biases):
             assert got.tobytes() == want.tobytes()
         assert result.model.training_history == retrained.training_history
+
+
+class TestFailedCandidates:
+    """A candidate whose fit raises NumericError is recorded with an infinite
+    RMSE and ``failed: True``, and never wins; a sweep where all fail raises."""
+
+    def sweep(self, monkeypatch, kind, fails):
+        name = {"gpr": "optimize_hyperparameters", "mlp": "mlp_train"}[kind]
+        inner = getattr(tuner, name)
+
+        def failing(first, *args, **kwargs):
+            label = first.hidden_layers if kind == "mlp" else args[1].kind
+            if label in fails:
+                raise NumericError("forced failure")
+            return inner(first, *args, **kwargs)
+
+        monkeypatch.setattr(tuner, name, failing)
+        if kind == "gpr":
+            grid = GprGrid(
+                kernels=(KernelSpec(kind="constant*rbf"), KernelSpec(kind="rbf")),
+                restarts=1, seed=4,
+            )
+            return tune_gpr(prepared_trig4(30, seed=4), grid)
+        cfg = TrainConfig(max_epochs=5, early_stop_patience=5, seed=4)
+        return tune_mlp(prepared_trig4(30, seed=4), MlpGrid((1,), (4, 8), cfg))
+
+    @pytest.mark.parametrize("kind, first, failed_params", [
+        ("gpr", "constant*rbf", {"kind": "constant*rbf", "failed": True}),
+        ("mlp", (4,), {"hidden_layers": [4], "failed": True}),
+    ])
+    def test_failed_candidate_is_recorded_and_loses(self, monkeypatch, kind, first,
+                                                    failed_params):
+        result = self.sweep(monkeypatch, kind, {first})
+        failed, fitted = result.entries
+        assert (failed.val_rmse, failed.params, failed.param_count) == (
+            float("inf"), failed_params, 0
+        )
+        assert np.isfinite(fitted.val_rmse) and "failed" not in fitted.params
+        assert result.selected == 1 and result.model is not None
+
+    @pytest.mark.parametrize("kind, labels", [
+        ("gpr", {"constant*rbf", "rbf"}), ("mlp", {(4,), (8,)}),
+    ])
+    def test_every_candidate_failing_raises(self, monkeypatch, kind, labels):
+        with pytest.raises(NumericError, match="every sweep candidate failed"):
+            self.sweep(monkeypatch, kind, labels)
 
 
 class TestConvergence:
