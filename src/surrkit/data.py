@@ -66,7 +66,9 @@ class DataTensor:
     """Validated rank-3 array with named scalars and named coordinates.
 
     ``values`` has shape ``(n, m, l)`` and is stored read-only; instances are
-    immutable and safe to share across threads.
+    immutable and safe to share across threads. A caller's writable array is
+    copied, so it stays writable and later writes to it do not reach the
+    tensor; a read-only one, as the file readers hand over, is kept as is.
     """
 
     values: np.ndarray
@@ -76,6 +78,8 @@ class DataTensor:
 
     def __post_init__(self) -> None:
         values = np.ascontiguousarray(self.values, dtype=np.float64)
+        if values is self.values and values.flags.writeable:
+            values = values.copy()
         if values.ndim != 3:
             raise InputError(f"tensor values must be rank 3, got rank {values.ndim}")
         n, m, l = values.shape
@@ -339,6 +343,7 @@ def _import_tensor_text(path: Path) -> DataTensor:
             f"{path}: coord_labels metadata lists {len(coord_labels)} labels "
             f"for {l} coordinates"
         )
+    values.setflags(write=False)  # the tensor's own array, so it is not copied
     return DataTensor(values.reshape(n, m, l), scalar_names, coord_labels, units=units)
 
 
@@ -369,6 +374,7 @@ def _import_csv(path: Path) -> DataTensor:
     if not np.isfinite(values).all():
         r, c = np.argwhere(~np.isfinite(values))[0]
         raise InputError(f"{path}:{rows[r][0]}: non-finite value in column {int(c) + 1}")
+    values.setflags(write=False)  # the tensor's own array, so it is not copied
     return DataTensor(values[:, :, np.newaxis], names, ("0",))
 
 

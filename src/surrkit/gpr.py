@@ -43,13 +43,16 @@ cancellation the expanded r^2 leaves there.
 ``GprModel.predict`` computes the mean alone; only ``gpr_predict`` (the path
 ``metrics.uq_report`` takes) pays for the O(n^2) triangular solve behind the
 variance. Both run ``GprModel._predict``: it takes a batch in blocks of query
-points whose Ks fits in ``_KS_BLOCK_BYTES`` (4 MiB, 936 points at
-n_train = 560) and writes each block's rows into preallocated outputs, so
-the working memory of a batch is a few blocks' worth whatever its size. A
-batch that fits in one block is predicted in one step. Ks is built from the
-training side of the kernel (X_train divided by the length scales, twice
-that, and its squared row norms), which each model computes once, on first
-use, and keeps; a query then allocates only its own scaled row and Ks.
+points whose kernel buffers (Ks, and the one or two more Matern 1.5 and 2.5
+need) fit in ``_KS_BLOCK_BYTES`` together, and writes each block's rows into
+preallocated outputs. A block's distance product, its elementwise passes and
+``Ks.T @ alpha`` then run on data that stays in a core's L2 cache (232
+points at n_train = 560 with rbf), and the working memory of a batch is a
+block's worth whatever its size. A batch that fits in one block is predicted
+in one step. Ks is built from the training side of the kernel (X_train
+divided by the length scales, twice that, and its squared row norms), which
+each model computes once, on first use, and keeps; a query then allocates
+only its own scaled row and Ks.
 ``X_train`` and ``alpha`` are finite from the moment a model exists,
 because ``gpr_fit`` checks its inputs and rejects a non-finite lml (which
 any non-finite entry of ``alpha`` makes) and ``modelstore.load_model``
@@ -104,13 +107,16 @@ MATERN_NUS = (0.5, 1.5, 2.5)
 # A training kernel that does not factor is retried with these multiples of
 # its mean noise-free diagonal added to the diagonal, in this order.
 _JITTER_STEPS = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
-# Prediction takes a batch in blocks of query points whose Ks fits in this
-# many bytes: 936 points at n_train = 560. The block loop is the one predict
-# path, for single sites and batches alike. A block need not round as the
-# same rows of one whole-batch product would (a short tail block can differ
-# in the last bits), so a site predicted alone agrees with its batch row to
-# within perfbench's AGREE_RTOL, not bit for bit.
-_KS_BLOCK_BYTES = 4 << 20
+# Prediction takes a batch in blocks of query points whose kernel buffers
+# fit in this many bytes together: 232 points at n_train = 560 with rbf, a
+# third of that with Matern 2.5 (``GprModel._block_rows``). A budget under
+# a core's L2 cache keeps a block's passes in it, where larger blocks are
+# bound by memory traffic. The block loop is the one predict path, for
+# single sites and batches alike. A block need not round as the same rows of
+# one whole-batch product would (a short tail block can differ in the last
+# bits), so a site predicted alone agrees with its batch row to within
+# perfbench's AGREE_RTOL, not bit for bit.
+_KS_BLOCK_BYTES = 1 << 20
 # An L-BFGS-B run that ends where the largest projected lml gradient exceeds
 # _STALL_SLOPE * max(1, |lml|) is resumed, at most _MAX_RESUMES times
 # (``_lbfgsb``).
@@ -433,8 +439,12 @@ class GprModel:
 
     @cached_property
     def _block_rows(self) -> int:
-        """Query points per prediction block, as ``_KS_BLOCK_BYTES`` sets it."""
-        return max(8, _KS_BLOCK_BYTES // (64 * self.n_train) * 8)
+        """Query points per prediction block: a multiple of 8, at least 8,
+        whose n_train x rows buffers of ``_kernel_from_sq`` (one for rbf and
+        Matern 0.5, two for 1.5, three for 2.5) fit in ``_KS_BLOCK_BYTES``."""
+        kernel = self.kernel
+        buffers = {0.5: 1, 1.5: 2, 2.5: 3}[kernel.nu] if kernel.is_matern else 1
+        return max(8, _KS_BLOCK_BYTES // (64 * self.n_train * buffers) * 8)
 
     def _predict(
         self, X_star: np.ndarray, with_variance: bool

@@ -188,6 +188,27 @@ def _load_scaler(arrays: dict[str, np.ndarray], key: str) -> StandardScaler:
     return StandardScaler(means, stds, means.size)
 
 
+def _load_layout(d: dict) -> TensorLayout:
+    """``y_layout`` as the data standard names a tensor: lists of nonempty
+    strings (``units`` may be null), one unit per scalar, no name twice."""
+
+    def names(key: str) -> tuple[str, ...]:
+        value = d[key]
+        if type(value) is not list or not all(type(s) is str and s for s in value):
+            raise TypeError(f"y_layout.{key} must be a list of nonempty strings, got {value!r}")
+        return tuple(value)
+
+    scalar_names, coord_labels = names("scalar_names"), names("coord_labels")
+    units = names("units") if d.get("units") is not None else None
+    if len(set(scalar_names)) != len(scalar_names):
+        raise ValueError(f"y_layout.scalar_names repeats a name: {list(scalar_names)}")
+    if units is not None and len(units) != len(scalar_names):
+        raise ValueError(
+            f"y_layout.units has {len(units)} entries for {len(scalar_names)} scalar names"
+        )
+    return TensorLayout(scalar_names, coord_labels, units)
+
+
 def _publish(staging: Path, project_name: str) -> Path:
     """Rename ``staging`` to the first free ``<project>_v<k>`` beside it.
 
@@ -425,6 +446,18 @@ def _build_surrogate(bundle_dir: Path, meta: dict, arrays: dict, stage: str) -> 
                 f"malformed bundle {bundle_dir}: training.jitter_used must be a "
                 f"finite number >= 0, got {jitter_used!r}"
             )
+        # |k| <= sf2, so this bounds |Ks.T @ alpha| at every site: a stage
+        # whose bound overflows would fail at predict, blaming the sites.
+        # Each column is summed as a row of a copy of alpha.T, which numpy
+        # does three times faster than a column of alpha.
+        with np.errstate(over="ignore"):
+            bound = spec.signal_variance * np.abs(alpha.T.copy()).sum(axis=1)
+        if not np.isfinite(bound).all():
+            raise StoreError(
+                f"malformed bundle {bundle_dir}: {stage.replace('/', '.')}hyperparameters."
+                f"signal_variance = {spec.signal_variance!r} overflows the GPR mean "
+                f"(signal_variance * sum |alpha| is not finite)"
+            )
         model: GprModel | MlpModel = GprModel(
             kernel=spec,
             X_train=X_train,
@@ -457,12 +490,7 @@ def _build_surrogate(bundle_dir: Path, meta: dict, arrays: dict, stage: str) -> 
             biases.append(b)
         model = MlpModel(architecture=arch, weights=weights, biases=biases)
 
-    d = meta["y_layout"]
-    layout = TensorLayout(
-        scalar_names=tuple(d["scalar_names"]),
-        coord_labels=tuple(d["coord_labels"]),
-        units=tuple(d["units"]) if d.get("units") is not None else None,
-    )
+    layout = _load_layout(meta["y_layout"])
     if y_scaler.fitted_on != layout.m * layout.l:
         raise StoreError(
             f"y scaler covers {y_scaler.fitted_on} columns but the output layout "

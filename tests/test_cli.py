@@ -703,8 +703,10 @@ def mlp_bundle(predict_bundles):
     return root / "mlp" / "model_v1"
 
 
-# Re-signed meta.json edits that put a bool where a number is due, or a
-# length-scale vector of the wrong length for the 1-D model: (bundle, keys, value).
+# Re-signed meta.json edits that put a bool where a number is due, a
+# length-scale vector of the wrong length for the 1-D model, an output name
+# that is no nonempty string, or an amplitude that overflows the mean:
+# (bundle, keys, value).
 BAD_META = {
     "format_version": ("sf", ["format_version"], True),
     "signal_variance": ("sf", ["hyperparameters", "signal_variance"], True),
@@ -717,6 +719,12 @@ BAD_META = {
     "mlp-input_dim": ("mlp", ["hyperparameters", "input_dim"], True),
     "mlp-hidden_layers": ("mlp", ["hyperparameters", "hidden_layers"], [True]),
     "mlp-output_dim": ("mlp", ["hyperparameters", "output_dim"], True),
+    "scalar_names-string": ("sf", ["y_layout", "scalar_names"], "y"),
+    "scalar_names-null": ("mf", ["mf", "y_layout", "scalar_names", 0], None),
+    "scalar_names-empty": ("mlp", ["y_layout", "scalar_names", 0], ""),
+    "coord_labels-object": ("sf", ["y_layout", "coord_labels", 0], {}),
+    "units-empty": ("sf", ["y_layout", "units"], []),
+    "lf-signal_variance": ("mf", ["lf", "hyperparameters", "signal_variance"], 1e308),
 }
 
 
@@ -724,9 +732,11 @@ BAD_META = {
 def test_mistyped_bundle_metadata_is_refused_at_load(
     predict_bundles, mlp_bundle, tmp_path, which, keys, value
 ):
-    """A bool where meta.json needs a number loads as 1 if unchecked, and a
-    length-scale vector of the wrong length fails only at the first predict
-    under a message that blames the sites; both are refused at load."""
+    """A bool where meta.json needs a number loads as 1 if unchecked, a
+    length-scale vector of the wrong length or an overflowing amplitude fails
+    only at the first predict under a message that blames the sites, and an
+    unchecked output name becomes a CSV header such as ``None``; all are
+    refused at load."""
     source = {"sf": predict_bundles[1][0], "mf": predict_bundles[1][1], "mlp": mlp_bundle}
     bundle = shutil.copytree(source[which], tmp_path / "model")
     meta = json.loads((bundle / "meta.json").read_text())
@@ -745,6 +755,77 @@ def test_mistyped_bundle_metadata_is_refused_at_load(
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert not (tmp_path / "pred.csv").exists()
+
+
+# What the property below sets a meta.json node to: each JSON type, numbers
+# that are fractional, negative, zero or huge, and empty values.
+META_VALUES = [True, "x", [1], None, {}, 2.5, -1, 0, 1e308, [], ""]
+
+
+def json_type(value) -> str:
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+@pytest.fixture(scope="module")
+def meta_bundles(predict_bundles, mlp_bundle):
+    """The sites file, and by name the GPR, composite and MLP bundles, each
+    with its meta.json tree, the key path of every node of the tree, and the
+    bytes ``predict`` writes for the sites."""
+    root, (sf, mf) = predict_bundles
+    sites = root / "meta_sites.csv"
+    sites.write_text("x\n0.25\n0.75\n")
+    bundles = {}
+    for name, bundle in (("gpr", sf), ("mf", mf), ("mlp", mlp_bundle)):
+        out = root / f"meta_{name}.csv"
+        assert run_captured(["predict", "--model-dir", str(bundle), "--sites", str(sites),
+                             "--out", str(out)]) == (0, [])
+        meta = json.loads((bundle / "meta.json").read_text())
+        bundles[name] = bundle, meta, list(config_paths(meta)), out.read_bytes()
+    return sites, bundles
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    which=st.sampled_from(["gpr", "mf", "mlp"]),
+    where=st.floats(0.0, 1.0, exclude_max=True),
+    value=st.sampled_from(META_VALUES),
+)
+def test_resigned_meta_json_node_is_refused_or_changes_nothing(
+    meta_bundles, tmp_path_factory, which, where, value
+):
+    """Any node of a bundle's meta.json, set to one of ``META_VALUES`` with
+    the checksums re-signed, makes the load raise StoreError and ``predict``
+    exit 2 with one line; or the bundle loads, and ``predict`` exits 0 with
+    no stderr and, if the value's JSON type is not the node's, writes the
+    original's bytes. A value of the node's own type may be a valid edit,
+    such as another length scale, that changes the predictions."""
+    sites, bundles = meta_bundles
+    source, original, paths, expected = bundles[which]
+    keys = paths[int(where * len(paths))]
+    meta = json.loads(json.dumps(original))
+    node = meta
+    for key in keys[:-1]:
+        node = node[key]
+    wrong_type = json_type(node[keys[-1]]) != json_type(value)
+    node[keys[-1]] = value
+    tmp = tmp_path_factory.mktemp("meta")
+    bundle = shutil.copytree(source, tmp / "model")
+    (bundle / "meta.json").write_text(json.dumps(meta))
+    resign_checksums(bundle)
+    try:
+        load_model(bundle)
+        refused = False
+    except StoreError:
+        refused = True
+    out = tmp / "pred.csv"
+    code, lines = run_captured(["predict", "--model-dir", str(bundle), "--sites", str(sites),
+                                "--out", str(out)])
+    if refused:
+        assert code == 2 and len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert not out.exists()
+    else:
+        assert (code, lines) == (0, [])
+        assert not wrong_type or out.read_bytes() == expected
 
 
 @pytest.fixture(scope="module")

@@ -310,6 +310,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             tensor.values[0, 0, 0] = 1.0
 
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (2, 3)])
+    def test_callers_array_stays_writable_and_apart(self, shape):
+        a = np.zeros(shape)
+        tensor = DataTensor.from_values(a)
+        a[0, 0] = 1.0
+        assert not np.shares_memory(a, tensor.values)
+        assert tensor.values[0, 0, 0] == 0.0 and not tensor.values.flags.writeable
+
+    @pytest.mark.parametrize("fmt", ["tensor-text", "csv"])
+    def test_imported_array_is_not_copied(self, tmp_path, fmt):
+        """The readers hand over a read-only array of their own, which the
+        tensor keeps: its values are a view of the parsed array."""
+        path = export_tensor(DataTensor.from_values(np.ones((3, 2, 1))), tmp_path / "t", fmt)
+        values = import_tensor(path, fmt).values
+        assert values.base is not None and not values.base.flags.writeable
+
 
 @settings(max_examples=60, deadline=None)
 @given(

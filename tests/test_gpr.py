@@ -405,8 +405,46 @@ class TestBlockedPrediction:
         finally:
             tracemalloc.stop()
         assert mean.shape == (10_000, 1)
-        # One 10k x 560 Ks alone is 45 MB; a 4 MiB block and its helpers fit.
-        assert peak < 16e6
+        # One 10k x 560 Ks alone is 45 MB; a block's kernel buffers, 1 MiB
+        # together whatever the family, the 80 kB mean and the helpers fit.
+        assert peak < 2e6
+
+    # n_train x rows buffers that ``_kernel_from_sq`` holds at once, by family.
+    BUFFERS = {"rbf": 1, 0.5: 1, 1.5: 2, 2.5: 3}
+
+    @staticmethod
+    def block_rows(spec, n_train):
+        X = np.random.default_rng(37).uniform(0, 1, (n_train, 4))
+        return gpr.GprModel(kernel=spec, X_train=X, alpha=np.ones((n_train, 1)),
+                            y_dim=1, lml=0.0, jitter_used=0.0)._block_rows
+
+    @pytest.mark.parametrize("n_train", [34, 560])
+    @pytest.mark.parametrize("base", ALL_KERNELS, ids=_kernel_id)
+    def test_block_buffers_fit_the_budget(self, base, n_train):
+        """A block is the largest multiple of 8 rows, and at least 8, whose
+        kernel buffers fit in ``_KS_BLOCK_BYTES`` together."""
+        rows = self.block_rows(base, n_train)
+        assert rows >= 8 and rows % 8 == 0
+        buffers = self.BUFFERS[base.nu if base.is_matern else "rbf"]
+        block_bytes = 8 * n_train * rows
+        assert buffers * block_bytes <= gpr._KS_BLOCK_BYTES
+        assert buffers * (block_bytes + 64 * n_train) > gpr._KS_BLOCK_BYTES
+        # The count is the kernel's own: a block's r^2 plus what building the
+        # kernel from it allocates.
+        sq = np.random.default_rng(39).uniform(0, 4, (n_train, rows))
+        tracemalloc.start()
+        try:
+            gpr._kernel_from_sq(base, sq, base.signal_variance)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (buffers - 1) * block_bytes <= peak < (buffers - 1) * block_bytes + 4096
+
+    @pytest.mark.parametrize("n_train", [34, 560])
+    def test_matern_five_halves_takes_a_third_of_the_rows(self, n_train):
+        rbf = self.block_rows(KernelSpec(kind="constant*rbf"), n_train)
+        matern = self.block_rows(KernelSpec(kind="constant*matern", nu=2.5), n_train)
+        assert rbf / 3 - 8 <= matern <= rbf / 3
 
 
 class TestCholesky:

@@ -521,6 +521,53 @@ class TestSchemaErrors:
         with pytest.raises(StoreError, match="training.jitter_used must be a finite number"):
             load_model(bundle)
 
+    # Edits of a 3-output layout (scalar names y1, y2, y3) and the message
+    # each gives.
+    LAYOUT_EDITS = {
+        "names-as-one-string": (lambda y: y.update(scalar_names="y1y2y3"),
+                                "scalar_names must be a list of nonempty strings"),
+        "empty-name": (lambda y: y["scalar_names"].__setitem__(1, ""),
+                       "scalar_names must be a list of nonempty strings"),
+        "null-label": (lambda y: y["coord_labels"].__setitem__(0, None),
+                       "coord_labels must be a list of nonempty strings"),
+        "number-units": (lambda y: y.update(units=[1.0, 2.0, 3.0]),
+                         "units must be a list of nonempty strings"),
+        "repeated-name": (lambda y: y["scalar_names"].__setitem__(2, "y1"),
+                          "scalar_names repeats a name"),
+        "one-unit-short": (lambda y: y.update(units=["m", "s"]),
+                           "units has 2 entries for 3 scalar names"),
+    }
+
+    @pytest.mark.parametrize("edit, message", LAYOUT_EDITS.values(), ids=LAYOUT_EDITS.keys())
+    def test_output_layout_is_checked_at_load(
+        self, trig4_gpr_surrogate, tmp_path, edit, message
+    ):
+        bundle = save_model(trig4_gpr_surrogate, tmp_path, "layout")
+        edit_meta(bundle, edit, ("y_layout",))
+        with pytest.raises(StoreError, match=message):
+            load_model(bundle)
+
+    def test_output_layout_with_units_loads(self, trig4_gpr_surrogate, tmp_path):
+        bundle = save_model(trig4_gpr_surrogate, tmp_path, "layout")
+        edit_meta(bundle, lambda y: y.update(units=["m", "s", "K"]), ("y_layout",))
+        assert load_model(bundle).y_layout.units == ("m", "s", "K")
+
+    def test_gpr_mean_that_can_overflow_is_store_error(self, composite, tmp_path):
+        """An LF amplitude whose bound on the mean, sf2 * sum |alpha|, is
+        not finite is refused at load, naming the bundle and the stage; just
+        under that limit the bundle loads."""
+        limit = np.finfo(np.float64).max / np.abs(composite.lf.model.alpha).sum()
+        for sf2, refused in ((2.0 * limit, True), (0.5 * limit, False)):
+            bundle = save_model(composite, tmp_path, "overflow")
+            edit_meta(bundle, lambda hyper: hyper.update(signal_variance=sf2),
+                      ("lf", "hyperparameters"))
+            if refused:
+                with pytest.raises(StoreError, match="lf.hyperparameters.signal_variance") as info:
+                    load_model(bundle)
+                assert str(bundle) in str(info.value)
+            else:
+                assert load_model(bundle).lf.model.kernel.signal_variance == sf2
+
 
 def flip_byte(path):
     data = bytearray(path.read_bytes())
