@@ -83,9 +83,9 @@ def _stage(name: str):
 
 
 def _tensor_rows(tensor: DataTensor, idx: np.ndarray) -> DataTensor:
-    return DataTensor(
-        tensor.values[idx], tensor.scalar_names, tensor.coord_labels, tensor.units
-    )
+    rows = tensor.values[idx]
+    rows.setflags(write=False)  # the tensor's own array, so it is not copied
+    return DataTensor(rows, tensor.scalar_names, tensor.coord_labels, tensor.units)
 
 
 def _load_dataset(source: DataSource) -> FidelityDataset:

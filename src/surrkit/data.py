@@ -61,14 +61,36 @@ def _default_coord_labels(l: int) -> tuple[str, ...]:
     return tuple(str(i) for i in range(l))
 
 
+def check_names(
+    scalar_names: tuple[str, ...],
+    coord_labels: tuple[str, ...],
+    units: tuple[str, ...] | None,
+) -> None:
+    """The data standard's naming rule, for a tensor and for a saved output
+    layout alike: scalar names, coordinate labels and units (when given) are
+    nonempty strings, no scalar name repeats, and each scalar has one unit."""
+    for kind, entries in (
+        ("scalar name", scalar_names), ("coordinate label", coord_labels), ("unit", units or ())
+    ):
+        for entry in entries:
+            if not isinstance(entry, str) or not entry:
+                raise InputError(f"{kind} {entry!r} is not a nonempty string")
+    if len(set(scalar_names)) != len(scalar_names):
+        dupes = sorted({s for s in scalar_names if scalar_names.count(s) > 1})
+        raise InputError(f"duplicate scalar names: {dupes}")
+    if units is not None and len(units) != len(scalar_names):
+        raise InputError(f"expected {len(scalar_names)} unit strings, got {len(units)}")
+
+
 @dataclass(frozen=True, eq=False)
 class DataTensor:
     """Validated rank-3 array with named scalars and named coordinates.
 
-    ``values`` has shape ``(n, m, l)`` and is stored read-only; instances are
-    immutable and safe to share across threads. A caller's writable array is
-    copied, so it stays writable and later writes to it do not reach the
-    tensor; a read-only one, as the file readers hand over, is kept as is.
+    ``values`` has shape ``(n, m, l)`` and is stored read-only, and the names
+    follow :func:`check_names`; instances are immutable and safe to share
+    across threads. A caller's writable array is copied, so it stays writable
+    and later writes to it do not reach the tensor; a read-only one, as the
+    file readers hand over, is kept as is.
     """
 
     values: np.ndarray
@@ -91,20 +113,14 @@ class DataTensor:
                 f"tensor contains a non-finite value at (sample={bad[0]}, "
                 f"scalar={bad[1]}, coordinate={bad[2]})"
             )
-        names = tuple(str(s) for s in self.scalar_names)
-        labels = tuple(str(s) for s in self.coord_labels)
+        names = tuple(self.scalar_names)
+        labels = tuple(self.coord_labels)
+        units = tuple(self.units) if self.units is not None else None
         if len(names) != m:
             raise InputError(f"expected {m} scalar names, got {len(names)}")
         if len(labels) != l:
             raise InputError(f"expected {l} coordinate labels, got {len(labels)}")
-        if len(set(names)) != len(names):
-            dupes = sorted({s for s in names if names.count(s) > 1})
-            raise InputError(f"duplicate scalar names: {dupes}")
-        units = self.units
-        if units is not None:
-            units = tuple(str(u) for u in units)
-            if len(units) != m:
-                raise InputError(f"expected {m} unit strings, got {len(units)}")
+        check_names(names, labels, units)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "scalar_names", names)
@@ -333,18 +349,11 @@ def _import_tensor_text(path: Path) -> DataTensor:
         else _default_coord_labels(l)
     )
     units = _split_metadata_list(metadata["units"]) if "units" in metadata else None
-    if len(scalar_names) != m:
-        raise InputError(
-            f"{path}: scalar_names metadata lists {len(scalar_names)} names "
-            f"for {m} scalars"
-        )
-    if len(coord_labels) != l:
-        raise InputError(
-            f"{path}: coord_labels metadata lists {len(coord_labels)} labels "
-            f"for {l} coordinates"
-        )
     values.setflags(write=False)  # the tensor's own array, so it is not copied
-    return DataTensor(values.reshape(n, m, l), scalar_names, coord_labels, units=units)
+    try:
+        return DataTensor(values.reshape(n, m, l), scalar_names, coord_labels, units=units)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _import_csv(path: Path) -> DataTensor:
@@ -355,9 +364,6 @@ def _import_csv(path: Path) -> DataTensor:
         except StopIteration:
             raise InputError(f"{path}: empty CSV file") from None
         names = tuple(name.strip() for name in header)
-        if len(set(names)) != len(names):
-            dupes = sorted({s for s in names if names.count(s) > 1})
-            raise InputError(f"{path}: duplicate scalar names in CSV header: {dupes}")
         rows: list[tuple[int, list[str]]] = []
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
@@ -375,7 +381,10 @@ def _import_csv(path: Path) -> DataTensor:
         r, c = np.argwhere(~np.isfinite(values))[0]
         raise InputError(f"{path}:{rows[r][0]}: non-finite value in column {int(c) + 1}")
     values.setflags(write=False)  # the tensor's own array, so it is not copied
-    return DataTensor(values[:, :, np.newaxis], names, ("0",))
+    try:
+        return DataTensor(values[:, :, np.newaxis], names, ("0",))
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def export_tensor(tensor: DataTensor, path: str | Path, fmt: str = TENSOR_TEXT) -> Path:

@@ -189,24 +189,20 @@ def _load_scaler(arrays: dict[str, np.ndarray], key: str) -> StandardScaler:
 
 
 def _load_layout(d: dict) -> TensorLayout:
-    """``y_layout`` as the data standard names a tensor: lists of nonempty
-    strings (``units`` may be null), one unit per scalar, no name twice."""
+    """``y_layout``: three JSON lists (``units`` may be null), whose entries
+    ``TensorLayout`` checks by the rule that names a tensor's."""
 
-    def names(key: str) -> tuple[str, ...]:
+    def entries(key: str) -> tuple:
         value = d[key]
-        if type(value) is not list or not all(type(s) is str and s for s in value):
-            raise TypeError(f"y_layout.{key} must be a list of nonempty strings, got {value!r}")
+        if type(value) is not list:
+            raise TypeError(f"y_layout.{key} must be a list, got {value!r}")
         return tuple(value)
 
-    scalar_names, coord_labels = names("scalar_names"), names("coord_labels")
-    units = names("units") if d.get("units") is not None else None
-    if len(set(scalar_names)) != len(scalar_names):
-        raise ValueError(f"y_layout.scalar_names repeats a name: {list(scalar_names)}")
-    if units is not None and len(units) != len(scalar_names):
-        raise ValueError(
-            f"y_layout.units has {len(units)} entries for {len(scalar_names)} scalar names"
-        )
-    return TensorLayout(scalar_names, coord_labels, units)
+    units = entries("units") if d.get("units") is not None else None
+    try:
+        return TensorLayout(entries("scalar_names"), entries("coord_labels"), units)
+    except InputError as exc:
+        raise ValueError(f"y_layout: {exc}") from None
 
 
 def _publish(staging: Path, project_name: str) -> Path:
@@ -425,10 +421,10 @@ def _build_surrogate(bundle_dir: Path, meta: dict, arrays: dict, stage: str) -> 
     if meta["model_type"] == "gpr":
         X_train = arrays[f"{stage}X_train"]
         alpha = arrays[f"{stage}alpha"]
-        if alpha.shape[0] != X_train.shape[0]:
+        if alpha.shape[0] != X_train.shape[0] or alpha.shape[1] != y_scaler.fitted_on:
             raise StoreError(
                 f"inconsistent GPR payload shapes: X_train {X_train.shape}, "
-                f"alpha {alpha.shape}"
+                f"alpha {alpha.shape}, y scaler of {y_scaler.fitted_on} columns"
             )
         ls = [_json_number(v, "hyperparameters.length_scale") for v in hyper["length_scale"]]
         spec = KernelSpec(
@@ -446,17 +442,17 @@ def _build_surrogate(bundle_dir: Path, meta: dict, arrays: dict, stage: str) -> 
                 f"malformed bundle {bundle_dir}: training.jitter_used must be a "
                 f"finite number >= 0, got {jitter_used!r}"
             )
-        # |k| <= sf2, so this bounds |Ks.T @ alpha| at every site: a stage
-        # whose bound overflows would fail at predict, blaming the sites.
-        # Each column is summed as a row of a copy of alpha.T, which numpy
-        # does three times faster than a column of alpha.
+        # |k| <= sf2, so this bounds the stage's raw output, (Ks.T @ alpha)
+        # * y std + y mean, at every site: a stage whose bound overflows
+        # would fail at predict, blaming the sites.
         with np.errstate(over="ignore"):
-            bound = spec.signal_variance * np.abs(alpha.T.copy()).sum(axis=1)
+            bound = (spec.signal_variance * np.abs(alpha).sum(axis=0) * y_scaler.divisor
+                     + np.abs(y_scaler.means))
         if not np.isfinite(bound).all():
             raise StoreError(
                 f"malformed bundle {bundle_dir}: {stage.replace('/', '.')}hyperparameters."
-                f"signal_variance = {spec.signal_variance!r} overflows the GPR mean "
-                f"(signal_variance * sum |alpha| is not finite)"
+                f"signal_variance = {spec.signal_variance!r} overflows the GPR output "
+                f"(signal_variance * sum |alpha| * y std + |y mean| is not finite)"
             )
         model: GprModel | MlpModel = GprModel(
             kernel=spec,

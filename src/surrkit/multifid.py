@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from surrkit.data import DataTensor, FidelityDataset, flatten, unflatten
+from surrkit.data import DataTensor, FidelityDataset, check_names, flatten, unflatten
 from surrkit.errors import InputError
 # gpr_fit and gpr_predict are not used here; perfbench/test_perfbench.py
 # checks that its tracer rebinds them in this module.
@@ -50,11 +50,15 @@ from surrkit.tuner import GprGrid, MlpGrid, SweepResult, tune
 
 @dataclass(frozen=True)
 class TensorLayout:
-    """Shape and naming of an output tensor, minus the values."""
+    """Shape and naming of an output tensor, minus the values; the names
+    follow the rule a tensor's do (``data.check_names``)."""
 
     scalar_names: tuple[str, ...]
     coord_labels: tuple[str, ...]
     units: tuple[str, ...] | None = None
+
+    def __post_init__(self) -> None:
+        check_names(self.scalar_names, self.coord_labels, self.units)
 
     @property
     def m(self) -> int:
@@ -181,6 +185,7 @@ def predict_tensor(
     the model's output layout.
     """
     pred = surrogate.predict_raw(flatten(sites))
+    pred.setflags(write=False)  # the tensor's own array, so it is not copied
     return surrogate.y_layout.tensor_from_flat(pred)
 
 
@@ -253,6 +258,7 @@ def compose_with_lf(
     aug_names = _unique_names(
         lf_surr.y_layout.column_names("lf_") + TensorLayout.of(hf_data.X).column_names()
     )
+    augmented.setflags(write=False)  # the tensor's own array, so it is not copied
     aug_tensor = DataTensor.from_values(augmented[:, :, np.newaxis], aug_names)
     aug_dataset = FidelityDataset(
         fidelity=hf_data.fidelity,

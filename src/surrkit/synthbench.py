@@ -197,6 +197,8 @@ def generate_pair_dataset(
 
     def dataset(label: str, X: np.ndarray, f) -> FidelityDataset:
         Y = f(X)
+        for values in (X, Y):  # the tensors' own arrays, so they are not copied
+            values.setflags(write=False)
         return FidelityDataset(
             fidelity=label,
             X=DataTensor.from_values(X[:, :, np.newaxis], pair.input_names),

@@ -828,6 +828,34 @@ def test_resigned_meta_json_node_is_refused_or_changes_nothing(
         assert not wrong_type or out.read_bytes() == expected
 
 
+@pytest.mark.parametrize("units", ["K", ""], ids=["unit", "blank"])
+def test_units_line_trains_a_bundle_predict_loads_or_is_refused_at_read(
+    synth_dir, sites_csv, tmp_path, units
+):
+    """Train and predict apply one naming rule. Output data with a unit
+    trains a bundle that ``predict`` loads; a blank ``# units:`` line is
+    refused when the data is read, so no bundle is saved that load refuses."""
+    y_file = synth_dir / "lf_y.txt"
+    header, rest = y_file.read_text().split("\n", 1)
+    y_file.write_text(f"{header}\n# units: {units}\n{rest}")
+    cfg = write_config(tmp_path / "sf.json", {
+        "seed": 7,
+        "data": {"x": str(synth_dir / "lf_x.txt"), "y": str(y_file)},
+        "gpr": FAST_GPR,
+    })
+    code, lines = run_captured(["train", "--config", str(cfg), "--out", str(tmp_path / "sf")])
+    if units:
+        assert (code, lines) == (0, [])
+        out = tmp_path / "pred.csv"
+        assert run_captured(["predict", "--model-dir", str(tmp_path / "sf" / "model_v1"),
+                             "--sites", str(sites_csv), "--out", str(out)]) == (0, [])
+        assert out.read_text().splitlines()[0] == "x,y"
+    else:
+        assert code == 2 and len(lines) == 1, lines
+        assert lines[0].endswith(f"{y_file}: unit '' is not a nonempty string"), lines
+        assert not (tmp_path / "sf" / "model_v1").exists()
+
+
 @pytest.fixture(scope="module")
 def flip_bundles(predict_bundles, mlp_bundle, tmp_path_factory):
     """A GPR, an MLP and a composite bundle, each in text and in binary."""

@@ -1,5 +1,7 @@
 """Tensor data standard: ingestion, flattening, and bit-exact round trips."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -298,6 +300,19 @@ class TestValidation:
     def test_name_count_must_match(self):
         with pytest.raises(InputError, match="scalar names"):
             DataTensor(np.zeros((2, 3, 1)), ("a", "b"), ("0",))
+
+    @pytest.mark.parametrize("names, labels, units, message", [
+        ((1, "b"), ("0",), None, "scalar name 1 is not a nonempty string"),
+        (("a", None), ("0",), None, "scalar name None is not a nonempty string"),
+        (("a", "b"), ("",), None, "coordinate label '' is not a nonempty string"),
+        (("a", "b"), ("0",), ("m", ""), "unit '' is not a nonempty string"),
+        (("a", "b"), ("0",), ("m",), "expected 2 unit strings, got 1"),
+    ], ids=["number-name", "null-name", "empty-label", "empty-unit", "unit-short"])
+    def test_names_follow_the_naming_rule(self, names, labels, units, message):
+        """Names are taken as given, not converted with ``str``: a name that
+        is no nonempty string is refused, as it is in a saved layout."""
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            DataTensor(np.zeros((2, 2, 1)), names, labels, units)
 
     def test_sample_counts_must_match(self):
         X = DataTensor.from_values(np.zeros((3, 1, 1)))

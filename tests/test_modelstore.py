@@ -18,14 +18,20 @@ from helpers import (
     resign_checksums,
 )
 from surrkit import gpr, modelstore
-from surrkit.data import DataTensor, FidelityDataset
-from surrkit.errors import NumericError, StoreError
+from surrkit.data import DataTensor, FidelityDataset, import_tensor
+from surrkit.errors import InputError, NumericError, StoreError
 from surrkit.gpr import GprModel, KernelSpec, gpr_fit, gpr_predict
 from surrkit.metrics import uq_report
 from surrkit.mlp import TrainConfig
 from surrkit.modelstore import load_model, save_model
-from surrkit.multifid import MfComposite, compose_with_lf, train_mf, train_single_fidelity
-from surrkit.preprocess import SplitSpec
+from surrkit.multifid import (
+    MfComposite,
+    TensorLayout,
+    compose_with_lf,
+    train_mf,
+    train_single_fidelity,
+)
+from surrkit.preprocess import SplitSpec, StandardScaler
 from surrkit.synthbench import Sampler, forrester_pair, generate_pair_dataset, sample, trig4_pair
 from surrkit.tuner import GprGrid, MlpGrid
 
@@ -525,17 +531,17 @@ class TestSchemaErrors:
     # each gives.
     LAYOUT_EDITS = {
         "names-as-one-string": (lambda y: y.update(scalar_names="y1y2y3"),
-                                "scalar_names must be a list of nonempty strings"),
+                                "y_layout.scalar_names must be a list"),
         "empty-name": (lambda y: y["scalar_names"].__setitem__(1, ""),
-                       "scalar_names must be a list of nonempty strings"),
+                       "y_layout: scalar name '' is not a nonempty string"),
         "null-label": (lambda y: y["coord_labels"].__setitem__(0, None),
-                       "coord_labels must be a list of nonempty strings"),
+                       "y_layout: coordinate label None is not a nonempty string"),
         "number-units": (lambda y: y.update(units=[1.0, 2.0, 3.0]),
-                         "units must be a list of nonempty strings"),
+                         "y_layout: unit 1.0 is not a nonempty string"),
         "repeated-name": (lambda y: y["scalar_names"].__setitem__(2, "y1"),
-                          "scalar_names repeats a name"),
+                          r"y_layout: duplicate scalar names: \['y1'\]"),
         "one-unit-short": (lambda y: y.update(units=["m", "s"]),
-                           "units has 2 entries for 3 scalar names"),
+                           "y_layout: expected 3 unit strings, got 2"),
     }
 
     @pytest.mark.parametrize("edit, message", LAYOUT_EDITS.values(), ids=LAYOUT_EDITS.keys())
@@ -552,13 +558,21 @@ class TestSchemaErrors:
         edit_meta(bundle, lambda y: y.update(units=["m", "s", "K"]), ("y_layout",))
         assert load_model(bundle).y_layout.units == ("m", "s", "K")
 
-    def test_gpr_mean_that_can_overflow_is_store_error(self, composite, tmp_path):
-        """An LF amplitude whose bound on the mean, sf2 * sum |alpha|, is
-        not finite is refused at load, naming the bundle and the stage; just
-        under that limit the bundle loads."""
-        limit = np.finfo(np.float64).max / np.abs(composite.lf.model.alpha).sum()
-        for sf2, refused in ((2.0 * limit, True), (0.5 * limit, False)):
-            bundle = save_model(composite, tmp_path, "overflow")
+    def test_gpr_output_that_can_overflow_is_store_error(self, composite, tmp_path):
+        """An LF amplitude whose bound on the stage's raw output, sf2 * sum
+        |alpha| * y std + |y mean|, is not finite is refused at load, naming
+        the bundle and the stage; just under that limit the bundle loads. The
+        LF y scaler's stds are made four times larger, so an amplitude that
+        keeps sf2 * sum |alpha| at half the float range is refused too."""
+        lf = composite.lf
+        wide = StandardScaler(lf.y_scaler.means, 4.0 * lf.y_scaler.divisor, lf.output_dim)
+        obj = replace(composite, lf=replace(lf, y_scaler=wide))
+        fmax = np.finfo(np.float64).max
+        sums = np.abs(lf.model.alpha).sum(axis=0)
+        limit = fmax / (sums * wide.divisor).max()
+        for sf2, refused in ((2.0 * limit, True), (0.5 * limit, False),
+                             (0.5 * fmax / sums.max(), True)):
+            bundle = save_model(obj, tmp_path, "overflow")
             edit_meta(bundle, lambda hyper: hyper.update(signal_variance=sf2),
                       ("lf", "hyperparameters"))
             if refused:
@@ -567,6 +581,39 @@ class TestSchemaErrors:
                 assert str(bundle) in str(info.value)
             else:
                 assert load_model(bundle).lf.model.kernel.signal_variance == sf2
+
+
+class TestOutputNames:
+    """Save and load apply the data standard's one naming rule: a layout
+    that the data readers accept is saved and loads back as it was, and a
+    data file whose names break the rule is refused when it is read."""
+
+    def test_every_layout_a_tensor_accepts_loads_back(self, trig4_gpr_surrogate, tmp_path):
+        Y = DataTensor.from_values(
+            np.zeros((2, 3, 1)), ["C L", "\u00b5-flux", "y3"], ["x=0"], units=["-", " ", "\u00b0C"]
+        )
+        layout = TensorLayout.of(Y)
+        bundle = save_model(replace(trig4_gpr_surrogate, y_layout=layout), tmp_path, "names")
+        assert load_model(bundle).y_layout == layout
+
+    @pytest.mark.parametrize("text, message", [
+        ("2 1 1\n# units:\n1.0\n2.0\n", "unit '' is not a nonempty string"),
+        ("2 2 1\n# units: m, \n1.0\n2.0\n3.0\n4.0\n", "unit '' is not a nonempty string"),
+        ("1 3 1\n# scalar_names: a, , c\n1.0\n2.0\n3.0\n",
+         "scalar name '' is not a nonempty string"),
+        ("1 1 2\n# coord_labels: ,b\n1.0 2.0\n", "coordinate label '' is not a nonempty string"),
+    ], ids=["blank-units", "trailing-comma-units", "blank-name", "blank-label"])
+    def test_blank_tensor_text_entry_is_refused_at_read(self, tmp_path, text, message):
+        path = tmp_path / "y.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InputError, match=f"^{path}: {message}$"):
+            import_tensor(path)
+
+    def test_blank_csv_header_cell_is_refused_at_read(self, tmp_path):
+        path = tmp_path / "y.csv"
+        path.write_text("a,,c\n1,2,3\n", encoding="utf-8")
+        with pytest.raises(InputError, match=f"^{path}: scalar name '' is not a nonempty string$"):
+            import_tensor(path, "csv")
 
 
 def flip_byte(path):
