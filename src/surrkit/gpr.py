@@ -57,10 +57,11 @@ only its own scaled row and Ks.
 because ``gpr_fit`` checks its inputs and rejects a non-finite lml (which
 any non-finite entry of ``alpha`` makes) and ``modelstore.load_model``
 checks them, so neither path re-checks them per query; query points are
-checked once per batch, in ``GprModel._predict``. That check is of the
-scaled query, so it also catches a finite raw site that overflows when a
-scaler divides it, which the raw-site check (``preprocess.design_sites``)
-lets through.
+checked once, block by block, in ``GprModel._predict_block``. That check
+bounds the magnitude of the scaled query (``GprModel._query_bound``), so
+it also catches a finite raw site that overflows when a scaler divides
+it, which the raw-site check (``preprocess.design_sites``) lets through,
+and a finite one whose square, distance or kernel value would overflow.
 
 Every factorization of a training kernel goes through ``_fit_at``, GPML
 Algorithm 2.1: given K + sn2*I and Y it returns ``L``, ``alpha``, the lml
@@ -84,7 +85,10 @@ cost one more lml evaluation per hyperparameter per step and stop short of
 the optimum. An L-BFGS-B run whose line search stalls on a steep slope is
 resumed from where it stopped (``_lbfgsb``). ``optimize_hyperparameters``
 fits each start and each run's result with ``gpr_fit`` and returns the best
-of those models, so a caller never fits the winner again.
+of those models, so a caller never fits the winner again. Its evaluator
+allocates the n x n arrays of an evaluation once and every evaluation
+writes into them (``_lml_evaluator``), so evaluations fault no fresh
+memory in; ``gpr_fit`` and the models it returns own their arrays.
 """
 
 from __future__ import annotations
@@ -221,15 +225,30 @@ def default_kernel_grid() -> tuple[KernelSpec, ...]:
     )
 
 
-def _as_matrix(x, name: str) -> np.ndarray:
+def _as_matrix(x, name: str, check: bool = True) -> np.ndarray:
+    """``x`` as a float64 matrix, a vector being one column, whose entries
+    are checked for finite values unless ``check`` is false."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[:, np.newaxis]
     if arr.ndim != 2:
         raise InputError(f"{name} must be a 2-D matrix, got rank {arr.ndim}")
+    if check:
+        _check_below(arr, name, math.inf)
+    return arr
+
+
+def _check_below(arr: np.ndarray, name: str, bound: float) -> None:
+    """``InputError`` unless every entry of ``arr`` is below ``bound`` in
+    magnitude, which refuses NaN and infinities too, whatever the bound."""
+    if np.abs(arr).max(initial=0.0) < bound:  # NaN fails this test
+        return
     if not np.isfinite(arr).all():
         raise InputError(f"{name} contains non-finite entries")
-    return arr
+    raise InputError(
+        f"{name} holds a value of magnitude {np.abs(arr).max():.3g}; this model takes "
+        f"values below {bound:.3g}, where its kernel cannot overflow"
+    )
 
 
 def _training_pair(X, Y) -> tuple[np.ndarray, np.ndarray]:
@@ -253,6 +272,7 @@ def _scaled_sq_dist(
     A_scaled: tuple[np.ndarray, np.ndarray],
     B_scaled: tuple[np.ndarray, np.ndarray],
     A_doubled: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Squared length-scale-weighted distances r^2 between the rows of A and B.
 
@@ -260,7 +280,8 @@ def _scaled_sq_dist(
     one, the rows' distances to themselves are set to exactly 0:
     cancellation leaves them up to ~4e-16, a kink in Matern 0.5's lml.
     ``A_doubled`` is ``2.0 * As`` where the caller keeps it, as a model
-    does for its training side; it is formed here otherwise.
+    does for its training side; it is formed here otherwise. r^2 is
+    written into ``out`` if given, else into a new array.
     """
     (As, As_sq), (Bs, Bs_sq) = A_scaled, B_scaled
     # ||a||^2 - 2 a.b + ||b||^2, evaluated left to right in the product's
@@ -270,7 +291,7 @@ def _scaled_sq_dist(
     # differently.
     if A_doubled is None:
         A_doubled = 2.0 * As
-    sq = A_doubled @ Bs.T
+    sq = np.matmul(A_doubled, Bs.T, out=out)
     np.subtract(As_sq[:, np.newaxis], sq, out=sq)
     sq += Bs_sq[np.newaxis, :]
     np.maximum(sq, 0.0, out=sq)
@@ -279,12 +300,15 @@ def _scaled_sq_dist(
     return sq
 
 
-def _kernel_from_sq(spec: KernelSpec, sq: np.ndarray, sf2: float) -> np.ndarray:
+def _kernel_from_sq(
+    spec: KernelSpec, sq: np.ndarray, sf2: float, work: tuple = (None, None)
+) -> np.ndarray:
     """The covariance of ``spec``'s family at squared distances ``sq``.
 
     Consumes ``sq``: the kernel is built in its buffer, and Matern 1.5 and
-    2.5 need one and two more of its size. Each element sees the operations
-    of the textbook expressions (``sf2 * np.exp(-0.5 * sq)``,
+    2.5 need one and two more of its size, taken from ``work`` where it
+    holds arrays and allocated where it holds None. Each element sees the
+    operations of the textbook expressions (``sf2 * np.exp(-0.5 * sq)``,
     ``sf2 * (1.0 + t) * np.exp(-t)``, ...) in their order; only the operands
     of single products and sums trade places, which is exact. The amplitude
     ``sf2`` is an argument, not ``spec.signal_variance``, so the optimizer
@@ -304,15 +328,15 @@ def _kernel_from_sq(spec: KernelSpec, sq: np.ndarray, sf2: float) -> np.ndarray:
     if spec.nu == 1.5:
         t = np.sqrt(sq, out=sq)
         t *= math.sqrt(3.0)
-        decay = np.negative(t)
+        decay = np.negative(t, out=work[0])
         np.exp(decay, out=decay)
         t += 1.0
         t *= sf2
         t *= decay
         return t
-    t = np.sqrt(sq)
+    t = np.sqrt(sq, out=work[0])
     t *= math.sqrt(5.0)
-    decay = np.negative(t)
+    decay = np.negative(t, out=work[1])
     np.exp(decay, out=decay)
     t += 1.0
     sq *= 5.0 / 3.0
@@ -323,7 +347,7 @@ def _kernel_from_sq(spec: KernelSpec, sq: np.ndarray, sf2: float) -> np.ndarray:
 
 
 def _length_scale_factor(
-    spec: KernelSpec, sq: np.ndarray, K: np.ndarray, sf2: float
+    spec: KernelSpec, sq: np.ndarray, K: np.ndarray, sf2: float, work: tuple
 ) -> np.ndarray:
     """D with dK/dlog(l_k) = D * r_k^2, r_k^2 the k-th input's share of ``sq``.
 
@@ -336,12 +360,13 @@ def _length_scale_factor(
         matern, nu=1.5     3 sf2 exp(-sqrt(3) r)
         matern, nu=2.5     5/3 sf2 (1 + sqrt(5) r) exp(-sqrt(5) r)
 
-    The rbf factor is ``K`` itself; the Matern ones are new arrays (2.5 uses
-    one more), and ``sq`` is left as it is.
+    The rbf factor is ``K`` itself; the Matern ones are built in the array
+    ``work[0]`` (2.5 uses the array ``work[1]`` too), and ``sq`` is left as
+    it is.
     """
     if not spec.is_matern:
         return K
-    r = np.sqrt(sq)
+    r = np.sqrt(sq, out=work[0])
     if spec.nu == 0.5:
         return np.divide(K, r, out=r, where=r > 0.0)
     if spec.nu == 1.5:
@@ -350,7 +375,7 @@ def _length_scale_factor(
         r *= 3.0 * sf2
         return r
     r *= math.sqrt(5.0)
-    decay = np.negative(r)
+    decay = np.negative(r, out=work[1])
     np.exp(decay, out=decay)
     r += 1.0
     r *= decay
@@ -438,6 +463,21 @@ class GprModel:
         return 2.0 * self._train_scaled[0]
 
     @cached_property
+    def _query_bound(self) -> float:
+        """The magnitude below which every query entry must lie.
+
+        Below it each scaled entry x/l squares to under fmax / (8 d s),
+        s = max(1, sf2), so a query's squared norm stays under fmax / (8 s),
+        r^2 (at most twice the sum of the two squared norms) under about
+        fmax / (4 s) for training inputs of ordinary size, and the largest
+        kernel intermediate, Matern 2.5's (5/3 r^2 + sqrt(5) r + 1) sf2,
+        under half of fmax.
+        """
+        scale = max(1.0, self.kernel.signal_variance)
+        limit = math.sqrt(np.finfo(np.float64).max / (8.0 * self.input_dim * scale))
+        return float(self._length_scales.min()) * limit
+
+    @cached_property
     def _block_rows(self) -> int:
         """Query points per prediction block: a multiple of 8, at least 8,
         whose n_train x rows buffers of ``_kernel_from_sq`` (one for rbf and
@@ -451,11 +491,11 @@ class GprModel:
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """Posterior mean, and the latent variance if asked for, at ``X_star``.
 
-        The query points are checked here, once. A batch larger than one
-        block (``_KS_BLOCK_BYTES``) is predicted block by block into
-        preallocated outputs, so its working memory does not grow with it.
+        A batch larger than one block (``_KS_BLOCK_BYTES``) is predicted
+        block by block into preallocated outputs, so its working memory does
+        not grow with it.
         """
-        X_star = _as_matrix(X_star, "X_star")
+        X_star = _as_matrix(X_star, "X_star", check=False)
         if X_star.shape[1] != self.input_dim:
             raise InputError(
                 f"query points have {X_star.shape[1]} dims, model expects {self.input_dim}"
@@ -476,7 +516,14 @@ class GprModel:
     def _predict_block(
         self, X_star: np.ndarray, with_variance: bool
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """``_predict`` for checked query points, all at once."""
+        """``_predict`` for one block of query points, all at once.
+
+        The points are checked here, once, for values below
+        ``_query_bound``, which also refuses NaN and infinities. Checked by
+        the block, their magnitudes make a block-sized temporary, not a
+        batch-sized one.
+        """
+        _check_below(X_star, "X_star", self._query_bound)
         sq = _scaled_sq_dist(
             self._train_scaled, _scale_inputs(X_star, self._length_scales), self._train_doubled
         )
@@ -511,25 +558,33 @@ def _add_to_diagonal(K: np.ndarray, value: float) -> np.ndarray:
     return K
 
 
-def cholesky(K: np.ndarray) -> np.ndarray:
+def cholesky(K: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The lower Cholesky factor of ``K``, Fortran-ordered, upper triangle 0.
 
     This is LAPACK's ``dpotrf`` as scipy's ``cholesky(K, lower=True)`` calls
-    it, without scipy's finiteness check. ``K`` is left as it is. Raises
+    it, without scipy's finiteness check. ``K`` is left as it is. The factor
+    is a new array, or ``out`` (a Fortran-ordered array of K's shape) where
+    given: K is copied into it and factored there, as scipy factors its own
+    Fortran-ordered copy of a C-ordered K. Raises
     ``np.linalg.LinAlgError`` if ``K`` is not positive definite.
     """
-    L, info = dpotrf(K, lower=1, clean=1)
+    if out is not None:
+        np.copyto(out, K)
+        K = out
+    L, info = dpotrf(K, lower=1, clean=1, overwrite_a=out is not None)
     if info != 0:
         raise np.linalg.LinAlgError(f"leading minor {info} is not positive definite")
     return L
 
 
-def _factor(K: np.ndarray, jitters: tuple[float, ...]) -> tuple[np.ndarray, float]:
-    """``cholesky(K + j I)`` for the first jitter j in ``jitters`` that
+def _factor(
+    K: np.ndarray, jitters: tuple[float, ...], out: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
+    """``cholesky(K + j I, out)`` for the first jitter j in ``jitters`` that
     factors, and that j. K is left as it is; a nonzero j is added to a copy."""
     for jitter in jitters:
         try:
-            return cholesky(_add_to_diagonal(K.copy(), jitter) if jitter else K), jitter
+            return cholesky(_add_to_diagonal(K.copy(), jitter) if jitter else K, out), jitter
         except np.linalg.LinAlgError:
             pass
     raise NumericError(
@@ -540,7 +595,7 @@ def _factor(K: np.ndarray, jitters: tuple[float, ...]) -> tuple[np.ndarray, floa
 
 
 def _fit_at(
-    K: np.ndarray, Y: np.ndarray, sf2: float
+    K: np.ndarray, Y: np.ndarray, sf2: float, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """``(L, alpha, lml, jitter)`` for the noisy training kernel ``K`` of
     amplitude ``sf2`` and the targets ``Y`` (GPML Algorithm 2.1).
@@ -548,15 +603,16 @@ def _fit_at(
     K is factored as it is, and if that fails with each step of the jitter
     ladder in turn: ``_JITTER_STEPS`` times the mean of K's noise-free
     diagonal, whose n entries are all sf2, so the mean is formed only on
-    failure. K itself is not changed. A kernel that no jitter factors, or a
-    non-finite lml, raises ``NumericError``.
+    failure. K itself is not changed; ``L`` is ``out`` where given (see
+    ``cholesky``). A kernel that no jitter factors, or a non-finite lml,
+    raises ``NumericError``.
     """
     n, q = Y.shape
     try:
-        L, jitter = _factor(K, (0.0,))
+        L, jitter = _factor(K, (0.0,), out)
     except NumericError:
         scale = float(np.mean(np.full(n, sf2)))
-        L, jitter = _factor(K, tuple(step * scale for step in _JITTER_STEPS))
+        L, jitter = _factor(K, tuple(step * scale for step in _JITTER_STEPS), out)
     alpha, _ = dpotrs(L, Y, lower=1)
     lml = float(
         -0.5 * np.sum(Y * alpha)
@@ -658,25 +714,38 @@ def _lml_evaluator(
     ``gpr_fit`` does. The gradient (``_lml_gradient``) comes from the factor
     ``_fit_at`` found, jittered or not. Where ``_fit_at`` raises
     ``NumericError`` the evaluation is ``(-inf, 0)``.
+
+    The evaluator owns one workspace of n x n arrays, allocated here and
+    overwritten by every evaluation, so evaluations allocate no n x n float
+    arrays of their own: r^2 (which becomes K), a copy of r^2 for the
+    gradient, the Fortran-ordered factor (which becomes K^-1 and then W),
+    and the Matern temporaries of ``_kernel_from_sq`` and
+    ``_length_scale_factor`` (one for nu = 0.5 and 1.5, two for 2.5).
+    Matern 0.5's gradient still makes an n x n boolean mask per evaluation.
     """
+    n = X.shape[0]
     n_ls = np.atleast_1d(np.asarray(spec.length_scale)).size
     # Per-dimension squared differences of the unscaled inputs, one row per
     # input, for the ARD gradient; K itself is always built from r^2 above.
     sq_diffs = None
     if n_ls > 1:
         sq_diffs = np.square(X.T[:, :, np.newaxis] - X.T[:, np.newaxis, :]).reshape(n_ls, -1)
+    sq, r2 = np.empty((n, n)), np.empty((n, n))
+    factor = np.empty((n, n), order="F")
+    temporaries = {0.5: 1, 1.5: 1, 2.5: 2}[spec.nu] if spec.is_matern else 0
+    work = tuple(np.empty((n, n)) if i < temporaries else None for i in range(2))
 
     def lml_at(theta: np.ndarray) -> tuple[float, np.ndarray]:
         ls, sf2, noise = _unpack_theta(spec, theta)
         X_scaled = _scale_inputs(X, ls)
-        sq = _scaled_sq_dist(X_scaled, X_scaled)
-        r2 = sq.copy()
-        K = _add_to_diagonal(_kernel_from_sq(spec, sq, sf2), noise)
+        _scaled_sq_dist(X_scaled, X_scaled, out=sq)
+        np.copyto(r2, sq)
+        K = _add_to_diagonal(_kernel_from_sq(spec, sq, sf2, work), noise)
         try:
-            L, alpha, lml, _ = _fit_at(K, Y, sf2)
+            L, alpha, lml, _ = _fit_at(K, Y, sf2, factor)
         except NumericError:
             return -np.inf, np.zeros(len(theta))
-        return lml, _lml_gradient(spec, K, r2, L, alpha, sf2, noise, ls, sq_diffs)
+        return lml, _lml_gradient(spec, K, r2, L, alpha, sf2, noise, ls, sq_diffs, work)
 
     return lml_at
 
@@ -691,6 +760,7 @@ def _lml_gradient(
     noise: float,
     ls: np.ndarray,
     sq_diffs: np.ndarray | None,
+    work: tuple,
 ) -> np.ndarray:
     """The lml's gradient in the log-hyperparameters (GPML eq. 5.9).
 
@@ -699,8 +769,9 @@ def _lml_gradient(
     kernel, dK/dlog(sn2) = sn2 I and dK/dlog(l_k) = D * r_k^2 with D from
     ``_length_scale_factor``. ``K`` is the kernel with the noise at ``sq``
     (r^2) and ``L`` its Cholesky factor, jittered or not, which this
-    consumes. An ARD kernel (``sq_diffs`` given) takes r_k^2 as the k-th row
-    of ``sq_diffs`` over l_k^2. The entries are ordered as theta is.
+    consumes, as it consumes ``work`` (``_length_scale_factor``'s
+    temporaries). An ARD kernel (``sq_diffs`` given) takes r_k^2 as the k-th
+    row of ``sq_diffs`` over l_k^2. The entries are ordered as theta is.
     """
     # W's lower triangle in L's buffer: dpotri leaves K^-1 there (the upper
     # triangle stays 0) and dsyrk adds alpha alpha^T. Every dK/dtheta is
@@ -714,7 +785,7 @@ def _lml_gradient(
     entries = [0.5 * noise * trace]
     if spec.tunes_signal_variance:
         entries.insert(0, 0.5 * (np.vdot(W, K) - noise * trace))
-    W *= _length_scale_factor(spec, sq, K, sf2)
+    W *= _length_scale_factor(spec, sq, K, sf2, work)
     if sq_diffs is None:
         ls_entries = [0.5 * np.vdot(W, sq)]
     else:
@@ -796,6 +867,9 @@ def optimize_hyperparameters(
             thetas.append(_lbfgsb(neg_lml, theta0, log_bounds).x)
         except Exception as exc:  # pragma: no cover - scipy internal failure
             failures.append(str(exc))
+    # Free the evaluator's workspace before the fits below allocate their
+    # own n x n arrays, so that the two are never held at once.
+    del neg_lml, lml_at
 
     best: GprModel | None = None
     for theta in thetas:

@@ -584,9 +584,11 @@ def predict_bundles(tmp_path_factory):
 # Cells that break the predict input contract, one kind per strategy: text
 # that is no number (no 'i' or 'n', so never a spelling of inf or nan), a
 # non-finite number, and a finite number that overflows when scaled.
+WRONG_TYPED_CELLS = st.text(alphabet="abcdefghjklmopqrstuvwxyz!?$%", min_size=1, max_size=6)
+NON_FINITE_CELLS = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e999", "-1e400"])
 BAD_CELLS = st.one_of(
-    st.text(alphabet="abcdefghjklmopqrstuvwxyz!?$%", min_size=1, max_size=6),
-    st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e999", "-1e400"]),
+    WRONG_TYPED_CELLS,
+    NON_FINITE_CELLS,
     st.builds(
         lambda sign, v: repr(sign * v),
         st.sampled_from([1.0, -1.0]),
@@ -625,6 +627,45 @@ def test_malformed_sites_exit_2_with_one_line(predict_bundles, which, good, wher
     assert code == 2
     lines = err.getvalue().strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def assert_refused_as_too_large(bundle, sites, out):
+    """``surrkit predict`` in a fresh interpreter, where a numpy warning
+    would print, exits 2 with one line that names the too-large value."""
+    result = cli_process("predict", "--model-dir", str(bundle), "--sites", str(sites),
+                         "--out", str(out))
+    assert result.returncode == 2, result.stderr
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "X_star holds a value of magnitude" in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["gpr", "composite"])
+def test_site_whose_square_overflows_exits_2_with_one_line(predict_bundles, tmp_path, which):
+    """1e200 stays finite through the input scaler, but its square does not:
+    the model refuses it instead of warning of an overflow and writing the
+    prior mean."""
+    sites = tmp_path / "sites.csv"
+    sites.write_text("x\n0.5\n1e200\n")
+    assert_refused_as_too_large(predict_bundles[1][which], sites, tmp_path / "pred.csv")
+
+
+def test_lf_outputs_that_overflow_the_mf_stage_exit_2_with_one_line(predict_bundles, tmp_path):
+    """An LF amplitude at half the load bound gives LF outputs that are
+    finite but near the float range, so the bundle loads; the MF stage
+    refuses them as its query."""
+    bundle = shutil.copytree(predict_bundles[1][1], tmp_path / "model")
+    lf = load_model(bundle).lf
+    sums = np.abs(lf.model.alpha).sum(axis=0) * lf.y_scaler.divisor
+    meta = json.loads((bundle / "meta.json").read_text())
+    meta["lf"]["hyperparameters"]["signal_variance"] = 0.5 * np.finfo(np.float64).max / sums.max()
+    (bundle / "meta.json").write_text(json.dumps(meta))
+    resign_checksums(bundle)
+    load_model(bundle)
+    sites = tmp_path / "sites.csv"
+    sites.write_text("x\n0.25\n0.75\n")
+    assert_refused_as_too_large(bundle, sites, tmp_path / "pred.csv")
 
 
 @pytest.mark.parametrize("key, value", NON_FINITE_HYPERPARAMETERS,
@@ -970,6 +1011,60 @@ def test_input_file_cut_at_any_byte_exits_0_or_2_with_at_most_one_line(
         assert lines == []
     else:
         assert code == 2 and len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def one_column_file(fmt, name, cells):
+    """A tensor-text or CSV file of one scalar ``name`` holding ``cells``."""
+    if fmt == "csv":
+        return "\n".join([name, *(f'"{cell}"' for cell in cells)]) + "\n"
+    return "\n".join([f"{len(cells)} 1 1", f"# scalar_names: {name}", *cells]) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    command=st.sampled_from(["ingest", "train", "predict"]),
+    fmt=st.sampled_from(["tensor-text", "csv"]),
+    column=st.sampled_from(["x", "y"]),
+    row=st.integers(0, 7),
+    bad=st.one_of(WRONG_TYPED_CELLS, NON_FINITE_CELLS),
+    which=st.integers(0, 1),
+)
+def test_bad_cell_in_a_data_or_sites_file_exits_2_with_one_line(
+    predict_bundles, command, fmt, column, row, bad, which
+):
+    """A wrong-typed or non-finite cell in a data file given to ``ingest``
+    or to ``train`` (in its x or its y file), or in a sites file given to
+    ``predict`` of a single-fidelity or a composite bundle, exits 2 with one
+    line on stderr and writes no run or prediction."""
+    root, bundles = predict_bundles
+    work = root / "bad_cell"
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir()
+    if command == "predict":
+        column = "x"  # the bundles' input
+    files = {}
+    for name in ("x", "y"):
+        cells = [repr(v) for v in np.linspace(0.05, 0.95, 8).tolist()]
+        if name == column:
+            cells[row] = bad
+        files[name] = work / f"{name}.{'csv' if fmt == 'csv' else 'txt'}"
+        files[name].write_text(one_column_file(fmt, name, cells))
+    if command == "ingest":
+        argv = ["ingest", "--input", str(files[column]), "--format", fmt]
+    elif command == "train":
+        cfg = write_config(work / "cfg.json", {
+            "data": {"x": str(files["x"]), "y": str(files["y"]), "format": fmt},
+            "gpr": FAST_GPR,
+        })
+        argv = ["train", "--config", str(cfg), "--out", str(work / "run")]
+    else:
+        argv = ["predict", "--model-dir", str(bundles[which]), "--sites", str(files["x"]),
+                "--sites-format", fmt, "--out", str(work / "pred.csv")]
+    code, lines = run_captured(argv)
+    assert code == 2 and len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert str(files[column]) in lines[0] or command == "predict", lines
+    assert not (work / "pred.csv").exists()
+    assert not (work / "run" / "model_v1").exists()
 
 
 NOT_UTF8 = b"\xff\xfex\x00\n\x000\x00.\x005\x00\n\x00"  # "x\n0.5\n" in UTF-16

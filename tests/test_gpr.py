@@ -1,8 +1,13 @@
 """Gaussian process regression against closed forms and direct-solve oracles."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -619,6 +624,113 @@ class TestLeanLml:
         assert _lml_evaluator(X, Y, spec)(theta)[0] == -np.inf
 
 
+def _theta_within(log_bounds):
+    """Log-hyperparameters inside ``log_bounds``, their edges drawn often."""
+    return st.tuples(*(st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi))
+                       for lo, hi in log_bounds)).map(np.array)
+
+
+class TestEvaluatorWorkspace:
+    """An evaluator overwrites one set of n x n buffers at every evaluation;
+    nothing it returns, and nothing a caller keeps, lives in them."""
+
+    X, Y = TestLeanLml.X, TestLeanLml.Y
+    # TestLeanLml's 1-D problems whose kernels at ``theta`` need jitter and
+    # do not factor at all: (X, Y, theta); the kernel is rbf.
+    SPECIAL = {
+        "jittered": (np.array([[0.1], [0.1], [0.5], [0.9]]),
+                     np.array([[1.0], [1.0], [0.0], [2.0]]), np.log([0.3, 1e-20])),
+        "unfactorable": (1e4 + np.linspace(0.0, 1e-3, 8)[:, np.newaxis],
+                         np.sin(np.arange(8.0))[:, np.newaxis], np.log([1e-2, 1e-10])),
+    }
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        base=st.sampled_from(ALL_KERNELS),
+        per_dim=st.booleans(),
+        q=st.sampled_from([1, 3]),
+        case=st.sampled_from(["plain", "jittered", "unfactorable"]),
+        data=st.data(),
+    )
+    def test_each_evaluation_has_a_fresh_evaluators_bits(self, base, per_dim, q, case, data):
+        """Over a sequence of thetas, one evaluator returns the lml and the
+        gradient a new evaluator returns at each, also right after an
+        evaluation that took the jitter ladder or did not factor."""
+        if case == "plain":
+            X, Y, special = self.X, self.Y[:, :q], None
+            spec = replace(base, length_scale=np.full(4, 0.5) if per_dim else 0.5)
+            bounds = HyperBounds()
+        else:
+            X, Y, special = self.SPECIAL[case]
+            spec = KernelSpec(kind="rbf")
+            bounds = HyperBounds(noise=(1e-20, 1.0))
+        thetas = data.draw(st.lists(_theta_within(_pack_bounds(spec, X.shape[1], bounds)),
+                                    min_size=1, max_size=5))
+        if special is not None:
+            for at in data.draw(st.lists(st.integers(0, len(thetas)), min_size=1, max_size=2)):
+                thetas.insert(at, special)
+        lml_at = _lml_evaluator(X, Y, spec)
+        for theta in thetas:
+            lml, grad = lml_at(theta)
+            fresh_lml, fresh_grad = _lml_evaluator(X, Y, spec)(theta)
+            assert np.float64(lml).tobytes() == np.float64(fresh_lml).tobytes()
+            assert grad.tobytes() == fresh_grad.tobytes()
+            if theta is special and case == "unfactorable":
+                assert lml == -np.inf
+
+    @pytest.mark.parametrize("base", ALL_KERNELS[1::2], ids=_kernel_id)
+    def test_returned_model_does_not_share_the_workspace(self, base, monkeypatch):
+        """The model ``optimize_hyperparameters`` returns keeps its ``L`` and
+        ``alpha`` while its optimizer's evaluator runs on."""
+        evaluators, make = [], gpr._lml_evaluator
+        monkeypatch.setattr(gpr, "_lml_evaluator",
+                            lambda *args: evaluators.append(make(*args)) or evaluators[-1])
+        X, Y = self.X[:20], self.Y[:20, :2]
+        spec = replace(base, length_scale=0.5)
+        model = optimize_hyperparameters(X, Y, spec, restarts=1, seed=2)
+        L, alpha = model.L.tobytes(), model.alpha.tobytes()
+        log_bounds = _pack_bounds(spec, 4, HyperBounds())
+        for theta in np.random.default_rng(3).uniform(*np.array(log_bounds).T,
+                                                       (4, len(log_bounds))):
+            evaluators[0](theta)
+        assert model.L.tobytes() == L and model.alpha.tobytes() == alpha
+
+    @pytest.mark.parametrize("per_dim", [False, True], ids=["isotropic", "per-dim"])
+    @pytest.mark.parametrize("base", ALL_KERNELS[1::2], ids=_kernel_id)
+    def test_a_later_evaluation_allocates_less_than_one_n_by_n_array(self, base, per_dim):
+        rng = np.random.default_rng(47)
+        X = rng.uniform(0, 1, (200, 3))
+        Y = np.column_stack([np.sin(4 * X[:, 0]), X[:, 1] * X[:, 2]])
+        spec = replace(base, length_scale=np.full(3, 0.5) if per_dim else 0.5)
+        lml_at = _lml_evaluator(X, Y, spec)
+        theta = np.log([*np.atleast_1d(spec.length_scale),
+                        *([1.3] if spec.tunes_signal_variance else []), 1e-4])
+        lml_at(theta)
+        tracemalloc.start()
+        try:
+            lml, _ = lml_at(theta + 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(lml)
+        assert peak < 200 * 200 * 8
+
+    def test_candidate_fits_do_not_hold_the_workspace_too(self):
+        """An rbf optimize call holds at most the three n x n arrays of one
+        evaluation at once: the workspace is freed before the fits of the
+        start and result points allocate theirs."""
+        rng = np.random.default_rng(53)
+        X = rng.uniform(0, 1, (200, 3))
+        tracemalloc.start()
+        try:
+            optimize_hyperparameters(X, np.sin(4 * X[:, :1]), KernelSpec(kind="constant*rbf"),
+                                     restarts=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 200 * 200 * 8
+
+
 class TestLmlGradient:
     """The evaluator's gradient is the lml's, and the optimizer runs on it."""
 
@@ -786,6 +898,68 @@ def test_optimizer_results_pinned(kind, nu, scales):
     _, _, tuned = _pinned_problem(kind, nu, scales)
     values = [*np.atleast_1d(tuned.length_scale), tuned.signal_variance, tuned.noise]
     assert " ".join(float(v).hex() for v in values) == PINNED_OPTIMA[kind, nu, scales]
+
+
+def _pinned_hex(kind, nu, scales):
+    _, _, tuned = _pinned_problem(kind, nu, scales)
+    values = [*np.atleast_1d(tuned.length_scale), tuned.signal_variance, tuned.noise]
+    return " ".join(float(v).hex() for v in values)
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# PINNED_OPTIMA's problems solved on one OpenBLAS thread, the benchmark's
+# setting. LAPACK's dpotri, behind the gradient's K^-1, rounds differently
+# on one thread than on two even at 16 rows, so every path differs.
+PINNED_OPTIMA_ONE_THREAD = {
+    ("rbf", 1.5, "isotropic"):
+        "0x1.ecb581a9a49e2p-2 0x1.0000000000000p+0 0x1.47b589fb6ba9fp-30",
+    ("rbf", 1.5, "per-dim"):
+        "0x1.b3a2194ce708cp-2 0x1.67652d25fce03p-1 0x1.0000000000000p+0 0x1.6924a1f98c6cfp-18",
+    ("constant*rbf", 1.5, "isotropic"):
+        "0x1.06569fa2c0bf6p-1 0x1.7132a47e4dd8ap+0 0x1.b7cdfd9d7bdb8p-34",
+    ("constant*rbf", 1.5, "per-dim"):
+        "0x1.c921f43b7f2b0p-2 0x1.741e2c10fab98p-1 0x1.5afb974a7c23dp+0 0x1.22c3f2a2b06f8p-18",
+    ("matern", 0.5, "isotropic"):
+        "0x1.eb0afab6aeb9ap+0 0x1.0000000000000p+0 0x1.90faff5913098p-26",
+    ("matern", 0.5, "per-dim"):
+        "0x1.90f768daf6136p+0 0x1.7d2c69642b4a1p+1 0x1.0000000000000p+0 0x1.3ced50d2ccd38p-31",
+    ("matern", 1.5, "isotropic"):
+        "0x1.a4e58d83e3708p-1 0x1.0000000000000p+0 0x1.f1f428f0371eap-28",
+    ("matern", 1.5, "per-dim"):
+        "0x1.6e429576682d8p-1 0x1.3850a4e2e9c2cp+0 0x1.0000000000000p+0 0x1.cfdd302a72f7cp-29",
+    ("matern", 2.5, "isotropic"):
+        "0x1.58d4495d29753p-1 0x1.0000000000000p+0 0x1.b7cdfd9d7bdb8p-34",
+    ("matern", 2.5, "per-dim"):
+        "0x1.33ceae24eb5e0p-1 0x1.07412106ca1fdp+0 0x1.0000000000000p+0 0x1.b7cdfd9d7bdb8p-34",
+    ("constant*matern", 0.5, "isotropic"):
+        "0x1.11e58be7681d6p+0 0x1.229113a12af91p-1 0x1.58422c9abfd18p-32",
+    ("constant*matern", 0.5, "per-dim"):
+        "0x1.b7cfdb6a19758p-1 0x1.a132589e7c53ep+0 0x1.1ca1223d8216bp-1 0x1.16e88278d7cf9p-31",
+    ("constant*matern", 1.5, "isotropic"):
+        "0x1.d2a9d2d8d8a4bp-1 0x1.464968a0128d9p+0 0x1.d6ddfadafe5d4p-32",
+    ("constant*matern", 1.5, "per-dim"):
+        "0x1.e33f500850883p-1 0x1.a2a81efd25b42p+0 0x1.f74dd75f92ae8p+0 0x1.b7cdfd9d7bdb8p-34",
+    ("constant*matern", 2.5, "isotropic"):
+        "0x1.94e1f9124ff1fp-1 0x1.b000ad39efb49p+0 0x1.b9a499a70a585p-34",
+    ("constant*matern", 2.5, "per-dim"):
+        "0x1.da42ca5cfc17ep-1 0x1.b1bbfc08a2340p+0 0x1.297d31b8647d8p+2 0x1.b7cdfd9d7bdb8p-34",
+}
+
+
+def test_optimizer_results_pinned_on_one_blas_thread():
+    """All of PINNED_OPTIMA_ONE_THREAD, computed in one child process whose
+    BLAS runs one thread."""
+    tests = Path(__file__).resolve().parent
+    src = Path(gpr.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests), str(src)]),
+               **{name: "1" for name in BLAS_THREAD_VARIABLES})
+    script = ("import json, test_gpr as t; print(json.dumps("
+              "[t._pinned_hex(*key) for key in t.PINNED_OPTIMA_ONE_THREAD]))")
+    child = subprocess.run([sys.executable, "-c", script], cwd=tests, env=env,
+                           capture_output=True, text=True, check=True)
+    got = dict(zip(PINNED_OPTIMA_ONE_THREAD, json.loads(child.stdout)))
+    assert got == PINNED_OPTIMA_ONE_THREAD
 
 
 @pytest.mark.parametrize("kind, nu, scales", FINITE_DIFFERENCE_LML)
