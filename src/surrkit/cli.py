@@ -269,7 +269,7 @@ def cmd_convergence(args) -> int:
     dataset = _load_single_dataset(cfg)
     with _stage("convergence"):
         curve = convergence_study(
-            dataset, cfg.convergence_model, list(sizes), cfg.split
+            dataset, cfg.convergence_model, list(sizes), cfg.split, cfg.gpr_grid, cfg.mlp_grid
         )
     export_convergence_csv(curve, run.dir / "convergence.csv")
     for point in curve.points:

@@ -464,14 +464,15 @@ class GprModel:
 
     @cached_property
     def _query_bound(self) -> float:
-        """The magnitude below which every query entry must lie.
+        """The magnitude below which every query and training entry must lie.
 
         Below it each scaled entry x/l squares to under fmax / (8 d s),
-        s = max(1, sf2), so a query's squared norm stays under fmax / (8 s),
-        r^2 (at most twice the sum of the two squared norms) under about
-        fmax / (4 s) for training inputs of ordinary size, and the largest
-        kernel intermediate, Matern 2.5's (5/3 r^2 + sqrt(5) r + 1) sf2,
-        under half of fmax.
+        s = max(1, sf2), so a row's squared norm stays under fmax / (8 s).
+        Training inputs lie below it too (``modelstore.load_model`` checks a
+        loaded model's), so r^2, at most twice the sum of the two rows'
+        squared norms, stays under fmax / (2 s), and the largest kernel
+        intermediate, Matern 2.5's (5/3 r^2 + sqrt(5) r + 1) sf2, under
+        5/6 fmax + sqrt(5/2 fmax s) + s, which is below fmax for s < fmax / 200.
         """
         scale = max(1.0, self.kernel.signal_variance)
         limit = math.sqrt(np.finfo(np.float64).max / (8.0 * self.input_dim * scale))

@@ -462,6 +462,15 @@ def _build_surrogate(bundle_dir: Path, meta: dict, arrays: dict, stage: str) -> 
             lml=float(_json_number(training.get("lml", math.nan), "training.lml")),
             jitter_used=float(jitter_used),
         )
+        # Training inputs past the bound that queries meet would overflow the
+        # kernel at every prediction, with an error that blames the sites.
+        largest = np.abs(X_train).max(initial=0.0)
+        if not largest < model._query_bound:
+            raise StoreError(
+                f"malformed bundle {bundle_dir}: {stage}X_train holds a value of magnitude "
+                f"{largest:.3g}; a GPR stage takes training inputs below "
+                f"{model._query_bound:.3g}, where its kernel cannot overflow"
+            )
     else:
         arch = MlpArchitecture(
             input_dim=_json_number(hyper["input_dim"], "hyperparameters.input_dim", (int,)),

@@ -51,16 +51,14 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def split_data_cv(
-    data: FidelityDataset | int, spec: SplitSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Partition sample indices into disjoint train/test/validation bins.
+def split_data_cv(n: int, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Partition the sample indices ``0..n-1`` into disjoint
+    train/test/validation bins.
 
     Bin sizes are round(frac * n) with the remainder assigned to train; a bin
     that rounds to zero is bumped to one sample (taken from train) so all
     three bins are nonempty whenever n >= 3.
     """
-    n = data if isinstance(data, int) else data.n
     if n < 3:
         raise InputError(f"need at least 3 samples to form three bins, got {n}")
     n_test = _round_half_up(spec.test_frac * n)
@@ -183,7 +181,6 @@ class PreparedData:
     x_scaler: StandardScaler
     y_scaler: StandardScaler
     split_indices: tuple[np.ndarray, np.ndarray, np.ndarray]
-    seed: int
 
 
 def _verify_inverse(scaler: StandardScaler, raw: np.ndarray, label: str) -> None:
@@ -205,32 +202,24 @@ def preprocess_data_pipeline(data: FidelityDataset, spec: SplitSpec) -> Prepared
     After scaling, each bin is checked to restore its raw values through the
     inverse transform to within 1e-12 of max(1, |raw| + |column mean|).
     """
+    return _prepare(data, split_data_cv(data.n, spec))
+
+
+def _prepare(
+    data: FidelityDataset, bins: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> PreparedData:
+    """:func:`preprocess_data_pipeline` on the given ``(train, test, val)``
+    row indices instead of a seeded split."""
     X = flatten(data.X)
     Y = flatten(data.Y)
-    train, test, val = split_data_cv(data.n, spec)
-
-    x_scaler = fit_scaler(X[train])
-    y_scaler = fit_scaler(Y[train])
-
-    bins = {}
-    for label, idx in (("train", train), ("test", test), ("val", val)):
-        x_raw = X[idx]
-        y_raw = Y[idx]
-        _verify_inverse(x_scaler, x_raw, f"X {label}")
-        _verify_inverse(y_scaler, y_raw, f"Y {label}")
-        bins[label] = (transform(x_scaler, x_raw), transform(y_scaler, y_raw))
-        for scaled in bins[label]:
-            scaled.setflags(write=False)
-
+    x_scaler = fit_scaler(X[bins[0]])
+    y_scaler = fit_scaler(Y[bins[0]])
+    scaled = {}
+    for label, idx in zip(("train", "test", "val"), bins):
+        for name, raw, scaler in (("X", X[idx], x_scaler), ("Y", Y[idx], y_scaler)):
+            _verify_inverse(scaler, raw, f"{name} {label}")
+            scaled[f"{name}_{label}"] = transform(scaler, raw)
+            scaled[f"{name}_{label}"].setflags(write=False)
     return PreparedData(
-        X_train=bins["train"][0],
-        X_test=bins["test"][0],
-        X_val=bins["val"][0],
-        Y_train=bins["train"][1],
-        Y_test=bins["test"][1],
-        Y_val=bins["val"][1],
-        x_scaler=x_scaler,
-        y_scaler=y_scaler,
-        split_indices=(train, test, val),
-        seed=spec.seed,
+        **scaled, x_scaler=x_scaler, y_scaler=y_scaler, split_indices=tuple(bins)
     )

@@ -107,10 +107,6 @@ def get_pair(name: str) -> AnalyticPair:
         ) from None
 
 
-def available_pairs() -> tuple[str, ...]:
-    return tuple(sorted(_PAIRS))
-
-
 @dataclass(frozen=True)
 class Sampler:
     kind: str = "latin-hypercube"

@@ -5,14 +5,16 @@ scored by validation RMSE in original units. The winner is the argmin, with
 ties (within 1e-12 absolute RMSE) broken by smaller parameter count and then
 by earlier grid position, so a larger model never wins over an equally
 accurate smaller one. A sweep returns the winner's fitted model; nothing is
-trained twice. Convergence studies fit on nested prefixes of a seeded
-permutation of the training bin and score against a fixed test bin.
+trained twice. A convergence study runs that same prepare step and sweep at
+each training-set size: the training rows are nested prefixes of a seeded
+permutation of the split's training bin, the split's validation bin picks
+each size's winner, and its fixed test bin scores it.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,10 +35,9 @@ from surrkit.mlp import MlpArchitecture, MlpModel, TrainConfig, mlp_train
 from surrkit.preprocess import (
     PreparedData,
     SplitSpec,
-    fit_scaler,
+    _prepare,
     inverse_transform,
     split_data_cv,
-    transform,
 )
 
 MODEL_KINDS = ("gpr", "mlp")
@@ -226,16 +227,18 @@ def convergence_study(
     model_kind: str,
     sizes: list[int],
     split: SplitSpec,
-    kernel: KernelSpec | None = None,
-    restarts: int = 3,
-    arch_hidden: tuple[int, ...] = (32,),
-    train_cfg: TrainConfig | None = None,
+    gpr_grid: GprGrid | None = None,
+    mlp_grid: MlpGrid | None = None,
+    restarts: int | None = None,
 ) -> ConvergenceCurve:
     """Learning curve over nested training subset sizes.
 
-    Subsets are prefixes of one seeded permutation of the training bin, so
-    each larger subset contains every smaller one. Scalers are refit per
-    subset; the test bin stays fixed and is scored in original units.
+    Each size runs the prepare step and the sweep that training runs, with
+    the grids defaulted as ``multifid.train_single_fidelity`` defaults them;
+    ``restarts``, where given, overrides the GPR grid's. The training rows
+    are a prefix of one seeded permutation of the split's training bin, so
+    each larger subset contains every smaller one; the split's validation
+    bin picks the winner and its fixed test bin scores it in original units.
     """
     if model_kind not in MODEL_KINDS:
         raise InputError(f"model_kind must be one of {MODEL_KINDS}, got {model_kind!r}")
@@ -244,44 +247,31 @@ def convergence_study(
         raise InputError(f"sizes must be positive integers, got {sizes}")
     if sorted(sizes) != sizes:
         raise InputError(f"sizes must be increasing, got {sizes}")
+    gpr_grid = gpr_grid or GprGrid(seed=split.seed)
+    if restarts is not None:
+        gpr_grid = replace(gpr_grid, restarts=restarts)
+    mlp_grid = mlp_grid or MlpGrid()
 
-    X = flatten(data.X)
-    Y = flatten(data.Y)
-    train_idx, test_idx, _ = split_data_cv(data.n, split)
+    train_idx, test_idx, val_idx = split_data_cv(data.n, split)
     if max(sizes) > len(train_idx):
         raise InputError(
             f"largest size {max(sizes)} exceeds the {len(train_idx)}-row training bin"
         )
     order = np.random.default_rng(split.seed).permutation(train_idx)
+    Y_test = flatten(data.Y)[test_idx]
 
     points = []
-    subsets = []
     for size in sizes:
-        idx = order[:size]
-        subsets.append(tuple(int(i) for i in idx))
-        x_scaler = fit_scaler(X[idx])
-        y_scaler = fit_scaler(Y[idx])
-        x_tr = transform(x_scaler, X[idx])
-        y_tr = transform(y_scaler, Y[idx])
-        x_te = transform(x_scaler, X[test_idx])
-        if model_kind == "gpr":
-            spec = kernel or KernelSpec(kind="rbf")
-            model = optimize_hyperparameters(
-                x_tr, y_tr, spec, restarts=restarts, seed=split.seed
-            )
-        else:
-            cfg = train_cfg or TrainConfig(seed=split.seed)
-            arch = MlpArchitecture(X.shape[1], arch_hidden, Y.shape[1])
-            model = mlp_train(arch, cfg, x_tr, y_tr, x_te[:0], Y[test_idx][:0])
-        y_pred = inverse_transform(y_scaler, model.predict(x_te))
+        prepared = _prepare(data, (order[:size], test_idx, val_idx))
+        sweep = tune(prepared, model_kind, gpr_grid, mlp_grid)
+        y_pred = inverse_transform(prepared.y_scaler, sweep.model.predict(prepared.X_test))
         points.append(
             ConvergencePoint(
-                size=size,
-                test_rmse=rmse(Y[test_idx], y_pred),
-                test_r2=r_squared(Y[test_idx], y_pred),
+                size=size, test_rmse=rmse(Y_test, y_pred), test_r2=r_squared(Y_test, y_pred)
             )
         )
-    return ConvergenceCurve(points=tuple(points), subset_indices=tuple(subsets))
+    subsets = tuple(tuple(int(i) for i in order[:size]) for size in sizes)
+    return ConvergenceCurve(points=tuple(points), subset_indices=subsets)
 
 
 def export_sweep_csv(result: SweepResult, path) -> None:

@@ -23,14 +23,15 @@ from helpers import (
     payload_sections,
     resign_checksums,
 )
+from surrkit import tuner
 from surrkit.cli import main
 from surrkit.config import DataSource, load_config
-from surrkit.data import DataTensor, export_tensor
+from surrkit.data import DataTensor, FidelityDataset, export_tensor, import_tensor
 from surrkit.errors import StoreError
 from surrkit.modelstore import load_model, save_model
 from surrkit.preprocess import SplitSpec
 from surrkit.synthbench import Sampler, forrester_pair, sample, truth_evaluate
-from surrkit.tuner import GprGrid, MlpGrid
+from surrkit.tuner import GprGrid, MlpGrid, convergence_study, export_convergence_csv
 
 
 def run(argv):
@@ -222,6 +223,44 @@ class TestConvergenceCommand:
         rows = list(csv.reader(open(run_dir / "convergence.csv")))
         assert rows[0] == ["size", "test_rmse", "test_r2"]
         assert len(rows) == 1 + 3
+
+    @pytest.mark.parametrize("kind, section, winner", [
+        ("gpr", {"gpr": {"kernels": ["constant*matern2.5"], "restarts": 1}},
+         "constant*matern(nu=2.5)"),
+        ("mlp", {"mlp": {"layers": [1], "widths": [4], "max_epochs": 5,
+                         "early_stop_patience": 5}}, "4"),
+    ], ids=["gpr", "mlp"])
+    def test_sweeps_the_configured_grid_at_every_size(
+        self, synth_dir, tmp_path, monkeypatch, kind, section, winner
+    ):
+        """The command reads ``gpr.*`` and ``mlp.*`` as ``train`` does: its CSV
+        is the library call's with the config's grids, and a one-candidate
+        grid gives that candidate at every size."""
+        data = {"x": str(synth_dir / "lf_x.txt"), "y": str(synth_dir / "lf_y.txt")}
+        cfg_path = write_config(tmp_path / "cfg.json", {
+            "seed": 3, "data": data, "convergence": {"sizes": [8, 16, 32], "model": kind},
+            **section,
+        })
+        sweeps, inner = [], tuner.tune
+
+        def recorded(*args):
+            sweeps.append(inner(*args))
+            return sweeps[-1]
+
+        monkeypatch.setattr(tuner, "tune", recorded)
+        run_dir = tmp_path / "conv"
+        assert run(["convergence", "--config", str(cfg_path), "--out", str(run_dir)]) == 0
+        assert [[e.label for e in sweep.entries] for sweep in sweeps] == [[winner]] * 3
+
+        cfg = load_config(cfg_path)
+        dataset = FidelityDataset(
+            "LF", import_tensor(data["x"], "tensor-text"), import_tensor(data["y"], "tensor-text")
+        )
+        curve = convergence_study(dataset, kind, [8, 16, 32], cfg.split, cfg.gpr_grid,
+                                  cfg.mlp_grid)
+        export_convergence_csv(curve, tmp_path / "library.csv")
+        assert (run_dir / "convergence.csv").read_bytes() == (
+            tmp_path / "library.csv").read_bytes()
 
 
 class TestTuneCommand:
@@ -666,6 +705,46 @@ def test_lf_outputs_that_overflow_the_mf_stage_exit_2_with_one_line(predict_bund
     sites = tmp_path / "sites.csv"
     sites.write_text("x\n0.25\n0.75\n")
     assert_refused_as_too_large(bundle, sites, tmp_path / "pred.csv")
+
+
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+def test_training_input_past_the_query_bound_exits_2_with_one_line(
+    predict_bundles, tmp_path, fmt
+):
+    """A composite whose first ``lf/X_train`` value is 1e200, with its
+    checksums re-signed, is refused at load, naming the stage, instead of
+    warning of an overflow when a site is predicted."""
+    bundle = save_model(load_model(predict_bundles[1][1]), tmp_path, "mf_model",
+                        payload_format=fmt)
+    if fmt == "binary":
+        path = bundle / "payload.bin"
+        values = np.frombuffer(path.read_bytes(), dtype="<f8").copy()
+        values[payload_sections(bundle)["lf/X_train"][0]] = 1e200
+        path.write_bytes(values.tobytes())
+    else:
+        # A section is a "rows cols" header and then one line per row.
+        path = bundle / "payload.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        at = 0
+        for name, (_, (rows, _)) in payload_sections(bundle).items():
+            if name == "lf/X_train":
+                break
+            at += 1 + rows
+        lines[at + 1] = " ".join(["1e200", *lines[at + 1].split()[1:]]) + "\n"
+        path.write_text("".join(lines))
+    resign_checksums(bundle)
+    with pytest.raises(StoreError, match="lf/X_train holds a value of magnitude 1e\\+200"):
+        load_model(bundle)
+    sites = tmp_path / "sites.csv"
+    sites.write_text("x\n0.5\n")
+    out = tmp_path / "pred.csv"
+    result = cli_process("predict", "--model-dir", str(bundle), "--sites", str(sites),
+                         "--out", str(out))
+    assert result.returncode == 2, result.stderr
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "lf/X_train holds a value of magnitude" in lines[0]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value", NON_FINITE_HYPERPARAMETERS,

@@ -824,8 +824,9 @@ class TestLmlGradient:
 
 
 # optimize_hyperparameters results on one problem, as float.hex of the length
-# scales, sf2 and noise. They pin the optimizer's path: an edit to the lml
-# evaluation or the search that changes any bit of a trained model shows here.
+# scales, sf2 and noise, solved on two OpenBLAS threads. They pin the
+# optimizer's path: an edit to the lml evaluation or the search that changes
+# any bit of a trained model shows here.
 PINNED_OPTIMA = {
     ("rbf", 1.5, "isotropic"):
         "0x1.ecb581a9ad16dp-2 0x1.0000000000000p+0 0x1.47b589fa45e72p-30",
@@ -893,13 +894,6 @@ def _pinned_problem(kind, nu, scales):
     return X, Y, optimize_hyperparameters(X, Y, spec, restarts=2, seed=3).kernel
 
 
-@pytest.mark.parametrize("kind, nu, scales", PINNED_OPTIMA)
-def test_optimizer_results_pinned(kind, nu, scales):
-    _, _, tuned = _pinned_problem(kind, nu, scales)
-    values = [*np.atleast_1d(tuned.length_scale), tuned.signal_variance, tuned.noise]
-    assert " ".join(float(v).hex() for v in values) == PINNED_OPTIMA[kind, nu, scales]
-
-
 def _pinned_hex(kind, nu, scales):
     _, _, tuned = _pinned_problem(kind, nu, scales)
     values = [*np.atleast_1d(tuned.length_scale), tuned.signal_variance, tuned.noise]
@@ -947,19 +941,30 @@ PINNED_OPTIMA_ONE_THREAD = {
 }
 
 
-def test_optimizer_results_pinned_on_one_blas_thread():
-    """All of PINNED_OPTIMA_ONE_THREAD, computed in one child process whose
-    BLAS runs one thread."""
+@pytest.fixture(scope="module")
+def pinned_results():
+    """Every pinned problem's optimum, by BLAS thread count (1 and 2), each
+    count's computed in one child process whose BLAS runs that many threads,
+    whatever this process runs."""
     tests = Path(__file__).resolve().parent
     src = Path(gpr.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests), str(src)]),
-               **{name: "1" for name in BLAS_THREAD_VARIABLES})
     script = ("import json, test_gpr as t; print(json.dumps("
-              "[t._pinned_hex(*key) for key in t.PINNED_OPTIMA_ONE_THREAD]))")
-    child = subprocess.run([sys.executable, "-c", script], cwd=tests, env=env,
-                           capture_output=True, text=True, check=True)
-    got = dict(zip(PINNED_OPTIMA_ONE_THREAD, json.loads(child.stdout)))
-    assert got == PINNED_OPTIMA_ONE_THREAD
+              "[t._pinned_hex(*key) for key in t.PINNED_OPTIMA]))")
+    results = {}
+    for threads in (1, 2):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests), str(src)]),
+                   **{name: str(threads) for name in BLAS_THREAD_VARIABLES})
+        child = subprocess.run([sys.executable, "-c", script], cwd=tests, env=env,
+                               capture_output=True, text=True, check=True)
+        results[threads] = dict(zip(PINNED_OPTIMA, json.loads(child.stdout)))
+    return results
+
+
+@pytest.mark.parametrize("kind, nu, scales", PINNED_OPTIMA)
+def test_optimizer_results_pinned(pinned_results, kind, nu, scales):
+    key = kind, nu, scales
+    assert pinned_results[2][key] == PINNED_OPTIMA[key]
+    assert pinned_results[1][key] == PINNED_OPTIMA_ONE_THREAD[key]
 
 
 @pytest.mark.parametrize("kind, nu, scales", FINITE_DIFFERENCE_LML)

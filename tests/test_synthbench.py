@@ -11,7 +11,6 @@ from surrkit.preprocess import SplitSpec, preprocess_data_pipeline
 from surrkit.synthbench import (
     AnalyticPair,
     Sampler,
-    available_pairs,
     forrester_pair,
     generate_pair_dataset,
     get_pair,
@@ -83,9 +82,10 @@ class TestForrester:
         )
 
     def test_registry(self):
-        assert "forrester" in available_pairs()
         assert get_pair("forrester").dim == 1
-        with pytest.raises(InputError, match="unknown benchmark"):
+        assert get_pair("trig4").dim == trig4_pair().dim
+        with pytest.raises(InputError, match=r"unknown benchmark pair 'branin'; "
+                                             r"available: \['forrester', 'trig4'\]"):
             get_pair("branin")
 
 

@@ -1,5 +1,7 @@
 """Sweep selection contracts and convergence studies."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,17 +9,26 @@ from helpers import pooled_r2
 from surrkit import tuner
 from surrkit.errors import InputError, NumericError
 from surrkit.gpr import KernelSpec, gpr_fit
-from surrkit.metrics import rmse
+from surrkit.data import flatten
+from surrkit.metrics import r_squared, rmse
 from surrkit.mlp import MlpArchitecture, TrainConfig, mlp_train
-from surrkit.preprocess import SplitSpec, inverse_transform, preprocess_data_pipeline
+from surrkit.preprocess import (
+    SplitSpec,
+    _prepare,
+    inverse_transform,
+    preprocess_data_pipeline,
+    split_data_cv,
+)
 from surrkit.synthbench import Sampler, forrester_pair, generate_pair_dataset, trig4_pair
 from surrkit.tuner import (
     ConvergenceCurve,
+    ConvergencePoint,
     GprGrid,
     MlpGrid,
     SweepEntry,
     convergence_study,
     select_winner,
+    tune,
     tune_gpr,
     tune_mlp,
 )
@@ -293,3 +304,44 @@ class TestConvergence:
     def test_sizes_must_increase(self):
         with pytest.raises(InputError, match="increasing"):
             convergence_study(self.forrester_hf(60), "gpr", [16, 8], SplitSpec(seed=1))
+
+
+class TestConvergenceRunsTheTrainingPath:
+    """At each size, a convergence study prepares the size's bins and sweeps
+    them as training does: the nested prefix of the seeded permutation of the
+    training bin trains, the split's validation bin picks and its test bin
+    scores the winner in original units."""
+
+    GPR_GRID = GprGrid(
+        kernels=(KernelSpec(kind="constant*rbf"), KernelSpec(kind="constant*matern", nu=2.5)),
+        restarts=1, seed=6,
+    )
+    MLP_GRID = MlpGrid((1,), (4, 8), TrainConfig(max_epochs=5, early_stop_patience=5, seed=6))
+
+    @pytest.mark.parametrize("kind", ["gpr", "mlp"])
+    def test_each_point_is_the_sweep_winner_on_its_bins(self, kind):
+        _, data = generate_pair_dataset(forrester_pair(), 60, 60, Sampler(seed=5))
+        split = SplitSpec(seed=6)
+        sizes = [8, 16, 32]
+        curve = convergence_study(data, kind, sizes, split, self.GPR_GRID, self.MLP_GRID)
+        train, test, val = split_data_cv(data.n, split)
+        order = np.random.default_rng(split.seed).permutation(train)
+        Y_test = flatten(data.Y)[test]
+        for size, subset, point in zip(sizes, curve.subset_indices, curve.points):
+            assert subset == tuple(order[:size].tolist())
+            prepared = _prepare(data, (order[:size], test, val))
+            sweep = tune(prepared, kind, self.GPR_GRID, self.MLP_GRID)
+            y_pred = inverse_transform(prepared.y_scaler, sweep.model.predict(prepared.X_test))
+            assert point == ConvergencePoint(size, rmse(Y_test, y_pred), r_squared(Y_test, y_pred))
+
+    def test_restarts_overrides_the_grid(self, monkeypatch):
+        _, data = generate_pair_dataset(forrester_pair(), 40, 40, Sampler(seed=8))
+        grids, inner = [], tuner.tune
+
+        def recorded(prepared, kind, gpr_grid, mlp_grid):
+            grids.append(gpr_grid)
+            return inner(prepared, kind, gpr_grid, mlp_grid)
+
+        monkeypatch.setattr(tuner, "tune", recorded)
+        convergence_study(data, "gpr", [8, 16], SplitSpec(seed=6), self.GPR_GRID, restarts=2)
+        assert grids == [replace(self.GPR_GRID, restarts=2)] * 2
