@@ -2,11 +2,12 @@
 
 Each neuron computes z = w0 + sum_i w_i x_i followed by an activation; the
 output layer is identity because targets are standardized reals. Training
-minimizes mean squared error with adaptive-moment updates (plain gradient
-descent is available for convexity checks), restores the parameters with the
-best validation loss, and is bitwise deterministic for a given seed. It keeps
-every weight and bias in one flat vector, of which the model's arrays are
-views, so each minibatch makes one optimizer update over the whole vector.
+minimizes mean squared error, by default with L-BFGS-B on the full training
+batch; minibatch adaptive-moment updates and plain gradient descent (for
+convexity checks) are the alternatives. Every optimizer restores the
+parameters with the best validation loss and is bitwise deterministic for a
+given seed. Training keeps every weight and bias in one flat vector, of
+which the model's arrays are views, so each step updates the whole vector.
 """
 
 from __future__ import annotations
@@ -15,12 +16,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import minimize
 
 from surrkit.data import write_csv
 from surrkit.errors import InputError, NumericError
 
 ACTIVATIONS = ("tanh", "relu", "identity")
-OPTIMIZERS = ("adam", "sgd")
+OPTIMIZERS = ("lbfgs", "adam", "sgd")
+# The early-stopping patience of a config that gives none, cut to max_epochs.
+_DEFAULT_PATIENCE = 50
 
 
 @dataclass(frozen=True)
@@ -57,18 +61,30 @@ class MlpArchitecture:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """How ``mlp_train`` trains.
+
+    ``max_epochs`` caps the iterations of ``"lbfgs"`` and the epochs of
+    ``"adam"`` and ``"sgd"``; ``learning_rate``, ``batch_size`` and
+    ``early_stop_patience`` are read by ``"adam"`` and ``"sgd"`` only. An
+    omitted patience is ``min(50, max_epochs)``.
+    """
+
     learning_rate: float = 1e-3
     max_epochs: int = 500
     batch_size: int = 32
-    early_stop_patience: int = 50
+    early_stop_patience: int | None = None
     seed: int = 0
-    optimizer: str = "adam"
+    optimizer: str = "lbfgs"
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
             raise InputError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.max_epochs < 1:
             raise InputError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.early_stop_patience is None:
+            object.__setattr__(
+                self, "early_stop_patience", min(_DEFAULT_PATIENCE, self.max_epochs)
+            )
         if self.batch_size < 1:
             raise InputError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0 <= self.early_stop_patience <= self.max_epochs:
@@ -218,31 +234,100 @@ def mlp_train(
     X_val: np.ndarray,
     Y_val: np.ndarray,
 ) -> MlpModel:
-    """Train with minibatch updates and early stopping on validation loss.
+    """Train from the seeded initial parameters and keep the best validation iterate.
 
-    The parameters with the lowest validation MSE are restored at the end.
-    An empty validation set disables early stopping and keeps the final
-    parameters.
+    ``"lbfgs"`` runs L-BFGS-B on the whole training bin for at most
+    ``max_epochs`` iterations. ``"adam"`` and ``"sgd"`` make minibatch
+    updates for at most ``max_epochs`` epochs and stop once validation loss
+    has not improved for ``early_stop_patience`` epochs. Each iteration or
+    epoch adds one ``training_history`` row: its number, the training MSE
+    and the validation MSE. The parameters with the lowest validation MSE
+    are restored at the end; an empty validation set disables early
+    stopping and keeps the final parameters.
     """
     X_train, Y_train = _checked_bin(arch, X_train, Y_train, "training")
     X_val, Y_val = _checked_bin(arch, X_val, Y_val, "validation")
-    n = X_train.shape[0]
-    if n == 0:
+    if X_train.shape[0] == 0:
         raise InputError("training set is empty")
-    have_val = X_val.shape[0] > 0
 
     rng = np.random.default_rng(cfg.seed)
     theta = _init_theta(arch, rng)
+    run = _Run(arch, X_val, Y_val)
+    if cfg.optimizer == "lbfgs":
+        theta = _train_lbfgs(arch, cfg, theta, X_train, Y_train, run)
+    else:
+        _train_minibatch(arch, cfg, theta, rng, X_train, Y_train, run)
+    return run.model(theta)
+
+
+class _Run:
+    """History rows and the lowest-validation iterate of one training run."""
+
+    def __init__(self, arch: MlpArchitecture, X_val: np.ndarray, Y_val: np.ndarray) -> None:
+        self.arch, self.X_val, self.Y_val = arch, X_val, Y_val
+        self.have_val = X_val.shape[0] > 0
+        self.history: list[tuple[int, float, float]] = []
+        self.best_val = np.inf
+        self.best_theta: np.ndarray | None = None
+        self.since_best = 0
+
+    def record(self, theta: np.ndarray, train_loss: float) -> None:
+        """Add the row of iterate ``theta``, whose training MSE is ``train_loss``."""
+        val_loss = (
+            mse_loss(_model_at(self.arch, theta), self.X_val, self.Y_val)
+            if self.have_val else float("nan")
+        )
+        self.history.append((len(self.history) + 1, train_loss, val_loss))
+        if not self.have_val:
+            return
+        if val_loss < self.best_val:
+            self.best_val, self.best_theta, self.since_best = val_loss, theta.copy(), 0
+        else:
+            self.since_best += 1
+
+    def model(self, final_theta: np.ndarray) -> MlpModel:
+        """The model at the best validation iterate, or at ``final_theta`` if none."""
+        theta = final_theta if self.best_theta is None else self.best_theta
+        model = _model_at(self.arch, theta)
+        model.training_history = self.history
+        return model
+
+
+def _train_lbfgs(
+    arch: MlpArchitecture, cfg: TrainConfig, theta: np.ndarray,
+    X_train: np.ndarray, Y_train: np.ndarray, run: _Run,
+) -> np.ndarray:
+    """L-BFGS-B from ``theta`` on the full training batch; returns the last iterate."""
+
+    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
+        # A new gradient array per call: scipy keeps the last one it was given.
+        grad = np.empty_like(x)
+        loss = loss_gradients(_model_at(arch, x), X_train, Y_train, out=grad)[0]
+        if not math.isfinite(loss):
+            raise NumericError(f"training diverged at iteration {len(run.history) + 1}")
+        return loss, grad
+
+    def callback(intermediate_result) -> None:
+        run.record(intermediate_result.x, intermediate_result.fun)
+
+    result = minimize(
+        objective, theta, jac=True, method="L-BFGS-B", callback=callback,
+        options={"maxiter": cfg.max_epochs},
+    )
+    return result.x
+
+
+def _train_minibatch(
+    arch: MlpArchitecture, cfg: TrainConfig, theta: np.ndarray, rng: np.random.Generator,
+    X_train: np.ndarray, Y_train: np.ndarray, run: _Run,
+) -> None:
+    """Adam or gradient-descent epochs with early stopping, updating ``theta`` in place."""
+    n = X_train.shape[0]
     model = _model_at(arch, theta)
     grad = np.empty_like(theta)
     lr, adam = cfg.learning_rate, cfg.optimizer == "adam"
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     m, v, step = np.zeros_like(theta), np.zeros_like(theta), 0
-
-    best_val = np.inf
-    best_theta: np.ndarray | None = None
-    bad_epochs = 0
-    history: list[tuple[int, float, float]] = []
 
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(n)
@@ -266,27 +351,13 @@ def mlp_train(
                 theta -= lr * grad
 
         train_loss = mse_loss(model, X_train, Y_train)
-        val_loss = mse_loss(model, X_val, Y_val) if have_val else float("nan")
         if not np.isfinite(train_loss):
             raise NumericError(
                 f"training diverged at epoch {epoch} (learning_rate={cfg.learning_rate})"
             )
-        history.append((epoch, train_loss, val_loss))
-
-        if have_val:
-            if val_loss < best_val:
-                best_val = val_loss
-                best_theta = theta.copy()
-                bad_epochs = 0
-            else:
-                bad_epochs += 1
-                if bad_epochs > cfg.early_stop_patience:
-                    break
-
-    if best_theta is not None:
-        model = _model_at(arch, best_theta)
-    model.training_history = history
-    return model
+        run.record(theta, train_loss)
+        if run.since_best > cfg.early_stop_patience:
+            break
 
 
 def _checked_bin(arch: MlpArchitecture, X, Y, label: str) -> tuple[np.ndarray, np.ndarray]:
@@ -319,7 +390,7 @@ def _init_theta(arch: MlpArchitecture, rng: np.random.Generator) -> np.ndarray:
 
 
 def export_history_csv(model: MlpModel, path) -> None:
-    """Write per-epoch train/val loss as CSV."""
+    """Write train/val loss per epoch (per iteration under ``"lbfgs"``) as CSV."""
     write_csv(
         path,
         ["epoch", "train_loss", "val_loss"],

@@ -79,7 +79,7 @@ class TestTraining:
         ys = (y - y.mean()) / y.std()
         cfg = TrainConfig(
             learning_rate=1e-2, max_epochs=2000, batch_size=64,
-            early_stop_patience=300, seed=0,
+            early_stop_patience=300, seed=0, optimizer="adam",
         )
         model = mlp_train(
             MlpArchitecture(1, (16,), 1), cfg, xs[:40], ys[:40], xs[40:], ys[40:]
@@ -90,15 +90,16 @@ class TestTraining:
         rng = np.random.default_rng(1)
         X = rng.standard_normal((20, 2))
         Y = rng.standard_normal((20, 1))
-        cfg = TrainConfig(max_epochs=1, early_stop_patience=0, seed=0)
+        cfg = TrainConfig(max_epochs=1, early_stop_patience=0, seed=0, optimizer="adam")
         model = mlp_train(MlpArchitecture(2, (4,), 1), cfg, X, Y, X[:5], Y[:5])
         assert len(model.training_history) == 1
 
-    def test_deterministic_initialization_and_history(self):
+    @pytest.mark.parametrize("optimizer", mlp.OPTIMIZERS)
+    def test_deterministic_initialization_and_history(self, optimizer):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((30, 2))
         Y = rng.standard_normal((30, 1))
-        cfg = TrainConfig(max_epochs=20, early_stop_patience=20, seed=11)
+        cfg = TrainConfig(max_epochs=20, early_stop_patience=20, seed=11, optimizer=optimizer)
         arch = MlpArchitecture(2, (6,), 1)
         a = mlp_train(arch, cfg, X, Y, X[:8], Y[:8])
         b = mlp_train(arch, cfg, X, Y, X[:8], Y[:8])
@@ -106,9 +107,8 @@ class TestTraining:
         init_b = init_model(arch, 11)
         for wa, wb in zip(init_a.weights, init_b.weights):
             np.testing.assert_array_equal(wa, wb)
-        assert a.training_history == b.training_history
-        for wa, wb in zip(a.weights, b.weights):
-            np.testing.assert_array_equal(wa, wb)
+        assert np.array(a.training_history).tobytes() == np.array(b.training_history).tobytes()
+        assert _parameter_bytes(a) == _parameter_bytes(b)
 
     def test_full_batch_descent_monotone_on_convex_problem(self):
         """Plain gradient descent on a linear, identity-activation network."""
@@ -125,13 +125,14 @@ class TestTraining:
         losses = [row[1] for row in model.training_history]
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
-    def test_early_stopping_restores_best(self):
+    @pytest.mark.parametrize("optimizer", mlp.OPTIMIZERS)
+    def test_early_stopping_restores_best(self, optimizer):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((30, 1))
         Y = np.sin(3 * X)
         Xv = rng.standard_normal((10, 1))
         Yv = np.sin(3 * Xv)
-        cfg = TrainConfig(max_epochs=300, early_stop_patience=10, seed=6)
+        cfg = TrainConfig(max_epochs=300, early_stop_patience=10, seed=6, optimizer=optimizer)
         model = mlp_train(MlpArchitecture(1, (8,), 1), cfg, X, Y, Xv, Yv)
         best_recorded = min(row[2] for row in model.training_history)
         final_val = float(np.mean((mlp_forward(model, Xv) - Yv) ** 2))
@@ -244,6 +245,100 @@ class TestTrainingContract:
             assert not any(np.shares_memory(a, b) for b in second.weights + second.biases)
 
 
+def _overfit_problem():
+    """20 noisy training rows and 10 clean validation rows: a 16-wide net
+    fits the noise, so validation loss is lowest well before the last
+    L-BFGS-B iteration."""
+    rng = np.random.default_rng(8)
+    X, Xv = rng.standard_normal((20, 1)), rng.standard_normal((10, 1))
+    return X, np.sin(3 * X) + 0.3 * rng.standard_normal((20, 1)), Xv, np.sin(3 * Xv)
+
+
+def _recording_minimize(monkeypatch):
+    """Patch ``mlp.minimize`` to keep every result it returns."""
+    results = []
+    exact = mlp.minimize
+
+    def recording(*args, **kwargs):
+        results.append(exact(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(mlp, "minimize", recording)
+    return results
+
+
+class TestLbfgsTraining:
+    @pytest.mark.parametrize("max_epochs", [1, 7, 2000])
+    def test_one_history_row_per_iteration(self, monkeypatch, max_epochs):
+        results = _recording_minimize(monkeypatch)
+        X, Y, Xv, Yv = _two_output_problem()
+        cfg = TrainConfig(max_epochs=max_epochs, seed=4)
+        model = mlp_train(MlpArchitecture(3, (6,), 2), cfg, X, Y, Xv, Yv)
+        (result,) = results
+        rows = model.training_history
+        assert result.nit <= max_epochs
+        assert [row[0] for row in rows] == list(range(1, result.nit + 1))
+        assert rows[-1][1] == result.fun
+        if max_epochs < 2000:
+            assert result.nit == max_epochs
+
+    def test_restores_the_lowest_validation_iterate(self):
+        X, Y, Xv, Yv = _overfit_problem()
+        cfg = TrainConfig(max_epochs=200, seed=6)
+        model = mlp_train(MlpArchitecture(1, (16,), 1), cfg, X, Y, Xv, Yv)
+        rows = model.training_history
+        val = [row[2] for row in rows]
+        best = int(np.argmin(val))
+        assert best < len(rows) - 1
+        assert mlp.mse_loss(model, Xv, Yv) == val[best]
+        assert mlp.mse_loss(model, X, Y) == rows[best][1]
+
+    def test_empty_validation_bin_keeps_the_final_iterate(self, monkeypatch):
+        results = _recording_minimize(monkeypatch)
+        X, Y, Xv, Yv = _overfit_problem()
+        cfg = TrainConfig(max_epochs=200, seed=6)
+        model = mlp_train(MlpArchitecture(1, (16,), 1), cfg, X, Y, Xv[:0], Yv[:0])
+        (result,) = results
+        assert all(math.isnan(row[2]) for row in model.training_history)
+        layers = zip(model.weights, model.biases)
+        assert np.concatenate([p.ravel() for pair in layers for p in pair]).tobytes() == (
+            result.x.tobytes()
+        )
+        assert mlp.mse_loss(model, X, Y) == model.training_history[-1][1]
+
+    def test_non_finite_loss_raises_numeric_error(self, monkeypatch):
+        calls = []
+        exact = mlp.loss_gradients
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            loss, grads_w, grads_b = exact(*args, **kwargs)
+            return (math.nan if len(calls) == 6 else loss), grads_w, grads_b
+
+        monkeypatch.setattr(mlp, "loss_gradients", failing)
+        X, Y, Xv, Yv = _two_output_problem()
+        with pytest.raises(NumericError, match=r"diverged at iteration \d+$") as info:
+            mlp_train(MlpArchitecture(3, (6,), 2), TrainConfig(seed=4), X, Y, Xv, Yv)
+        assert "learning_rate" not in str(info.value)
+
+    def test_loss_gradients_called_through_the_module_with_a_new_gradient(self, monkeypatch):
+        """Tracing wraps ``mlp.loss_gradients``; scipy keeps the last gradient
+        it was given, so no call writes into an earlier call's array."""
+        outs = []
+        exact = mlp.loss_gradients
+
+        def recording(*args, out=None, **kwargs):
+            outs.append(out)
+            return exact(*args, out=out, **kwargs)
+
+        monkeypatch.setattr(mlp, "loss_gradients", recording)
+        X, Y, Xv, Yv = _two_output_problem()
+        model = mlp_train(MlpArchitecture(3, (6,), 2), TrainConfig(max_epochs=20, seed=4),
+                          X, Y, Xv, Yv)
+        assert len(outs) > len(model.training_history)
+        assert len({id(out) for out in outs}) == len(outs)
+
+
 class TestTrainingInputs:
     @pytest.mark.parametrize(
         "edit, match",
@@ -277,6 +372,13 @@ class TestConfigValidation:
             MlpArchitecture(1, (), 1)
         with pytest.raises(InputError):
             MlpArchitecture(1, (4,), 1, activation="sigmoid")
+
+    def test_defaults(self):
+        """L-BFGS-B trains by default; an omitted patience is min(50, max_epochs)."""
+        assert TrainConfig().optimizer == "lbfgs"
+        assert TrainConfig().early_stop_patience == 50
+        assert TrainConfig(max_epochs=10).early_stop_patience == 10
+        assert TrainConfig(max_epochs=10, early_stop_patience=3).early_stop_patience == 3
 
     def test_parameter_count(self):
         arch = MlpArchitecture(3, (8, 8), 2, "tanh")
