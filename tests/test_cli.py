@@ -120,22 +120,16 @@ class TestTrain:
 
     def test_default_mlp_reaches_the_papers_accuracy(self, tmp_path):
         """The paper reports network surrogates at R^2 > 0.99; the default MLP
-        grid meets that on 120 rows of the smooth Forrester LF function. The
-        commands run on one BLAS thread, the benchmark's setting: on two
-        threads of a 2-core host the run scores the same but takes ten times
-        as long (README, notes on numerics)."""
+        grid meets that on 120 rows of the smooth Forrester LF function."""
         data = tmp_path / "forrester"
-        synth = cli_process("synth", "--pair", "forrester", "--n-lf", "120", "--seed", "4",
-                            "--out", str(data), blas_threads=1)
-        assert synth.returncode == 0, synth.stderr
+        assert run(["synth", "--pair", "forrester", "--n-lf", "120", "--seed", "4",
+                    "--out", str(data)]) == 0
         cfg = write_config(tmp_path / "cfg.json", {
             "seed": 4,
             "data": {"x": str(data / "lf_x.txt"), "y": str(data / "lf_y.txt")},
             "model": {"kind": "mlp"},
         })
-        train = cli_process("train", "--config", str(cfg), "--out", str(tmp_path / "run"),
-                            blas_threads=1)
-        assert train.returncode == 0, train.stderr
+        assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
         report = json.loads((tmp_path / "run" / "eval_report.json").read_text())
         assert report["global_r2"] >= 0.99
 
@@ -516,15 +510,11 @@ class TestNumericFailureExitCode:
         assert "numeric error" in capsys.readouterr().err
 
 
-def cli_process(*argv, blas_threads=None):
+def cli_process(*argv):
     """Run the command in a fresh interpreter, as a user would, so anything
-    ``main`` lets escape shows up as a traceback on stderr; ``blas_threads``
-    sets the BLAS thread variables of that interpreter."""
+    ``main`` lets escape shows up as a traceback on stderr."""
     src = str(Path(surrkit.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    if blas_threads is not None:
-        env.update({name: str(blas_threads) for name in
-                    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
     return subprocess.run(
         [sys.executable, "-m", "surrkit.cli", *argv], capture_output=True, text=True, env=env
     )

@@ -338,6 +338,37 @@ class TestLbfgsTraining:
         assert len(outs) > len(model.training_history)
         assert len({id(out) for out in outs}) == len(outs)
 
+    def test_scipy_blas_runs_one_thread_while_training(self, monkeypatch):
+        """Where scipy bundles its own OpenBLAS, L-BFGS-B runs it on one thread,
+        so its pool does not spin against numpy's, and the caller's thread
+        count is back afterwards, also when training fails."""
+        pool = mlp._scipy_openblas()
+        if pool is None:
+            pytest.skip("scipy shares its BLAS here")
+        get, set_ = pool
+        seen = []
+        exact = mlp.loss_gradients
+
+        def recording(*args, **kwargs):
+            seen.append(get())
+            loss, grads_w, grads_b = exact(*args, **kwargs)
+            return (math.nan if len(seen) == 30 else loss), grads_w, grads_b
+
+        monkeypatch.setattr(mlp, "loss_gradients", recording)
+        X, Y, Xv, Yv = _two_output_problem()
+        threads = get()
+        set_(2)
+        try:
+            mlp_train(MlpArchitecture(3, (6,), 2), TrainConfig(max_epochs=20, seed=4),
+                      X, Y, Xv, Yv)
+            assert get() == 2
+            with pytest.raises(NumericError):
+                mlp_train(MlpArchitecture(3, (6,), 2), TrainConfig(seed=4), X, Y, Xv, Yv)
+            assert get() == 2
+        finally:
+            set_(threads)
+        assert len(seen) >= 30 and set(seen) == {1}
+
 
 class TestTrainingInputs:
     @pytest.mark.parametrize(
