@@ -137,7 +137,7 @@ _SCHEMA = _object({
     "mlp": _object({
         "layers": _INTEGERS, "widths": _INTEGERS, "learning_rate": _number,
         "max_epochs": _integer, "batch_size": _integer,
-        "early_stop_patience": _integer, "optimizer": _string,
+        "early_stop_patience": _integer, "optimizer": _one_of("lbfgs"),
     }),
     "convergence": _object({"sizes": _INTEGERS, "model": _KIND}),
 })

@@ -202,6 +202,8 @@ def throughput_benchmark(surrogate, X_raw: np.ndarray, repeats: int = 1) -> floa
     if repeats < 1:
         raise InputError(f"repeats must be >= 1, got {repeats}")
     X_raw = design_sites(X_raw, surrogate.input_dim)
+    if X_raw.shape[0] == 0:
+        raise InputError("no sites to time")
     rows = [X_raw[i : i + 1] for i in range(X_raw.shape[0])]
     # Warm-up outside the timed window.
     surrogate.predict_raw(rows[0])

@@ -119,18 +119,19 @@ def _sweep(
 
     ``fit(candidate)`` returns the fitted model, its entry params and its
     parameter count. A candidate that raises ``NumericError`` is recorded with
-    ``failed_params``, an infinite RMSE and no model.
+    ``failed_params``, an infinite RMSE and no model; when every candidate
+    does, the error names the last one's cause.
     """
     y_true = inverse_transform(prepared.y_scaler, prepared.Y_val)
-    entries, models = [], []
+    entries, models, failure = [], [], None
     for index, (label, failed_params, candidate) in enumerate(candidates):
         start = time.perf_counter()
         try:
             model, params, count = fit(candidate)
             pred = inverse_transform(prepared.y_scaler, model.predict(prepared.X_val))
             score = rmse(y_true, pred)
-        except NumericError:
-            model = None
+        except NumericError as exc:
+            model, failure = None, exc
             score, params, count = float("inf"), {**failed_params, "failed": True}, 0
         models.append(model)
         entries.append(
@@ -144,6 +145,8 @@ def _sweep(
             )
         )
     entries = tuple(entries)
+    if all(model is None for model in models):
+        raise NumericError(f"every sweep candidate failed to fit; the last: {failure}")
     selected = select_winner(entries)
     return SweepResult(entries=entries, selected=selected, model=models[selected])
 

@@ -9,14 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from surrkit.mlp import (
-    MlpArchitecture,
-    MlpModel,
-    TrainConfig,
-    init_model,
-    loss_gradients,
-    mse_loss,
-)
+from surrkit.mlp import MlpArchitecture, MlpModel, init_model, loss_gradients, mse_loss
 
 # Hyperparameters that json.loads reads from a bundle's meta.json (as
 # Infinity and NaN) but that no kernel may have: (key, value) pairs.
@@ -99,107 +92,6 @@ def max_gradient_error(arch: MlpArchitecture, seed: int = 0, n: int = 5, eps: fl
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
         worst = max(worst, float(np.max(np.abs(analytic - numeric) / denom)))
     return worst
-
-
-def reference_mlp_train(arch: MlpArchitecture, cfg: TrainConfig, X_train, Y_train, X_val, Y_val):
-    """Minibatch training as a plain per-array loop: the arithmetic ``mlp_train``
-    must reproduce bit for bit.
-
-    Returns ``(weights, biases, history)``. Each layer's arrays are updated on
-    their own by an Adam (or plain gradient) step, losses use ``np.mean``, and
-    the backward pass recomputes the activation's derivative from the
-    pre-activation.
-    """
-
-    def activate(z):
-        if arch.activation == "tanh":
-            return np.tanh(z)
-        if arch.activation == "relu":
-            return np.maximum(z, 0.0)
-        return z
-
-    def activate_grad(z):
-        if arch.activation == "tanh":
-            t = np.tanh(z)
-            return 1.0 - t * t
-        if arch.activation == "relu":
-            return np.where(z > 0, 1.0, 0.0)
-        return np.ones_like(z)
-
-    def forward(X):
-        a = X
-        for i, (W, b) in enumerate(zip(weights, biases)):
-            z = a @ W + b
-            a = z if i == len(weights) - 1 else activate(z)
-        return a
-
-    def mse(X, Y):
-        diff = forward(X) - Y
-        return float(np.mean(diff * diff))
-
-    def gradients(X, Y):
-        pre, acts = [], [X]
-        for i, (W, b) in enumerate(zip(weights, biases)):
-            z = acts[-1] @ W + b
-            pre.append(z)
-            acts.append(z if i == len(weights) - 1 else activate(z))
-        diff = acts[-1] - Y
-        loss = float(np.mean(diff * diff))
-        delta = (2.0 / diff.size) * diff
-        grads_w, grads_b = [None] * len(weights), [None] * len(weights)
-        for i in range(len(weights) - 1, -1, -1):
-            grads_w[i] = acts[i].T @ delta
-            grads_b[i] = delta.sum(axis=0)
-            if i > 0:
-                delta = (delta @ weights[i].T) * activate_grad(pre[i - 1])
-        return loss, grads_w + grads_b
-
-    rng = np.random.default_rng(cfg.seed)
-    dims = arch.layer_dims()
-    weights = [
-        rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out))
-        for fan_in, fan_out in zip(dims[:-1], dims[1:])
-    ]
-    biases = [np.zeros(fan_out) for fan_out in dims[1:]]
-    params = weights + biases
-    moments = [[np.zeros_like(p) for p in params] for _ in range(2)]
-    beta1, beta2, eps, t = 0.9, 0.999, 1e-8, 0
-
-    n = X_train.shape[0]
-    best_val, best, bad_epochs, history = np.inf, None, 0, []
-    for epoch in range(1, cfg.max_epochs + 1):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            loss, grads = gradients(X_train[idx], Y_train[idx])
-            if not np.isfinite(loss):
-                raise AssertionError(f"reference training diverged at epoch {epoch}")
-            if cfg.optimizer == "sgd":
-                for p, g in zip(params, grads):
-                    p -= cfg.learning_rate * g
-                continue
-            t += 1
-            b1t, b2t = 1.0 - beta1**t, 1.0 - beta2**t
-            for p, g, m, v in zip(params, grads, *moments):
-                m *= beta1
-                m += (1.0 - beta1) * g
-                v *= beta2
-                v += (1.0 - beta2) * g * g
-                p -= cfg.learning_rate * (m / b1t) / (np.sqrt(v / b2t) + eps)
-        train_loss = mse(X_train, Y_train)
-        val_loss = mse(X_val, Y_val) if X_val.shape[0] else float("nan")
-        history.append((epoch, train_loss, val_loss))
-        if X_val.shape[0]:
-            if val_loss < best_val:
-                best_val, best, bad_epochs = val_loss, [p.copy() for p in params], 0
-            else:
-                bad_epochs += 1
-                if bad_epochs > cfg.early_stop_patience:
-                    break
-    if best is not None:
-        params = best
-    k = len(weights)
-    return params[:k], params[k:], history
 
 
 def pooled_r2(y_true, y_pred) -> float:

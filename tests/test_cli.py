@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -23,7 +24,7 @@ from helpers import (
     payload_sections,
     resign_checksums,
 )
-from surrkit import tuner
+from surrkit import mlp, tuner
 from surrkit.cli import main
 from surrkit.config import DataSource, load_config
 from surrkit.data import DataTensor, FidelityDataset, export_tensor, import_tensor
@@ -495,19 +496,26 @@ class TestConfigCopy:
 
 
 class TestNumericFailureExitCode:
-    @pytest.mark.filterwarnings("ignore:overflow")
-    def test_diverging_mlp_exit_3(self, synth_dir, tmp_path, capsys):
+    def test_diverging_mlp_exit_3(self, synth_dir, tmp_path, monkeypatch):
+        """A non-finite training loss ends the run with exit 3 and one line
+        that names the L-BFGS-B iteration."""
+        exact = mlp.loss_gradients
+
+        def nan_loss(*args, **kwargs):
+            _, grads_w, grads_b = exact(*args, **kwargs)
+            return math.nan, grads_w, grads_b
+
+        monkeypatch.setattr(mlp, "loss_gradients", nan_loss)
         cfg = write_config(tmp_path / "cfg.json", {
             "seed": 0,
             "data": {"x": str(synth_dir / "lf_x.txt"), "y": str(synth_dir / "lf_y.txt")},
             "model": {"kind": "mlp"},
-            "mlp": {"layers": [1], "widths": [8], "learning_rate": 1e12,
-                    "max_epochs": 30, "batch_size": 64, "early_stop_patience": 30,
-                    "optimizer": "sgd"},
+            "mlp": {"layers": [1], "widths": [8], "max_epochs": 30},
         })
-        code = run(["train", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        code, lines = run_captured(["train", "--config", str(cfg), "--out", str(tmp_path / "r")])
         assert code == 3
-        assert "numeric error" in capsys.readouterr().err
+        assert lines == ["numeric error: [train] every sweep candidate failed to fit; "
+                         "the last: training diverged at iteration 1"]
 
 
 def cli_process(*argv):
@@ -1215,6 +1223,9 @@ MALFORMED_CONFIGS = {
     "max_epochs-null": {"mlp": {"max_epochs": None}},
     "sizes-digits": {"convergence": {"sizes": "816"}},
     "learning_rate-string": {"mlp": {"learning_rate": "0.01"}},
+    # MLP training is L-BFGS-B alone: any other optimizer name is refused.
+    "optimizer-adam": {"mlp": {"optimizer": "adam"}},
+    "optimizer-sgd": {"mlp": {"optimizer": "sgd"}},
     "train_frac-string": {"split": {"train_frac": "0.7"}},
     "fidelity-integer": {"data": {"x": "x.txt", "y": "y.txt", "fidelity": 3}},
     "noise_bounds-bool": {"gpr": {"noise_bounds": [True, 1.0]}},
@@ -1278,7 +1289,7 @@ VALID_CONFIG = {
             "length_scale_bounds": [0.01, 100.0], "signal_variance_bounds": [0.001, 1000.0],
             "noise_bounds": [1e-10, 1.0]},
     "mlp": {"layers": [1, 2], "widths": [8, 16], "learning_rate": 0.001, "max_epochs": 50,
-            "batch_size": 16, "early_stop_patience": 10, "optimizer": "sgd"},
+            "batch_size": 16, "early_stop_patience": 10, "optimizer": "lbfgs"},
     "convergence": {"sizes": [8, 16], "model": "mlp"},
 }
 

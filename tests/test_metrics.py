@@ -263,5 +263,11 @@ class TestThroughput:
         rate = throughput_benchmark(surr, X, repeats=1)
         assert rate > 0
 
+    def test_zero_sites_rejected(self):
+        X = np.array([[0.0], [1.0]])
+        surr = identity_surrogate(gpr_fit(X, X, KernelSpec(noise=1e-6)), 1, 1)
+        with pytest.raises(InputError, match="no sites to time"):
+            throughput_benchmark(surr, np.zeros((0, 1)))
+
     def test_rmse_helper(self):
         assert rmse([0.0, 0.0], [3.0, 4.0]) == pytest.approx(np.sqrt(12.5), abs=1e-12)
