@@ -147,6 +147,59 @@ def _parameter_bytes(model):
     return [p.tobytes() for p in model.weights + model.biases]
 
 
+@pytest.mark.parametrize("with_val", [True, False], ids=["val", "no-val"])
+@pytest.mark.parametrize("hidden", [(6,), (5, 4, 3)], ids=["1-layer", "3-layer"])
+@pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
+class TestTrainingGrid:
+    """The trainer's contract for every activation, a shallow and a deep
+    network, and a present and an empty validation bin."""
+
+    @staticmethod
+    def _train(activation, hidden, with_val, **cfg):
+        X, Y, Xv, Yv = _two_output_problem()
+        if not with_val:
+            Xv, Yv = Xv[:0], Yv[:0]
+        cfg = TrainConfig(**{"max_epochs": 60, "seed": 4, **cfg})
+        model = mlp_train(MlpArchitecture(3, hidden, 2, activation), cfg, X, Y, Xv, Yv)
+        return model, (X, Y, Xv, Yv)
+
+    def test_history_descends_to_the_kept_iterate(self, activation, hidden, with_val):
+        """Rows are numbered per iteration, the line search only lowers the
+        training loss, and the model is the lowest-validation iterate, or the
+        last one when the validation bin is empty."""
+        model, (X, Y, Xv, Yv) = self._train(activation, hidden, with_val)
+        rows = model.training_history
+        assert [row[0] for row in rows] == list(range(1, len(rows) + 1))
+        losses = [row[1] for row in rows]
+        assert all(b <= a for a, b in zip(losses, losses[1:]))
+        if with_val:
+            best = int(np.argmin([row[2] for row in rows]))
+            assert mlp.mse_loss(model, Xv, Yv) == rows[best][2]
+        else:
+            best = len(rows) - 1
+            assert all(math.isnan(row[2]) for row in rows)
+        assert mlp.mse_loss(model, X, Y) == rows[best][1]
+
+    def test_seed_alone_fixes_the_bytes(self, activation, hidden, with_val):
+        a, _ = self._train(activation, hidden, with_val)
+        b, _ = self._train(activation, hidden, with_val)
+        c, _ = self._train(activation, hidden, with_val, seed=5)
+        assert _parameter_bytes(a) == _parameter_bytes(b)
+        assert np.array(a.training_history).tobytes() == np.array(b.training_history).tobytes()
+        assert _parameter_bytes(a) != _parameter_bytes(c)
+
+    def test_unread_fields_leave_the_bytes(self, activation, hidden, with_val):
+        """``learning_rate``, ``batch_size`` and ``early_stop_patience`` load
+        but change nothing, even at values no optimizer could use."""
+        a, _ = self._train(activation, hidden, with_val)
+        b, _ = self._train(
+            activation, hidden, with_val,
+            learning_rate=1e12, batch_size=1, early_stop_patience=0,
+        )
+        assert _parameter_bytes(a) == _parameter_bytes(b)
+        assert np.array(a.training_history).tobytes() == np.array(b.training_history).tobytes()
+
+
 class TestTrainingContract:
     @pytest.mark.parametrize("with_val", [True, False], ids=["val", "no-val"])
     def test_trained_model_shares_no_buffer_with_later_training(self, with_val):
