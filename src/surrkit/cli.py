@@ -35,7 +35,7 @@ from surrkit.errors import (
     SurrkitError,
     UnsupportedModelError,
 )
-from surrkit.metrics import EvalReport, evaluate, one_to_one_export, throughput_benchmark
+from surrkit.metrics import EvalReport, evaluate, one_to_one_export
 from surrkit.mlp import export_history_csv
 from surrkit.modelstore import load_model, save_model
 from surrkit.multifid import (
@@ -309,28 +309,6 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    model = load_model(args.model_dir)
-    sites = import_tensor(args.sites, args.sites_format)
-    with _stage("bench"):
-        rate = throughput_benchmark(model, flatten(sites), repeats=args.repeats)
-    print(f"{rate:.1f} single-site predictions/second "
-          f"({sites.n} sites x {args.repeats} repeats)")
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "bench.json").write_text(
-            json.dumps(
-                {"predictions_per_second": rate, "sites": sites.n,
-                 "repeats": args.repeats, "model": model.describe()},
-                indent=2,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
-    return EXIT_OK
-
-
 def cmd_ingest(args) -> int:
     tensor = import_tensor(args.input, args.format)
     print(
@@ -421,14 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("bench", help="measure single-site prediction throughput")
-    p.add_argument("--model-dir", required=True)
-    p.add_argument("--sites", required=True)
-    p.add_argument("--sites-format", default="csv", choices=["csv", "tensor-text"])
-    p.add_argument("--repeats", type=int, default=1)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

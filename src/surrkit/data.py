@@ -53,6 +53,25 @@ def format_rows(values: np.ndarray) -> list[str]:
     return [" ".join(map(repr, row)) for row in values.tolist()]
 
 
+def as_matrix(x, name: str, cols: int | None = None, finite: bool = True) -> np.ndarray:
+    """``x`` as a float64 matrix, a rank-1 array being one column: the one
+    check of a caller's matrix in every layer.
+
+    Another rank, a column count other than ``cols`` (when given) and, if
+    ``finite``, a NaN or an infinity raise ``InputError`` naming ``name``.
+    """
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim == 1:
+        arr = arr[:, np.newaxis]
+    elif arr.ndim != 2:
+        raise InputError(f"{name} must be a 2-D matrix, got rank {arr.ndim}")
+    if cols is not None and arr.shape[1] != cols:
+        raise InputError(f"{name} has {arr.shape[1]} columns, expected {cols}")
+    if finite and not np.isfinite(arr).all():
+        raise InputError(f"{name} contains non-finite entries")
+    return arr
+
+
 def _default_scalar_names(m: int) -> tuple[str, ...]:
     return tuple(f"s{i}" for i in range(m))
 
@@ -206,9 +225,8 @@ def unflatten(
     ``l`` may be omitted when the column count determines it. The array
     carries no names: those not given are generated placeholders.
     """
-    values = np.asarray(matrix, dtype=np.float64)
-    if values.ndim != 2:
-        raise InputError(f"expected a rank-2 matrix, got rank {values.ndim}")
+    # The tensor checks the values, and names where a non-finite one sits.
+    values = as_matrix(matrix, "flat matrix", finite=False)
     cols = values.shape[1]
     if m < 1:
         raise InputError(f"scalar count must be >= 1, got {m}")

@@ -60,7 +60,7 @@ checks them, so neither path re-checks them per query; query points are
 checked once, block by block, in ``GprModel._predict_block``. That check
 bounds the magnitude of the scaled query (``GprModel._query_bound``), so
 it also catches a finite raw site that overflows when a scaler divides
-it, which the raw-site check (``preprocess.design_sites``) lets through,
+it, which the raw-site check (``data.as_matrix``) lets through,
 and a finite one whose square, distance or kernel value would overflow.
 
 Every factorization of a training kernel goes through ``_fit_at``, GPML
@@ -103,6 +103,7 @@ from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
 from scipy.optimize import OptimizeResult, minimize
 
+from surrkit.data import as_matrix
 from surrkit.errors import InputError, NumericError
 
 KERNEL_KINDS = ("rbf", "matern", "constant*rbf", "constant*matern")
@@ -225,19 +226,6 @@ def default_kernel_grid() -> tuple[KernelSpec, ...]:
     )
 
 
-def _as_matrix(x, name: str, check: bool = True) -> np.ndarray:
-    """``x`` as a float64 matrix, a vector being one column, whose entries
-    are checked for finite values unless ``check`` is false."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[:, np.newaxis]
-    if arr.ndim != 2:
-        raise InputError(f"{name} must be a 2-D matrix, got rank {arr.ndim}")
-    if check:
-        _check_below(arr, name, math.inf)
-    return arr
-
-
 def _check_below(arr: np.ndarray, name: str, bound: float) -> None:
     """``InputError`` unless every entry of ``arr`` is below ``bound`` in
     magnitude, which refuses NaN and infinities too, whatever the bound."""
@@ -253,8 +241,8 @@ def _check_below(arr: np.ndarray, name: str, bound: float) -> None:
 
 def _training_pair(X, Y) -> tuple[np.ndarray, np.ndarray]:
     """Checked training inputs and targets: finite matrices with equal, nonzero row counts."""
-    X = _as_matrix(X, "X")
-    Y = _as_matrix(Y, "Y")
+    X = as_matrix(X, "X")
+    Y = as_matrix(Y, "Y")
     if X.shape[0] != Y.shape[0]:
         raise InputError(f"X has {X.shape[0]} rows but Y has {Y.shape[0]}")
     if X.shape[0] == 0:
@@ -390,15 +378,10 @@ def kernel_eval(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     kernel, whose self-distances are exactly 0 (see ``_scaled_sq_dist``).
     """
     same = B is A
-    A = _as_matrix(A, "A")
-    B = _as_matrix(B, "B")
-    if A.shape[1] != B.shape[1]:
-        raise InputError(
-            f"kernel inputs must share dimension: {A.shape[1]} vs {B.shape[1]}"
-        )
+    A = as_matrix(A, "A")
     ls = spec.length_scale_vector(A.shape[1])
     A_scaled = _scale_inputs(A, ls)
-    B_scaled = A_scaled if same else _scale_inputs(B, ls)
+    B_scaled = A_scaled if same else _scale_inputs(as_matrix(B, "B", A.shape[1]), ls)
     return _kernel_from_sq(spec, _scaled_sq_dist(A_scaled, B_scaled), spec.signal_variance)
 
 
@@ -496,11 +479,7 @@ class GprModel:
         block by block into preallocated outputs, so its working memory does
         not grow with it.
         """
-        X_star = _as_matrix(X_star, "X_star", check=False)
-        if X_star.shape[1] != self.input_dim:
-            raise InputError(
-                f"query points have {X_star.shape[1]} dims, model expects {self.input_dim}"
-            )
+        X_star = as_matrix(X_star, "X_star", self.input_dim, finite=False)
         rows = self._block_rows
         m = X_star.shape[0]
         if m <= rows:

@@ -16,10 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from surrkit.data import DataTensor, write_csv
+from surrkit.data import DataTensor, as_matrix, write_csv
 from surrkit.errors import InputError, UnsupportedModelError
 from surrkit.gpr import GprModel, gpr_predict
-from surrkit.preprocess import design_sites, inverse_transform, transform
+from surrkit.preprocess import inverse_transform, transform
 
 
 def r_squared(y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -181,15 +181,18 @@ def uq_report(surrogate, X_raw: np.ndarray) -> UqReport:
 
     The shared latent standard deviation is multiplied by each output's
     scaler std, the back-map consistent with one kernel serving all outputs.
-    The sites are checked as ``predict_raw`` checks them (``design_sites``).
-    A composite, which has no single model, is unsupported.
+    The sites are checked as ``predict_raw`` checks them (``as_matrix``).
+    Anything but a single-stage surrogate with a GPR model, such as a
+    composite or a bare ``GprModel`` with no scalers, is unsupported.
     """
-    model = getattr(surrogate, "model", surrogate)
+    model = getattr(surrogate, "model", None)
     if not isinstance(model, GprModel):
+        got = type(surrogate if model is None else model).__name__
         raise UnsupportedModelError(
-            f"uncertainty reporting requires a GPR model, got {type(model).__name__}"
+            "uncertainty reporting takes a single-stage surrogate with a GPR model, "
+            f"got {got}"
         )
-    X_raw = design_sites(X_raw, surrogate.input_dim)
+    X_raw = as_matrix(X_raw, "design sites", surrogate.input_dim)
     pred = gpr_predict(model, transform(surrogate.x_scaler, X_raw))
     mean = inverse_transform(surrogate.y_scaler, pred.mean)
     latent_std = np.sqrt(pred.variance)
@@ -201,7 +204,7 @@ def throughput_benchmark(surrogate, X_raw: np.ndarray, repeats: int = 1) -> floa
     """Single-site predictions per second over ``repeats`` sweeps of X."""
     if repeats < 1:
         raise InputError(f"repeats must be >= 1, got {repeats}")
-    X_raw = design_sites(X_raw, surrogate.input_dim)
+    X_raw = as_matrix(X_raw, "design sites", surrogate.input_dim)
     if X_raw.shape[0] == 0:
         raise InputError("no sites to time")
     rows = [X_raw[i : i + 1] for i in range(X_raw.shape[0])]

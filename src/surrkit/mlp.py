@@ -22,7 +22,7 @@ import numpy as np
 import scipy
 from scipy.optimize import minimize
 
-from surrkit.data import write_csv
+from surrkit.data import as_matrix, write_csv
 from surrkit.errors import InputError, NumericError
 
 ACTIVATIONS = ("tanh", "relu", "identity")
@@ -102,10 +102,8 @@ class MlpModel:
         Non-finite inputs raise ``InputError``, as in ``GprModel.predict``:
         a finite raw site can overflow when its scaler divides it.
         """
-        X_scaled = np.asarray(X_scaled, dtype=np.float64)
-        if not np.isfinite(X_scaled).all():
-            raise InputError("X_scaled contains non-finite entries")
-        return mlp_forward(self, X_scaled)
+        X_scaled = as_matrix(X_scaled, "X_scaled", self.architecture.input_dim)
+        return _activations(self, X_scaled)[-1]
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
@@ -139,22 +137,21 @@ def init_model(arch: MlpArchitecture, seed: int) -> MlpModel:
     return _model_at(arch, _init_theta(arch, np.random.default_rng(seed)))
 
 
-def mlp_forward(model: MlpModel, X: np.ndarray) -> np.ndarray:
-    """Layer-wise z = W x + w0 with identity output activation."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, np.newaxis]
-    if X.shape[1] != model.architecture.input_dim:
-        raise InputError(
-            f"input has {X.shape[1]} features, network expects "
-            f"{model.architecture.input_dim}"
-        )
-    a = X
+def _activations(model: MlpModel, X: np.ndarray) -> list[np.ndarray]:
+    """``X`` and each layer's output z = W x + w0 after its activation; the
+    output layer's is the identity, so the last entry is the network's output."""
+    activations = [X]
     last = len(model.weights) - 1
     for i, (W, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ W + b
-        a = z if i == last else _activate(z, model.architecture.activation)
-    return a
+        z = activations[-1] @ W + b
+        activations.append(z if i == last else _activate(z, model.architecture.activation))
+    return activations
+
+
+def mlp_forward(model: MlpModel, X: np.ndarray) -> np.ndarray:
+    """Layer-wise z = W x + w0 with identity output activation."""
+    X = as_matrix(X, "X", model.architecture.input_dim, finite=False)
+    return _activations(model, X)[-1]
 
 
 def _mean_square(diff: np.ndarray) -> float:
@@ -176,22 +173,11 @@ def loss_gradients(
     training parameter vector (a new one when ``None``). The backward pass
     reads the activations the forward pass stored.
     """
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.ndim == 1:
-        Y = Y[:, np.newaxis]
     arch = model.architecture
     act = arch.activation
     last = len(model.weights) - 1
-
-    activations: list[np.ndarray] = [X]
-    a = X
-    for i, (W, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ W + b
-        a = z if i == last else _activate(z, act)
-        activations.append(a)
-
-    diff = activations[-1] - Y
+    activations = _activations(model, as_matrix(X, "X", arch.input_dim, finite=False))
+    diff = activations[-1] - as_matrix(Y, "Y", arch.output_dim, finite=False)
     loss = _mean_square(diff)
     delta = (2.0 / diff.size) * diff
 
@@ -317,20 +303,10 @@ def _one_scipy_blas_thread():
 def _checked_bin(arch: MlpArchitecture, X, Y, label: str) -> tuple[np.ndarray, np.ndarray]:
     """Finite inputs and targets of one bin, as matrices with equal row counts
     and the architecture's column counts; a rank-1 array is one column."""
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    X, Y = (A[:, np.newaxis] if A.ndim == 1 else A for A in (X, Y))
-    if X.ndim != 2 or Y.ndim != 2:
-        raise InputError(f"{label} inputs and targets must be 2-D matrices")
+    X = as_matrix(X, f"{label} input matrix", arch.input_dim)
+    Y = as_matrix(Y, f"{label} target matrix", arch.output_dim)
     if X.shape[0] != Y.shape[0]:
         raise InputError(f"{label} set has {X.shape[0]} input rows but {Y.shape[0]} target rows")
-    if (X.shape[1], Y.shape[1]) != (arch.input_dim, arch.output_dim):
-        raise InputError(
-            f"{label} data shapes ({X.shape[1]} -> {Y.shape[1]}) do not match "
-            f"architecture ({arch.input_dim} -> {arch.output_dim})"
-        )
-    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
-        raise InputError(f"{label} set contains non-finite entries")
     return X, Y
 
 

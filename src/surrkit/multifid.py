@@ -17,7 +17,7 @@ fold the same step, treating the previous composite as the next level's
 low-fidelity model.
 
 A prediction checks its raw sites once per call, with
-``preprocess.design_sites``: the outermost ``predict_raw`` (or
+``data.as_matrix``: the outermost ``predict_raw`` (or
 ``build_mf_input``) checks them, and passes ``checked=True`` to the stages
 inside it. Each model still checks its scaled query, which is what catches a
 finite raw site that overflows in scaling, and each scaler checks its column
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from surrkit.data import DataTensor, FidelityDataset, check_names, flatten, unflatten
+from surrkit.data import DataTensor, FidelityDataset, as_matrix, check_names, flatten, unflatten
 from surrkit.errors import InputError
 # gpr_fit and gpr_predict are not used here; perfbench/test_perfbench.py
 # checks that its tracer rebinds them in this module.
@@ -40,7 +40,6 @@ from surrkit.mlp import MlpModel
 from surrkit.preprocess import (
     SplitSpec,
     StandardScaler,
-    design_sites,
     inverse_transform,
     preprocess_data_pipeline,
     transform,
@@ -114,10 +113,10 @@ class FittedSurrogate:
     def predict_raw(self, X_raw: np.ndarray, *, checked: bool = False) -> np.ndarray:
         """Predictions at raw sites, in raw units.
 
-        ``checked=True`` says ``X_raw`` already passed ``design_sites``.
+        ``checked=True`` says ``X_raw`` already passed ``as_matrix``.
         """
         if not checked:
-            X_raw = design_sites(X_raw, self.input_dim)
+            X_raw = as_matrix(X_raw, "design sites", self.input_dim)
         pred = self.model.predict(transform(self.x_scaler, X_raw))
         return inverse_transform(self.y_scaler, pred)
 
@@ -167,7 +166,7 @@ class MfComposite:
 
     def predict_raw(self, X_raw: np.ndarray, *, checked: bool = False) -> np.ndarray:
         """Predictions at raw sites, in raw units; ``build_mf_input`` checks
-        the sites unless ``checked`` says they passed ``design_sites``."""
+        the sites unless ``checked`` says they passed ``as_matrix``."""
         augmented = build_mf_input(self.lf, X_raw, checked=checked)
         return self.mf.predict_raw(augmented, checked=True)
 
@@ -204,11 +203,11 @@ def build_mf_input(
     """Raw LF predictions ahead of the raw input array, in one new array.
 
     Column order is fixed: the q_lf prediction columns come first, then the d
-    original input columns. The sites are checked with ``design_sites``
+    original input columns. The sites are checked with ``as_matrix``
     against ``lf.input_dim`` unless ``checked`` says they already were.
     """
     if not checked:
-        X_raw = design_sites(X_raw, lf.input_dim)
+        X_raw = as_matrix(X_raw, "design sites", lf.input_dim)
     lf_pred = lf.predict_raw(X_raw, checked=True)
     q = lf_pred.shape[1]
     augmented = np.empty((X_raw.shape[0], q + X_raw.shape[1]))

@@ -6,9 +6,6 @@ reproduces the same bins on any machine. Scalers are fit on the training bin
 only and applied to every bin; standardization uses the population standard
 deviation (divide by n). A scaler builds its divisor (the stds, with 1 for a
 constant column) once, when it is made, so applying it costs its arithmetic.
-
-``design_sites`` is the one check of raw query sites, shared by every
-``predict_raw`` and by ``metrics.uq_report``.
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from surrkit.data import FidelityDataset, flatten
+from surrkit.data import FidelityDataset, as_matrix, flatten
 from surrkit.errors import InputError, NumericError
 
 
@@ -110,10 +107,8 @@ class StandardScaler:
 
 
 def fit_scaler(matrix: np.ndarray) -> StandardScaler:
-    """Fit per-column means and population stds of a 2-D array."""
-    values = np.asarray(matrix)
-    if values.ndim != 2:
-        raise InputError(f"expected a rank-2 matrix, got rank {values.ndim}")
+    """Fit per-column means and population stds of a finite 2-D array."""
+    values = as_matrix(matrix, "scaler input")
     if values.shape[0] < 1:
         raise InputError("cannot fit a scaler on an empty matrix")
     means = values.mean(axis=0)
@@ -121,33 +116,8 @@ def fit_scaler(matrix: np.ndarray) -> StandardScaler:
     return StandardScaler(means, stds, values.shape[1])
 
 
-def design_sites(X_raw, n_cols: int) -> np.ndarray:
-    """Raw query sites as a finite float64 matrix of ``n_cols`` columns.
-
-    A rank-1 array is one column of sites. A rank other than 1 or 2, another
-    column count, or a NaN or infinity raises ``InputError``.
-    """
-    X = np.asarray(X_raw, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, np.newaxis]
-    if X.ndim != 2:
-        raise InputError(f"expected a 2-D input matrix, got rank {X.ndim}")
-    if X.shape[1] != n_cols:
-        raise InputError(
-            f"design sites have {X.shape[1]} input columns, model expects {n_cols}"
-        )
-    if not np.isfinite(X).all():
-        raise InputError("design sites contain non-finite values")
-    return X
-
-
 def _apply(scaler: StandardScaler, matrix, forward: bool) -> np.ndarray:
-    values = np.asarray(matrix)
-    if values.ndim != 2 or values.shape[1] != scaler.fitted_on:
-        got = values.shape[1] if values.ndim == 2 else None
-        raise InputError(
-            f"scaler fitted on {scaler.fitted_on} columns, got matrix with {got}"
-        )
+    values = as_matrix(matrix, "scaler input", scaler.fitted_on, finite=False)
     if not forward:
         return values * scaler.divisor + scaler.means
     # A finite value too large to scale becomes inf without a warning;
@@ -183,10 +153,13 @@ class PreparedData:
     split_indices: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _verify_inverse(scaler: StandardScaler, raw: np.ndarray, label: str) -> None:
+def _verify_inverse(
+    scaler: StandardScaler, raw: np.ndarray, scaled: np.ndarray, label: str
+) -> None:
+    """``NumericError`` unless ``scaler`` maps ``scaled`` back to ``raw``."""
     # The round trip subtracts and adds the column mean, so its rounding error
     # scales with |raw| + |mean|, not with |raw| alone.
-    restored = inverse_transform(scaler, transform(scaler, raw))
+    restored = inverse_transform(scaler, scaled)
     scale = np.maximum(1.0, np.abs(raw) + np.abs(scaler.means))
     if not (np.abs(restored - raw) <= 1e-12 * scale).all():
         worst = float(np.max(np.abs(restored - raw) / scale))
@@ -217,9 +190,10 @@ def _prepare(
     scaled = {}
     for label, idx in zip(("train", "test", "val"), bins):
         for name, raw, scaler in (("X", X[idx], x_scaler), ("Y", Y[idx], y_scaler)):
-            _verify_inverse(scaler, raw, f"{name} {label}")
-            scaled[f"{name}_{label}"] = transform(scaler, raw)
-            scaled[f"{name}_{label}"].setflags(write=False)
+            values = transform(scaler, raw)
+            _verify_inverse(scaler, raw, values, f"{name} {label}")
+            values.setflags(write=False)
+            scaled[f"{name}_{label}"] = values
     return PreparedData(
         **scaled, x_scaler=x_scaler, y_scaler=y_scaler, split_indices=tuple(bins)
     )

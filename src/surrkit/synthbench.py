@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from surrkit.data import DataTensor, FidelityDataset
+from surrkit.data import DataTensor, FidelityDataset, as_matrix
 from surrkit.errors import InputError
 
 SAMPLER_KINDS = ("latin-hypercube", "uniform-grid", "uniform-random")
@@ -120,9 +120,7 @@ class Sampler:
 
 
 def _check_bounds(bounds) -> np.ndarray:
-    arr = np.asarray(bounds, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise InputError("bounds must be a sequence of (lo, hi) pairs")
+    arr = as_matrix(bounds, "bounds", 2)
     if (arr[:, 0] >= arr[:, 1]).any():
         bad = int(np.argmax(arr[:, 0] >= arr[:, 1]))
         raise InputError(f"degenerate bounds in dimension {bad}: {tuple(arr[bad])}")
@@ -158,11 +156,7 @@ def sample(sampler: Sampler, bounds, n: int) -> np.ndarray:
 
 def truth_evaluate(pair: AnalyticPair, X: np.ndarray) -> np.ndarray:
     """Exact high-fidelity values; warns (but evaluates) out of bounds."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, np.newaxis]
-    if X.shape[1] != pair.dim:
-        raise InputError(f"{pair.name} expects {pair.dim} input dims, got {X.shape[1]}")
+    X = as_matrix(X, f"{pair.name} sites", pair.dim, finite=False)
     arr = _check_bounds(pair.bounds)
     if ((X < arr[:, 0]) | (X > arr[:, 1])).any():
         warnings.warn(

@@ -221,17 +221,6 @@ class TestMfTrainAndServe:
         assert len(rows) == 1 + 3
         assert rows[0] == ["x", "y"]
 
-    def test_bench_command(self, synth_dir, tmp_path, capsys):
-        run_dir = tmp_path / "mfrun"
-        assert run(["mf-train", "--config", str(synth_dir / "mf_config.json"),
-                    "--out", str(run_dir)]) == 0
-        bundle = next(run_dir.glob("mf_model_v*"))
-        sites = tmp_path / "sites.csv"
-        sites.write_text("x\n" + "\n".join(str(v) for v in np.linspace(0, 1, 10)) + "\n")
-        assert run(["bench", "--model-dir", str(bundle), "--sites", str(sites),
-                    "--repeats", "2"]) == 0
-        assert "predictions/second" in capsys.readouterr().out
-
 
 class TestConvergenceCommand:
     def test_three_sizes_three_rows(self, synth_dir, tmp_path):

@@ -12,6 +12,7 @@ from helpers import reference_format_row
 from surrkit.data import (
     DataTensor,
     FidelityDataset,
+    as_matrix,
     export_tensor,
     flatten,
     format_rows,
@@ -288,6 +289,30 @@ class TestExport:
         tensor = DataTensor.from_values(np.zeros((2, 2, 3)))
         with pytest.raises(InputError, match="l=1"):
             export_tensor(tensor, tmp_path / "t.csv", "csv")
+
+
+@pytest.mark.parametrize("x, kwargs, expected", [
+    ([1, 2, 3], {}, [[1.0], [2.0], [3.0]]),
+    (np.float32([[1.5, 2.5]]), {"cols": 2}, [[1.5, 2.5]]),
+    ([[np.nan, -np.inf]], {"finite": False}, [[np.nan, -np.inf]]),
+    (5.0, {}, "X must be a 2-D matrix, got rank 0"),
+    (np.zeros((2, 3, 1)), {}, "X must be a 2-D matrix, got rank 3"),
+    (np.zeros((2, 3)), {"cols": 2}, "X has 3 columns, expected 2"),
+    ([1.0, 2.0], {"cols": 2}, "X has 1 columns, expected 2"),
+    ([[0.0, np.nan]], {}, "X contains non-finite entries"),
+    ([[np.inf]], {"cols": 1}, "X contains non-finite entries"),
+], ids=["rank-1-column", "float32-to-float64", "finite-off", "rank-0", "rank-3",
+        "columns", "rank-1-columns", "nan", "inf"])
+def test_as_matrix(x, kwargs, expected):
+    """The one check of a caller's matrix: a float64 matrix back, or
+    ``InputError`` naming the operand."""
+    if isinstance(expected, str):
+        with pytest.raises(InputError, match=f"^{re.escape(expected)}$"):
+            as_matrix(x, "X", **kwargs)
+        return
+    out = as_matrix(x, "X", **kwargs)
+    assert out.dtype == np.float64
+    np.testing.assert_array_equal(out, np.array(expected))
 
 
 class TestValidation:

@@ -78,7 +78,7 @@ class TestKernelEval:
         assert kernel_eval(spec, a, b)[0, 0] == pytest.approx(np.exp(-r2 / 2), abs=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(InputError, match="share dimension"):
+        with pytest.raises(InputError, match="^B has 3 columns, expected 2$"):
             kernel_eval(KernelSpec(), np.zeros((2, 2)), np.zeros((2, 3)))
 
     def test_nonpositive_length_scale(self):
@@ -238,13 +238,20 @@ class TestPredict:
 
     def test_dimension_mismatch(self):
         model = gpr_fit(np.zeros((2, 2)) + [[0, 0], [1, 1]], np.ones((2, 1)), KernelSpec())
-        with pytest.raises(InputError, match="dims"):
+        with pytest.raises(InputError, match="^X_star has 3 columns, expected 2$"):
             gpr_predict(model, np.zeros((1, 3)))
 
     def test_dimension_mismatch_on_mean_path(self):
         model = gpr_fit(np.zeros((2, 2)) + [[0, 0], [1, 1]], np.ones((2, 1)), KernelSpec())
-        with pytest.raises(InputError, match="dims"):
+        with pytest.raises(InputError, match="^X_star has 3 columns, expected 2$"):
             model.predict(np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("shape", [(1, 2, 1), (1, 2, 2)])
+    def test_rank_3_query_rejected(self, shape):
+        model = gpr_fit(np.array([[0.0, 0.0], [1.0, 1.0]]), np.ones((2, 1)), KernelSpec())
+        for predict in (model.predict, lambda X: gpr_predict(model, X)):
+            with pytest.raises(InputError, match="^X_star must be a 2-D matrix, got rank 3$"):
+                predict(np.zeros(shape))
 
     def test_non_finite_query_rejected_on_mean_path(self):
         model = gpr_fit(np.array([[0.0], [1.0]]), np.ones((2, 1)), KernelSpec())

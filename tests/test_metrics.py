@@ -243,6 +243,16 @@ class TestUqReport:
         with pytest.raises(UnsupportedModelError, match="GPR"):
             uq_report(surr, np.zeros((1, 1)))
 
+    def test_bare_gpr_model_unsupported(self):
+        """A model without its scalers has no raw units to report in."""
+        X = np.array([[0.0], [1.0]])
+        with pytest.raises(
+            UnsupportedModelError,
+            match="^uncertainty reporting takes a single-stage surrogate with a GPR model, "
+                  "got GprModel$",
+        ):
+            uq_report(gpr_fit(X, X, KernelSpec()), X)
+
     def test_composite_unsupported(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         stage = identity_surrogate(gpr_fit(X[:, :1], X[:, :1], KernelSpec()), 1, 1)

@@ -53,8 +53,17 @@ class TestForward:
 
     def test_dimension_mismatch(self):
         model = init_model(MlpArchitecture(3, (4,), 1), 0)
-        with pytest.raises(InputError, match="features"):
+        with pytest.raises(InputError, match="^X has 5 columns, expected 3$"):
             mlp_forward(model, np.zeros((2, 5)))
+
+    @pytest.mark.parametrize("shape", [(2, 3, 1), (2, 3, 3)])
+    @pytest.mark.parametrize("entry", ["predict", "mlp_forward"])
+    def test_rank_3_input_rejected(self, entry, shape):
+        """A tensor is no matrix: refused, not broadcast through the layers."""
+        model = init_model(MlpArchitecture(3, (4,), 1), 0)
+        call = model.predict if entry == "predict" else lambda X: mlp_forward(model, X)
+        with pytest.raises(InputError, match=r"^X(_scaled)? must be a 2-D matrix, got rank 3$"):
+            call(np.zeros(shape))
 
     def test_predict_is_forward(self):
         model = init_model(MlpArchitecture(2, (5,), 2), 1)
@@ -351,11 +360,14 @@ class TestTrainingInputs:
     @pytest.mark.parametrize(
         "edit, match",
         [
-            (lambda d: d.update(Y_val=d["Y_val"][:, :1]), "validation data shapes"),
+            (lambda d: d.update(Y_val=d["Y_val"][:, :1]),
+             "validation target matrix has 1 columns, expected 2"),
             (lambda d: d.update(Y_train=d["Y_train"][:-1]), "training set has 45 input rows"),
             (lambda d: d.update(X_val=d["X_val"][:-2]), "validation set has 9 input rows"),
-            (lambda d: d["X_train"].__setitem__((3, 1), np.nan), "training set contains non-"),
-            (lambda d: d["Y_val"].__setitem__((0, 0), np.inf), "validation set contains non-"),
+            (lambda d: d["X_train"].__setitem__((3, 1), np.nan),
+             "training input matrix contains non-finite entries"),
+            (lambda d: d["Y_val"].__setitem__((0, 0), np.inf),
+             "validation target matrix contains non-finite entries"),
         ],
         ids=["val-columns", "train-rows", "val-rows", "nan-input", "inf-val-target"],
     )

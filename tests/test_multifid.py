@@ -241,7 +241,7 @@ class TestPredictAtDesignSites:
     def test_dimension_checked(self):
         _, _, comp = self.make_composite(seed=6)
         sites = DataTensor.from_values(np.zeros((2, 3, 1)))
-        with pytest.raises(InputError, match="input columns"):
+        with pytest.raises(InputError, match="^design sites has 3 columns, expected 1$"):
             predict_tensor(comp, sites)
 
 
@@ -332,7 +332,7 @@ class TestAugmentedColumnOrderStability:
 
 @pytest.mark.parametrize("kind", ["gpr", "mlp"])
 def test_non_finite_sites_rejected_for_every_kind(kind):
-    """The check is ``preprocess.design_sites``, made once per call by the
+    """The check is ``data.as_matrix``, made once per call by the
     outermost ``predict_raw``, so GPR and MLP models reject NaN/inf alike,
     and a composite rejects them before its LF stage runs."""
     _, hf = generate_pair_dataset(forrester_pair(), 20, 20, Sampler(seed=13))

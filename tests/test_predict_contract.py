@@ -1,7 +1,7 @@
 """One input contract for every raw-unit prediction, and its byte identity.
 
 Every ``predict_raw`` and ``metrics.uq_report`` checks its raw sites with
-``preprocess.design_sites``: a rank-1 array is one column, and a wrong
+``data.as_matrix``: a rank-1 array is one column, and a wrong
 column count, a NaN or an infinity raises ``InputError``. A finite site that
 overflows when a scaler divides it is caught by the model's check of its
 scaled query. The cheaper single-site path must not change a byte of any
@@ -12,7 +12,7 @@ stage by stage from public pieces.
 import numpy as np
 import pytest
 
-from surrkit import preprocess
+from surrkit.data import as_matrix
 from surrkit.errors import InputError
 from surrkit.gpr import KernelSpec, kernel_eval
 from surrkit.metrics import uq_report
@@ -81,7 +81,7 @@ def test_bad_sites_raise_input_error(predictors, name, bad):
 
 def test_overflow_is_caught_after_scaling(predictors):
     """1e308 is finite, so the raw check passes it; the scaled query is not."""
-    assert np.isfinite(preprocess.design_sites([[1e308]], 1)).all()
+    assert np.isfinite(as_matrix([[1e308]], "design sites", 1)).all()
     with pytest.raises(InputError, match="non-finite"):
         predictors["gpr/gpr"](np.array([[1e308]]))
 

@@ -51,6 +51,14 @@ class TestSampler:
         with pytest.raises(InputError, match="degenerate"):
             sample(Sampler(), [(1.0, 1.0)], 5)
 
+    @pytest.mark.parametrize("bounds, match", [
+        ([(0.0, np.inf)], "^bounds contains non-finite entries$"),
+        ([0.0, 1.0], "^bounds has 1 columns, expected 2$"),
+    ], ids=["infinite", "not-pairs"])
+    def test_malformed_bounds(self, bounds, match):
+        with pytest.raises(InputError, match=match):
+            sample(Sampler(), bounds, 5)
+
     def test_unknown_kind(self):
         with pytest.raises(InputError, match="sampler"):
             Sampler("sobol")
