@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -59,13 +60,14 @@ EXIT_NUMERIC = 3
 
 
 class _Run:
-    """Output directory plus a tiny logger that tees to run.log."""
+    """Output directory, made with a config.json copy, plus a logger that tees to run.log."""
 
-    def __init__(self, out_dir: Path, verbose: bool):
-        self.dir = out_dir
+    def __init__(self, cfg: RunConfig, verbose: bool):
+        self.dir = cfg.out_dir or Path("surrkit_run")
         self.verbose = verbose
         self.dir.mkdir(parents=True, exist_ok=True)
         self._log_path = self.dir / "run.log"
+        (self.dir / "config.json").write_text(json.dumps(cfg.raw, indent=2) + "\n", "utf-8")
 
     def say(self, message: str, detail: bool = False) -> None:
         if not detail or self.verbose:
@@ -97,24 +99,10 @@ def _load_dataset(source: DataSource) -> FidelityDataset:
         )
 
 
-def _write_config_copy(cfg: RunConfig, run: _Run) -> None:
-    (run.dir / "config.json").write_text(
-        json.dumps(cfg.raw, indent=2) + "\n", encoding="utf-8"
-    )
-
-
 def _load_single_dataset(cfg: RunConfig) -> FidelityDataset:
     if cfg.data is None:
         raise InputError("this command needs the 'data' section in the config")
     return _load_dataset(cfg.data)
-
-
-def _out_dir(cfg: RunConfig, args) -> Path:
-    if args.out is not None:
-        return Path(args.out)
-    if cfg.out_dir is not None:
-        return cfg.out_dir
-    return Path("surrkit_run")
 
 
 def _split_flags(args) -> dict:
@@ -161,8 +149,7 @@ def _evaluate_and_report(
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.seed, args.out, _split_flags(args))
-    run = _Run(_out_dir(cfg, args), args.verbose)
-    _write_config_copy(cfg, run)
+    run = _Run(cfg, args.verbose)
     dataset = _load_single_dataset(cfg)
     run.say(
         f"loaded {dataset.fidelity}: X {dataset.X.shape}, Y {dataset.Y.shape}"
@@ -195,8 +182,7 @@ def cmd_mf_train(args) -> int:
             "this command needs a 'fidelity_chain', or 'lf_data' and 'hf_data', "
             "in the config"
         )
-    run = _Run(_out_dir(cfg, args), args.verbose)
-    _write_config_copy(cfg, run)
+    run = _Run(cfg, args.verbose)
     datasets = [_load_dataset(source) for source, _ in cfg.fidelity_chain]
     kinds = [kind for _, kind in cfg.fidelity_chain]
     run.say("fidelity chain: " + " -> ".join(f"{d.fidelity}({d.n})" for d in datasets))
@@ -213,8 +199,7 @@ def cmd_mf_train(args) -> int:
 
 def cmd_tune(args) -> int:
     cfg = load_config(args.config, args.seed, args.out, _split_flags(args))
-    run = _Run(_out_dir(cfg, args), args.verbose)
-    _write_config_copy(cfg, run)
+    run = _Run(cfg, args.verbose)
     dataset = _load_single_dataset(cfg)
     with _stage("tune"):
         prepared = preprocess_data_pipeline(dataset, cfg.split)
@@ -264,8 +249,7 @@ def cmd_convergence(args) -> int:
         raise InputError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
     if not sizes:
         raise InputError("no sizes given; set convergence.sizes or pass --sizes")
-    run = _Run(_out_dir(cfg, args), args.verbose)
-    _write_config_copy(cfg, run)
+    run = _Run(cfg, args.verbose)
     dataset = _load_single_dataset(cfg)
     with _stage("convergence"):
         curve = convergence_study(
@@ -403,17 +387,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (InputError, StoreError, UnsupportedModelError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    # A warning is one stderr line, as an error is, without a source line.
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except NumericError as exc:
+            print(f"numeric error: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
+        except (InputError, StoreError, UnsupportedModelError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
 
 
 def entrypoint() -> None:  # console script target

@@ -296,7 +296,7 @@ def load_config(
 
     if top.get("out_dir") is not None:
         raw["out_dir"] = os.path.abspath(base / top["out_dir"])
-    out_dir = out_override or raw.get("out_dir")
+    out_dir = out_override if out_override is not None else raw.get("out_dir")
     return RunConfig(
         seed=seed,
         out_dir=Path(out_dir) if out_dir is not None else None,

@@ -133,13 +133,13 @@ _MAX_RESUMES = 4
 class KernelSpec:
     """Kernel family plus hyperparameters.
 
-    ``length_scale`` is either a scalar (isotropic) or a per-dimension
-    vector. ``noise`` is the observation noise variance sn2 added to the
-    kernel diagonal during fitting.
+    ``length_scale``, a scalar (isotropic) or one per input dimension, is
+    stored as a read-only 1-D float64 copy. ``noise`` is the observation
+    noise variance sn2 added to the kernel diagonal during fitting.
     """
 
     kind: str = "rbf"
-    length_scale: float | np.ndarray = 1.0
+    length_scale: np.ndarray = 1.0
     signal_variance: float = 1.0
     nu: float = 1.5
     noise: float = 0.0
@@ -147,10 +147,12 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.kind not in KERNEL_KINDS:
             raise InputError(f"unknown kernel kind {self.kind!r}; use one of {KERNEL_KINDS}")
-        ls = np.atleast_1d(np.asarray(self.length_scale, dtype=np.float64))
+        ls = np.array(self.length_scale, dtype=np.float64, ndmin=1)
         # Written so that NaN fails each test.
-        if ls.ndim != 1 or not ((ls > 0) & (ls < math.inf)).all():
+        if ls.ndim != 1 or ls.size == 0 or not ((ls > 0) & (ls < math.inf)).all():
             raise InputError(f"length_scale must be positive and finite, got {self.length_scale}")
+        ls.setflags(write=False)
+        object.__setattr__(self, "length_scale", ls)
         if not 0 < self.signal_variance < math.inf:
             raise InputError(
                 f"signal_variance must be positive and finite, got {self.signal_variance}"
@@ -171,17 +173,21 @@ class KernelSpec:
         return self.kind.startswith("constant*")
 
     def length_scale_vector(self, d: int) -> np.ndarray:
-        ls = np.atleast_1d(np.asarray(self.length_scale, dtype=np.float64))
+        """One length scale per input dimension; the only check of their count."""
+        ls = self.length_scale
         if ls.size == 1:
-            return np.full(d, float(ls[0]))
+            return np.full(d, ls[0])
         if ls.size != d:
-            raise InputError(
-                f"per-dimension length_scale has {ls.size} entries for {d} input dims"
-            )
+            raise InputError(f"length_scale has {ls.size} entries for {d} input dims")
         return ls
 
+    def record(self) -> dict:
+        """The hyperparameters as JSON values, as bundles and sweeps report them."""
+        return {"kind": self.kind, "length_scale": self.length_scale.tolist(),
+                "signal_variance": self.signal_variance, "nu": self.nu, "noise": self.noise}
+
     def describe(self) -> str:
-        ls = np.atleast_1d(np.asarray(self.length_scale, dtype=np.float64))
+        ls = self.length_scale
         ls_str = f"{ls[0]:.4g}" if ls.size == 1 else "[" + ", ".join(f"{v:.4g}" for v in ls) + "]"
         parts = [f"kind={self.kind}", f"length_scale={ls_str}"]
         parts.append(f"signal_variance={self.signal_variance:.4g}")
@@ -423,8 +429,7 @@ class GprModel:
 
     def parameter_count(self) -> int:
         """Number of hyperparameters adjusted during optimization."""
-        ls = np.atleast_1d(np.asarray(self.kernel.length_scale))
-        count = ls.size + 1  # length scales + noise
+        count = self.kernel.length_scale.size + 1  # length scales + noise
         if self.kernel.tunes_signal_variance:
             count += 1
         return count
@@ -644,32 +649,25 @@ class HyperBounds:
                 raise InputError(f"{name} bounds must satisfy 0 < lo < hi < inf")
 
 
-def _pack_bounds(spec: KernelSpec, d: int, bounds: HyperBounds) -> list[tuple[float, float]]:
-    n_ls = np.atleast_1d(np.asarray(spec.length_scale)).size
-    if n_ls not in (1, d):
-        raise InputError(f"length_scale has {n_ls} entries for {d} input dims")
-    out = [bounds.length_scale] * n_ls
+def _search_space(spec: KernelSpec, d: int, bounds: HyperBounds) -> tuple[np.ndarray, np.ndarray]:
+    """``(theta0, log_box)``: theta is the log length scales, log sf2 where the
+    kind tunes it, then log sn2; ``log_box`` is their (k, 2) log bounds, and
+    ``theta0`` is ``spec``'s values clipped into it (a zero noise at its floor)."""
+    spec.length_scale_vector(d)  # checks the length-scale count against d
+    box = [bounds.length_scale] * spec.length_scale.size
+    values = list(np.log(spec.length_scale))
     if spec.tunes_signal_variance:
-        out.append(bounds.signal_variance)
-    out.append(bounds.noise)
-    return [(math.log(lo), math.log(hi)) for lo, hi in out]
-
-
-def _spec_to_theta(spec: KernelSpec, log_bounds: list[tuple[float, float]]) -> np.ndarray:
-    ls = np.atleast_1d(np.asarray(spec.length_scale, dtype=np.float64))
-    values = list(np.log(ls))
-    if spec.tunes_signal_variance:
+        box.append(bounds.signal_variance)
         values.append(math.log(spec.signal_variance))
-    values.append(math.log(max(spec.noise, math.exp(log_bounds[-1][0]))))
-    theta = np.array(values)
-    lo = np.array([b[0] for b in log_bounds])
-    hi = np.array([b[1] for b in log_bounds])
-    return np.clip(theta, lo, hi)
+    box.append(bounds.noise)
+    log_box = np.array([(math.log(lo), math.log(hi)) for lo, hi in box])
+    values.append(math.log(max(spec.noise, math.exp(log_box[-1, 0]))))
+    return np.clip(np.array(values), *log_box.T), log_box
 
 
 def _unpack_theta(spec: KernelSpec, theta: np.ndarray) -> tuple[np.ndarray, float, float]:
     """The length scales (an array), sf2 and the noise variance at the
-    log-hyperparameters ``theta``, ordered as ``_pack_bounds`` orders them."""
+    log-hyperparameters ``theta``, ordered as ``_search_space`` orders them."""
     noise = float(math.exp(theta[-1]))
     if spec.tunes_signal_variance:
         return np.exp(theta[:-2]), float(math.exp(theta[-2])), noise
@@ -678,8 +676,7 @@ def _unpack_theta(spec: KernelSpec, theta: np.ndarray) -> tuple[np.ndarray, floa
 
 def _theta_to_spec(spec: KernelSpec, theta: np.ndarray) -> KernelSpec:
     ls, sf2, noise = _unpack_theta(spec, theta)
-    length_scale = float(ls[0]) if ls.size == 1 else ls
-    return replace(spec, length_scale=length_scale, signal_variance=sf2, noise=noise)
+    return replace(spec, length_scale=ls, signal_variance=sf2, noise=noise)
 
 
 def _lml_evaluator(
@@ -704,7 +701,7 @@ def _lml_evaluator(
     Matern 0.5's gradient still makes an n x n boolean mask per evaluation.
     """
     n = X.shape[0]
-    n_ls = np.atleast_1d(np.asarray(spec.length_scale)).size
+    n_ls = spec.length_scale.size
     # Per-dimension squared differences of the unscaled inputs, one row per
     # input, for the ARD gradient; K itself is always built from r^2 above.
     sq_diffs = None
@@ -776,7 +773,7 @@ def _lml_gradient(
 def _lbfgsb(
     objective: Callable[[np.ndarray], tuple[float, np.ndarray]],
     theta0: np.ndarray,
-    log_bounds: list[tuple[float, float]],
+    log_box: np.ndarray,
 ) -> OptimizeResult:
     """L-BFGS-B from ``theta0``, resumed from where it stops while it stops on
     a steep slope and the resumed run gains.
@@ -788,13 +785,13 @@ def _lbfgsb(
     A resumed run starts with an empty curvature memory. At a true optimum
     the projected gradient is far below ``_STALL_SLOPE`` * max(1, |lml|).
     """
-    lo, hi = np.array(log_bounds).T
-    result = minimize(objective, theta0, jac=True, method="L-BFGS-B", bounds=log_bounds)
+    lo, hi = log_box.T
+    result = minimize(objective, theta0, jac=True, method="L-BFGS-B", bounds=log_box)
     for _ in range(_MAX_RESUMES):
         slope = np.max(np.abs(np.clip(result.x - result.jac, lo, hi) - result.x))
         if slope <= _STALL_SLOPE * max(1.0, abs(result.fun)):
             break
-        resumed = minimize(objective, result.x, jac=True, method="L-BFGS-B", bounds=log_bounds)
+        resumed = minimize(objective, result.x, jac=True, method="L-BFGS-B", bounds=log_box)
         if not resumed.fun < result.fun:
             break
         result = resumed
@@ -822,10 +819,7 @@ def optimize_hyperparameters(
     if restarts < 1:
         raise InputError(f"restarts must be >= 1, got {restarts}")
     X, Y = _training_pair(X, Y)
-    bounds = bounds or HyperBounds()
-    log_bounds = _pack_bounds(spec, X.shape[1], bounds)
-    lo = np.array([b[0] for b in log_bounds])
-    hi = np.array([b[1] for b in log_bounds])
+    theta0, log_box = _search_space(spec, X.shape[1], bounds or HyperBounds())
     lml_at = _lml_evaluator(X, Y, spec)
 
     def neg_lml(theta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -835,16 +829,14 @@ def optimize_hyperparameters(
         return -value, -grad
 
     rng = np.random.default_rng(seed)
-    starts = [_spec_to_theta(spec, log_bounds)]
-    for _ in range(restarts - 1):
-        starts.append(rng.uniform(lo, hi))
+    starts = [theta0] + [rng.uniform(*log_box.T) for _ in range(restarts - 1)]
 
     thetas: list[np.ndarray] = []
     failures: list[str] = []
-    for theta0 in starts:
-        thetas.append(theta0)
+    for start in starts:
+        thetas.append(start)
         try:
-            thetas.append(_lbfgsb(neg_lml, theta0, log_bounds).x)
+            thetas.append(_lbfgsb(neg_lml, start, log_box).x)
         except Exception as exc:  # pragma: no cover - scipy internal failure
             failures.append(str(exc))
     # Free the evaluator's workspace before the fits below allocate their

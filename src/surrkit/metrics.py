@@ -95,11 +95,11 @@ class EvalReport:
             lines.append(f"{s.name:<20} {s.r2:>12.6f} {s.rmse:>14.6e}")
         return "\n".join(lines) + "\n"
 
-    def write(self, directory: str | Path, stem: str = "eval_report") -> None:
+    def write(self, directory: str | Path) -> None:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        (directory / f"{stem}.txt").write_text(self.to_text(), encoding="utf-8")
-        (directory / f"{stem}.json").write_text(
+        (directory / "eval_report.txt").write_text(self.to_text(), encoding="utf-8")
+        (directory / "eval_report.json").write_text(
             json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8"
         )
 

@@ -296,11 +296,7 @@ def _stage_meta(obj, arrays: list[np.ndarray], entry: dict) -> dict:
     model = obj.model
     if isinstance(model, GprModel):
         meta = _base_meta("gpr", obj.fidelity)
-        spec = model.kernel
-        meta["hyperparameters"] = {
-            "kind": spec.kind, "length_scale": np.atleast_1d(spec.length_scale).tolist(),
-            "signal_variance": spec.signal_variance, "nu": spec.nu, "noise": spec.noise,
-        }
+        meta["hyperparameters"] = model.kernel.record()
         named.update(X_train=model.X_train, alpha=model.alpha)
         meta["training"].update(
             lml=model.lml, jitter_used=model.jitter_used, n_train=model.n_train,
@@ -426,10 +422,10 @@ def _build_surrogate(bundle_dir: Path, meta: dict, arrays: dict, stage: str) -> 
                 f"inconsistent GPR payload shapes: X_train {X_train.shape}, "
                 f"alpha {alpha.shape}, y scaler of {y_scaler.fitted_on} columns"
             )
-        ls = [_json_number(v, "hyperparameters.length_scale") for v in hyper["length_scale"]]
         spec = KernelSpec(
             kind=hyper["kind"],
-            length_scale=float(ls[0]) if len(ls) == 1 else np.asarray(ls, dtype=np.float64),
+            length_scale=[_json_number(v, "hyperparameters.length_scale")
+                          for v in hyper["length_scale"]],
             **{key: float(_json_number(hyper[key], f"hyperparameters.{key}"))
                for key in ("signal_variance", "nu", "noise")},
         )

@@ -236,41 +236,6 @@ def train_single_fidelity(
     return surrogate, sweep
 
 
-def compose_with_lf(
-    lf_surr: "FittedSurrogate | MfComposite",
-    hf_data: FidelityDataset,
-    mf_kind: str = "gpr",
-    split: SplitSpec | None = None,
-    gpr_grid: GprGrid | None = None,
-    mlp_grid: MlpGrid | None = None,
-    lf_sweep: SweepResult | None = None,
-) -> MfComposite:
-    """Augment HF inputs with an already-trained LF model and fit the MF stage."""
-    d_hf = hf_data.X.m * hf_data.X.l
-    if lf_surr.input_dim != d_hf:
-        raise InputError(
-            f"fidelity levels disagree on input dimension: LF model takes "
-            f"{lf_surr.input_dim}, HF data has {d_hf}"
-        )
-    split = split or SplitSpec()
-    augmented = build_mf_input(lf_surr, flatten(hf_data.X))
-    aug_names = _unique_names(
-        lf_surr.y_layout.column_names("lf_") + TensorLayout.of(hf_data.X).column_names()
-    )
-    augmented.setflags(write=False)  # the tensor's own array, so it is not copied
-    aug_tensor = DataTensor.from_values(augmented[:, :, np.newaxis], aug_names)
-    aug_dataset = FidelityDataset(
-        fidelity=hf_data.fidelity,
-        X=aug_tensor,
-        Y=hf_data.Y,
-        provenance=f"{hf_data.provenance} + LF predictions",
-    )
-    mf_surr, mf_sweep = train_single_fidelity(
-        aug_dataset, mf_kind, split, gpr_grid, mlp_grid
-    )
-    return MfComposite(lf=lf_surr, mf=mf_surr, lf_sweep=lf_sweep, mf_sweep=mf_sweep)
-
-
 def train_mf(
     lf_data: FidelityDataset,
     hf_data: FidelityDataset,
@@ -317,7 +282,15 @@ def train_mf_chain(
     split = split or SplitSpec()
     result, lf_sweep = train_single_fidelity(datasets[0], kinds[0], split, gpr_grid, mlp_grid)
     for data, kind in zip(datasets[1:], kinds[1:]):
-        result = compose_with_lf(
-            result, data, kind, split, gpr_grid, mlp_grid, lf_sweep=lf_sweep
+        augmented = build_mf_input(result, flatten(data.X))
+        augmented.setflags(write=False)  # the tensor's own array, so it is not copied
+        names = result.y_layout.column_names("lf_") + TensorLayout.of(data.X).column_names()
+        aug_data = FidelityDataset(
+            fidelity=data.fidelity,
+            X=DataTensor.from_values(augmented[:, :, np.newaxis], _unique_names(names)),
+            Y=data.Y,
+            provenance=f"{data.provenance} + LF predictions",
         )
+        mf, mf_sweep = train_single_fidelity(aug_data, kind, split, gpr_grid, mlp_grid)
+        result = MfComposite(lf=result, mf=mf, lf_sweep=lf_sweep, mf_sweep=mf_sweep)
     return result

@@ -97,7 +97,7 @@ class SweepResult:
         return self.entries[self.selected]
 
 
-def select_winner(entries: tuple[SweepEntry, ...], tol: float = RMSE_TIE_TOL) -> int:
+def select_winner(entries: tuple[SweepEntry, ...]) -> int:
     """Argmin validation RMSE with parsimony tie-breaking.
 
     Pure function of recorded scores: re-running it on a stored result
@@ -107,7 +107,7 @@ def select_winner(entries: tuple[SweepEntry, ...], tol: float = RMSE_TIE_TOL) ->
     if not finite:
         raise NumericError("every sweep candidate failed to fit")
     best_rmse = min(e.val_rmse for e in finite)
-    contenders = [e for e in finite if e.val_rmse <= best_rmse + tol]
+    contenders = [e for e in finite if e.val_rmse <= best_rmse + RMSE_TIE_TOL]
     winner = min(contenders, key=lambda e: (e.param_count, e.index))
     return winner.index
 
@@ -163,16 +163,7 @@ def tune_gpr(prepared: PreparedData, grid: GprGrid) -> SweepResult:
             bounds=grid.bounds,
             seed=grid.seed,
         )
-        tuned = model.kernel
-        params = {
-            "kind": tuned.kind,
-            "length_scale": np.atleast_1d(tuned.length_scale).tolist(),
-            "signal_variance": tuned.signal_variance,
-            "nu": tuned.nu,
-            "noise": tuned.noise,
-            "lml": model.lml,
-        }
-        return model, params, model.parameter_count()
+        return model, {**model.kernel.record(), "lml": model.lml}, model.parameter_count()
 
     candidates = [
         (spec.kind + (f"(nu={spec.nu})" if spec.is_matern else ""), {"kind": spec.kind}, spec)

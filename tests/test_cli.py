@@ -75,6 +75,16 @@ class TestSynth:
         assert "unknown benchmark" in capsys.readouterr().err
 
 
+    def test_warning_is_one_stderr_line(self, tmp_path, capsys):
+        """A library warning reaches stderr as one line, without Python's
+        category and source line."""
+        assert run(["synth", "--n-lf", "3", "--n-hf", "5", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: n_lf=3 < n_hf=5; multi-fidelity setups normally have many "
+            "more low-fidelity points\n"
+        )
+
+
 class TestTrain:
     def config_for(self, synth_dir, tmp_path, seed=7):
         return write_config(tmp_path / "cfg.json", {
@@ -456,6 +466,22 @@ class TestConfigCopy:
         assert Path(copy["lf_data"]["x"]).samefile(tmp_path / "bench" / "lf_x.txt")
         assert run(["mf-train", "--config", "first/config.json", "--out", "second"]) == 0
         assert payloads(Path("first")) and payloads(Path("first")) == payloads(Path("second"))
+
+    def test_empty_out_flag_is_the_working_directory(self, synth_dir, tmp_path, monkeypatch):
+        """``--out ""`` overrides the config's out_dir with the working directory."""
+        cfg = write_config(tmp_path / "cfg.json", {
+            "out_dir": str(tmp_path / "run"),
+            "data": {"x": str(synth_dir / "lf_x.txt"), "y": str(synth_dir / "lf_y.txt")},
+            "gpr": FAST_GPR,
+        })
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert run(["tune", "--config", str(cfg), "--out", ""]) == 0
+        assert sorted(path.name for path in work.iterdir()) == [
+            "config.json", "run.log", "sweep.csv"
+        ]
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("workdir", [".", "bench"])
     def test_relative_out_dir_is_read_against_the_config_file(

@@ -23,8 +23,9 @@ from surrkit.gpr import (
     HyperBounds,
     KernelSpec,
     _lml_evaluator,
-    _pack_bounds,
+    _search_space,
     _theta_to_spec,
+    _unpack_theta,
     default_kernel_grid,
     gpr_fit,
     gpr_predict,
@@ -93,6 +94,62 @@ class TestKernelEval:
             np.testing.assert_allclose(K, K.T, atol=1e-14)
             eigs = np.linalg.eigvalsh(K)
             assert eigs.min() > -1e-10
+
+
+# The one wording of a length-scale count that fits neither one scale nor
+# one per input dimension, whichever call meets it.
+LS_COUNT_MISMATCH = "length_scale has 3 entries for 2 input dims"
+
+
+class TestKernelSpec:
+    """A spec stores its length scales once, as a read-only 1-D float64 copy."""
+
+    def test_empty_length_scale_is_refused(self):
+        with pytest.raises(InputError, match="length_scale"):
+            KernelSpec(length_scale=[])
+
+    @pytest.mark.parametrize("given", [0.5, 2, [0.5], np.array([0.3, 0.8])])
+    def test_length_scale_is_a_read_only_float64_vector(self, given):
+        ls = KernelSpec(length_scale=given).length_scale
+        assert ls.dtype == np.float64 and ls.ndim == 1
+        assert ls.tolist() == np.ravel(given).astype(float).tolist()
+        assert not ls.flags.writeable
+
+    def test_the_callers_array_does_not_reach_the_spec(self):
+        given = np.array([0.3, 0.8])
+        spec = KernelSpec(length_scale=given)
+        given[0] = 5.0
+        assert spec.length_scale.tolist() == [0.3, 0.8]
+
+    def test_a_count_mismatch_reads_the_same_from_fit_and_optimizer(self):
+        X, Y = np.array([[0.1, 0.2], [0.5, 0.9]]), np.array([[1.0], [2.0]])
+        spec = KernelSpec(kind="constant*rbf", length_scale=[0.3, 0.8, 1.7])
+        with pytest.raises(InputError, match=f"^{LS_COUNT_MISMATCH}$"):
+            gpr_fit(X, Y, spec)
+        with pytest.raises(InputError, match=f"^{LS_COUNT_MISMATCH}$"):
+            optimize_hyperparameters(X, Y, spec, restarts=1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(["rbf", "constant*rbf"]),
+        scales=st.lists(st.floats(1e-4, 1e4), min_size=1, max_size=3).filter(
+            lambda scales: len(scales) != 2),  # one scale, or one per input dim
+        sf2=st.floats(1e-5, 1e5),
+        noise=st.one_of(st.just(0.0), st.floats(1e-14, 10.0)),
+    )
+    def test_search_space_start_unpacks_to_the_clipped_spec(self, kind, scales, sf2, noise):
+        spec = KernelSpec(kind=kind, length_scale=scales, signal_variance=sf2, noise=noise)
+        bounds = HyperBounds()
+        theta0, log_box = _search_space(spec, 3, bounds)
+        assert log_box.shape == (theta0.size, 2)
+        assert ((log_box[:, 0] <= theta0) & (theta0 <= log_box[:, 1])).all()
+        ls, sf2_back, noise_back = _unpack_theta(spec, theta0)
+        np.testing.assert_allclose(ls, np.clip(scales, *bounds.length_scale), rtol=1e-13)
+        if spec.tunes_signal_variance:
+            assert sf2_back == pytest.approx(np.clip(sf2, *bounds.signal_variance), rel=1e-13)
+        else:
+            assert sf2_back == sf2
+        assert noise_back == pytest.approx(np.clip(noise, *bounds.noise), rel=1e-13)
 
 
 class TestFit:
@@ -605,7 +662,7 @@ class TestLeanLml:
         spec = replace(base, length_scale=np.full(4, 0.5) if per_dim else 0.5)
         theta = np.array([
             data.draw(st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi)))
-            for lo, hi in _pack_bounds(spec, 4, HyperBounds())
+            for lo, hi in _search_space(spec, 4, HyperBounds())[1]
         ])
         X, Y = self.X, self.Y[:, :q]
         assert _lml_evaluator(X, Y, spec)(theta)[0] == _fit_lml(X, Y, spec, theta)
@@ -631,10 +688,10 @@ class TestLeanLml:
         assert _lml_evaluator(X, Y, spec)(theta)[0] == -np.inf
 
 
-def _theta_within(log_bounds):
-    """Log-hyperparameters inside ``log_bounds``, their edges drawn often."""
+def _theta_within(log_box):
+    """Log-hyperparameters inside ``log_box``, their edges drawn often."""
     return st.tuples(*(st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi))
-                       for lo, hi in log_bounds)).map(np.array)
+                       for lo, hi in log_box)).map(np.array)
 
 
 class TestEvaluatorWorkspace:
@@ -671,7 +728,7 @@ class TestEvaluatorWorkspace:
             X, Y, special = self.SPECIAL[case]
             spec = KernelSpec(kind="rbf")
             bounds = HyperBounds(noise=(1e-20, 1.0))
-        thetas = data.draw(st.lists(_theta_within(_pack_bounds(spec, X.shape[1], bounds)),
+        thetas = data.draw(st.lists(_theta_within(_search_space(spec, X.shape[1], bounds)[1]),
                                     min_size=1, max_size=5))
         if special is not None:
             for at in data.draw(st.lists(st.integers(0, len(thetas)), min_size=1, max_size=2)):
@@ -696,9 +753,8 @@ class TestEvaluatorWorkspace:
         spec = replace(base, length_scale=0.5)
         model = optimize_hyperparameters(X, Y, spec, restarts=1, seed=2)
         L, alpha = model.L.tobytes(), model.alpha.tobytes()
-        log_bounds = _pack_bounds(spec, 4, HyperBounds())
-        for theta in np.random.default_rng(3).uniform(*np.array(log_bounds).T,
-                                                       (4, len(log_bounds))):
+        log_box = _search_space(spec, 4, HyperBounds())[1]
+        for theta in np.random.default_rng(3).uniform(*log_box.T, (4, len(log_box))):
             evaluators[0](theta)
         assert model.L.tobytes() == L and model.alpha.tobytes() == alpha
 
@@ -795,15 +851,15 @@ class TestLmlGradient:
         Y = np.array([[0.460139], [0.737189], [0.425173], [-0.051384], [0.597773],
                       [-2.168889]])
         spec = KernelSpec(kind="constant*rbf")
-        log_bounds = _pack_bounds(spec, 2, HyperBounds())
-        theta0 = np.random.default_rng(500).uniform(*np.array(log_bounds).T)
+        log_box = _search_space(spec, 2, HyperBounds())[1]
+        theta0 = np.random.default_rng(500).uniform(*log_box.T)
         lml_at = _lml_evaluator(X, Y, spec)
 
         def neg_lml(theta):
             lml, grad = lml_at(theta)
             return -lml, -grad
 
-        one_run = minimize(neg_lml, theta0, jac=True, method="L-BFGS-B", bounds=log_bounds)
+        one_run = minimize(neg_lml, theta0, jac=True, method="L-BFGS-B", bounds=log_box)
         assert -one_run.fun < -4.0 and np.max(np.abs(one_run.jac)) > 1.0
         tuned = optimize_hyperparameters(X, Y, spec, restarts=2, seed=500).kernel
         assert gpr_fit(X, Y, tuned).lml > -0.8

@@ -27,8 +27,8 @@ from surrkit.modelstore import load_model, save_model
 from surrkit.multifid import (
     MfComposite,
     TensorLayout,
-    compose_with_lf,
     train_mf,
+    train_mf_chain,
     train_single_fidelity,
 )
 from surrkit.preprocess import SplitSpec, StandardScaler
@@ -98,17 +98,18 @@ def gpr_mlp_composite():
 
 
 @pytest.fixture(scope="module")
-def chain(composite):
+def chain():
     """A composite whose low-fidelity member is itself a composite."""
     pair = forrester_pair()
+    lf, hf = generate_pair_dataset(pair, 30, 8, Sampler(seed=2))
     X_top = sample(Sampler(seed=9), pair.bounds, 10)
     top = FidelityDataset(
         "HF2",
         DataTensor.from_values(X_top[:, :, None], ("x",)),
         DataTensor.from_values(pair.hf(X_top)[:, :, None], ("y",)),
     )
-    return compose_with_lf(
-        composite, top, "gpr", SplitSpec(seed=9),
+    return train_mf_chain(
+        [lf, hf, top], "gpr", SplitSpec(seed=9),
         gpr_grid=GprGrid(kernels=(KernelSpec(kind="constant*rbf"),), restarts=1, seed=9),
     )
 
@@ -300,6 +301,14 @@ class TestLoadGuards:
         path.write_bytes(path.read_bytes()[8:])
         edit_meta(bundle, lambda meta: meta["payloads"].pop("x_scaler_means"))
         with pytest.raises(StoreError, match="scaler"):
+            load_model(bundle)
+
+    def test_length_scale_count_mismatch_reads_as_in_gpr_fit(self, gpr_surrogate, tmp_path):
+        """The 1-D stage's bundle with three length scales fails to load with
+        the wording ``gpr_fit`` and the optimizer give."""
+        bundle = save_model(gpr_surrogate, tmp_path, "scales")
+        edit_meta(bundle, lambda meta: meta["hyperparameters"].update(length_scale=[1, 2, 3]))
+        with pytest.raises(StoreError, match=": length_scale has 3 entries for 1 input dims$"):
             load_model(bundle)
 
     def test_not_a_bundle(self, tmp_path):
