@@ -94,9 +94,7 @@ def _load_dataset(source: DataSource) -> FidelityDataset:
     with _stage(f"ingest {source.fidelity}"):
         X = import_tensor(source.x, source.format)
         Y = import_tensor(source.y, source.format)
-        return FidelityDataset(
-            fidelity=source.fidelity, X=X, Y=Y, provenance=f"{source.x} / {source.y}"
-        )
+        return FidelityDataset(fidelity=source.fidelity, X=X, Y=Y)
 
 
 def _load_single_dataset(cfg: RunConfig) -> FidelityDataset:

@@ -45,9 +45,12 @@ def _integer(value, where: str) -> int:
 
 
 def _number(value, where: str) -> float:
-    if type(value) not in (int, float):
-        raise _wrong(where, "a number", value)
-    return float(value)
+    if type(value) in (int, float):
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise _wrong(where, "a number", value)
 
 
 def _string(value, where: str) -> str:

@@ -191,7 +191,6 @@ class FidelityDataset:
     fidelity: str
     X: DataTensor
     Y: DataTensor
-    provenance: str = ""
 
     def __post_init__(self) -> None:
         if self.X.n != self.Y.n:

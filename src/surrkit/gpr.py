@@ -83,12 +83,13 @@ gradient in the log-hyperparameters (GPML eq. 5.9), which
 derivative factors beside ``_kernel_from_sq``. Finite differences would
 cost one more lml evaluation per hyperparameter per step and stop short of
 the optimum. An L-BFGS-B run whose line search stalls on a steep slope is
-resumed from where it stopped (``_lbfgsb``). ``optimize_hyperparameters``
-fits each start and each run's result with ``gpr_fit`` and returns the best
-of those models, so a caller never fits the winner again. Its evaluator
-allocates the n x n arrays of an evaluation once and every evaluation
-writes into them (``_lml_evaluator``), so evaluations fault no fresh
-memory in; ``gpr_fit`` and the models it returns own their arrays.
+resumed from where it stopped (``_lbfgsb``), and each run's result holds its
+end point's lml, also where scipy's abnormal stop reports a trial point's.
+As that lml is ``gpr_fit``'s, ``optimize_hyperparameters`` fits only the run
+that ends highest, so a caller never fits the winner again. Its evaluator
+allocates the n x n arrays of an evaluation once and every evaluation writes
+into them (``_lml_evaluator``), so evaluations fault no fresh memory in;
+``gpr_fit`` and the models it returns own their arrays.
 """
 
 from __future__ import annotations
@@ -127,6 +128,7 @@ _KS_BLOCK_BYTES = 1 << 20
 # (``_lbfgsb``).
 _STALL_SLOPE = 1e-3
 _MAX_RESUMES = 4
+_NO_LML = 1e25  # the optimizer's value where the lml or its gradient is not finite
 
 
 @dataclass(frozen=True, eq=False)
@@ -784,14 +786,24 @@ def _lbfgsb(
     projected gradient of order 1 (seen on a 6-row multi-fidelity stage).
     A resumed run starts with an empty curvature memory. At a true optimum
     the projected gradient is far below ``_STALL_SLOPE`` * max(1, |lml|).
+
+    Every run's ``fun`` and ``jac`` are ``objective(x)``'s; after an abnormal
+    line search (``status == 2``) scipy returns a trial point's, not x's.
     """
+
+    def run(start: np.ndarray) -> OptimizeResult:
+        result = minimize(objective, start, jac=True, method="L-BFGS-B", bounds=log_box)
+        if result.status == 2:
+            result.fun, result.jac = objective(result.x)
+        return result
+
     lo, hi = log_box.T
-    result = minimize(objective, theta0, jac=True, method="L-BFGS-B", bounds=log_box)
+    result = run(theta0)
     for _ in range(_MAX_RESUMES):
         slope = np.max(np.abs(np.clip(result.x - result.jac, lo, hi) - result.x))
         if slope <= _STALL_SLOPE * max(1.0, abs(result.fun)):
             break
-        resumed = minimize(objective, result.x, jac=True, method="L-BFGS-B", bounds=log_box)
+        resumed = run(result.x)
         if not resumed.fun < result.fun:
             break
         result = resumed
@@ -811,10 +823,10 @@ def optimize_hyperparameters(
 
     The first start is the supplied spec (clipped into bounds); the remaining
     ``restarts - 1`` starts are drawn log-uniformly within bounds from
-    ``seed``. Every start point and every optimizer result is fitted with
-    ``gpr_fit``, and the model with the highest lml is returned, so it is
-    never worse than any tested initialization. Ties keep the earliest.
-    ``nu`` and the kernel kind are never modified.
+    ``seed``. Only the ``_lbfgsb`` run that ends with the highest lml, the
+    earliest on a tie, is fitted with ``gpr_fit``; no start is, as L-BFGS-B
+    never ends below where it began. ``nu`` and the kernel kind are never
+    modified.
     """
     if restarts < 1:
         raise InputError(f"restarts must be >= 1, got {restarts}")
@@ -825,36 +837,27 @@ def optimize_hyperparameters(
     def neg_lml(theta: np.ndarray) -> tuple[float, np.ndarray]:
         value, grad = lml_at(theta)
         if not (math.isfinite(value) and np.isfinite(grad).all()):
-            return 1e25, np.zeros_like(theta)
+            return _NO_LML, np.zeros_like(theta)
         return -value, -grad
 
     rng = np.random.default_rng(seed)
     starts = [theta0] + [rng.uniform(*log_box.T) for _ in range(restarts - 1)]
 
-    thetas: list[np.ndarray] = []
-    failures: list[str] = []
+    results, failures = [], []
     for start in starts:
-        thetas.append(start)
         try:
-            thetas.append(_lbfgsb(neg_lml, start, log_box).x)
+            results.append(_lbfgsb(neg_lml, start, log_box))
         except Exception as exc:  # pragma: no cover - scipy internal failure
             failures.append(str(exc))
-    # Free the evaluator's workspace before the fits below allocate their
-    # own n x n arrays, so that the two are never held at once.
+    # Free the evaluator's workspace before the fit below allocates its own
+    # n x n arrays, so that the two are never held at once.
     del neg_lml, lml_at
 
-    best: GprModel | None = None
-    for theta in thetas:
-        try:
-            model = gpr_fit(X, Y, _theta_to_spec(spec, theta))
-        except NumericError:
-            continue
-        if best is None or model.lml > best.lml:
-            best = model
-    if best is None:
+    best = min(results, key=lambda result: result.fun, default=None)
+    if best is None or not best.fun < _NO_LML:
         detail = f" ({'; '.join(failures)})" if failures else ""
         raise NumericError(
             f"all {restarts} hyperparameter restarts failed to produce a "
             f"finite log marginal likelihood{detail}"
         )
-    return best
+    return gpr_fit(X, Y, _theta_to_spec(spec, best.x))

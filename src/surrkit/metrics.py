@@ -167,7 +167,6 @@ def one_to_one_export(y_true: DataTensor, y_pred: DataTensor, path: str | Path) 
 class UqReport:
     """Predictive mean and standard deviation per site, in original units."""
 
-    sites: np.ndarray
     mean: np.ndarray
     std: np.ndarray
 
@@ -197,7 +196,7 @@ def uq_report(surrogate, X_raw: np.ndarray) -> UqReport:
     mean = inverse_transform(surrogate.y_scaler, pred.mean)
     latent_std = np.sqrt(pred.variance)
     std = latent_std[:, np.newaxis] * surrogate.y_scaler.stds[np.newaxis, :]
-    return UqReport(sites=X_raw, mean=mean, std=std)
+    return UqReport(mean=mean, std=std)
 
 
 def throughput_benchmark(surrogate, X_raw: np.ndarray, repeats: int = 1) -> float:

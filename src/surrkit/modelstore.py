@@ -339,15 +339,16 @@ def load_model(path: str | Path) -> FittedSurrogate | MfComposite:
     """Reconstruct a model from a bundle, verifying version and checksums."""
     bundle_dir = Path(path)
     meta, files = _read_bundle(bundle_dir)
-    # A key missing from meta.json, a value of the wrong type, or numbers
-    # that the model constructors reject all mean a malformed bundle.
+    # A missing key, a value of the wrong type, an integer past the float
+    # range or numbers that the model constructors reject: a malformed bundle.
     try:
         if meta["format_version"] == 1:
             _graft_format_1(bundle_dir, meta, files)
         return _build(bundle_dir, meta, _read_arrays(bundle_dir, meta, files))
     except KeyError as exc:
         raise StoreError(f"malformed bundle {bundle_dir}: meta.json lacks key {exc}") from None
-    except (TypeError, ValueError, AttributeError, RecursionError, InputError) as exc:
+    except (TypeError, ValueError, OverflowError, AttributeError, RecursionError,
+            InputError) as exc:
         raise StoreError(f"malformed bundle {bundle_dir}: {exc}") from None
 
 

@@ -289,7 +289,6 @@ def train_mf_chain(
             fidelity=data.fidelity,
             X=DataTensor.from_values(augmented[:, :, np.newaxis], _unique_names(names)),
             Y=data.Y,
-            provenance=f"{data.provenance} + LF predictions",
         )
         mf, mf_sweep = train_single_fidelity(aug_data, kind, split, gpr_grid, mlp_grid)
         result = MfComposite(lf=result, mf=mf, lf_sweep=lf_sweep, mf_sweep=mf_sweep)

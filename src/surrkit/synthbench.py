@@ -193,7 +193,6 @@ def generate_pair_dataset(
             fidelity=label,
             X=DataTensor.from_values(X[:, :, np.newaxis], pair.input_names),
             Y=DataTensor.from_values(Y[:, :, np.newaxis], pair.output_names),
-            provenance=f"synthetic {pair.name} {label}",
         )
 
     return dataset("LF", X_lf, pair.lf), dataset("HF", X_hf, pair.hf)

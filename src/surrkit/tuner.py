@@ -117,22 +117,22 @@ def _sweep(
 ) -> SweepResult:
     """Fit and score every ``(label, failed_params, candidate)``.
 
-    ``fit(candidate)`` returns the fitted model, its entry params and its
-    parameter count. A candidate that raises ``NumericError`` is recorded with
-    ``failed_params``, an infinite RMSE and no model; when every candidate
-    does, the error names the last one's cause.
+    ``fit(candidate)`` returns the fitted model, whose ``parameter_count()``
+    the entry records, and the entry's params. A candidate that raises
+    ``NumericError`` is recorded with ``failed_params``, an infinite RMSE and
+    no model; when every candidate does, the error names the last one's cause.
     """
     y_true = inverse_transform(prepared.y_scaler, prepared.Y_val)
     entries, models, failure = [], [], None
     for index, (label, failed_params, candidate) in enumerate(candidates):
         start = time.perf_counter()
         try:
-            model, params, count = fit(candidate)
+            model, params = fit(candidate)
             pred = inverse_transform(prepared.y_scaler, model.predict(prepared.X_val))
             score = rmse(y_true, pred)
         except NumericError as exc:
             model, failure = None, exc
-            score, params, count = float("inf"), {**failed_params, "failed": True}, 0
+            score, params = float("inf"), {**failed_params, "failed": True}
         models.append(model)
         entries.append(
             SweepEntry(
@@ -140,7 +140,7 @@ def _sweep(
                 label=label,
                 params=params,
                 val_rmse=score,
-                param_count=count,
+                param_count=0 if model is None else model.parameter_count(),
                 fit_seconds=time.perf_counter() - start,
             )
         )
@@ -163,7 +163,7 @@ def tune_gpr(prepared: PreparedData, grid: GprGrid) -> SweepResult:
             bounds=grid.bounds,
             seed=grid.seed,
         )
-        return model, {**model.kernel.record(), "lml": model.lml}, model.parameter_count()
+        return model, {**model.kernel.record(), "lml": model.lml}
 
     candidates = [
         (spec.kind + (f"(nu={spec.nu})" if spec.is_matern else ""), {"kind": spec.kind}, spec)
@@ -182,8 +182,7 @@ def tune_mlp(prepared: PreparedData, grid: MlpGrid) -> SweepResult:
         model = mlp_train(
             arch, grid.train, prepared.X_train, prepared.Y_train, prepared.X_val, prepared.Y_val
         )
-        params = {"hidden_layers": list(hidden), "activation": arch.activation}
-        return model, params, arch.parameter_count()
+        return model, {"hidden_layers": list(hidden), "activation": arch.activation}
 
     candidates = [
         ("x".join(map(str, hidden)), {"hidden_layers": list(hidden)}, hidden)

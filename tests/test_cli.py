@@ -890,6 +890,12 @@ BAD_META = {
     "coord_labels-object": ("sf", ["y_layout", "coord_labels", 0], {}),
     "units-empty": ("sf", ["y_layout", "units"], []),
     "lf-signal_variance": ("mf", ["lf", "hyperparameters", "signal_variance"], 1e308),
+    # Integers past the float range, which float() refuses with OverflowError.
+    "signal_variance-huge": ("sf", ["hyperparameters", "signal_variance"], 10**400),
+    "noise-huge": ("sf", ["hyperparameters", "noise"], 10**400),
+    "length_scale-huge": ("sf", ["hyperparameters", "length_scale"], [10**400]),
+    "lml-huge": ("sf", ["training", "lml"], 10**400),
+    "jitter_used-huge": ("sf", ["training", "jitter_used"], 10**400),
 }
 
 
@@ -924,7 +930,7 @@ def test_mistyped_bundle_metadata_is_refused_at_load(
 
 # What the property below sets a meta.json node to: each JSON type, numbers
 # that are fractional, negative, zero or huge, and empty values.
-META_VALUES = [True, "x", [1], None, {}, 2.5, -1, 0, 1e308, [], ""]
+META_VALUES = [True, "x", [1], None, {}, 2.5, -1, 0, 1e308, 10**400, [], ""]
 
 
 def json_type(value) -> str:
@@ -1291,6 +1297,16 @@ def test_bundle_file_that_is_no_text_exits_2_with_one_line(
                                 "--out", str(tmp_path / "pred.csv")])
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def test_number_past_the_float_range_in_a_config_exits_2_with_one_line(tmp_path):
+    huge = 10**400
+    cfg = write_config(tmp_path / "cfg.json",
+                       {"data": {"x": "x.txt", "y": "y.txt"}, "split": {"train_frac": huge}})
+    code, lines = run_captured(["tune", "--config", str(cfg), "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert lines == [f"error: config key 'split.train_frac' must be a number, got {huge}"]
+    assert not (tmp_path / "r").exists()
 
 
 # A config that sets every key but out_dir (for which null is valid), each

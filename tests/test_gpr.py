@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult, minimize
 
 from helpers import direct_gpr_oracle, pooled_r2
 from surrkit import gpr
@@ -629,6 +629,64 @@ class TestOptimize:
         assert model.kernel.describe() == refit.kernel.describe()
 
 
+class TestOneFit:
+    """``_lbfgsb``'s results carry the values of their own end points, and
+    ``optimize_hyperparameters`` fits the best of those points alone."""
+
+    LOG_BOX = np.array([[-5.0, 5.0], [-5.0, 5.0]])
+    CENTRE = np.array([0.5, -1.0])
+
+    @pytest.mark.parametrize("status", [0, 2])
+    def test_an_abnormal_stop_is_evaluated_at_its_end_point(self, status, monkeypatch):
+        """scipy ends an abnormal line search at the restored x but with the
+        f and g of its last trial point; the result carries x's own, at the
+        cost of one evaluation. A normal stop is not evaluated again."""
+        calls = []
+
+        def objective(theta):
+            calls.append(theta.copy())
+            step = theta - self.CENTRE
+            return float(step @ step), 2.0 * step
+
+        fun, jac = (3.0, np.array([4.0, -4.0])) if status == 2 else (0.0, np.zeros(2))
+        stop = OptimizeResult(x=self.CENTRE.copy(), fun=fun, jac=jac, status=status)
+        monkeypatch.setattr(gpr, "minimize", lambda *args, **kwargs: stop)
+        result = gpr._lbfgsb(objective, np.zeros(2), self.LOG_BOX)
+        assert (result.fun, result.jac.tolist()) == (0.0, [0.0, 0.0])
+        assert len(calls) == (status == 2)
+
+    def test_gpr_fit_runs_once_per_call(self, monkeypatch):
+        fitted, fit = [], gpr.gpr_fit
+        monkeypatch.setattr(gpr, "gpr_fit",
+                            lambda X, Y, spec: fitted.append(spec) or fit(X, Y, spec))
+        rng = np.random.default_rng(8)
+        X = rng.uniform(0, 1, (20, 1))
+        model = optimize_hyperparameters(X, np.sin(4 * X), KernelSpec(kind="constant*rbf"),
+                                         restarts=3, seed=0)
+        assert fitted == [model.kernel]
+
+    def test_fits_the_lowest_end_point_and_the_earliest_on_a_tie(self, monkeypatch):
+        ends = iter([(-1.0, [0.1, -2.0]), (-2.0, [0.2, -3.0]), (-2.0, [0.3, -4.0])])
+
+        def run(objective, theta0, log_box):
+            fun, x = next(ends)
+            return OptimizeResult(fun=fun, x=np.array(x))
+
+        monkeypatch.setattr(gpr, "_lbfgsb", run)
+        X = np.linspace(0.0, 1.0, 6)[:, np.newaxis]
+        spec = KernelSpec(kind="rbf")
+        model = optimize_hyperparameters(X, np.sin(4 * X), spec, restarts=3)
+        assert model.kernel.record() == _theta_to_spec(spec, np.array([0.2, -3.0])).record()
+
+    def test_runs_that_end_at_the_failure_value_raise(self, monkeypatch):
+        """No run found a finite lml: the starts are not fitted instead."""
+        monkeypatch.setattr(gpr, "_lbfgsb", lambda objective, theta0, log_box:
+                            OptimizeResult(fun=gpr._NO_LML, x=theta0))
+        X = np.linspace(0.0, 1.0, 6)[:, np.newaxis]
+        with pytest.raises(NumericError, match="all 3 hyperparameter restarts failed"):
+            optimize_hyperparameters(X, np.sin(4 * X), KernelSpec(kind="rbf"), restarts=3)
+
+
 @pytest.mark.parametrize("train", [
     lambda X, Y: gpr_fit(X, Y, KernelSpec()),
     lambda X, Y: optimize_hyperparameters(X, Y, KernelSpec(), restarts=1),
@@ -780,8 +838,8 @@ class TestEvaluatorWorkspace:
 
     def test_candidate_fits_do_not_hold_the_workspace_too(self):
         """An rbf optimize call holds at most the three n x n arrays of one
-        evaluation at once: the workspace is freed before the fits of the
-        start and result points allocate theirs."""
+        evaluation at once: the workspace is freed before the fit of the
+        best run's end point allocates its own."""
         rng = np.random.default_rng(53)
         X = rng.uniform(0, 1, (200, 3))
         tracemalloc.start()
