@@ -2,7 +2,9 @@
 
 ``_SCHEMA`` lists every key once, with the reader that checks its JSON type
 (a bool is no number, and an integer key takes a float only if it is
-integral); README's "Configuration" shows a full config. Every key is
+integral) and, for ``gpr.restarts`` and ``gpr.length_scale_bounds``, its
+range (``MAX_RESTARTS``, ``LENGTH_SCALE_RANGE``); README's "Configuration"
+shows a full config. Every key is
 checked before any stage runs, an unknown key is rejected with its full
 path, and an omitted key keeps the default of the dataclass field it sets.
 CLI flags (``--seed``, ``--out``, the split fractions and ``mf-train``'s
@@ -32,6 +34,14 @@ from surrkit.gpr import HyperBounds, KernelSpec, kernel_from_name
 from surrkit.mlp import TrainConfig
 from surrkit.preprocess import SplitSpec
 from surrkit.tuner import MODEL_KINDS, GprGrid, MlpGrid
+
+
+# Each restart is an L-BFGS-B run of its own, so a count far past this one
+# would not finish.
+MAX_RESTARTS = 1000
+# The optimizer works in log length scales and the kernel divides by their
+# squares; length-scale bounds in this range keep both normal floats.
+LENGTH_SCALE_RANGE = (1e-150, 1e150)
 
 
 def _wrong(where: str, expected: str, value) -> InputError:
@@ -87,6 +97,22 @@ def _pair(value, where: str) -> tuple[float, float]:
     return _number(value[0], f"{where}[0]"), _number(value[1], f"{where}[1]")
 
 
+def _restarts(value, where: str) -> int:
+    restarts = _integer(value, where)
+    if not 1 <= restarts <= MAX_RESTARTS:
+        raise _wrong(where, f"an integer from 1 to {MAX_RESTARTS}", value)
+    return restarts
+
+
+def _length_scale_pair(value, where: str) -> tuple[float, float]:
+    pair = _pair(value, where)
+    lo, hi = LENGTH_SCALE_RANGE
+    for i, bound in enumerate(pair):
+        if not lo <= bound <= hi:
+            raise _wrong(f"{where}[{i}]", f"a number from {lo:g} to {hi:g}", value[i])
+    return pair
+
+
 def _kernel(value, where: str) -> KernelSpec:
     token = _string(value, where)
     try:
@@ -133,8 +159,8 @@ _SCHEMA = _object({
     "lf_model": _MODEL,
     "mf_model": _MODEL,
     "gpr": _object({
-        "kernels": _list_of(_kernel, "kernel tokens"), "restarts": _integer,
-        "length_scale_bounds": _pair, "signal_variance_bounds": _pair,
+        "kernels": _list_of(_kernel, "kernel tokens"), "restarts": _restarts,
+        "length_scale_bounds": _length_scale_pair, "signal_variance_bounds": _pair,
         "noise_bounds": _pair,
     }),
     "mlp": _object({

@@ -40,9 +40,9 @@ Ks are the bytes the out-of-place expressions give, except that a training
 kernel's self-distances are exactly 0 rather than the few ulps of
 cancellation the expanded r^2 leaves there.
 
-``GprModel.predict`` computes the mean alone; only ``gpr_predict`` (the path
-``metrics.uq_report`` takes) pays for the O(n^2) triangular solve behind the
-variance. Both run ``GprModel._predict``: it takes a batch in blocks of query
+``GprModel.predict`` computes the mean alone; only ``gpr_predict`` and
+``metrics.uq_report`` pay for the O(n^2) triangular solve behind the
+variance. All run ``GprModel._predict``: it takes a batch in blocks of query
 points whose kernel buffers (Ks, and the one or two more Matern 1.5 and 2.5
 need) fit in ``_KS_BLOCK_BYTES`` together, and writes each block's rows into
 preallocated outputs. A block's distance product, its elementwise passes and
@@ -50,14 +50,19 @@ preallocated outputs. A block's distance product, its elementwise passes and
 points at n_train = 560 with rbf), and the working memory of a batch is a
 block's worth whatever its size. A batch that fits in one block is predicted
 in one step. Ks is built from the training side of the kernel (X_train
-divided by the length scales, twice that, and its squared row norms), which
-each model computes once, on first use, and keeps; a query then allocates
-only its own scaled row and Ks.
+divided by the length scales, twice that, and its squared row norms as a
+column), which each model computes once, on first use, and keeps; a query
+then allocates only its own scaled row and Ks. The model works in scaled
+units only: a prediction stage (``multifid.FittedSurrogate.predict_raw``)
+scales the sites before ``_predict`` and unscales the mean after it.
 ``X_train`` and ``alpha`` are finite from the moment a model exists,
 because ``gpr_fit`` checks its inputs and rejects a non-finite lml (which
 any non-finite entry of ``alpha`` makes) and ``modelstore.load_model``
-checks them, so neither path re-checks them per query; query points are
-checked once, block by block, in ``GprModel._predict_block``. That check
+checks them, so no path re-checks them per query. A query's shape is
+checked once, by the outermost call (``GprModel.predict``, ``gpr_predict``,
+or the ``predict_raw`` or ``uq_report`` that took the raw sites, whose
+stage was checked to have its model's widths when it was made), and its
+values once, block by block, in ``GprModel._predict_block``. That check
 bounds the magnitude of the scaled query (``GprModel._query_bound``), so
 it also catches a finite raw site that overflows when a scaler divides
 it, which the raw-site check (``data.as_matrix``) lets through,
@@ -267,7 +272,7 @@ def _scale_inputs(X: np.ndarray, ls: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def _scaled_sq_dist(
     A_scaled: tuple[np.ndarray, np.ndarray],
     B_scaled: tuple[np.ndarray, np.ndarray],
-    A_doubled: np.ndarray | None = None,
+    A_terms: tuple[np.ndarray, np.ndarray] | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Squared length-scale-weighted distances r^2 between the rows of A and B.
@@ -275,25 +280,30 @@ def _scaled_sq_dist(
     Both arguments are ``_scale_inputs`` results. When they are the same
     one, the rows' distances to themselves are set to exactly 0:
     cancellation leaves them up to ~4e-16, a kink in Matern 0.5's lml.
-    ``A_doubled`` is ``2.0 * As`` where the caller keeps it, as a model
-    does for its training side; it is formed here otherwise. r^2 is
+    ``A_terms`` is ``_row_terms(A_scaled)`` where the caller keeps it, as a
+    model does for its training side; it is formed here otherwise. r^2 is
     written into ``out`` if given, else into a new array.
     """
-    (As, As_sq), (Bs, Bs_sq) = A_scaled, B_scaled
+    Bs, Bs_sq = B_scaled
+    A_doubled, As_sq = A_terms or _row_terms(A_scaled)
     # ||a||^2 - 2 a.b + ||b||^2, evaluated left to right in the product's
-    # buffer; clip tiny negatives from cancellation. 2.0 * As is exact and a
-    # new array, so the product never multiplies an array by its own
-    # transpose, which numpy may send to a rank-k update that rounds
-    # differently.
-    if A_doubled is None:
-        A_doubled = 2.0 * As
+    # buffer; clip tiny negatives from cancellation.
     sq = np.matmul(A_doubled, Bs.T, out=out)
-    np.subtract(As_sq[:, np.newaxis], sq, out=sq)
-    sq += Bs_sq[np.newaxis, :]
+    np.subtract(As_sq, sq, out=sq)
+    sq += Bs_sq
     np.maximum(sq, 0.0, out=sq)
     if A_scaled is B_scaled:
         np.fill_diagonal(sq, 0.0)
     return sq
+
+
+def _row_terms(A_scaled: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The A side of ``_scaled_sq_dist``: ``2.0 * As`` and the squared row
+    norms as a column. ``2.0 * As`` is exact and a new array, so the
+    product never multiplies an array by its own transpose, which numpy may
+    send to a rank-k update that rounds differently."""
+    As, As_sq = A_scaled
+    return 2.0 * As, As_sq[:, np.newaxis]
 
 
 def _kernel_from_sq(
@@ -448,9 +458,9 @@ class GprModel:
         return _scale_inputs(self.X_train, self._length_scales)
 
     @cached_property
-    def _train_doubled(self) -> np.ndarray:
-        """``2.0 * X_train / ls``, the training factor of every Ks product."""
-        return 2.0 * self._train_scaled[0]
+    def _train_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_row_terms`` of the training side, which every Ks product reads."""
+        return _row_terms(self._train_scaled)
 
     @cached_property
     def _query_bound(self) -> float:
@@ -477,32 +487,28 @@ class GprModel:
         buffers = {0.5: 1, 1.5: 2, 2.5: 3}[kernel.nu] if kernel.is_matern else 1
         return max(8, _KS_BLOCK_BYTES // (64 * self.n_train * buffers) * 8)
 
-    def _predict(
-        self, X_star: np.ndarray, with_variance: bool
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Posterior mean, and the latent variance if asked for, at ``X_star``.
+    def _predict(self, X_star: np.ndarray, variance: np.ndarray | None = None) -> np.ndarray:
+        """Posterior mean at ``X_star``, a matrix of the model's width whose
+        values ``_predict_block`` checks; ``variance``, if given, receives
+        each point's latent variance.
 
         A batch larger than one block (``_KS_BLOCK_BYTES``) is predicted
         block by block into preallocated outputs, so its working memory does
         not grow with it.
         """
-        X_star = as_matrix(X_star, "X_star", self.input_dim, finite=False)
         rows = self._block_rows
         m = X_star.shape[0]
         if m <= rows:
-            return self._predict_block(X_star, with_variance)
+            return self._predict_block(X_star, variance)
         mean = np.empty((m, self.y_dim))
-        variance = np.empty(m) if with_variance else None
         for start in range(0, m, rows):
             block = slice(start, start + rows)
-            mean[block], block_variance = self._predict_block(X_star[block], with_variance)
-            if variance is not None:
-                variance[block] = block_variance
-        return mean, variance
+            mean[block] = self._predict_block(
+                X_star[block], None if variance is None else variance[block]
+            )
+        return mean
 
-    def _predict_block(
-        self, X_star: np.ndarray, with_variance: bool
-    ) -> tuple[np.ndarray, np.ndarray | None]:
+    def _predict_block(self, X_star: np.ndarray, variance: np.ndarray | None) -> np.ndarray:
         """``_predict`` for one block of query points, all at once.
 
         The points are checked here, once, for values below
@@ -512,23 +518,21 @@ class GprModel:
         """
         _check_below(X_star, "X_star", self._query_bound)
         sq = _scaled_sq_dist(
-            self._train_scaled, _scale_inputs(X_star, self._length_scales), self._train_doubled
+            self._train_scaled, _scale_inputs(X_star, self._length_scales), self._train_terms
         )
         Ks = _kernel_from_sq(self.kernel, sq, self.kernel.signal_variance)
-        mean = Ks.T @ self.alpha
-        if not with_variance:
-            return mean, None
-        # The LAPACK routine solve_triangular calls; L's diagonal is positive,
-        # so the solve cannot fail.
-        v, _ = dtrtrs(self.L, Ks, lower=1)
-        variance = np.full(Ks.shape[1], self.kernel.signal_variance)
-        variance -= np.einsum("ij,ij->j", v, v)
-        np.maximum(variance, 0.0, out=variance)
-        return mean, variance
+        if variance is not None:
+            # The LAPACK routine solve_triangular calls; L's diagonal is
+            # positive, so the solve cannot fail.
+            v, _ = dtrtrs(self.L, Ks, lower=1)
+            variance.fill(self.kernel.signal_variance)
+            variance -= np.einsum("ij,ij->j", v, v)
+            np.maximum(variance, 0.0, out=variance)
+        return Ks.T @ self.alpha
 
     def predict(self, X_scaled: np.ndarray) -> np.ndarray:
         """Posterior mean at inputs in scaled space; no variance is computed."""
-        return self._predict(X_scaled, False)[0]
+        return self._predict(as_matrix(X_scaled, "X_star", self.input_dim, finite=False))
 
 
 @dataclass(frozen=True, eq=False)
@@ -629,8 +633,9 @@ def gpr_fit(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> GprModel:
 
 def gpr_predict(model: GprModel, X_star: np.ndarray) -> Prediction:
     """Posterior mean and latent variance at query points."""
-    mean, variance = model._predict(X_star, True)
-    return Prediction(mean=mean, variance=variance)
+    X_star = as_matrix(X_star, "X_star", model.input_dim, finite=False)
+    variance = np.empty(X_star.shape[0])
+    return Prediction(mean=model._predict(X_star, variance), variance=variance)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,7 @@ import numpy as np
 
 from surrkit.data import DataTensor, as_matrix, write_csv
 from surrkit.errors import InputError, UnsupportedModelError
-from surrkit.gpr import GprModel, gpr_predict
-from surrkit.preprocess import inverse_transform, transform
+from surrkit.gpr import GprModel
 
 
 def r_squared(y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -180,7 +179,9 @@ def uq_report(surrogate, X_raw: np.ndarray) -> UqReport:
 
     The shared latent standard deviation is multiplied by each output's
     scaler std, the back-map consistent with one kernel serving all outputs.
-    The sites are checked as ``predict_raw`` checks them (``as_matrix``).
+    The sites are checked once, as ``predict_raw`` checks them
+    (``as_matrix``), and take the stage's path with the variance added:
+    the mean is ``predict_raw``'s, the variance ``gpr_predict``'s.
     Anything but a single-stage surrogate with a GPR model, such as a
     composite or a bare ``GprModel`` with no scalers, is unsupported.
     """
@@ -192,10 +193,10 @@ def uq_report(surrogate, X_raw: np.ndarray) -> UqReport:
             f"got {got}"
         )
     X_raw = as_matrix(X_raw, "design sites", surrogate.input_dim)
-    pred = gpr_predict(model, transform(surrogate.x_scaler, X_raw))
-    mean = inverse_transform(surrogate.y_scaler, pred.mean)
-    latent_std = np.sqrt(pred.variance)
-    std = latent_std[:, np.newaxis] * surrogate.y_scaler.stds[np.newaxis, :]
+    variance = np.empty(X_raw.shape[0])
+    y_scaler = surrogate.y_scaler
+    mean = y_scaler.unscale(model._predict(surrogate.x_scaler.scale(X_raw), variance))
+    std = np.sqrt(variance)[:, np.newaxis] * y_scaler.stds
     return UqReport(mean=mean, std=std)
 
 

@@ -97,12 +97,19 @@ class MlpModel:
         return self.architecture.describe()
 
     def predict(self, X_scaled: np.ndarray) -> np.ndarray:
-        """Network output at inputs in scaled space.
+        """Network output at inputs in scaled space."""
+        dim = self.architecture.input_dim
+        return self._predict(as_matrix(X_scaled, "X_scaled", dim, finite=False))
+
+    def _predict(self, X_scaled: np.ndarray) -> np.ndarray:
+        """``predict`` at a matrix of the network's width, as
+        ``GprModel._predict`` takes it.
 
         Non-finite inputs raise ``InputError``, as in ``GprModel.predict``:
         a finite raw site can overflow when its scaler divides it.
         """
-        X_scaled = as_matrix(X_scaled, "X_scaled", self.architecture.input_dim)
+        if not np.isfinite(X_scaled).all():
+            raise InputError("X_scaled contains non-finite entries")
         return _activations(self, X_scaled)[-1]
 
 

@@ -73,6 +73,15 @@ def _json_number(value, where: str, kinds: tuple = (int, float)):
     return value
 
 
+def _json_float(value, where: str) -> float:
+    """``_json_number(value, where)`` as a float; an integer past the float
+    range is refused under ``where``, not as "int too large to convert"."""
+    try:
+        return float(_json_number(value, where))
+    except OverflowError:
+        raise ValueError(f"{where} must be a float, got an integer past the float range") from None
+
+
 def _printable(path: Path) -> str:
     """``path`` with each non-printable character backslash-escaped, so a
     name read from a bundle cannot move the terminal's cursor."""
@@ -425,9 +434,9 @@ def _build_surrogate(bundle_dir: Path, meta: dict, arrays: dict, stage: str) -> 
             )
         spec = KernelSpec(
             kind=hyper["kind"],
-            length_scale=[_json_number(v, "hyperparameters.length_scale")
-                          for v in hyper["length_scale"]],
-            **{key: float(_json_number(hyper[key], f"hyperparameters.{key}"))
+            length_scale=[_json_float(v, f"hyperparameters.length_scale[{i}]")
+                          for i, v in enumerate(hyper["length_scale"])],
+            **{key: _json_float(hyper[key], f"hyperparameters.{key}")
                for key in ("signal_variance", "nu", "noise")},
         )
         spec.length_scale_vector(X_train.shape[1])  # one entry, or one per input dim
@@ -439,6 +448,7 @@ def _build_surrogate(bundle_dir: Path, meta: dict, arrays: dict, stage: str) -> 
                 f"malformed bundle {bundle_dir}: training.jitter_used must be a "
                 f"finite number >= 0, got {jitter_used!r}"
             )
+        jitter_used = _json_float(jitter_used, "training.jitter_used")
         # |k| <= sf2, so this bounds the stage's raw output, (Ks.T @ alpha)
         # * y std + y mean, at every site: a stage whose bound overflows
         # would fail at predict, blaming the sites.
@@ -456,8 +466,8 @@ def _build_surrogate(bundle_dir: Path, meta: dict, arrays: dict, stage: str) -> 
             X_train=X_train,
             alpha=alpha,
             y_dim=alpha.shape[1],
-            lml=float(_json_number(training.get("lml", math.nan), "training.lml")),
-            jitter_used=float(jitter_used),
+            lml=_json_float(training.get("lml", math.nan), "training.lml"),
+            jitter_used=jitter_used,
         )
         # Training inputs past the bound that queries meet would overflow the
         # kernel at every prediction, with an error that blames the sites.

@@ -19,10 +19,14 @@ low-fidelity model.
 A prediction checks its raw sites once per call, with
 ``data.as_matrix``: the outermost ``predict_raw`` (or
 ``build_mf_input``) checks them, and passes ``checked=True`` to the stages
-inside it. Each model still checks its scaled query, which is what catches a
-finite raw site that overflows in scaling, and each scaler checks its column
-count. ``build_mf_input`` writes ``[F_lf(x) | x]`` into one preallocated
-array.
+inside it. A stage (``FittedSurrogate.predict_raw``) then scales the sites,
+runs its model and unscales the output, the arithmetic of ``transform``,
+the model's ``predict`` and ``inverse_transform`` in their order, so the
+bytes are theirs. Its one check is its model's check of the scaled query,
+which is what catches a finite raw site that overflows in scaling; that the
+model's widths are its scalers' is checked when the stage is made.
+``build_mf_input`` writes ``[F_lf(x) | x]`` into one preallocated array,
+the LF stage its predictions straight into the first q columns.
 """
 
 from __future__ import annotations
@@ -40,9 +44,7 @@ from surrkit.mlp import MlpModel
 from surrkit.preprocess import (
     SplitSpec,
     StandardScaler,
-    inverse_transform,
     preprocess_data_pipeline,
-    transform,
 )
 from surrkit.tuner import GprGrid, MlpGrid, SweepResult, tune
 
@@ -92,15 +94,33 @@ class TensorLayout:
         ]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FittedSurrogate:
-    """One trained model plus the scalers and output layout to use it raw-in, raw-out."""
+    """One trained model plus the scalers and output layout to use it raw-in, raw-out.
+
+    The model's input and output widths are its scalers' column counts,
+    checked here, once: ``predict_raw`` relies on them.
+    """
 
     model: GprModel | MlpModel
     x_scaler: StandardScaler
     y_scaler: StandardScaler
     y_layout: TensorLayout
     fidelity: str = ""
+
+    def __post_init__(self) -> None:
+        model = self.model
+        if isinstance(model, GprModel):
+            n_in, n_out = model.input_dim, model.y_dim
+        else:
+            n_in, n_out = model.architecture.input_dim, model.architecture.output_dim
+        for side, axis, width, scaler in (("inputs", "x", n_in, self.x_scaler),
+                                          ("outputs", "y", n_out, self.y_scaler)):
+            if width != scaler.fitted_on:
+                raise InputError(
+                    f"{model.describe()} has {width} {side}, but its {axis} scaler "
+                    f"has {scaler.fitted_on} columns"
+                )
 
     @property
     def input_dim(self) -> int:
@@ -110,15 +130,20 @@ class FittedSurrogate:
     def output_dim(self) -> int:
         return self.y_scaler.fitted_on
 
-    def predict_raw(self, X_raw: np.ndarray, *, checked: bool = False) -> np.ndarray:
-        """Predictions at raw sites, in raw units.
+    def predict_raw(
+        self, X_raw: np.ndarray, *, checked: bool = False, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Predictions at raw sites, in raw units, written into ``out`` if
+        given, else into a new array.
 
-        ``checked=True`` says ``X_raw`` already passed ``as_matrix``.
+        ``checked=True`` says ``X_raw`` already passed ``as_matrix``. The
+        stage scales the sites, runs its model on them and unscales the
+        model's output into ``out``: the arithmetic of ``transform``, the
+        model's ``predict`` and ``inverse_transform``, without their checks.
         """
         if not checked:
             X_raw = as_matrix(X_raw, "design sites", self.input_dim)
-        pred = self.model.predict(transform(self.x_scaler, X_raw))
-        return inverse_transform(self.y_scaler, pred)
+        return self.y_scaler.unscale(self.model._predict(self.x_scaler.scale(X_raw)), out)
 
     def describe(self) -> str:
         tag = f"[{self.fidelity}] " if self.fidelity else ""
@@ -164,11 +189,14 @@ class MfComposite:
     def y_layout(self) -> TensorLayout:
         return self.mf.y_layout
 
-    def predict_raw(self, X_raw: np.ndarray, *, checked: bool = False) -> np.ndarray:
-        """Predictions at raw sites, in raw units; ``build_mf_input`` checks
-        the sites unless ``checked`` says they passed ``as_matrix``."""
+    def predict_raw(
+        self, X_raw: np.ndarray, *, checked: bool = False, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Predictions at raw sites, in raw units, written into ``out`` if
+        given; ``build_mf_input`` checks the sites unless ``checked`` says
+        they passed ``as_matrix``."""
         augmented = build_mf_input(self.lf, X_raw, checked=checked)
-        return self.mf.predict_raw(augmented, checked=True)
+        return self.mf.predict_raw(augmented, checked=True, out=out)
 
     def describe(self) -> str:
         return f"mf-composite(lf={self.lf.describe()}, mf={self.mf.describe()})"
@@ -203,15 +231,15 @@ def build_mf_input(
     """Raw LF predictions ahead of the raw input array, in one new array.
 
     Column order is fixed: the q_lf prediction columns come first, then the d
-    original input columns. The sites are checked with ``as_matrix``
-    against ``lf.input_dim`` unless ``checked`` says they already were.
+    original input columns; ``lf`` writes its predictions into the first q_lf
+    columns. The sites are checked with ``as_matrix`` against
+    ``lf.input_dim`` unless ``checked`` says they already were.
     """
     if not checked:
         X_raw = as_matrix(X_raw, "design sites", lf.input_dim)
-    lf_pred = lf.predict_raw(X_raw, checked=True)
-    q = lf_pred.shape[1]
+    q = lf.output_dim
     augmented = np.empty((X_raw.shape[0], q + X_raw.shape[1]))
-    augmented[:, :q] = lf_pred
+    lf.predict_raw(X_raw, checked=True, out=augmented[:, :q])
     augmented[:, q:] = X_raw
     return augmented
 

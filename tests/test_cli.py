@@ -26,7 +26,7 @@ from helpers import (
 )
 from surrkit import mlp, tuner
 from surrkit.cli import main
-from surrkit.config import DataSource, load_config
+from surrkit.config import LENGTH_SCALE_RANGE, MAX_RESTARTS, DataSource, load_config
 from surrkit.data import DataTensor, FidelityDataset, export_tensor, import_tensor
 from surrkit.errors import StoreError
 from surrkit.modelstore import load_model, save_model
@@ -1307,6 +1307,51 @@ def test_number_past_the_float_range_in_a_config_exits_2_with_one_line(tmp_path)
     assert code == 2
     assert lines == [f"error: config key 'split.train_frac' must be a number, got {huge}"]
     assert not (tmp_path / "r").exists()
+
+
+# Values of the right JSON type that could not run, with the message each
+# gives: a restart count past the cap, which would run without end, and
+# length-scale bounds whose log or squared inverse is no normal float, which
+# overflow in training.
+OUT_OF_RANGE = {
+    "restarts-2**63": (
+        {"restarts": 2**63},
+        f"'gpr.restarts' must be an integer from 1 to {MAX_RESTARTS}, got {2**63}",
+    ),
+    "restarts-cap+1": (
+        {"restarts": MAX_RESTARTS + 1},
+        f"'gpr.restarts' must be an integer from 1 to {MAX_RESTARTS}, got {MAX_RESTARTS + 1}",
+    ),
+    "length_scale-subnormal": (
+        {"length_scale_bounds": [1e-320, 1e-300]},
+        "'gpr.length_scale_bounds[0]' must be a number from 1e-150 to 1e+150, got 1e-320",
+    ),
+    "length_scale-huge": (
+        {"length_scale_bounds": [1.0, 1e200]},
+        "'gpr.length_scale_bounds[1]' must be a number from 1e-150 to 1e+150, got 1e+200",
+    ),
+}
+
+
+@pytest.mark.parametrize("gpr, message", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+def test_config_value_out_of_its_range_exits_2_at_config_read(tmp_path, gpr, message):
+    """The data files do not exist, so a config the reader passed would exit
+    on them instead, and no run starts either way."""
+    cfg = write_config(tmp_path / "cfg.json", {"data": {"x": "x.txt", "y": "y.txt"}, "gpr": gpr})
+    code, lines = run_captured(["train", "--config", str(cfg), "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert lines == [f"error: config key {message}"]
+    assert not (tmp_path / "r").exists()
+
+
+def test_config_ranges_include_their_ends(tmp_path):
+    lo, hi = LENGTH_SCALE_RANGE
+    cfg = load_config(write_config(tmp_path / "cfg.json", {
+        "data": {"x": "x.txt", "y": "y.txt"},
+        "gpr": {"restarts": MAX_RESTARTS, "length_scale_bounds": [lo, hi]},
+    }))
+    assert cfg.gpr_grid.restarts == MAX_RESTARTS
+    assert cfg.gpr_grid.bounds.length_scale == (lo, hi)
 
 
 # A config that sets every key but out_dir (for which null is valid), each

@@ -436,9 +436,9 @@ class TestBlockedPrediction:
         model = gpr_fit(self.X, self.Y, spec)
         blocks, inner = [], gpr.GprModel._predict_block
 
-        def counted(self, X_star, with_variance):
+        def counted(self, X_star, variance):
             blocks.append(len(X_star))
-            return inner(self, X_star, with_variance)
+            return inner(self, X_star, variance)
 
         monkeypatch.setattr(gpr.GprModel, "_predict_block", counted)
         mean = model.predict(self.Xq)

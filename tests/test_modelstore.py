@@ -536,6 +536,74 @@ class TestSchemaErrors:
         with pytest.raises(StoreError, match="training.jitter_used must be a finite number"):
             load_model(bundle)
 
+    # Scaler payloads widened in a single-stage binary bundle, the meta.json
+    # edit that keeps the y layout as wide as the y scaler, and the width
+    # mismatch the stage is refused for.
+    SCALER_WIDTHS = {
+        "gpr-x": ("gpr_surrogate", "x_scaler", 2, "has 1 inputs, but its x scaler has 2"),
+        "mlp-x": ("mlp_surrogate", "x_scaler", 2, "has 1 inputs, but its x scaler has 2"),
+        "mlp-y": ("mlp_surrogate", "y_scaler", 3, "has 1 outputs, but its y scaler has 3"),
+    }
+
+    @pytest.mark.parametrize("fixture, key, width, message", SCALER_WIDTHS.values(),
+                             ids=SCALER_WIDTHS.keys())
+    def test_scaler_wider_than_its_model_is_store_error(
+        self, request, tmp_path, fixture, key, width, message
+    ):
+        bundle = save_model(request.getfixturevalue(fixture), tmp_path, "widths",
+                            payload_format="binary")
+        path = bundle / "payload.bin"
+        values = np.frombuffer(path.read_bytes(), dtype="<f8")
+        pieces = []
+        for name, (start, (rows, cols)) in payload_sections(bundle).items():
+            piece = values[start : start + rows * cols]
+            if name.startswith(key):
+                piece = np.full(width, 1.0 if name.endswith("stds") else 0.0)
+            pieces.append(piece)
+        path.write_bytes(np.concatenate(pieces).astype("<f8").tobytes())
+
+        def change(meta):
+            for name in (f"{key}_means", f"{key}_stds"):
+                meta["payloads"][name]["shape"] = [1, width]
+            if key == "y_scaler":
+                meta["y_layout"]["scalar_names"] = [f"y{i}" for i in range(width)]
+
+        edit_meta(bundle, change)
+        with pytest.raises(StoreError, match=f"^malformed bundle .*{message} columns$") as caught:
+            load_model(bundle)
+        assert "\n" not in str(caught.value)
+
+    # Where an integer past the float range can sit in a GPR bundle, as the
+    # key path into meta.json and the name the error gives it.
+    HUGE_INTEGER_KEYS = {
+        "signal_variance": (("hyperparameters", "signal_variance"),
+                            "hyperparameters.signal_variance"),
+        "noise": (("hyperparameters", "noise"), "hyperparameters.noise"),
+        "length_scale": (("hyperparameters", "length_scale", 0),
+                         "hyperparameters.length_scale[0]"),
+        "lml": (("training", "lml"), "training.lml"),
+        "jitter_used": (("training", "jitter_used"), "training.jitter_used"),
+    }
+
+    @pytest.mark.parametrize("keys, name", HUGE_INTEGER_KEYS.values(),
+                             ids=HUGE_INTEGER_KEYS.keys())
+    def test_integer_past_the_float_range_is_refused_by_its_key(
+        self, gpr_surrogate, tmp_path, keys, name
+    ):
+        def change(meta):
+            node = meta
+            for key in keys[:-1]:
+                node = node[key]
+            node[keys[-1]] = 10**400
+
+        bundle = save_model(gpr_surrogate, tmp_path, "huge")
+        edit_meta(bundle, change)
+        with pytest.raises(StoreError) as caught:
+            load_model(bundle)
+        assert str(caught.value).endswith(
+            f"{name} must be a float, got an integer past the float range"
+        )
+
     # Edits of a 3-output layout (scalar names y1, y2, y3) and the message
     # each gives.
     LAYOUT_EDITS = {

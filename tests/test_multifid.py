@@ -1,6 +1,8 @@
 """Multi-fidelity composition: augmentation, training, and scaler routing."""
 
 import csv
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -328,6 +330,29 @@ class TestAugmentedColumnOrderStability:
             np.testing.assert_allclose(aug[:, 1], 20.0)
             np.testing.assert_allclose(aug[:, 2], 30.0)
             np.testing.assert_allclose(aug[:, 3:], X)
+
+
+def test_stage_widths_are_its_scalers():
+    """A stage whose model does not take its x scaler's columns, or does not
+    give its y scaler's, is refused when it is made, with one line:
+    ``predict_raw`` checks no width after the raw sites'."""
+    X = np.random.default_rng(14).uniform(0, 1, (10, 3))
+    gpr_model = gpr.gpr_fit(X, X[:, :1], KernelSpec(kind="rbf"))
+    mlp_model = init_model(MlpArchitecture(1, (2,), 1, "identity"), 0)
+    identity = StandardScaler.identity
+    layout = TensorLayout(("y",), ("0",))
+    cases = [
+        (gpr_model, 1, 1, "has 3 inputs, but its x scaler has 1 columns"),
+        (gpr_model, 3, 2, "has 1 outputs, but its y scaler has 2 columns"),
+        (mlp_model, 2, 1, "has 1 inputs, but its x scaler has 2 columns"),
+        (mlp_model, 1, 3, "has 1 outputs, but its y scaler has 3 columns"),
+    ]
+    for model, d, q, message in cases:
+        with pytest.raises(InputError, match=f"^{re.escape(model.describe())} {message}$"):
+            FittedSurrogate(model, identity(d), identity(q), layout)
+    stage = FittedSurrogate(gpr_model, identity(3), identity(1), layout)
+    with pytest.raises(InputError, match="x scaler has 1 columns"):
+        replace(stage, x_scaler=identity(1))
 
 
 @pytest.mark.parametrize("kind", ["gpr", "mlp"])

@@ -1,13 +1,17 @@
 """One input contract for every raw-unit prediction, and its byte identity.
 
 Every ``predict_raw`` and ``metrics.uq_report`` checks its raw sites with
-``data.as_matrix``: a rank-1 array is one column, and a wrong
-column count, a NaN or an infinity raises ``InputError``. A finite site that
-overflows when a scaler divides it is caught by the model's check of its
-scaled query. The cheaper single-site path must not change a byte of any
-prediction: the composite's output is compared with a reference assembled
-stage by stage from public pieces.
+one ``data.as_matrix`` call, at the outermost call: a rank-1 array is one
+column, and a wrong column count, a NaN or an infinity raises
+``InputError``. A finite site that overflows when a scaler divides it is
+caught by the model's check of its scaled query. The stages run the
+arithmetic of ``transform``, the model and ``inverse_transform`` without
+those functions' checks, and must not change a byte of any prediction: the
+output of GPR/GPR, GPR/MLP and 3-level composites is compared with a
+reference assembled stage by stage from those public pieces.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +20,7 @@ from surrkit.data import as_matrix
 from surrkit.errors import InputError
 from surrkit.gpr import KernelSpec, kernel_eval
 from surrkit.metrics import uq_report
-from surrkit.mlp import TrainConfig
+from surrkit.mlp import MlpModel, TrainConfig, mlp_forward
 from surrkit.multifid import MfComposite, train_mf, train_mf_chain, train_single_fidelity
 from surrkit.preprocess import SplitSpec, fit_scaler, inverse_transform, transform
 from surrkit.synthbench import Sampler, forrester_pair, generate_pair_dataset, trig4_pair
@@ -96,6 +100,8 @@ def _reference(stage, x):
     if isinstance(stage, MfComposite):
         return _reference(stage.mf, np.hstack([_reference(stage.lf, x), x]))
     model = stage.model
+    if isinstance(model, MlpModel):
+        return inverse_transform(stage.y_scaler, mlp_forward(model, transform(stage.x_scaler, x)))
     rows = model._block_rows
     means = [
         kernel_eval(model.kernel, model.X_train, transform(stage.x_scaler, x[i : i + rows])).T
@@ -105,15 +111,32 @@ def _reference(stage, x):
     return inverse_transform(stage.y_scaler, np.vstack(means))
 
 
-@pytest.fixture(
-    scope="module",
-    params=[KernelSpec(kind="constant*rbf"), KernelSpec(kind="constant*matern", nu=2.5)],
-    ids=["constant*rbf", "constant*matern2.5"],
-)
+def _largest_block(stage) -> int:
+    """The most sites any GPR stage of ``stage`` predicts in one block."""
+    if isinstance(stage, MfComposite):
+        return max(_largest_block(stage.lf), _largest_block(stage.mf))
+    return getattr(stage.model, "_block_rows", 1)
+
+
+# Composites on the trig4 pair: GPR/GPR with the two kernels whose blocks
+# differ most in size, a GPR/MLP pair and a 3-level GPR chain.
+TRIG4_COMPOSITES = {
+    "constant*rbf": ("gpr", KernelSpec(kind="constant*rbf")),
+    "constant*matern2.5": ("gpr", KernelSpec(kind="constant*matern", nu=2.5)),
+    "gpr/mlp": ("mlp", KernelSpec(kind="constant*rbf")),
+    "3-level": ("3-level", KernelSpec(kind="constant*rbf")),
+}
+
+
+@pytest.fixture(scope="module", params=TRIG4_COMPOSITES.values(), ids=TRIG4_COMPOSITES.keys())
 def trig4_composite(request):
+    top, kernel = request.param
     lf, hf = generate_pair_dataset(trig4_pair(), 60, 30, Sampler(seed=5))
-    grid = GprGrid(kernels=(request.param,), restarts=1, seed=5)
-    return train_mf(lf, hf, "gpr", "gpr", SplitSpec(seed=5), grid)
+    grid = GprGrid(kernels=(kernel,), restarts=1, seed=5)
+    if top == "3-level":
+        _, mid = generate_pair_dataset(trig4_pair(), 60, 30, Sampler(seed=6))
+        return train_mf_chain([lf, mid, hf], "gpr", SplitSpec(seed=5), grid)
+    return train_mf(lf, hf, "gpr", top, SplitSpec(seed=5), grid, MLP_GRID)
 
 
 class TestByteIdentity:
@@ -125,10 +148,29 @@ class TestByteIdentity:
             assert trig4_composite.predict_raw(site).tobytes() == expected.tobytes()
 
     def test_batch_beyond_one_block(self, trig4_composite):
-        rows = max(trig4_composite.lf.model._block_rows, trig4_composite.mf.model._block_rows)
+        rows = _largest_block(trig4_composite)
         sites = np.random.default_rng(7).uniform(size=(rows + 37, 4))
         expected = _reference(trig4_composite, sites)
         assert trig4_composite.predict_raw(sites).tobytes() == expected.tobytes()
+
+
+def test_raw_sites_are_checked_once(predictors, monkeypatch):
+    """Every predictor checks its raw sites with one ``as_matrix`` call,
+    whichever module makes it; its stages check no matrix again."""
+    checked = []
+
+    def counted(x, name, *args, **kwargs):
+        checked.append(name)
+        return as_matrix(x, name, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("surrkit") and getattr(module, "as_matrix", None) is as_matrix:
+            monkeypatch.setattr(module, "as_matrix", counted)
+    for name in NAMES:
+        for sites in (np.array([[0.3]]), np.linspace(0.0, 1.0, 9)):
+            checked.clear()
+            predictors[name](sites)
+            assert checked == ["design sites"], name
 
 
 def test_no_divisor_is_built_per_call(predictors, monkeypatch):
