@@ -2,11 +2,13 @@
 
 ``_SCHEMA`` lists every key once, with the reader that checks its JSON type
 (a bool is no number, and an integer key takes a float only if it is
-integral) and, for ``gpr.restarts`` and ``gpr.length_scale_bounds``, its
-range (``MAX_RESTARTS``, ``LENGTH_SCALE_RANGE``); README's "Configuration"
-shows a full config. Every key is
-checked before any stage runs, an unknown key is rejected with its full
-path, and an omitted key keeps the default of the dataclass field it sets.
+integral) and, for ``gpr.restarts``, ``gpr.length_scale_bounds``,
+``mlp.widths`` and ``mlp.layers``, its range (``MAX_RESTARTS``,
+``LENGTH_SCALE_RANGE``, ``MAX_WIDTH``, ``MAX_LAYERS``); README's
+"Configuration" shows a full config. Every key is checked before any stage
+runs, an unknown key is rejected with its full path, and an omitted key keeps
+the default of the dataclass field it sets. A key that training does not read
+(``UNREAD_MLP_KEYS``) loads with one warning.
 CLI flags (``--seed``, ``--out``, the split fractions and ``mf-train``'s
 data paths) override config values.
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -42,6 +45,15 @@ MAX_RESTARTS = 1000
 # The optimizer works in log length scales and the kernel divides by their
 # squares; length-scale bounds in this range keep both normal floats.
 LENGTH_SCALE_RANGE = (1e-150, 1e150)
+# An MLP candidate of MAX_LAYERS hidden layers of MAX_WIDTH neurons has about
+# 7.3M parameters, and L-BFGS-B keeps about 25 vectors of that length (1.5 GB);
+# each width or layer past these caps multiplies that, so a value such as
+# 10**9 would allocate without bound. The default grid stops at 3 layers of 128.
+MAX_WIDTH = 1024
+MAX_LAYERS = 8
+# ``TrainConfig`` fields that configs may set but that full-batch L-BFGS-B
+# training does not read; a config that sets one loads with a warning.
+UNREAD_MLP_KEYS = ("learning_rate", "batch_size", "early_stop_patience")
 
 
 def _wrong(where: str, expected: str, value) -> InputError:
@@ -97,11 +109,16 @@ def _pair(value, where: str) -> tuple[float, float]:
     return _number(value[0], f"{where}[0]"), _number(value[1], f"{where}[1]")
 
 
-def _restarts(value, where: str) -> int:
-    restarts = _integer(value, where)
-    if not 1 <= restarts <= MAX_RESTARTS:
-        raise _wrong(where, f"an integer from 1 to {MAX_RESTARTS}", value)
-    return restarts
+def _integer_to(cap: int):
+    """A reader of an integer from 1 to ``cap``."""
+
+    def read(value, where: str) -> int:
+        number = _integer(value, where)
+        if not 1 <= number <= cap:
+            raise _wrong(where, f"an integer from 1 to {cap}", value)
+        return number
+
+    return read
 
 
 def _length_scale_pair(value, where: str) -> tuple[float, float]:
@@ -146,7 +163,6 @@ _DATA = {"x": _string, "y": _string, "format": _one_of("tensor-text", "csv"),
          "fidelity": _string}
 _KIND = _one_of(*MODEL_KINDS)
 _MODEL = _object({"kind": _KIND})
-_INTEGERS = _list_of(_integer, "integers")
 _SCHEMA = _object({
     "seed": _integer,
     "out_dir": _string_or_null,
@@ -159,16 +175,17 @@ _SCHEMA = _object({
     "lf_model": _MODEL,
     "mf_model": _MODEL,
     "gpr": _object({
-        "kernels": _list_of(_kernel, "kernel tokens"), "restarts": _restarts,
+        "kernels": _list_of(_kernel, "kernel tokens"), "restarts": _integer_to(MAX_RESTARTS),
         "length_scale_bounds": _length_scale_pair, "signal_variance_bounds": _pair,
         "noise_bounds": _pair,
     }),
     "mlp": _object({
-        "layers": _INTEGERS, "widths": _INTEGERS, "learning_rate": _number,
+        "layers": _list_of(_integer_to(MAX_LAYERS), "integers"),
+        "widths": _list_of(_integer_to(MAX_WIDTH), "integers"), "learning_rate": _number,
         "max_epochs": _integer, "batch_size": _integer,
         "early_stop_patience": _integer, "optimizer": _one_of("lbfgs"),
     }),
-    "convergence": _object({"sizes": _INTEGERS, "model": _KIND}),
+    "convergence": _object({"sizes": _list_of(_integer, "integers"), "model": _KIND}),
 })
 
 
@@ -326,7 +343,7 @@ def load_config(
     if top.get("out_dir") is not None:
         raw["out_dir"] = os.path.abspath(base / top["out_dir"])
     out_dir = out_override if out_override is not None else raw.get("out_dir")
-    return RunConfig(
+    config = RunConfig(
         seed=seed,
         out_dir=Path(out_dir) if out_dir is not None else None,
         split=split,
@@ -339,3 +356,8 @@ def load_config(
         convergence_model=convergence.get("model", model_kind),
         raw=raw,
     )
+    for key in UNREAD_MLP_KEYS:
+        if key in mlp:
+            warnings.warn(f"config key 'mlp.{key}' has no effect: full-batch L-BFGS-B "
+                          "training does not read it")
+    return config

@@ -79,8 +79,9 @@ of ``X_train``, the hyperparameters and ``jitter_used``, so bundles do not
 store it: a model built without one, as every loaded model is, rebuilds it
 on its first variance request (``GprModel.L``) with ``kernel_eval`` and
 ``_factor`` at the stored jitter alone, which gives the fit's bytes under
-the same BLAS build and thread count. Means use ``alpha`` alone and never
-factor.
+the same BLAS build and numpy thread count: the fit and the rebuild both run
+scipy's LAPACK on one thread (``blas``), whatever count the caller's scipy
+pool runs. Means use ``alpha`` alone and never factor.
 
 Hyperparameter optimization maximizes the lml with L-BFGS-B on its exact
 gradient in the log-hyperparameters (GPML eq. 5.9), which
@@ -109,6 +110,7 @@ from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
 from scipy.optimize import OptimizeResult, minimize
 
+from surrkit.blas import _one_scipy_blas_thread
 from surrkit.data import as_matrix
 from surrkit.errors import InputError, NumericError
 
@@ -427,9 +429,11 @@ class GprModel:
     @cached_property
     def L(self) -> np.ndarray:
         """cholesky(K(X_train) + (noise + jitter_used) I), lower: the factor
-        ``gpr_fit`` found, rebuilt with ``gpr_fit``'s operations in their order."""
+        ``gpr_fit`` found, rebuilt with ``gpr_fit``'s operations in their order
+        and on its one scipy BLAS thread."""
         K = kernel_eval(self.kernel, self.X_train, self.X_train)
-        return _factor(_add_to_diagonal(K, self.kernel.noise), (self.jitter_used,))[0]
+        with _one_scipy_blas_thread():
+            return _factor(_add_to_diagonal(K, self.kernel.noise), (self.jitter_used,))[0]
 
     @property
     def n_train(self) -> int:
@@ -616,10 +620,12 @@ def _fit_at(
 
 
 def gpr_fit(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> GprModel:
-    """Factor the kernel matrix and solve for the dual weights."""
+    """Factor the kernel matrix and solve for the dual weights, on one scipy
+    BLAS thread."""
     X, Y = _training_pair(X, Y)
     K = _add_to_diagonal(kernel_eval(spec, X, X), spec.noise)
-    L, alpha, lml, jitter_used = _fit_at(K, Y, spec.signal_variance)
+    with _one_scipy_blas_thread():
+        L, alpha, lml, jitter_used = _fit_at(K, Y, spec.signal_variance)
     return GprModel(
         kernel=spec,
         X_train=X.copy(),
@@ -831,7 +837,7 @@ def optimize_hyperparameters(
     ``seed``. Only the ``_lbfgsb`` run that ends with the highest lml, the
     earliest on a tie, is fitted with ``gpr_fit``; no start is, as L-BFGS-B
     never ends below where it began. ``nu`` and the kernel kind are never
-    modified.
+    modified. The lml evaluations run on one scipy BLAS thread, as the fit does.
     """
     if restarts < 1:
         raise InputError(f"restarts must be >= 1, got {restarts}")
@@ -849,11 +855,12 @@ def optimize_hyperparameters(
     starts = [theta0] + [rng.uniform(*log_box.T) for _ in range(restarts - 1)]
 
     results, failures = [], []
-    for start in starts:
-        try:
-            results.append(_lbfgsb(neg_lml, start, log_box))
-        except Exception as exc:  # pragma: no cover - scipy internal failure
-            failures.append(str(exc))
+    with _one_scipy_blas_thread():
+        for start in starts:
+            try:
+                results.append(_lbfgsb(neg_lml, start, log_box))
+            except Exception as exc:  # pragma: no cover - scipy internal failure
+                failures.append(str(exc))
     # Free the evaluator's workspace before the fit below allocates its own
     # n x n arrays, so that the two are never held at once.
     del neg_lml, lml_at

@@ -10,18 +10,13 @@ flat vector, of which the model's arrays are views.
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import glob
 import math
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 from scipy.optimize import minimize
 
+from surrkit.blas import _one_scipy_blas_thread
 from surrkit.data import as_matrix, write_csv
 from surrkit.errors import InputError, NumericError
 
@@ -255,56 +250,6 @@ def mlp_train(
     model = _model_at(arch, result.x if best_theta is None else best_theta)
     model.training_history = history
     return model
-
-
-@functools.cache
-def _scipy_openblas():
-    """The thread-count getter and setter of the OpenBLAS bundled in scipy's
-    wheel, or ``None`` where scipy bundles none (it then shares its BLAS).
-
-    numpy's and scipy's wheels each load their own OpenBLAS with its own
-    thread pool, whose threads spin for a while after each call. L-BFGS-B
-    wakes scipy's pool every iteration, and where both pools run a thread per
-    core they take the cores from each other.
-    """
-    root = os.path.dirname(scipy.__file__)
-    for lib in sorted(
-        glob.glob(os.path.join(root, os.pardir, "scipy.libs", "*openblas*"))
-        + glob.glob(os.path.join(root, ".dylibs", "*openblas*"))
-    ):
-        try:
-            blas = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        for prefix in ("scipy_openblas", "openblas"):
-            try:
-                get = getattr(blas, prefix + "_get_num_threads")
-                set_ = getattr(blas, prefix + "_set_num_threads")
-            except AttributeError:
-                continue
-            get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
-            return get, set_
-    return None
-
-
-@contextmanager
-def _one_scipy_blas_thread():
-    """Run scipy's bundled OpenBLAS on the calling thread alone inside the block.
-
-    L-BFGS-B's own vectors have one entry per parameter, too few for a second
-    thread to help, while the objective's products run on numpy's pool.
-    """
-    pool = _scipy_openblas()
-    if pool is None:
-        yield
-        return
-    get, set_ = pool
-    threads = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(threads)
 
 
 def _checked_bin(arch: MlpArchitecture, X, Y, label: str) -> tuple[np.ndarray, np.ndarray]:

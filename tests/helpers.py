@@ -5,10 +5,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from surrkit.blas import _scipy_openblas
 from surrkit.mlp import MlpArchitecture, MlpModel, init_model, loss_gradients, mse_loss
 
 # Hyperparameters that json.loads reads from a bundle's meta.json (as
@@ -21,6 +24,23 @@ NON_FINITE_HYPERPARAMETERS = [
     ("noise", math.nan),
 ]
 NON_FINITE_HYPERPARAMETER_IDS = ["ls-inf", "ls-nan", "sf2-nan", "sf2-inf", "noise-nan"]
+
+
+@contextmanager
+def scipy_blas_threads(count: int):
+    """scipy's bundled OpenBLAS on ``count`` threads inside the block, and the
+    caller's count back after it; the block gets the thread-count getter. A
+    test that uses it is skipped where scipy bundles no OpenBLAS."""
+    pool = _scipy_openblas()
+    if pool is None:
+        pytest.skip("scipy shares its BLAS here")
+    get, set_ = pool
+    threads = get()
+    set_(count)
+    try:
+        yield get
+    finally:
+        set_(threads)
 
 
 def reference_format_row(row) -> str:

@@ -26,7 +26,15 @@ from helpers import (
 )
 from surrkit import mlp, tuner
 from surrkit.cli import main
-from surrkit.config import LENGTH_SCALE_RANGE, MAX_RESTARTS, DataSource, load_config
+from surrkit.config import (
+    LENGTH_SCALE_RANGE,
+    MAX_LAYERS,
+    MAX_RESTARTS,
+    MAX_WIDTH,
+    UNREAD_MLP_KEYS,
+    DataSource,
+    load_config,
+)
 from surrkit.data import DataTensor, FidelityDataset, export_tensor, import_tensor
 from surrkit.errors import StoreError
 from surrkit.modelstore import load_model, save_model
@@ -249,8 +257,7 @@ class TestConvergenceCommand:
     @pytest.mark.parametrize("kind, section, winner", [
         ("gpr", {"gpr": {"kernels": ["constant*matern2.5"], "restarts": 1}},
          "constant*matern(nu=2.5)"),
-        ("mlp", {"mlp": {"layers": [1], "widths": [4], "max_epochs": 5,
-                         "early_stop_patience": 5}}, "4"),
+        ("mlp", {"mlp": {"layers": [1], "widths": [4], "max_epochs": 5}}, "4"),
     ], ids=["gpr", "mlp"])
     def test_sweeps_the_configured_grid_at_every_size(
         self, synth_dir, tmp_path, monkeypatch, kind, section, winner
@@ -862,7 +869,7 @@ def mlp_bundle(predict_bundles):
     cfg = write_config(root / "mlp.json", {
         "data": {"x": str(root / "bench" / "lf_x.txt"), "y": str(root / "bench" / "lf_y.txt")},
         "model": {"kind": "mlp"},
-        "mlp": {"layers": [1], "widths": [4], "max_epochs": 5, "early_stop_patience": 5},
+        "mlp": {"layers": [1], "widths": [4], "max_epochs": 5},
     })
     assert run(["train", "--config", str(cfg), "--out", str(root / "mlp")]) == 0
     return root / "mlp" / "model_v1"
@@ -1310,34 +1317,55 @@ def test_number_past_the_float_range_in_a_config_exits_2_with_one_line(tmp_path)
 
 
 # Values of the right JSON type that could not run, with the message each
-# gives: a restart count past the cap, which would run without end, and
+# gives: a restart count past the cap, which would run without end,
 # length-scale bounds whose log or squared inverse is no normal float, which
-# overflow in training.
+# overflow in training, and MLP widths and layer counts past their caps, whose
+# networks would allocate without bound (none is trained here).
 OUT_OF_RANGE = {
     "restarts-2**63": (
-        {"restarts": 2**63},
+        {"gpr": {"restarts": 2**63}},
         f"'gpr.restarts' must be an integer from 1 to {MAX_RESTARTS}, got {2**63}",
     ),
     "restarts-cap+1": (
-        {"restarts": MAX_RESTARTS + 1},
+        {"gpr": {"restarts": MAX_RESTARTS + 1}},
         f"'gpr.restarts' must be an integer from 1 to {MAX_RESTARTS}, got {MAX_RESTARTS + 1}",
     ),
     "length_scale-subnormal": (
-        {"length_scale_bounds": [1e-320, 1e-300]},
+        {"gpr": {"length_scale_bounds": [1e-320, 1e-300]}},
         "'gpr.length_scale_bounds[0]' must be a number from 1e-150 to 1e+150, got 1e-320",
     ),
     "length_scale-huge": (
-        {"length_scale_bounds": [1.0, 1e200]},
+        {"gpr": {"length_scale_bounds": [1.0, 1e200]}},
         "'gpr.length_scale_bounds[1]' must be a number from 1e-150 to 1e+150, got 1e+200",
+    ),
+    "widths-10**9": (
+        {"mlp": {"widths": [16, 10**9]}},
+        f"'mlp.widths[1]' must be an integer from 1 to {MAX_WIDTH}, got {10**9}",
+    ),
+    "widths-cap+1": (
+        {"mlp": {"widths": [MAX_WIDTH + 1]}},
+        f"'mlp.widths[0]' must be an integer from 1 to {MAX_WIDTH}, got {MAX_WIDTH + 1}",
+    ),
+    "widths-0": (
+        {"mlp": {"widths": [0]}},
+        f"'mlp.widths[0]' must be an integer from 1 to {MAX_WIDTH}, got 0",
+    ),
+    "layers-10**9": (
+        {"mlp": {"layers": [10**9]}},
+        f"'mlp.layers[0]' must be an integer from 1 to {MAX_LAYERS}, got {10**9}",
+    ),
+    "layers-cap+1": (
+        {"mlp": {"layers": [1, MAX_LAYERS + 1]}},
+        f"'mlp.layers[1]' must be an integer from 1 to {MAX_LAYERS}, got {MAX_LAYERS + 1}",
     ),
 }
 
 
-@pytest.mark.parametrize("gpr, message", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
-def test_config_value_out_of_its_range_exits_2_at_config_read(tmp_path, gpr, message):
+@pytest.mark.parametrize("section, message", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+def test_config_value_out_of_its_range_exits_2_at_config_read(tmp_path, section, message):
     """The data files do not exist, so a config the reader passed would exit
     on them instead, and no run starts either way."""
-    cfg = write_config(tmp_path / "cfg.json", {"data": {"x": "x.txt", "y": "y.txt"}, "gpr": gpr})
+    cfg = write_config(tmp_path / "cfg.json", {"data": {"x": "x.txt", "y": "y.txt"}, **section})
     code, lines = run_captured(["train", "--config", str(cfg), "--out", str(tmp_path / "r")])
     assert code == 2
     assert lines == [f"error: config key {message}"]
@@ -1349,9 +1377,40 @@ def test_config_ranges_include_their_ends(tmp_path):
     cfg = load_config(write_config(tmp_path / "cfg.json", {
         "data": {"x": "x.txt", "y": "y.txt"},
         "gpr": {"restarts": MAX_RESTARTS, "length_scale_bounds": [lo, hi]},
+        "mlp": {"layers": [1, MAX_LAYERS], "widths": [1, MAX_WIDTH]},
     }))
     assert cfg.gpr_grid.restarts == MAX_RESTARTS
     assert cfg.gpr_grid.bounds.length_scale == (lo, hi)
+    assert cfg.mlp_grid.layer_counts == (1, MAX_LAYERS)
+    assert cfg.mlp_grid.widths == (1, MAX_WIDTH)
+
+
+@pytest.mark.parametrize("keys", [(), *((key,) for key in UNREAD_MLP_KEYS)],
+                         ids=["none", *UNREAD_MLP_KEYS])
+def test_unread_mlp_key_warns_in_one_line_and_changes_nothing(synth_dir, tmp_path, keys):
+    """A config that sets an MLP key that training does not read trains with
+    one warning line per key; its exit code and trained bytes are those of
+    the same config without the key."""
+    values = {"learning_rate": 0.01, "batch_size": 16, "early_stop_patience": 10}
+
+    def train(name, extra):
+        cfg = write_config(tmp_path / f"{name}.json", {
+            "seed": 3,
+            "data": {"x": str(synth_dir / "lf_x.txt"), "y": str(synth_dir / "lf_y.txt")},
+            "model": {"kind": "mlp"},
+            "mlp": {"layers": [1], "widths": [4], "max_epochs": 5, **extra},
+        })
+        result = run_captured(["train", "--config", str(cfg), "--out", str(tmp_path / name)])
+        bundle = tmp_path / name / "model_v1"
+        return result, {path.name: path.read_bytes() for path in bundle.glob("payload.*")}
+
+    (code, lines), plain = train("plain", {})
+    assert (code, lines) == (0, [])
+    (code, lines), keyed = train("keyed", {key: values[key] for key in keys})
+    assert code == 0
+    assert lines == [f"warning: config key 'mlp.{key}' has no effect: full-batch L-BFGS-B "
+                     "training does not read it" for key in keys]
+    assert keyed == plain and plain
 
 
 # A config that sets every key but out_dir (for which null is valid), each
@@ -1380,7 +1439,8 @@ def config_paths(node, path=()):
 
 
 def test_valid_config_loads(tmp_path):
-    cfg = load_config(write_config(tmp_path / "cfg.json", VALID_CONFIG))
+    with pytest.warns(UserWarning, match="has no effect"):
+        cfg = load_config(write_config(tmp_path / "cfg.json", VALID_CONFIG))
     assert cfg.seed == 7 and cfg.mlp_grid.widths == (8, 16) and cfg.gpr_grid.restarts == 2
 
 

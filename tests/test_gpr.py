@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.optimize import OptimizeResult, minimize
 
-from helpers import direct_gpr_oracle, pooled_r2
+from helpers import direct_gpr_oracle, pooled_r2, scipy_blas_threads
 from surrkit import gpr
 from surrkit.errors import InputError, NumericError
 from surrkit.gpr import (
+    GprModel,
     HyperBounds,
     KernelSpec,
     _lml_evaluator,
@@ -945,42 +946,45 @@ class TestLmlGradient:
 
 
 # optimize_hyperparameters results on one problem, as float.hex of the length
-# scales, sf2 and noise, solved on two OpenBLAS threads. They pin the
-# optimizer's path: an edit to the lml evaluation or the search that changes
-# any bit of a trained model shows here.
+# scales, sf2 and noise. They pin the optimizer's path: an edit to the lml
+# evaluation or the search that changes any bit of a trained model shows
+# here. The optimizer runs scipy's LAPACK on one thread whatever the caller's
+# BLAS runs (``surrkit.blas``), so these are its results on one BLAS thread
+# and on two alike; LAPACK's dpotri, behind the gradient's K^-1, rounds
+# differently on two threads even at 16 rows.
 PINNED_OPTIMA = {
     ("rbf", 1.5, "isotropic"):
-        "0x1.ecb581a9ad16dp-2 0x1.0000000000000p+0 0x1.47b589fa45e72p-30",
+        "0x1.ecb581a9a49e2p-2 0x1.0000000000000p+0 0x1.47b589fb6ba9fp-30",
     ("rbf", 1.5, "per-dim"):
-        "0x1.b3a2194ce6044p-2 0x1.67652d25fd48dp-1 0x1.0000000000000p+0 0x1.6924a1f919644p-18",
+        "0x1.b3a2194ce708cp-2 0x1.67652d25fce03p-1 0x1.0000000000000p+0 0x1.6924a1f98c6cfp-18",
     ("constant*rbf", 1.5, "isotropic"):
-        "0x1.06569fa2a8013p-1 0x1.7132a47d21b51p+0 0x1.b7cdfd9d7bdb8p-34",
+        "0x1.06569fa2c0bf6p-1 0x1.7132a47e4dd8ap+0 0x1.b7cdfd9d7bdb8p-34",
     ("constant*rbf", 1.5, "per-dim"):
-        "0x1.c921f43b84295p-2 0x1.741e2c10fe055p-1 0x1.5afb974a8a122p+0 0x1.22c3f2a276339p-18",
+        "0x1.c921f43b7f2b0p-2 0x1.741e2c10fab98p-1 0x1.5afb974a7c23dp+0 0x1.22c3f2a2b06f8p-18",
     ("matern", 0.5, "isotropic"):
-        "0x1.eb0afab6aeb9bp+0 0x1.0000000000000p+0 0x1.90faff5913098p-26",
+        "0x1.eb0afab6aeb9ap+0 0x1.0000000000000p+0 0x1.90faff5913098p-26",
     ("matern", 0.5, "per-dim"):
-        "0x1.90f768daa16d4p+0 0x1.7d2c6964f3fa4p+1 0x1.0000000000000p+0 0x1.3ced51330f215p-31",
+        "0x1.90f768daf6136p+0 0x1.7d2c69642b4a1p+1 0x1.0000000000000p+0 0x1.3ced50d2ccd38p-31",
     ("matern", 1.5, "isotropic"):
-        "0x1.a4e58d83e3712p-1 0x1.0000000000000p+0 0x1.f1f428efc47a7p-28",
+        "0x1.a4e58d83e3708p-1 0x1.0000000000000p+0 0x1.f1f428f0371eap-28",
     ("matern", 1.5, "per-dim"):
-        "0x1.6e429576526d1p-1 0x1.3850a4e2f2cf8p+0 0x1.0000000000000p+0 0x1.cfdd2fe913109p-29",
+        "0x1.6e429576682d8p-1 0x1.3850a4e2e9c2cp+0 0x1.0000000000000p+0 0x1.cfdd302a72f7cp-29",
     ("matern", 2.5, "isotropic"):
-        "0x1.58d4495e99af3p-1 0x1.0000000000000p+0 0x1.b7cdfd9d7bdb8p-34",
+        "0x1.58d4495d29753p-1 0x1.0000000000000p+0 0x1.b7cdfd9d7bdb8p-34",
     ("matern", 2.5, "per-dim"):
-        "0x1.33ceae24e9cf9p-1 0x1.07412106c8a24p+0 0x1.0000000000000p+0 0x1.b7cdfd9d7bdb8p-34",
+        "0x1.33ceae24eb5e0p-1 0x1.07412106ca1fdp+0 0x1.0000000000000p+0 0x1.b7cdfd9d7bdb8p-34",
     ("constant*matern", 0.5, "isotropic"):
-        "0x1.11e58be768025p+0 0x1.229113a129bd0p-1 0x1.58422c46bb590p-32",
+        "0x1.11e58be7681d6p+0 0x1.229113a12af91p-1 0x1.58422c9abfd18p-32",
     ("constant*matern", 0.5, "per-dim"):
-        "0x1.b7cfdb6a175afp-1 0x1.a132589e85564p+0 0x1.1ca1223d80353p-1 0x1.16e8823ff37d9p-31",
+        "0x1.b7cfdb6a19758p-1 0x1.a132589e7c53ep+0 0x1.1ca1223d8216bp-1 0x1.16e88278d7cf9p-31",
     ("constant*matern", 1.5, "isotropic"):
-        "0x1.d2a9d2d90a78cp-1 0x1.464968a0602a1p+0 0x1.d6ddf7a9f2f5ep-32",
+        "0x1.d2a9d2d8d8a4bp-1 0x1.464968a0128d9p+0 0x1.d6ddfadafe5d4p-32",
     ("constant*matern", 1.5, "per-dim"):
-        "0x1.e33f500803e53p-1 0x1.a2a81efce2238p+0 0x1.f74dd75edc243p+0 0x1.b7cdfd9d7bdb8p-34",
+        "0x1.e33f500850883p-1 0x1.a2a81efd25b42p+0 0x1.f74dd75f92ae8p+0 0x1.b7cdfd9d7bdb8p-34",
     ("constant*matern", 2.5, "isotropic"):
-        "0x1.94e1f911a34f9p-1 0x1.b000ad3772d13p+0 0x1.b9a49a30a73c9p-34",
+        "0x1.94e1f9124ff1fp-1 0x1.b000ad39efb49p+0 0x1.b9a499a70a585p-34",
     ("constant*matern", 2.5, "per-dim"):
-        "0x1.da42ca5d042f5p-1 0x1.b1bbfc08a94ccp+0 0x1.297d31b873617p+2 0x1.b7cdfd9d7bdb8p-34",
+        "0x1.da42ca5cfc17ep-1 0x1.b1bbfc08a2340p+0 0x1.297d31b8647d8p+2 0x1.b7cdfd9d7bdb8p-34",
 }
 
 
@@ -1023,50 +1027,12 @@ def _pinned_hex(kind, nu, scales):
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# PINNED_OPTIMA's problems solved on one OpenBLAS thread, the benchmark's
-# setting. LAPACK's dpotri, behind the gradient's K^-1, rounds differently
-# on one thread than on two even at 16 rows, so every path differs.
-PINNED_OPTIMA_ONE_THREAD = {
-    ("rbf", 1.5, "isotropic"):
-        "0x1.ecb581a9a49e2p-2 0x1.0000000000000p+0 0x1.47b589fb6ba9fp-30",
-    ("rbf", 1.5, "per-dim"):
-        "0x1.b3a2194ce708cp-2 0x1.67652d25fce03p-1 0x1.0000000000000p+0 0x1.6924a1f98c6cfp-18",
-    ("constant*rbf", 1.5, "isotropic"):
-        "0x1.06569fa2c0bf6p-1 0x1.7132a47e4dd8ap+0 0x1.b7cdfd9d7bdb8p-34",
-    ("constant*rbf", 1.5, "per-dim"):
-        "0x1.c921f43b7f2b0p-2 0x1.741e2c10fab98p-1 0x1.5afb974a7c23dp+0 0x1.22c3f2a2b06f8p-18",
-    ("matern", 0.5, "isotropic"):
-        "0x1.eb0afab6aeb9ap+0 0x1.0000000000000p+0 0x1.90faff5913098p-26",
-    ("matern", 0.5, "per-dim"):
-        "0x1.90f768daf6136p+0 0x1.7d2c69642b4a1p+1 0x1.0000000000000p+0 0x1.3ced50d2ccd38p-31",
-    ("matern", 1.5, "isotropic"):
-        "0x1.a4e58d83e3708p-1 0x1.0000000000000p+0 0x1.f1f428f0371eap-28",
-    ("matern", 1.5, "per-dim"):
-        "0x1.6e429576682d8p-1 0x1.3850a4e2e9c2cp+0 0x1.0000000000000p+0 0x1.cfdd302a72f7cp-29",
-    ("matern", 2.5, "isotropic"):
-        "0x1.58d4495d29753p-1 0x1.0000000000000p+0 0x1.b7cdfd9d7bdb8p-34",
-    ("matern", 2.5, "per-dim"):
-        "0x1.33ceae24eb5e0p-1 0x1.07412106ca1fdp+0 0x1.0000000000000p+0 0x1.b7cdfd9d7bdb8p-34",
-    ("constant*matern", 0.5, "isotropic"):
-        "0x1.11e58be7681d6p+0 0x1.229113a12af91p-1 0x1.58422c9abfd18p-32",
-    ("constant*matern", 0.5, "per-dim"):
-        "0x1.b7cfdb6a19758p-1 0x1.a132589e7c53ep+0 0x1.1ca1223d8216bp-1 0x1.16e88278d7cf9p-31",
-    ("constant*matern", 1.5, "isotropic"):
-        "0x1.d2a9d2d8d8a4bp-1 0x1.464968a0128d9p+0 0x1.d6ddfadafe5d4p-32",
-    ("constant*matern", 1.5, "per-dim"):
-        "0x1.e33f500850883p-1 0x1.a2a81efd25b42p+0 0x1.f74dd75f92ae8p+0 0x1.b7cdfd9d7bdb8p-34",
-    ("constant*matern", 2.5, "isotropic"):
-        "0x1.94e1f9124ff1fp-1 0x1.b000ad39efb49p+0 0x1.b9a499a70a585p-34",
-    ("constant*matern", 2.5, "per-dim"):
-        "0x1.da42ca5cfc17ep-1 0x1.b1bbfc08a2340p+0 0x1.297d31b8647d8p+2 0x1.b7cdfd9d7bdb8p-34",
-}
-
 
 @pytest.fixture(scope="module")
 def pinned_results():
     """Every pinned problem's optimum, by BLAS thread count (1 and 2), each
-    count's computed in one child process whose BLAS runs that many threads,
-    whatever this process runs."""
+    count's computed in one child process whose BLAS pools start with that
+    many threads, whatever this process runs."""
     tests = Path(__file__).resolve().parent
     src = Path(gpr.__file__).resolve().parent.parent
     script = ("import json, test_gpr as t; print(json.dumps("
@@ -1084,8 +1050,78 @@ def pinned_results():
 @pytest.mark.parametrize("kind, nu, scales", PINNED_OPTIMA)
 def test_optimizer_results_pinned(pinned_results, kind, nu, scales):
     key = kind, nu, scales
+    assert pinned_results[1][key] == PINNED_OPTIMA[key]
     assert pinned_results[2][key] == PINNED_OPTIMA[key]
-    assert pinned_results[1][key] == PINNED_OPTIMA_ONE_THREAD[key]
+
+
+def _unfactored(model):
+    """``model`` without its factor, as ``modelstore.load_model`` builds one."""
+    return GprModel(kernel=model.kernel, X_train=model.X_train, alpha=model.alpha,
+                    y_dim=model.y_dim, lml=model.lml, jitter_used=model.jitter_used)
+
+
+def test_scipy_blas_runs_one_thread_while_fitting(monkeypatch):
+    """Where scipy bundles its own OpenBLAS, the optimizer's lml evaluations,
+    ``gpr_fit``'s factorization and a loaded model's rebuild of ``L`` run it
+    on one thread (``surrkit.blas``), and the caller's count is back after
+    each, also after a ``NumericError``."""
+    X = np.linspace(0.0, 1.0, 12)[:, None]
+    Y = np.sin(6.0 * X)
+    spec = KernelSpec(kind="constant*rbf", noise=1e-6)
+    fitted = gpr_fit(X, Y, spec)
+    seen, failing = {}, []
+    evaluator, factor = gpr._lml_evaluator, gpr.cholesky
+
+    with scipy_blas_threads(2) as get:
+
+        def recorded_evaluator(*args):
+            lml_at = evaluator(*args)
+
+            def evaluate(theta):
+                seen["lml"].append(get())
+                if failing:
+                    raise NumericError("injected")
+                return lml_at(theta)
+
+            return evaluate
+
+        def recorded_cholesky(*args, **kwargs):
+            seen[step].append(get())
+            if failing:
+                raise np.linalg.LinAlgError("injected")
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(gpr, "_lml_evaluator", recorded_evaluator)
+        monkeypatch.setattr(gpr, "cholesky", recorded_cholesky)
+        steps = {
+            "lml": lambda: optimize_hyperparameters(X, Y, spec, restarts=2),
+            "fit": lambda: gpr_fit(X, Y, spec),
+            "rebuild": lambda: _unfactored(fitted).L,
+        }
+        for step, run in steps.items():
+            seen[step] = []
+            run()
+            assert get() == 2
+            failing.append(True)
+            with pytest.raises(NumericError):
+                run()
+            failing.clear()
+            assert get() == 2
+    assert all(counts and set(counts) == {1} for counts in seen.values()), seen
+
+
+def test_loaded_model_rebuilds_the_fits_factor_whatever_scipys_thread_count():
+    """A model fitted with the caller's scipy pool on one thread and loaded
+    with it on two rebuilds the fit's ``L`` bit for bit. 128 rows is the
+    smallest count at which OpenBLAS's two-thread dpotrf rounds differently."""
+    rng = np.random.default_rng(0)
+    X = rng.uniform(0.0, 1.0, (128, 4))
+    Y = np.sin(X.sum(axis=1, keepdims=True))
+    with scipy_blas_threads(1):
+        fitted = gpr_fit(X, Y, KernelSpec(kind="constant*rbf", length_scale=0.5, noise=1e-6))
+    with scipy_blas_threads(2):
+        rebuilt = _unfactored(fitted).L
+    assert rebuilt.tobytes() == fitted.L.tobytes()
 
 
 @pytest.mark.parametrize("kind, nu, scales", FINITE_DIFFERENCE_LML)
