@@ -37,7 +37,7 @@ from surrkit.errors import (
     UnsupportedModelError,
 )
 from surrkit.metrics import EvalReport, evaluate, one_to_one_export
-from surrkit.mlp import export_history_csv
+from surrkit.mlp import MlpModel, export_history_csv
 from surrkit.modelstore import load_model, save_model
 from surrkit.multifid import (
     TensorLayout,
@@ -45,14 +45,9 @@ from surrkit.multifid import (
     train_mf_chain,
     train_single_fidelity,
 )
-from surrkit.preprocess import split_data_cv, preprocess_data_pipeline
+from surrkit.preprocess import split_data_cv
 from surrkit.synthbench import Sampler, generate_pair_dataset, get_pair
-from surrkit.tuner import (
-    convergence_study,
-    export_convergence_csv,
-    export_sweep_csv,
-    tune,
-)
+from surrkit.tuner import check_sizes, convergence_study, export_convergence_csv, export_sweep_csv
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -97,10 +92,10 @@ def _load_dataset(source: DataSource) -> FidelityDataset:
         return FidelityDataset(fidelity=source.fidelity, X=X, Y=Y)
 
 
-def _load_single_dataset(cfg: RunConfig) -> FidelityDataset:
+def _data_section(cfg: RunConfig) -> DataSource:
     if cfg.data is None:
         raise InputError("this command needs the 'data' section in the config")
-    return _load_dataset(cfg.data)
+    return cfg.data
 
 
 def _split_flags(args) -> dict:
@@ -125,46 +120,48 @@ def _predict_and_score(
     return report
 
 
-def _evaluate_and_report(
-    surrogate, dataset: FidelityDataset, cfg: RunConfig, run: _Run
-) -> None:
-    _, test_idx, _ = split_data_cv(dataset.n, cfg.split)
+def _train_levels(args, cfg: RunConfig, levels) -> int:
+    """The run of ``train`` and ``mf-train`` on (data source, model kind)
+    levels, lowest first. Each level's sweep, and an MLP winner's history,
+    is written with the level's prefix: none for one level, else ``lf_``,
+    ``level<i>_`` for each level between, and ``mf_``. The top level's test
+    bin scores the model."""
+    datasets = [_load_dataset(source) for source, _ in levels]
+    run = _Run(cfg, args.verbose)
+    for data in datasets:
+        run.say(f"loaded {data.fidelity}: X {data.X.shape}, Y {data.Y.shape}")
+    with _stage(args.command):
+        model, sweeps = train_mf_chain(
+            datasets, [kind for _, kind in levels], cfg.split, cfg.gpr_grid, cfg.mlp_grid
+        )
+    top = len(sweeps) - 1
+    for i, (data, sweep) in enumerate(zip(datasets, sweeps)):
+        prefix = "" if top == 0 else "lf_" if i == 0 else "mf_" if i == top else f"level{i}_"
+        export_sweep_csv(sweep, run.dir / f"{prefix}sweep.csv")
+        run.say(f"sweep winner for {data.fidelity}: {sweep.winner.label} "
+                f"(val RMSE {sweep.winner.val_rmse:.4e})")
+        if isinstance(sweep.model, MlpModel):
+            export_history_csv(sweep.model, run.dir / f"{prefix}history.csv")
+    with _stage("save"):
+        bundle = save_model(model, run.dir, "model" if top == 0 else "mf_model")
+    run.say(f"model bundle: {bundle}")
+    _, test_idx, _ = split_data_cv(datasets[-1].n, cfg.split)
     if len(test_idx) < 2:
         run.say(
             f"test bin has {len(test_idx)} row(s); too small for a meaningful "
             "report, skipping (score against independent data with 'evaluate')"
         )
-        return
-    report = _predict_and_score(
-        surrogate,
-        _tensor_rows(dataset.X, test_idx),
-        _tensor_rows(dataset.Y, test_idx),
-        run.dir,
-    )
+        return EXIT_OK
+    X, Y = (_tensor_rows(tensor, test_idx) for tensor in (datasets[-1].X, datasets[-1].Y))
+    report = _predict_and_score(model, X, Y, run.dir)
     run.say(f"test bin ({len(test_idx)} rows): global R^2 = {report.global_r2:.6f}")
     run.say(report.to_text(), detail=True)
+    return EXIT_OK
 
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.seed, args.out, _split_flags(args))
-    run = _Run(cfg, args.verbose)
-    dataset = _load_single_dataset(cfg)
-    run.say(
-        f"loaded {dataset.fidelity}: X {dataset.X.shape}, Y {dataset.Y.shape}"
-    )
-    with _stage("train"):
-        surrogate, sweep = train_single_fidelity(
-            dataset, cfg.model_kind, cfg.split, cfg.gpr_grid, cfg.mlp_grid
-        )
-    export_sweep_csv(sweep, run.dir / "sweep.csv")
-    run.say(f"sweep winner: {sweep.winner.label} (val RMSE {sweep.winner.val_rmse:.4e})")
-    if cfg.model_kind == "mlp":
-        export_history_csv(surrogate.model, run.dir / "history.csv")
-    with _stage("save"):
-        bundle = save_model(surrogate, run.dir, "model")
-    run.say(f"model bundle: {bundle}")
-    _evaluate_and_report(surrogate, dataset, cfg, run)
-    return EXIT_OK
+    return _train_levels(args, cfg, [(_data_section(cfg), cfg.model_kind)])
 
 
 def cmd_mf_train(args) -> int:
@@ -180,28 +177,17 @@ def cmd_mf_train(args) -> int:
             "this command needs a 'fidelity_chain', or 'lf_data' and 'hf_data', "
             "in the config"
         )
-    run = _Run(cfg, args.verbose)
-    datasets = [_load_dataset(source) for source, _ in cfg.fidelity_chain]
-    kinds = [kind for _, kind in cfg.fidelity_chain]
-    run.say("fidelity chain: " + " -> ".join(f"{d.fidelity}({d.n})" for d in datasets))
-    with _stage("mf-train"):
-        composite = train_mf_chain(datasets, kinds, cfg.split, cfg.gpr_grid, cfg.mlp_grid)
-    export_sweep_csv(composite.lf_sweep, run.dir / "lf_sweep.csv")
-    export_sweep_csv(composite.mf_sweep, run.dir / "mf_sweep.csv")
-    with _stage("save"):
-        bundle = save_model(composite, run.dir, "mf_model")
-    run.say(f"model bundle: {bundle}")
-    _evaluate_and_report(composite, datasets[-1], cfg, run)
-    return EXIT_OK
+    return _train_levels(args, cfg, cfg.fidelity_chain)
 
 
 def cmd_tune(args) -> int:
     cfg = load_config(args.config, args.seed, args.out, _split_flags(args))
+    dataset = _load_dataset(_data_section(cfg))
     run = _Run(cfg, args.verbose)
-    dataset = _load_single_dataset(cfg)
     with _stage("tune"):
-        prepared = preprocess_data_pipeline(dataset, cfg.split)
-        sweep = tune(prepared, cfg.model_kind, cfg.gpr_grid, cfg.mlp_grid)
+        _, sweep = train_single_fidelity(
+            dataset, cfg.model_kind, cfg.split, cfg.gpr_grid, cfg.mlp_grid
+        )
     export_sweep_csv(sweep, run.dir / "sweep.csv")
     run.say(
         f"winner: {sweep.winner.label} "
@@ -241,14 +227,16 @@ def cmd_evaluate(args) -> int:
 
 def cmd_convergence(args) -> int:
     cfg = load_config(args.config, args.seed, args.out, _split_flags(args))
+    sizes = cfg.convergence_sizes
     try:
-        sizes = tuple(map(int, args.sizes.split(","))) if args.sizes else cfg.convergence_sizes
+        if args.sizes:
+            sizes = check_sizes(args.sizes.split(","), "--sizes")
     except ValueError:
         raise InputError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
     if not sizes:
         raise InputError("no sizes given; set convergence.sizes or pass --sizes")
+    dataset = _load_dataset(_data_section(cfg))
     run = _Run(cfg, args.verbose)
-    dataset = _load_single_dataset(cfg)
     with _stage("convergence"):
         curve = convergence_study(
             dataset, cfg.convergence_model, list(sizes), cfg.split, cfg.gpr_grid, cfg.mlp_grid

@@ -4,7 +4,8 @@
 (a bool is no number, and an integer key takes a float only if it is
 integral) and, for ``gpr.restarts``, ``gpr.length_scale_bounds``,
 ``mlp.widths`` and ``mlp.layers``, its range (``MAX_RESTARTS``,
-``LENGTH_SCALE_RANGE``, ``MAX_WIDTH``, ``MAX_LAYERS``); README's
+``LENGTH_SCALE_RANGE``, ``MAX_WIDTH``, ``MAX_LAYERS``), and that
+``convergence.sizes`` are positive and increasing; README's
 "Configuration" shows a full config. Every key is checked before any stage
 runs, an unknown key is rejected with its full path, and an omitted key keeps
 the default of the dataclass field it sets. A key that training does not read
@@ -36,7 +37,7 @@ from surrkit.errors import InputError
 from surrkit.gpr import HyperBounds, KernelSpec, kernel_from_name
 from surrkit.mlp import TrainConfig
 from surrkit.preprocess import SplitSpec
-from surrkit.tuner import MODEL_KINDS, GprGrid, MlpGrid
+from surrkit.tuner import MODEL_KINDS, GprGrid, MlpGrid, check_sizes
 
 
 # Each restart is an L-BFGS-B run of its own, so a count far past this one
@@ -130,6 +131,11 @@ def _length_scale_pair(value, where: str) -> tuple[float, float]:
     return pair
 
 
+def _sizes(value, where: str) -> tuple[int, ...]:
+    sizes = _list_of(_integer, "integers")(value, where)
+    return tuple(check_sizes(sizes, f"config key {where!r}"))
+
+
 def _kernel(value, where: str) -> KernelSpec:
     token = _string(value, where)
     try:
@@ -185,7 +191,7 @@ _SCHEMA = _object({
         "max_epochs": _integer, "batch_size": _integer,
         "early_stop_patience": _integer, "optimizer": _one_of("lbfgs"),
     }),
-    "convergence": _object({"sizes": _list_of(_integer, "integers"), "model": _KIND}),
+    "convergence": _object({"sizes": _sizes, "model": _KIND}),
 })
 
 

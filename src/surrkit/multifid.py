@@ -150,20 +150,18 @@ class FittedSurrogate:
         return tag + self.model.describe()
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MfComposite:
     """Low-fidelity model, multi-fidelity model, and the scalers between them.
 
     ``lf`` may itself be a composite, which is how deeper fidelity stacks
     fold: each level treats everything below it as one low-fidelity model.
-    A trained composite keeps the sweep of the chain's lowest level as
-    ``lf_sweep`` and the sweep of its own MF stage as ``mf_sweep``.
+    A composite holds only its stages, so a trained one and a loaded one are
+    the same; ``train_mf_chain`` hands back the sweeps that chose them.
     """
 
     lf: "FittedSurrogate | MfComposite"
     mf: FittedSurrogate
-    lf_sweep: SweepResult | None = None
-    mf_sweep: SweepResult | None = None
 
     def __post_init__(self) -> None:
         expected = self.input_dim + self.lf_output_dim
@@ -274,7 +272,7 @@ def train_mf(
     mlp_grid: MlpGrid | None = None,
 ) -> MfComposite:
     """Run the full two-level composition: LF surrogate, augmentation, MF surrogate."""
-    return train_mf_chain([lf_data, hf_data], [lf_kind, mf_kind], split, gpr_grid, mlp_grid)
+    return train_mf_chain([lf_data, hf_data], [lf_kind, mf_kind], split, gpr_grid, mlp_grid)[0]
 
 
 def train_mf_chain(
@@ -283,13 +281,14 @@ def train_mf_chain(
     split: SplitSpec | None = None,
     gpr_grid: GprGrid | None = None,
     mlp_grid: MlpGrid | None = None,
-) -> "FittedSurrogate | MfComposite":
+) -> tuple["FittedSurrogate | MfComposite", tuple[SweepResult, ...]]:
     """Fold the two-level step over N fidelity levels, lowest first.
 
     Level k consumes the composite of levels below it as its low-fidelity
     model. A single dataset degenerates to plain single-fidelity training.
     The model kinds and every level's input dimension are checked before any
-    level is trained.
+    level is trained. Returns the model and one sweep per level, lowest
+    first; level k's sweep chose the model of its stage.
     """
     if not datasets:
         raise InputError("fidelity chain needs at least one dataset")
@@ -308,7 +307,8 @@ def train_mf_chain(
                 f"({datasets[level].fidelity}) has {d}"
             )
     split = split or SplitSpec()
-    result, lf_sweep = train_single_fidelity(datasets[0], kinds[0], split, gpr_grid, mlp_grid)
+    result, sweep = train_single_fidelity(datasets[0], kinds[0], split, gpr_grid, mlp_grid)
+    sweeps = [sweep]
     for data, kind in zip(datasets[1:], kinds[1:]):
         augmented = build_mf_input(result, flatten(data.X))
         augmented.setflags(write=False)  # the tensor's own array, so it is not copied
@@ -318,6 +318,7 @@ def train_mf_chain(
             X=DataTensor.from_values(augmented[:, :, np.newaxis], _unique_names(names)),
             Y=data.Y,
         )
-        mf, mf_sweep = train_single_fidelity(aug_data, kind, split, gpr_grid, mlp_grid)
-        result = MfComposite(lf=result, mf=mf, lf_sweep=lf_sweep, mf_sweep=mf_sweep)
-    return result
+        mf, sweep = train_single_fidelity(aug_data, kind, split, gpr_grid, mlp_grid)
+        sweeps.append(sweep)
+        result = MfComposite(lf=result, mf=mf)
+    return result, tuple(sweeps)

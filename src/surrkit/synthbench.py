@@ -128,7 +128,9 @@ def _check_bounds(bounds) -> np.ndarray:
 
 
 def sample(sampler: Sampler, bounds, n: int) -> np.ndarray:
-    """Draw n points in the box; Latin hypercube puts one per axis stratum."""
+    """Draw n points in the box; Latin hypercube puts one per axis stratum,
+    and a uniform grid spreads its n points over the whole smallest grid of
+    at least n nodes, from the lower corner to the upper one."""
     if n < 1:
         raise InputError(f"sample count must be >= 1, got {n}")
     arr = _check_bounds(bounds)
@@ -141,16 +143,12 @@ def sample(sampler: Sampler, bounds, n: int) -> np.ndarray:
             unit[:, j] = (strata + rng.uniform(size=n)) / n
     elif sampler.kind == "uniform-random":
         unit = rng.uniform(size=(n, d))
-    else:  # uniform-grid
-        if d == 1:
-            unit = np.linspace(0.0, 1.0, n)[:, np.newaxis]
-        else:
-            k = 1
-            while k**d < n:
-                k += 1
-            axes = [np.linspace(0.0, 1.0, k)] * d
-            mesh = np.meshgrid(*axes, indexing="ij")
-            unit = np.column_stack([m.ravel() for m in mesh])[:n]
+    else:  # uniform-grid: n nodes of the k^d grid, evenly spaced in C order
+        k = 1
+        while k**d < n:
+            k += 1
+        flat = np.round(np.linspace(0, k**d - 1, n)).astype(np.int64)
+        unit = np.linspace(0.0, 1.0, k)[np.column_stack(np.unravel_index(flat, (k,) * d))]
     return arr[:, 0] + unit * (arr[:, 1] - arr[:, 0])
 
 

@@ -215,6 +215,15 @@ class ConvergenceCurve:
     subset_indices: tuple[tuple[int, ...], ...]
 
 
+def check_sizes(sizes, name: str = "sizes") -> list[int]:
+    """Convergence subset sizes as integers, if there are any and they are
+    positive and increasing; else ``InputError`` naming them ``name``."""
+    sizes = [int(s) for s in sizes]
+    if not sizes or min(sizes) < 1 or sorted(sizes) != sizes:
+        raise InputError(f"{name} must be positive, increasing integers, got {sizes}")
+    return sizes
+
+
 def convergence_study(
     data: FidelityDataset,
     model_kind: str,
@@ -235,11 +244,7 @@ def convergence_study(
     """
     if model_kind not in MODEL_KINDS:
         raise InputError(f"model_kind must be one of {MODEL_KINDS}, got {model_kind!r}")
-    sizes = [int(s) for s in sizes]
-    if not sizes or any(s < 1 for s in sizes):
-        raise InputError(f"sizes must be positive integers, got {sizes}")
-    if sorted(sizes) != sizes:
-        raise InputError(f"sizes must be increasing, got {sizes}")
+    sizes = check_sizes(sizes)
     gpr_grid = gpr_grid or GprGrid(seed=split.seed)
     if restarts is not None:
         gpr_grid = replace(gpr_grid, restarts=restarts)

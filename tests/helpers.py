@@ -13,6 +13,7 @@ import pytest
 
 from surrkit.blas import _scipy_openblas
 from surrkit.mlp import MlpArchitecture, MlpModel, init_model, loss_gradients, mse_loss
+from surrkit.synthbench import AnalyticPair
 
 # Hyperparameters that json.loads reads from a bundle's meta.json (as
 # Infinity and NaN) but that no kernel may have: (key, value) pairs.
@@ -112,6 +113,26 @@ def max_gradient_error(arch: MlpArchitecture, seed: int = 0, n: int = 5, eps: fl
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
         worst = max(worst, float(np.max(np.abs(analytic - numeric) / denom)))
     return worst
+
+
+def _perdikaris_lf(x: np.ndarray) -> np.ndarray:
+    return np.sin(8.0 * np.pi * x)
+
+
+def _perdikaris_hf(x: np.ndarray) -> np.ndarray:
+    return (x - math.sqrt(2.0)) * _perdikaris_lf(x) ** 2
+
+
+def perdikaris_pair() -> AnalyticPair:
+    """The nonlinear pair of Perdikaris et al., "Nonlinear information fusion
+    algorithms for data-efficient multi-fidelity modelling", Proc. R. Soc. A
+    473 (2017): f_lf(x) = sin(8 pi x) and f_hf(x) = (x - sqrt(2)) f_lf(x)^2
+    on [0, 1]. No affine map of [f_lf(x) | x] gives f_hf, as it does for the
+    built-in pairs."""
+    return AnalyticPair(
+        name="perdikaris", dim=1, output_dim=1, bounds=((0.0, 1.0),),
+        hf=_perdikaris_hf, lf=_perdikaris_lf, input_names=("x",), output_names=("y",),
+    )
 
 
 def pooled_r2(y_true, y_pred) -> float:

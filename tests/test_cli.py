@@ -24,7 +24,7 @@ from helpers import (
     payload_sections,
     resign_checksums,
 )
-from surrkit import mlp, tuner
+from surrkit import mlp, multifid, tuner
 from surrkit.cli import main
 from surrkit.config import (
     LENGTH_SCALE_RANGE,
@@ -111,6 +111,7 @@ class TestTrain:
         assert report["global_r2"] > 0.99
         assert (run_dir / "one_to_one.csv").exists()
         assert (run_dir / "sweep.csv").exists()
+        assert not (run_dir / "history.csv").exists()  # a GPR has no training history
         assert (run_dir / "config.json").exists()
         assert (run_dir / "model_v1" / "meta.json").exists()
 
@@ -151,6 +152,7 @@ class TestTrain:
         assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
         report = json.loads((tmp_path / "run" / "eval_report.json").read_text())
         assert report["global_r2"] >= 0.99
+        assert (tmp_path / "run" / "history.csv").exists()
 
 
 class TestMfTrainAndServe:
@@ -186,6 +188,10 @@ class TestMfTrainAndServe:
         cfg.update(mf_model={"kind": "mlp"}, gpr=FAST_GPR, mlp={"max_epochs": 10})
         path = write_config(synth_dir / "short.json", cfg)
         assert run(["mf-train", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+        # The MLP stage's history is written under its level's prefix.
+        assert sorted(p.name for p in (tmp_path / "run").glob("*_history.csv")) == [
+            "mf_history.csv"
+        ]
 
     def test_data_path_override_flags(self, synth_dir, tmp_path):
         """--lf-input/--hf-input etc. replace the config's data paths."""
@@ -364,6 +370,41 @@ class TestFidelityChainConfig:
         assert sorted(p.name for p in bundle.iterdir()) == ["CHECKSUMS", "meta.json", "payload.txt"]
         assert (run_dir / "lf_sweep.csv").exists()
         assert (run_dir / "mf_sweep.csv").exists()
+
+    def test_every_level_writes_its_sweep_and_mlp_history(self, chain_data, tmp_path):
+        """The README's chain, an MLP between two GPR levels, writes each
+        level's sweep under the level's prefix, and the MLP level's history
+        too: the files the library's sweeps of the same run give."""
+        chain_data[1]["model"] = "mlp"
+        cfg_path = write_config(tmp_path / "chain.json", {
+            "seed": 20, "fidelity_chain": chain_data, "gpr": FAST_GPR,
+            "mlp": {"layers": [1], "widths": [4, 8], "max_epochs": 15},
+        })
+        run_dir = tmp_path / "chainrun"
+        assert run(["mf-train", "--config", str(cfg_path), "--out", str(run_dir)]) == 0
+        assert sorted(p.name for p in run_dir.glob("*.csv") if "one_to_one" not in p.name) == [
+            "level1_history.csv", "level1_sweep.csv", "lf_sweep.csv", "mf_sweep.csv",
+        ]
+
+        cfg = load_config(cfg_path)
+        datasets = [
+            FidelityDataset(source.fidelity, import_tensor(source.x), import_tensor(source.y))
+            for source, _ in cfg.fidelity_chain
+        ]
+        _, sweeps = multifid.train_mf_chain(datasets, ["gpr", "mlp", "gpr"], cfg.split,
+                                            cfg.gpr_grid, cfg.mlp_grid)
+
+        def sweep_rows(path):  # every column but the wall time of each fit
+            return [row[:4] + row[5:] for row in csv.reader(open(path))]
+
+        for prefix, sweep in zip(["lf_", "level1_", "mf_"], sweeps):
+            tuner.export_sweep_csv(sweep, tmp_path / "library.csv")
+            assert sweep_rows(run_dir / f"{prefix}sweep.csv") == sweep_rows(
+                tmp_path / "library.csv")
+        assert [e.label for e in sweeps[1].entries] == ["4", "8"]
+        mlp.export_history_csv(sweeps[1].model, tmp_path / "history.csv")
+        assert (run_dir / "level1_history.csv").read_bytes() == (
+            tmp_path / "history.csv").read_bytes()
 
     def test_data_path_flags_replace_the_lowest_and_highest_level(
         self, chain_data, tmp_path
@@ -862,6 +903,69 @@ def run_captured(argv):
     return code, err.getvalue().strip().splitlines()
 
 
+FIELD_LABELS = ("t0", "t1", "t2")
+
+
+@pytest.mark.parametrize("hf_input", ["x", "lf_u@t0"], ids=["plain", "clashing-name"])
+def test_field_outputs_through_a_chain(tmp_path, monkeypatch, hf_input):
+    """Outputs of m = 2 scalars at l = 3 coordinates, with units, train
+    through ``mf-train``: the MF stage's inputs are named ``lf_<name>@<label>``
+    and then the input's name, or ``c<i>_`` each when the HF input takes an
+    LF column's name, and ``predict`` writes ``name@label`` columns that the
+    reloaded, re-saved bundle reproduces."""
+    pair = forrester_pair()
+
+    def field(f, X):  # u = f(x) * (k + 1), v = f(x) - k at coordinate k
+        k = np.arange(3.0)
+        return np.stack([f(X) * (k + 1.0), f(X) - k], axis=1)
+
+    paths = {}
+    for level, f, n, name in (("lf", pair.lf, 30, "x"), ("hf", pair.hf, 12, hf_input)):
+        X = sample(Sampler("uniform-random", seed=n), pair.bounds, n)
+        for axis, tensor in (
+            ("x", DataTensor.from_values(X[:, :, None], (name,))),
+            ("y", DataTensor.from_values(field(f, X), ("u", "v"), FIELD_LABELS, ("m", "s"))),
+        ):
+            paths[f"{level}_{axis}"] = str(export_tensor(tensor, tmp_path / f"{level}_{axis}.txt"))
+    cfg = write_config(tmp_path / "cfg.json", {
+        "seed": 3, "gpr": FAST_GPR,
+        "lf_data": {"x": paths["lf_x"], "y": paths["lf_y"]},
+        "hf_data": {"x": paths["hf_x"], "y": paths["hf_y"]},
+    })
+    stage_inputs, train_stage = [], multifid.train_single_fidelity
+
+    def recorded(data, *args):
+        stage_inputs.append(data.X.scalar_names)
+        return train_stage(data, *args)
+
+    monkeypatch.setattr(multifid, "train_single_fidelity", recorded)
+    assert run_captured(["mf-train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == (
+        0, [])
+    lf_columns = [f"lf_{name}@{label}" for name in ("u", "v") for label in FIELD_LABELS]
+    mf_inputs = lf_columns + [hf_input]
+    if hf_input in lf_columns:
+        mf_inputs = [f"c{i}_{name}" for i, name in enumerate(mf_inputs)]
+    assert stage_inputs == [("x",), tuple(mf_inputs)]
+
+    bundle = tmp_path / "run" / "mf_model_v1"
+    sites = DataTensor.from_values(np.linspace(0.0, 1.0, 5)[:, None, None], (hf_input,))
+    export_tensor(sites, tmp_path / "sites.txt")
+    assert run_captured(["predict", "--model-dir", str(bundle), "--sites",
+                         str(tmp_path / "sites.txt"), "--sites-format", "tensor-text",
+                         "--out", str(tmp_path / "pred.csv")]) == (0, [])
+    rows = list(csv.reader(open(tmp_path / "pred.csv")))
+    assert rows[0] == [hf_input] + [f"{name}@{label}" for name in ("u", "v")
+                                    for label in FIELD_LABELS]
+
+    loaded = load_model(bundle)
+    assert (loaded.y_layout.scalar_names, loaded.y_layout.coord_labels,
+            loaded.y_layout.units) == (("u", "v"), FIELD_LABELS, ("m", "s"))
+    expected = np.hstack([sites.values[:, :, 0], loaded.predict_raw(sites.values[:, :, 0])])
+    assert rows[1:] == [[repr(v) for v in row] for row in expected.tolist()]
+    again = save_model(loaded, tmp_path / "again", "mf_model")
+    assert {p.name: p.read_bytes() for p in again.glob("payload.*")} == payloads(tmp_path / "run")
+
+
 @pytest.fixture(scope="module")
 def mlp_bundle(predict_bundles):
     """A single-fidelity MLP bundle on the same Forrester data."""
@@ -1232,6 +1336,25 @@ def test_convergence_sizes_flag_that_is_no_integer_list_exits_2(tmp_path):
     assert code == 2
     assert lines == ["error: --sizes must be comma-separated integers, got '3,x'"]
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("sizes", [[8, 4], [0, 5], [-3]], ids=["decreasing", "zero", "negative"])
+def test_convergence_sizes_that_are_not_positive_and_increasing_exit_2(tmp_path, sizes):
+    """Bad sizes are refused, by their key or their flag, before the run
+    directory is made."""
+    data = {"x": "x.txt", "y": "y.txt"}
+    cfg = write_config(tmp_path / "cfg.json", {"data": data, "convergence": {"sizes": sizes}})
+    out = tmp_path / "r"
+    code, lines = run_captured(["convergence", "--config", str(cfg), "--out", str(out)])
+    assert (code, lines) == (2, [f"error: config key 'convergence.sizes' must be positive, "
+                                 f"increasing integers, got {sizes}"])
+    cfg = write_config(tmp_path / "cfg.json", {"data": data})
+    flag = ",".join(map(str, sizes))
+    code, lines = run_captured(["convergence", "--config", str(cfg), "--sizes", flag,
+                                "--out", str(out)])
+    assert (code, lines) == (2, [f"error: --sizes must be positive, increasing integers, "
+                                 f"got {sizes}"])
+    assert not out.exists()
 
 
 # Configs that end in a traceback, or are silently read as another value,

@@ -111,7 +111,7 @@ def chain():
     return train_mf_chain(
         [lf, hf, top], "gpr", SplitSpec(seed=9),
         gpr_grid=GprGrid(kernels=(KernelSpec(kind="constant*rbf"),), restarts=1, seed=9),
-    )
+    )[0]
 
 
 def stage_arrays(obj):

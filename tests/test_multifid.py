@@ -2,12 +2,12 @@
 
 import csv
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
-from helpers import pooled_r2
+from helpers import perdikaris_pair, pooled_r2
 from surrkit.data import DataTensor, FidelityDataset, flatten
 from surrkit.errors import InputError
 from surrkit import gpr, multifid
@@ -154,25 +154,30 @@ class TestTrainMfChain:
 
     def test_three_levels_fold(self):
         pair, datasets = self.three_level_datasets()
-        chain = train_mf_chain(
+        chain, sweeps = train_mf_chain(
             datasets, "gpr", SplitSpec(seed=12), gpr_grid=fast_grid(12)
         )
         assert isinstance(chain, MfComposite)
         assert isinstance(chain.lf, MfComposite)
         assert chain.input_dim == 1
-        # Every composite keeps the lowest level's sweep beside its own.
-        assert chain.lf_sweep is not None
-        assert chain.lf_sweep is chain.lf.lf_sweep
-        assert chain.mf_sweep is not chain.lf.mf_sweep
+        # One sweep per level, lowest first, each the one that chose its stage.
+        stages = [chain.lf.lf, chain.lf.mf, chain.mf]
+        assert len(sweeps) == 3
+        assert all(sweep.model is stage.model for sweep, stage in zip(sweeps, stages))
+        # The composite holds its stages and nothing else, and they stay put.
+        assert [f.name for f in fields(MfComposite)] == ["lf", "mf"]
+        with pytest.raises(FrozenInstanceError):
+            chain.mf = chain.lf
         Xg = np.linspace(0, 1, 120)[:, None]
         assert pooled_r2(truth_evaluate(pair, Xg), chain.predict_raw(Xg)) > 0.99
 
     def test_single_level_degenerates(self):
         _, datasets = self.three_level_datasets()
-        single = train_mf_chain(
+        single, sweeps = train_mf_chain(
             datasets[:1], "gpr", SplitSpec(seed=12), gpr_grid=fast_grid(12)
         )
         assert isinstance(single, FittedSurrogate)
+        assert len(sweeps) == 1 and sweeps[0].model is single.model
 
     def test_kind_count_checked(self):
         _, datasets = self.three_level_datasets()
@@ -189,6 +194,25 @@ class TestTrainMfChain:
         with pytest.raises(InputError, match="input dimension"):
             train_mf_chain(datasets[:2] + [wide], "gpr", SplitSpec(seed=12))
         assert calls == []
+
+
+def test_fusion_of_a_nonlinear_pair_beats_hf_alone():
+    """On the Perdikaris pair, where f_hf is no affine map of [f_lf(x) | x],
+    the composite of 50 LF and 20 HF points reaches R^2 >= 0.9 on a
+    1000-point grid and beats an HF-only GPR on every seed. Over seeds 0-9
+    the composite's R^2 ran from 0.939 (seed 0) to 0.9998, the HF-only
+    GPR's from 0.02 to 0.48."""
+    pair = perdikaris_pair()
+    grid = np.linspace(0.0, 1.0, 1000)[:, None]
+    truth = pair.hf(grid)
+    for seed in range(10):
+        lf, hf = generate_pair_dataset(pair, 50, 20, Sampler("uniform-random", seed))
+        split, gpr_grid = SplitSpec(seed=seed), GprGrid(seed=seed)
+        composite = train_mf(lf, hf, split=split, gpr_grid=gpr_grid)
+        hf_only, _ = train_single_fidelity(hf, "gpr", split, gpr_grid)
+        fused = pooled_r2(truth, composite.predict_raw(grid))
+        alone = pooled_r2(truth, hf_only.predict_raw(grid))
+        assert fused >= 0.9 and fused > alone, (seed, fused, alone)
 
 
 class TestPredictAtDesignSites:

@@ -44,7 +44,7 @@ def predictors():
     mlp_stage, _ = train_single_fidelity(hf, "mlp", SPLIT, mlp_grid=MLP_GRID)
     gpr_gpr = train_mf(lf, hf, "gpr", "gpr", SPLIT, GPR_GRID)
     gpr_mlp = train_mf(lf, hf, "gpr", "mlp", SPLIT, GPR_GRID, MLP_GRID)
-    chain = train_mf_chain([lf, mid, hf], "gpr", SPLIT, GPR_GRID)
+    chain, _ = train_mf_chain([lf, mid, hf], "gpr", SPLIT, GPR_GRID)
     assert isinstance(chain.lf, MfComposite)
 
     def uq(X):
@@ -135,7 +135,7 @@ def trig4_composite(request):
     grid = GprGrid(kernels=(kernel,), restarts=1, seed=5)
     if top == "3-level":
         _, mid = generate_pair_dataset(trig4_pair(), 60, 30, Sampler(seed=6))
-        return train_mf_chain([lf, mid, hf], "gpr", SplitSpec(seed=5), grid)
+        return train_mf_chain([lf, mid, hf], "gpr", SplitSpec(seed=5), grid)[0]
     return train_mf(lf, hf, "gpr", top, SplitSpec(seed=5), grid, MLP_GRID)
 
 

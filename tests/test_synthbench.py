@@ -43,6 +43,30 @@ class TestSampler:
         pts = sample(Sampler("uniform-grid", seed=0), [(2.0, 5.0)], 7)
         assert pts[0, 0] == 2.0 and pts[-1, 0] == 5.0
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_uniform_grid_1d_is_evenly_spaced(self, n):
+        pts = sample(Sampler("uniform-grid", seed=0), [(2.0, 5.0)], n)
+        np.testing.assert_array_equal(pts, 2.0 + np.linspace(0.0, 1.0, n)[:, None] * 3.0)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 5, 17, 100, 800])
+    def test_uniform_grid_reaches_every_bound(self, d, n):
+        """The n points spread over the whole grid, so no axis stops short
+        of its upper bound, as a first-n-rows cut of the grid would."""
+        bounds = np.array([(-1.0, 2.0), (0.0, 0.5), (3.0, 4.0), (-5.0, -4.0)][:d])
+        pts = sample(Sampler("uniform-grid", seed=0), bounds, n)
+        assert pts.shape == (n, d)
+        np.testing.assert_array_equal(pts.min(axis=0), bounds[:, 0])
+        np.testing.assert_array_equal(pts.max(axis=0), bounds[:, 1])
+        assert len(np.unique(pts, axis=0)) == n
+
+    @pytest.mark.parametrize("d, k", [(2, 3), (3, 4), (4, 2)])
+    def test_uniform_grid_of_k_to_the_d_points_is_the_full_grid(self, d, k):
+        pts = sample(Sampler("uniform-grid", seed=0), [(0.0, 1.0)] * d, k**d)
+        axis = np.linspace(0.0, 1.0, k)
+        full = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+        np.testing.assert_array_equal(pts, full)
+
     def test_uniform_random_within_bounds(self):
         pts = sample(Sampler("uniform-random", seed=2), [(-1.0, 1.0)] * 3, 50)
         assert (np.abs(pts) <= 1.0).all()
