@@ -5,7 +5,7 @@
 integral) and, for ``gpr.restarts``, ``gpr.length_scale_bounds``,
 ``mlp.widths`` and ``mlp.layers``, its range (``MAX_RESTARTS``,
 ``LENGTH_SCALE_RANGE``, ``MAX_WIDTH``, ``MAX_LAYERS``), and that
-``convergence.sizes`` are positive and increasing; README's
+``convergence.sizes`` are positive and strictly increasing; README's
 "Configuration" shows a full config. Every key is checked before any stage
 runs, an unknown key is rejected with its full path, and an omitted key keeps
 the default of the dataclass field it sets. A key that training does not read

@@ -72,6 +72,20 @@ def as_matrix(x, name: str, cols: int | None = None, finite: bool = True) -> np.
     return arr
 
 
+def check_below(arr: np.ndarray, name: str, bound: float) -> None:
+    """``InputError`` unless every entry of ``arr`` is below ``bound`` in
+    magnitude, which refuses NaN and infinities too, whatever the bound: a
+    model's one check of its query's values."""
+    if np.abs(arr).max(initial=0.0) < bound:  # NaN fails this test
+        return
+    if not np.isfinite(arr).all():
+        raise InputError(f"{name} contains non-finite entries")
+    raise InputError(
+        f"{name} holds a value of magnitude {np.abs(arr).max():.3g}; this model takes "
+        f"values below {bound:.3g}, where it cannot overflow"
+    )
+
+
 def _default_scalar_names(m: int) -> tuple[str, ...]:
     return tuple(f"s{i}" for i in range(m))
 

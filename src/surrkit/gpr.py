@@ -42,31 +42,31 @@ cancellation the expanded r^2 leaves there.
 
 ``GprModel.predict`` computes the mean alone; only ``gpr_predict`` and
 ``metrics.uq_report`` pay for the O(n^2) triangular solve behind the
-variance. All run ``GprModel._predict``: it takes a batch in blocks of query
-points whose kernel buffers (Ks, and the one or two more Matern 1.5 and 2.5
-need) fit in ``_KS_BLOCK_BYTES`` together, and writes each block's rows into
-preallocated outputs. A block's distance product, its elementwise passes and
-``Ks.T @ alpha`` then run on data that stays in a core's L2 cache (232
-points at n_train = 560 with rbf), and the working memory of a batch is a
-block's worth whatever its size. A batch that fits in one block is predicted
-in one step. Ks is built from the training side of the kernel (X_train
-divided by the length scales, twice that, and its squared row norms as a
-column), which each model computes once, on first use, and keeps; a query
-then allocates only its own scaled row and Ks. The model works in scaled
-units only: a prediction stage (``multifid.FittedSurrogate.predict_raw``)
-scales the sites before ``_predict`` and unscales the mean after it.
-``X_train`` and ``alpha`` are finite from the moment a model exists,
-because ``gpr_fit`` checks its inputs and rejects a non-finite lml (which
-any non-finite entry of ``alpha`` makes) and ``modelstore.load_model``
-checks them, so no path re-checks them per query. A query's shape is
-checked once, by the outermost call (``GprModel.predict``, ``gpr_predict``,
-or the ``predict_raw`` or ``uq_report`` that took the raw sites, whose
-stage was checked to have its model's widths when it was made), and its
-values once, block by block, in ``GprModel._predict_block``. That check
-bounds the magnitude of the scaled query (``GprModel._query_bound``), so
-it also catches a finite raw site that overflows when a scaler divides
-it, which the raw-site check (``data.as_matrix``) lets through,
-and a finite one whose square, distance or kernel value would overflow.
+variance. All run one kernel core, ``GprModel._predict``, on a query in
+length-scale units, forming ``Ks^T w`` for the weights w it is given. It
+takes a batch in blocks of query points whose kernel buffers (Ks, and the
+one or two more Matern 1.5 and 2.5 need) fit in ``_KS_BLOCK_BYTES``
+together, and writes each block's rows into preallocated outputs. A block's
+distance product, its elementwise passes and ``Ks.T @ w`` then run on data
+that stays in a core's L2 cache (232 points at n_train = 560 with rbf), and
+the working memory of a batch is a block's worth whatever its size. A batch
+that fits in one block is predicted in one step. Ks is built from the
+training side of the kernel (X_train divided by the length scales, twice
+that, and its squared row norms as a column), which each model computes
+once, on first use, and keeps. ``GprModel.predict`` and ``gpr_predict``
+divide scaled inputs by the length scales and weight by ``alpha``. A
+prediction stage runs its serving plan (``GprModel.serving_plan``) instead,
+which folds its scalers into the model's constants: still GPML eq. 2.25,
+``Ks^T alpha``, with the affine maps applied elsewhere, which moves the
+result in its last bits. ``X_train`` and ``alpha`` are finite from the
+moment a model exists, because ``gpr_fit`` checks its inputs and rejects a
+non-finite lml (which any non-finite entry of ``alpha`` makes) and
+``modelstore.load_model`` checks them, so no path re-checks them per query.
+A query's shape is checked once, by the outermost call, and its values
+once, before any step can overflow: against ``_query_bound`` in scaled
+units, or the plan's bound on raw sites. Both keep every entry of the query
+in length-scale units below ``_unit_bound``, where no square, distance or
+kernel value can overflow, and refuse NaN and infinities.
 
 Every factorization of a training kernel goes through ``_fit_at``, GPML
 Algorithm 2.1: given K + sn2*I and Y it returns ``L``, ``alpha``, the lml
@@ -111,7 +111,7 @@ from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
 from scipy.optimize import OptimizeResult, minimize
 
 from surrkit.blas import _one_scipy_blas_thread
-from surrkit.data import as_matrix
+from surrkit.data import as_matrix, check_below
 from surrkit.errors import InputError, NumericError
 
 KERNEL_KINDS = ("rbf", "matern", "constant*rbf", "constant*matern")
@@ -238,19 +238,6 @@ def default_kernel_grid() -> tuple[KernelSpec, ...]:
         KernelSpec(kind="constant*matern", nu=0.5),
         KernelSpec(kind="constant*matern", nu=1.5),
         KernelSpec(kind="constant*matern", nu=2.5),
-    )
-
-
-def _check_below(arr: np.ndarray, name: str, bound: float) -> None:
-    """``InputError`` unless every entry of ``arr`` is below ``bound`` in
-    magnitude, which refuses NaN and infinities too, whatever the bound."""
-    if np.abs(arr).max(initial=0.0) < bound:  # NaN fails this test
-        return
-    if not np.isfinite(arr).all():
-        raise InputError(f"{name} contains non-finite entries")
-    raise InputError(
-        f"{name} holds a value of magnitude {np.abs(arr).max():.3g}; this model takes "
-        f"values below {bound:.3g}, where its kernel cannot overflow"
     )
 
 
@@ -467,20 +454,26 @@ class GprModel:
         return _row_terms(self._train_scaled)
 
     @cached_property
-    def _query_bound(self) -> float:
-        """The magnitude below which every query and training entry must lie.
+    def _unit_bound(self) -> float:
+        """The magnitude below which every query and training entry must lie
+        in length-scale units, x/l.
 
-        Below it each scaled entry x/l squares to under fmax / (8 d s),
+        Below it each such entry squares to under fmax / (8 d s),
         s = max(1, sf2), so a row's squared norm stays under fmax / (8 s).
         Training inputs lie below it too (``modelstore.load_model`` checks a
-        loaded model's), so r^2, at most twice the sum of the two rows'
-        squared norms, stays under fmax / (2 s), and the largest kernel
-        intermediate, Matern 2.5's (5/3 r^2 + sqrt(5) r + 1) sf2, under
-        5/6 fmax + sqrt(5/2 fmax s) + s, which is below fmax for s < fmax / 200.
+        loaded model's against ``_query_bound``), so r^2, at most twice the
+        sum of the two rows' squared norms, stays under fmax / (2 s), and
+        the largest kernel intermediate, Matern 2.5's
+        (5/3 r^2 + sqrt(5) r + 1) sf2, under 5/6 fmax + sqrt(5/2 fmax s) + s,
+        which is below fmax for s < fmax / 200.
         """
         scale = max(1.0, self.kernel.signal_variance)
-        limit = math.sqrt(np.finfo(np.float64).max / (8.0 * self.input_dim * scale))
-        return float(self._length_scales.min()) * limit
+        return math.sqrt(np.finfo(np.float64).max / (8.0 * self.input_dim * scale))
+
+    @cached_property
+    def _query_bound(self) -> float:
+        """``_unit_bound`` for entries not yet divided by the length scales."""
+        return float(self._length_scales.min()) * self._unit_bound
 
     @cached_property
     def _block_rows(self) -> int:
@@ -491,39 +484,33 @@ class GprModel:
         buffers = {0.5: 1, 1.5: 2, 2.5: 3}[kernel.nu] if kernel.is_matern else 1
         return max(8, _KS_BLOCK_BYTES // (64 * self.n_train * buffers) * 8)
 
-    def _predict(self, X_star: np.ndarray, variance: np.ndarray | None = None) -> np.ndarray:
-        """Posterior mean at ``X_star``, a matrix of the model's width whose
-        values ``_predict_block`` checks; ``variance``, if given, receives
-        each point's latent variance.
+    def _predict(self, Z: np.ndarray, weights: np.ndarray, variance=None, out=None) -> np.ndarray:
+        """``Ks^T weights`` at the query ``Z``, a matrix of the model's width
+        in length-scale units whose entries lie below ``_unit_bound``, into
+        ``out`` if given; ``variance``, if given, receives each point's
+        latent variance. The one kernel core: ``weights`` is ``alpha`` for a
+        mean in scaled units, a ``GprPlan``'s folded weights for raw units.
 
         A batch larger than one block (``_KS_BLOCK_BYTES``) is predicted
         block by block into preallocated outputs, so its working memory does
         not grow with it.
         """
         rows = self._block_rows
-        m = X_star.shape[0]
+        m = Z.shape[0]
         if m <= rows:
-            return self._predict_block(X_star, variance)
-        mean = np.empty((m, self.y_dim))
+            return self._predict_block(Z, weights, variance, out)
+        if out is None:
+            out = np.empty((m, weights.shape[1]))
         for start in range(0, m, rows):
             block = slice(start, start + rows)
-            mean[block] = self._predict_block(
-                X_star[block], None if variance is None else variance[block]
+            self._predict_block(
+                Z[block], weights, None if variance is None else variance[block], out[block]
             )
-        return mean
+        return out
 
-    def _predict_block(self, X_star: np.ndarray, variance: np.ndarray | None) -> np.ndarray:
-        """``_predict`` for one block of query points, all at once.
-
-        The points are checked here, once, for values below
-        ``_query_bound``, which also refuses NaN and infinities. Checked by
-        the block, their magnitudes make a block-sized temporary, not a
-        batch-sized one.
-        """
-        _check_below(X_star, "X_star", self._query_bound)
-        sq = _scaled_sq_dist(
-            self._train_scaled, _scale_inputs(X_star, self._length_scales), self._train_terms
-        )
+    def _predict_block(self, Z: np.ndarray, weights: np.ndarray, variance, out) -> np.ndarray:
+        """``_predict`` for one block of query points, all at once."""
+        sq = _scaled_sq_dist(self._train_scaled, (Z, (Z * Z).sum(axis=1)), self._train_terms)
         Ks = _kernel_from_sq(self.kernel, sq, self.kernel.signal_variance)
         if variance is not None:
             # The LAPACK routine solve_triangular calls; L's diagonal is
@@ -532,11 +519,68 @@ class GprModel:
             variance.fill(self.kernel.signal_variance)
             variance -= np.einsum("ij,ij->j", v, v)
             np.maximum(variance, 0.0, out=variance)
-        return Ks.T @ self.alpha
+        return np.matmul(Ks.T, weights, out=out)
+
+    def _in_units(self, X_star: np.ndarray) -> np.ndarray:
+        """A query matrix in scaled space, checked for values below
+        ``_query_bound`` and divided by the length scales."""
+        check_below(X_star, "X_star", self._query_bound)
+        return X_star / self._length_scales
 
     def predict(self, X_scaled: np.ndarray) -> np.ndarray:
         """Posterior mean at inputs in scaled space; no variance is computed."""
-        return self._predict(as_matrix(X_scaled, "X_star", self.input_dim, finite=False))
+        X_scaled = as_matrix(X_scaled, "X_star", self.input_dim, finite=False)
+        return self._predict(self._in_units(X_scaled), self.alpha)
+
+    def serving_plan(self, x_scaler, y_scaler) -> "GprPlan":
+        """This model as a stage from raw sites to raw outputs, between the
+        ``preprocess.StandardScaler`` pair it was trained with.
+
+        The x scaler and the length scales fold into inv = 1/(sd_x l), so a
+        site x is the query (x - mean_x) inv in length-scale units (centred
+        first, as ``preprocess.transform`` does), and the y scaler into the
+        weights alpha sd_y and the offset mean_y. The plan's ``bound`` on a
+        site's entries, the least over the inputs of
+        min(U sd_x l / 2, fmax / 2) - |mean_x| with U = ``_unit_bound``,
+        keeps every |x - mean_x| finite and every query entry under U/2,
+        with room for rounding: below it no step of the plan overflows.
+        """
+        fmax = np.finfo(np.float64).max
+        width = x_scaler.divisor * self._length_scales
+        # A width past the float range gives an inf here, not a warning.
+        with np.errstate(all="ignore"):
+            reach = np.minimum(0.5 * self._unit_bound * width, 0.5 * fmax)
+        bound = max(0.0, float((reach - np.abs(x_scaler.means)).min()))
+        return GprPlan(
+            self, x_scaler.means, 1.0 / width, self.alpha * y_scaler.divisor, y_scaler.means, bound
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class GprPlan:
+    """A GPR stage from raw sites to raw outputs, its scalers folded into
+    constants (``GprModel.serving_plan``)."""
+
+    model: GprModel
+    x_means: np.ndarray
+    inv: np.ndarray
+    weights: np.ndarray
+    y_means: np.ndarray
+    bound: float
+
+    def __call__(
+        self, X: np.ndarray, out: np.ndarray | None = None, variance: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The mean at raw sites ``X``, a matrix of the model's width, in raw
+        units, written into ``out`` if given; ``variance``, if given,
+        receives each site's latent variance. The sites' one check is
+        against ``bound``, before any step can overflow."""
+        check_below(X, "X_star", self.bound)
+        Z = X - self.x_means
+        Z *= self.inv
+        out = self.model._predict(Z, self.weights, variance, out)
+        out += self.y_means
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -639,9 +683,9 @@ def gpr_fit(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> GprModel:
 
 def gpr_predict(model: GprModel, X_star: np.ndarray) -> Prediction:
     """Posterior mean and latent variance at query points."""
-    X_star = as_matrix(X_star, "X_star", model.input_dim, finite=False)
-    variance = np.empty(X_star.shape[0])
-    return Prediction(mean=model._predict(X_star, variance), variance=variance)
+    Z = model._in_units(as_matrix(X_star, "X_star", model.input_dim, finite=False))
+    variance = np.empty(Z.shape[0])
+    return Prediction(mean=model._predict(Z, model.alpha, variance), variance=variance)
 
 
 @dataclass(frozen=True)

@@ -179,9 +179,10 @@ def uq_report(surrogate, X_raw: np.ndarray) -> UqReport:
 
     The shared latent standard deviation is multiplied by each output's
     scaler std, the back-map consistent with one kernel serving all outputs.
-    The sites are checked once, as ``predict_raw`` checks them
-    (``as_matrix``), and take the stage's path with the variance added:
-    the mean is ``predict_raw``'s, the variance ``gpr_predict``'s.
+    The sites are checked as ``predict_raw`` checks them, and take the
+    stage's serving plan with the variance added: the mean is
+    ``predict_raw``'s, bit for bit, and the variance comes from the kernel
+    core ``gpr_predict`` runs.
     Anything but a single-stage surrogate with a GPR model, such as a
     composite or a bare ``GprModel`` with no scalers, is unsupported.
     """
@@ -192,11 +193,10 @@ def uq_report(surrogate, X_raw: np.ndarray) -> UqReport:
             "uncertainty reporting takes a single-stage surrogate with a GPR model, "
             f"got {got}"
         )
-    X_raw = as_matrix(X_raw, "design sites", surrogate.input_dim)
+    X_raw = as_matrix(X_raw, "design sites", surrogate.input_dim, finite=False)
     variance = np.empty(X_raw.shape[0])
-    y_scaler = surrogate.y_scaler
-    mean = y_scaler.unscale(model._predict(surrogate.x_scaler.scale(X_raw), variance))
-    std = np.sqrt(variance)[:, np.newaxis] * y_scaler.stds
+    mean = surrogate._plan(X_raw, variance=variance)
+    std = np.sqrt(variance)[:, np.newaxis] * surrogate.y_scaler.stds
     return UqReport(mean=mean, std=std)
 
 

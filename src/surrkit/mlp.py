@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from surrkit.blas import _one_scipy_blas_thread
-from surrkit.data import as_matrix, write_csv
+from surrkit.data import as_matrix, check_below, write_csv
 from surrkit.errors import InputError, NumericError
 
 ACTIVATIONS = ("tanh", "relu", "identity")
@@ -92,20 +92,67 @@ class MlpModel:
         return self.architecture.describe()
 
     def predict(self, X_scaled: np.ndarray) -> np.ndarray:
-        """Network output at inputs in scaled space."""
-        dim = self.architecture.input_dim
-        return self._predict(as_matrix(X_scaled, "X_scaled", dim, finite=False))
-
-    def _predict(self, X_scaled: np.ndarray) -> np.ndarray:
-        """``predict`` at a matrix of the network's width, as
-        ``GprModel._predict`` takes it.
-
-        Non-finite inputs raise ``InputError``, as in ``GprModel.predict``:
-        a finite raw site can overflow when its scaler divides it.
-        """
-        if not np.isfinite(X_scaled).all():
-            raise InputError("X_scaled contains non-finite entries")
+        """Network output at finite inputs in scaled space."""
+        X_scaled = as_matrix(X_scaled, "X_scaled", self.architecture.input_dim)
         return _activations(self, X_scaled)[-1]
+
+    def serving_plan(self, x_scaler, y_scaler) -> "MlpPlan":
+        """This model as a stage from raw sites to raw outputs, between the
+        ``preprocess.StandardScaler`` pair it was trained with: a network
+        whose first layer takes raw sites, W / sd_x and b - mean_x (W / sd_x),
+        and whose last gives raw outputs, W sd_y and b sd_y + mean_y.
+
+        The plan's ``bound`` on a site's entries keeps every step of the
+        unfolded stage (scaling, each layer before its activation,
+        unscaling) below fmax / 4: a step maps inputs below M to outputs
+        below g M + c, g its largest column sum of absolute coefficients
+        and c its largest absolute offset, and a tanh caps its layer at 1.
+        The same bounds hold the folded products, so none can overflow,
+        not even inside BLAS, where no warning would tell.
+        """
+        sd_x, sd_y = x_scaler.divisor, y_scaler.divisor
+        steps = [(1.0 / float(sd_x.min()), float(np.abs(x_scaler.means / sd_x).max()))]
+        steps += [(float(np.abs(W).sum(axis=0).max()), float(np.abs(b).max()))
+                  for W, b in zip(self.weights, self.biases)]
+        steps.append((float(sd_y.max()), float(np.abs(y_scaler.means).max())))
+        # Python floats, which overflow to inf without a warning.
+        limit = float(np.finfo(np.float64).max) / 4.0
+        saturates = self.architecture.activation == "tanh"
+        bound, gain, reach = math.inf, 1.0, 0.0  # each output lies below gain |x| + reach
+        for i, (g, c) in enumerate(steps):
+            gain, reach = gain * g, reach * g + c
+            if not reach < limit:
+                bound = 0.0
+            elif gain > 0.0:
+                bound = min(bound, (limit - reach) / gain)
+            if saturates and 0 < i < len(steps) - 2:
+                gain, reach = 0.0, 1.0
+        weights, biases = list(self.weights), list(self.biases)
+        first = weights[0] / sd_x[:, np.newaxis]
+        weights[0], biases[0] = first, biases[0] - x_scaler.means @ first
+        weights[-1], biases[-1] = weights[-1] * sd_y, biases[-1] * sd_y + y_scaler.means
+        return MlpPlan(MlpModel(self.architecture, weights, biases), bound)
+
+
+@dataclass(frozen=True, eq=False)
+class MlpPlan:
+    """An MLP stage from raw sites to raw outputs, its scalers folded into
+    its first and last layers (``MlpModel.serving_plan``)."""
+
+    network: MlpModel
+    bound: float
+
+    def __call__(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The network's output at raw sites ``X``, a matrix of its width,
+        in raw units, written into ``out`` if given. The sites' one check is
+        against ``bound``, before any step can overflow; the forward pass is
+        training's."""
+        check_below(X, "X_star", self.bound)
+        Y = _activations(self.network, X)[-1]
+        if out is None:
+            return Y
+        out[...] = Y
+        return out
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:

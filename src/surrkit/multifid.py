@@ -16,14 +16,17 @@ keeps every transform single-purpose and auditable. Deeper fidelity stacks
 fold the same step, treating the previous composite as the next level's
 low-fidelity model.
 
-A prediction checks its raw sites once per call, with
-``data.as_matrix``: the outermost ``predict_raw`` (or
-``build_mf_input``) checks them, and passes ``checked=True`` to the stages
-inside it. A stage (``FittedSurrogate.predict_raw``) then scales the sites,
-runs its model and unscales the output, the arithmetic of ``transform``,
-the model's ``predict`` and ``inverse_transform`` in their order, so the
-bytes are theirs. Its one check is its model's check of the scaled query,
-which is what catches a finite raw site that overflows in scaling; that the
+A prediction checks its raw sites' shape once per call, with
+``data.as_matrix``: the outermost ``predict_raw`` (or ``build_mf_input``)
+checks them, and passes ``checked=True`` to the stages inside it. A stage
+(``FittedSurrogate.predict_raw``) then runs its serving plan, which its
+model derives from the stage's scalers on the first prediction and the
+stage keeps (``FittedSurrogate._plan``; bundles do not store it, and
+``modelstore.load_model`` does not build it). The plan folds the scalers
+into the model's constants, so it takes raw sites to raw outputs with no
+scaling pass of its own, and checks their values once, against a bound
+below which none of its steps can overflow: a NaN, an infinity or a site
+past the bound raises ``InputError``, never a numpy warning. That the
 model's widths are its scalers' is checked when the stage is made.
 ``build_mf_input`` writes ``[F_lf(x) | x]`` into one preallocated array,
 the LF stage its predictions straight into the first q columns.
@@ -32,6 +35,7 @@ the LF stage its predictions straight into the first q columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,8 +43,8 @@ from surrkit.data import DataTensor, FidelityDataset, as_matrix, check_names, fl
 from surrkit.errors import InputError
 # gpr_fit and gpr_predict are not used here; perfbench/test_perfbench.py
 # checks that its tracer rebinds them in this module.
-from surrkit.gpr import GprModel, gpr_fit, gpr_predict  # noqa: F401
-from surrkit.mlp import MlpModel
+from surrkit.gpr import GprModel, GprPlan, gpr_fit, gpr_predict  # noqa: F401
+from surrkit.mlp import MlpModel, MlpPlan
 from surrkit.preprocess import (
     SplitSpec,
     StandardScaler,
@@ -130,6 +134,12 @@ class FittedSurrogate:
     def output_dim(self) -> int:
         return self.y_scaler.fitted_on
 
+    @cached_property
+    def _plan(self) -> GprPlan | MlpPlan:
+        """The stage from raw sites to raw outputs, its scalers folded into
+        its model's constants; derived on the first prediction, never stored."""
+        return self.model.serving_plan(self.x_scaler, self.y_scaler)
+
     def predict_raw(
         self, X_raw: np.ndarray, *, checked: bool = False, out: np.ndarray | None = None
     ) -> np.ndarray:
@@ -137,13 +147,11 @@ class FittedSurrogate:
         given, else into a new array.
 
         ``checked=True`` says ``X_raw`` already passed ``as_matrix``. The
-        stage scales the sites, runs its model on them and unscales the
-        model's output into ``out``: the arithmetic of ``transform``, the
-        model's ``predict`` and ``inverse_transform``, without their checks.
+        stage's plan checks the sites' values, once, against its bound.
         """
         if not checked:
-            X_raw = as_matrix(X_raw, "design sites", self.input_dim)
-        return self.y_scaler.unscale(self.model._predict(self.x_scaler.scale(X_raw)), out)
+            X_raw = as_matrix(X_raw, "design sites", self.input_dim, finite=False)
+        return self._plan(X_raw, out)
 
     def describe(self) -> str:
         tag = f"[{self.fidelity}] " if self.fidelity else ""
@@ -234,7 +242,7 @@ def build_mf_input(
     ``lf.input_dim`` unless ``checked`` says they already were.
     """
     if not checked:
-        X_raw = as_matrix(X_raw, "design sites", lf.input_dim)
+        X_raw = as_matrix(X_raw, "design sites", lf.input_dim, finite=False)
     q = lf.output_dim
     augmented = np.empty((X_raw.shape[0], q + X_raw.shape[1]))
     lf.predict_raw(X_raw, checked=True, out=augmented[:, :q])

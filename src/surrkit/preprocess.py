@@ -6,10 +6,9 @@ reproduces the same bins on any machine. Scalers are fit on the training bin
 only and applied to every bin; standardization uses the population standard
 deviation (divide by n). A scaler builds its divisor (the stds, with 1 for a
 constant column) once, when it is made, so applying it costs its arithmetic.
-That arithmetic is in one place, ``StandardScaler.scale`` and ``unscale``,
-which check nothing: a prediction stage runs them on sites its outermost
-call checked. ``transform`` and ``inverse_transform`` check the matrix
-(``data.as_matrix``) and then run them; training uses these.
+``transform`` and ``inverse_transform`` apply it, and serve training and
+scoring only: a prediction stage folds its scalers into its model's
+constants once (``multifid.FittedSurrogate._plan``) and never runs them.
 """
 
 from __future__ import annotations
@@ -109,20 +108,6 @@ class StandardScaler:
     def identity(cls, n_cols: int) -> "StandardScaler":
         return cls(np.zeros(n_cols), np.ones(n_cols), n_cols)
 
-    def scale(self, values: np.ndarray) -> np.ndarray:
-        """(v - mean) / divisor of a matrix with this scaler's columns, into
-        a new array; it is not checked."""
-        # A finite value too large to scale becomes inf without a warning;
-        # the model's check of its scaled query reports it as an InputError.
-        with np.errstate(over="ignore"):
-            return (values - self.means) / self.divisor
-
-    def unscale(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """v * divisor + mean of a matrix with this scaler's columns, into
-        ``out`` (a new array when ``None``); it is not checked."""
-        out = np.multiply(values, self.divisor, out=out)
-        return np.add(out, self.means, out=out)
-
 
 def fit_scaler(matrix: np.ndarray) -> StandardScaler:
     """Fit per-column means and population stds of a finite 2-D array."""
@@ -137,12 +122,17 @@ def fit_scaler(matrix: np.ndarray) -> StandardScaler:
 def transform(scaler: StandardScaler, matrix: np.ndarray) -> np.ndarray:
     """Standardize the columns of a 2-D array into a new array:
     (v - mean) / std, constant columns to 0."""
-    return scaler.scale(as_matrix(matrix, "scaler input", scaler.fitted_on, finite=False))
+    values = as_matrix(matrix, "scaler input", scaler.fitted_on, finite=False)
+    # A finite value too large to scale becomes inf without a warning; the
+    # model's check of its query reports it as an InputError.
+    with np.errstate(over="ignore"):
+        return (values - scaler.means) / scaler.divisor
 
 
 def inverse_transform(scaler: StandardScaler, matrix: np.ndarray) -> np.ndarray:
     """Undo :func:`transform`; constant columns return to the stored mean."""
-    return scaler.unscale(as_matrix(matrix, "scaler input", scaler.fitted_on, finite=False))
+    values = as_matrix(matrix, "scaler input", scaler.fitted_on, finite=False)
+    return values * scaler.divisor + scaler.means
 
 
 @dataclass(frozen=True, eq=False)

@@ -217,9 +217,10 @@ class ConvergenceCurve:
 
 def check_sizes(sizes, name: str = "sizes") -> list[int]:
     """Convergence subset sizes as integers, if there are any and they are
-    positive and increasing; else ``InputError`` naming them ``name``."""
+    positive and strictly increasing (no size repeats); else ``InputError``
+    naming them ``name``."""
     sizes = [int(s) for s in sizes]
-    if not sizes or min(sizes) < 1 or sorted(sizes) != sizes:
+    if not sizes or sizes[0] < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
         raise InputError(f"{name} must be positive, increasing integers, got {sizes}")
     return sizes
 

@@ -682,8 +682,8 @@ class TestErrorsExit2WithoutTraceback:
         assert not out.exists()
 
     def test_overflowing_site(self, sf_bundle, tmp_path):
-        """1e308 is finite but overflows when scaled; the scaled-query check
-        reports it, and no overflow warning adds a line."""
+        """1e308 is finite but would overflow when scaled; the stage's bound
+        refuses it first, and no overflow warning adds a line."""
         sites = tmp_path / "big.csv"
         sites.write_text("x\n0.5\n1e308\n")
         result = cli_process(
@@ -691,7 +691,7 @@ class TestErrorsExit2WithoutTraceback:
             "--out", str(tmp_path / "pred.csv"),
         )
         self.assert_one_line_exit_2(result)
-        assert "non-finite" in result.stderr
+        assert "X_star holds a value of magnitude 1e+308" in result.stderr
 
 
 @pytest.fixture(scope="module")
@@ -1338,7 +1338,8 @@ def test_convergence_sizes_flag_that_is_no_integer_list_exits_2(tmp_path):
     assert not (tmp_path / "r").exists()
 
 
-@pytest.mark.parametrize("sizes", [[8, 4], [0, 5], [-3]], ids=["decreasing", "zero", "negative"])
+@pytest.mark.parametrize("sizes", [[8, 4], [8, 8, 16], [0, 5], [-3]],
+                         ids=["decreasing", "repeated", "zero", "negative"])
 def test_convergence_sizes_that_are_not_positive_and_increasing_exit_2(tmp_path, sizes):
     """Bad sizes are refused, by their key or their flag, before the run
     directory is made."""

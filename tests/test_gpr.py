@@ -437,9 +437,9 @@ class TestBlockedPrediction:
         model = gpr_fit(self.X, self.Y, spec)
         blocks, inner = [], gpr.GprModel._predict_block
 
-        def counted(self, X_star, variance):
-            blocks.append(len(X_star))
-            return inner(self, X_star, variance)
+        def counted(self, Z, *args):
+            blocks.append(len(Z))
+            return inner(self, Z, *args)
 
         monkeypatch.setattr(gpr.GprModel, "_predict_block", counted)
         mean = model.predict(self.Xq)

@@ -1,6 +1,7 @@
 """Feed-forward network: forward pass, gradients, training behavior."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,13 @@ from surrkit.mlp import (
     mlp_forward,
     mlp_train,
 )
-from surrkit.preprocess import SplitSpec, preprocess_data_pipeline
+from surrkit.preprocess import (
+    SplitSpec,
+    StandardScaler,
+    inverse_transform,
+    preprocess_data_pipeline,
+    transform,
+)
 from surrkit.tuner import MlpGrid, tune_mlp
 
 
@@ -393,3 +400,38 @@ class TestConfigValidation:
     def test_parameter_count(self):
         arch = MlpArchitecture(3, (8, 8), 2, "tanh")
         assert arch.parameter_count() == (3 * 8 + 8) + (8 * 8 + 8) + (8 * 2 + 2)
+
+
+class TestServingPlan:
+    """An MLP stage's plan: its scalers folded into the network's first and
+    last layers, and a bound on the sites below which no step overflows."""
+
+    def test_the_plan_is_the_network_between_its_scalers(self):
+        model = init_model(MlpArchitecture(2, (5, 4), 2, "tanh"), seed=3)
+        x_scaler = StandardScaler(np.array([5.0, -3.0]), np.array([0.01, 100.0]), 2)
+        y_scaler = StandardScaler(np.array([1.0, 2.0]), np.array([1e3, 1e-3]), 2)
+        X = np.random.default_rng(4).normal(size=(20, 2)) * [0.01, 100.0] + [5.0, -3.0]
+        expected = inverse_transform(y_scaler, model.predict(transform(x_scaler, X)))
+        got = model.serving_plan(x_scaler, y_scaler)(X)
+        assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected).max(axis=0))
+
+    @pytest.mark.parametrize("activation", ["identity", "relu", "tanh"])
+    def test_the_bound_keeps_every_step_below_a_quarter_of_the_float_range(self, activation):
+        """With equal positive weights and equal x stds the bound is tight
+        for identity and relu: a site just under it gives an output of
+        fmax / 4, so a bound a few times larger would overflow inside a BLAS
+        product, which does not warn. A tanh network saturates instead."""
+        arch = MlpArchitecture(2, (3, 3), 2, activation)
+        dims = arch.layer_dims()
+        model = MlpModel(arch, [np.full((a, b), 7.0) for a, b in zip(dims, dims[1:])],
+                         [np.zeros(b) for b in dims[1:]])
+        plan = model.serving_plan(StandardScaler(np.zeros(2), np.full(2, 0.25), 2),
+                                  StandardScaler(np.zeros(2), np.array([2.0, 3.0]), 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = plan(np.full((1, 2), np.nextafter(plan.bound, 0.0)))
+        assert np.isfinite(out).all()
+        if activation != "tanh":
+            assert out.max() == pytest.approx(np.finfo(np.float64).max / 4.0, rel=1e-12)
+        with pytest.raises(InputError, match="^X_star holds a value of magnitude"):
+            plan(np.full((1, 2), plan.bound))

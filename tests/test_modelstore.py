@@ -745,19 +745,32 @@ FORMAT_1_GUARDS = {
 }
 
 
+# The largest change from a format-1 fixture's saved means and LF stds
+# allowed, relative to the largest saved |mean|. The fixtures' GPR stages are
+# ill-conditioned (50 LF rows, 8 HF rows): the fold moves the means by up to
+# 1.3e-9 of it and the LF stds by up to 4.0e-10; the MLP's by 3.3e-16.
+FORMAT_1_RTOL = 1e-8
+
+
 class TestFormat1:
     """Format-1 bundles, as the last release that wrote them saved them."""
 
     @pytest.mark.parametrize("name", ["mf_text_v1", "mf_binary_v1", "mlp_text_v1"])
     def test_fixture_predicts_the_bytes_it_was_saved_with(self, name):
+        """The means and LF stds the release that saved the fixture gave,
+        within ``FORMAT_1_RTOL``: serving plans fold each stage's scalers
+        into its model's constants, which moves them in their last bits,
+        and a std near a training site is a small difference of large
+        terms."""
         expected = json.loads((FORMAT_1 / "expected.json").read_text())
         sites = np.array(expected["sites"])[:, None]
         loaded = load_model(FORMAT_1 / name)
-        mean = np.array(expected[name]["mean"])
-        assert loaded.predict_raw(sites).ravel().tobytes() == mean.tobytes()
+        got = {"mean": loaded.predict_raw(sites).ravel()}
         if "lf_std" in expected[name]:
-            std = np.array(expected[name]["lf_std"])
-            assert uq_report(loaded.lf, sites).std.ravel().tobytes() == std.tobytes()
+            got["lf_std"] = uq_report(loaded.lf, sites).std.ravel()
+        scale = np.max(np.abs(expected[name]["mean"]))
+        for key, values in got.items():
+            assert np.max(np.abs(values - expected[name][key])) <= FORMAT_1_RTOL * scale, key
 
     def test_resaved_fixture_is_format_2_and_predicts_alike(self, tmp_path):
         loaded = load_model(FORMAT_1 / "mf_text_v1")

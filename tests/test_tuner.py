@@ -305,6 +305,11 @@ class TestConvergence:
         with pytest.raises(InputError, match="increasing"):
             convergence_study(self.forrester_hf(60), "gpr", [16, 8], SplitSpec(seed=1))
 
+    def test_a_size_may_not_repeat(self):
+        """A repeated size would train its subset twice and write two rows."""
+        with pytest.raises(InputError, match="increasing"):
+            convergence_study(self.forrester_hf(60), "gpr", [8, 8, 16], SplitSpec(seed=1))
+
 
 class TestConvergenceRunsTheTrainingPath:
     """At each size, a convergence study prepares the size's bins and sweeps
