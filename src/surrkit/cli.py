@@ -11,6 +11,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -291,7 +292,13 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: building it costs
+    about 25 times what a parse does, and a parse leaves it as it was.
+    It names each subcommand in ``command``; ``main`` runs the ``cmd_*``
+    function of that name as the module holds it at the call, so a function
+    replaced after the first build, as a tracer replaces it, is the one run."""
     parser = argparse.ArgumentParser(
         prog="surrkit",
         description=(
@@ -320,11 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="tensor-text", choices=["tensor-text", "csv"])
     p.add_argument("--out", default=None, help="optionally re-export here")
     p.add_argument("--export-format", default="tensor-text", choices=["tensor-text", "csv"])
-    p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("train", help="single-fidelity pipeline: tune, train, evaluate")
     common(p)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser(
         "mf-train", help="multi-fidelity pipeline over two or more fidelity levels"
@@ -334,18 +339,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lf-output", default=None, help="override the lowest level's y")
     p.add_argument("--hf-input", default=None, help="override the highest level's x")
     p.add_argument("--hf-output", default=None, help="override the highest level's y")
-    p.set_defaults(func=cmd_mf_train)
 
     p = sub.add_parser("tune", help="run the hyperparameter sweep only")
     common(p)
-    p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("predict", help="evaluate a saved model at new design sites")
     p.add_argument("--model-dir", required=True)
     p.add_argument("--sites", required=True, help="design sites file")
     p.add_argument("--sites-format", default="csv", choices=["csv", "tensor-text"])
     p.add_argument("--out", dest="pred_out", default="predictions.csv")
-    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="score a saved model on a labeled dataset")
     p.add_argument("--model-dir", required=True)
@@ -353,12 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True)
     p.add_argument("--format", default="tensor-text", choices=["tensor-text", "csv"])
     p.add_argument("--out", default=None, help="write report files here")
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("convergence", help="training-set-size convergence study")
     common(p)
     p.add_argument("--sizes", default=None, help="comma-separated subset sizes")
-    p.set_defaults(func=cmd_convergence)
 
     p = sub.add_parser("synth", help="generate an analytic benchmark dataset")
     p.add_argument("--pair", default="forrester")
@@ -368,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["latin-hypercube", "uniform-grid", "uniform-random"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_synth)
 
     return parser
 
@@ -378,13 +377,13 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     # A warning is one stderr line, as an error is, without a source line.
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning
         try:
-            return args.func(args)
+            return command(args)
         except NumericError as exc:
             print(f"numeric error: {exc}", file=sys.stderr)
             return EXIT_NUMERIC

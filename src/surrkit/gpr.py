@@ -32,13 +32,13 @@ The ``constant*`` kinds treat the signal variance sf2 as a tunable amplitude
 during hyperparameter optimization; the bare kinds hold it fixed. ``nu`` is
 always user-chosen, never optimized.
 
-Every kernel matrix is built in one buffer: ``_scaled_sq_dist`` forms r^2
-in the output of the cross product, and ``_kernel_from_sq`` turns it into
-the kernel in place (Matern 1.5 and 2.5 use one and two more buffers). Each
-element sees the operations of the formulas above in their order, so K and
-Ks are the bytes the out-of-place expressions give, except that a training
-kernel's self-distances are exactly 0 rather than the few ulps of
-cancellation the expanded r^2 leaves there.
+Every ``kernel_eval`` matrix, a training kernel K among them, is built in
+one buffer: ``_scaled_sq_dist`` forms r^2 in the output of the cross
+product, and ``_kernel_from_sq`` turns it into the kernel in place (Matern
+1.5 and 2.5 use one and two more buffers). Each element sees the operations
+of the formulas above in their order, so K is the bytes the out-of-place
+expressions give, except that its self-distances are exactly 0 rather than
+the few ulps of cancellation the expanded r^2 leaves there.
 
 ``GprModel.predict`` computes the mean alone; only ``gpr_predict`` and
 ``metrics.uq_report`` pay for the O(n^2) triangular solve behind the
@@ -47,25 +47,27 @@ length-scale units, forming ``Ks^T w`` for the weights w it is given. It
 takes a batch in blocks of query points whose kernel buffers (Ks, and the
 one or two more Matern 1.5 and 2.5 need) fit in ``_KS_BLOCK_BYTES``
 together, and writes each block's rows into preallocated outputs. A block's
-distance product, its elementwise passes and ``Ks.T @ w`` then run on data
+cross product, its elementwise passes and ``Ks.T @ w`` then run on data
 that stays in a core's L2 cache (232 points at n_train = 560 with rbf), and
 the working memory of a batch is a block's worth whatever its size. A batch
-that fits in one block is predicted in one step. Ks is built from the
-training side of the kernel (X_train divided by the length scales, twice
-that, and its squared row norms as a column), which each model computes
-once, on first use, and keeps. ``GprModel.predict`` and ``gpr_predict``
-divide scaled inputs by the length scales and weight by ``alpha``. A
-prediction stage runs its serving plan (``GprModel.serving_plan``) instead,
-which folds its scalers into the model's constants: still GPML eq. 2.25,
-``Ks^T alpha``, with the affine maps applied elsewhere, which moves the
-result in its last bits. ``X_train`` and ``alpha`` are finite from the
+that fits in one block is predicted in one step. Each model keeps one
+training side, built on first use (``GprModel._train_side``), whose rows
+carry the row norms, and for rbf the amplitude, so that one product with a
+block's query side gives rbf's whole exponent, log sf2 - r^2/2, or
+Matern's r^2, as GPyTorch's ``sq_dist`` does. The mean is still GPML
+eq. 2.25, ``Ks^T alpha``, but it agrees with a ``kernel_eval`` Ks's in its
+last bits, not bit for bit. ``GprModel.predict`` and ``gpr_predict`` divide
+scaled inputs by the length scales and weight by ``alpha``. A prediction
+stage runs its serving plan (``GprModel.serving_plan``) instead, which
+folds its scalers into the model's constants, which moves the result in its
+last bits too. ``X_train`` and ``alpha`` are finite from the
 moment a model exists, because ``gpr_fit`` checks its inputs and rejects a
 non-finite lml (which any non-finite entry of ``alpha`` makes) and
 ``modelstore.load_model`` checks them, so no path re-checks them per query.
 A query's shape is checked once, by the outermost call, and its values
 once, before any step can overflow: against ``_query_bound`` in scaled
 units, or the plan's bound on raw sites. Both keep every entry of the query
-in length-scale units below ``_unit_bound``, where no square, distance or
+in length-scale units below ``_unit_bound``, where no product, distance or
 kernel value can overflow, and refuse NaN and infinities.
 
 Every factorization of a training kernel goes through ``_fit_at``, GPML
@@ -261,7 +263,6 @@ def _scale_inputs(X: np.ndarray, ls: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def _scaled_sq_dist(
     A_scaled: tuple[np.ndarray, np.ndarray],
     B_scaled: tuple[np.ndarray, np.ndarray],
-    A_terms: tuple[np.ndarray, np.ndarray] | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Squared length-scale-weighted distances r^2 between the rows of A and B.
@@ -269,30 +270,22 @@ def _scaled_sq_dist(
     Both arguments are ``_scale_inputs`` results. When they are the same
     one, the rows' distances to themselves are set to exactly 0:
     cancellation leaves them up to ~4e-16, a kink in Matern 0.5's lml.
-    ``A_terms`` is ``_row_terms(A_scaled)`` where the caller keeps it, as a
-    model does for its training side; it is formed here otherwise. r^2 is
-    written into ``out`` if given, else into a new array.
+    r^2 is written into ``out`` if given, else into a new array.
     """
+    As, As_sq = A_scaled
     Bs, Bs_sq = B_scaled
-    A_doubled, As_sq = A_terms or _row_terms(A_scaled)
     # ||a||^2 - 2 a.b + ||b||^2, evaluated left to right in the product's
-    # buffer; clip tiny negatives from cancellation.
-    sq = np.matmul(A_doubled, Bs.T, out=out)
-    np.subtract(As_sq, sq, out=sq)
+    # buffer; clip tiny negatives from cancellation. ``2.0 * As`` is exact
+    # and a new array, so the product never multiplies an array by its own
+    # transpose, which numpy may send to a rank-k update that rounds
+    # differently.
+    sq = np.matmul(2.0 * As, Bs.T, out=out)
+    np.subtract(As_sq[:, np.newaxis], sq, out=sq)
     sq += Bs_sq
     np.maximum(sq, 0.0, out=sq)
     if A_scaled is B_scaled:
         np.fill_diagonal(sq, 0.0)
     return sq
-
-
-def _row_terms(A_scaled: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The A side of ``_scaled_sq_dist``: ``2.0 * As`` and the squared row
-    norms as a column. ``2.0 * As`` is exact and a new array, so the
-    product never multiplies an array by its own transpose, which numpy may
-    send to a rank-k update that rounds differently."""
-    As, As_sq = A_scaled
-    return 2.0 * As, As_sq[:, np.newaxis]
 
 
 def _kernel_from_sq(
@@ -445,13 +438,30 @@ class GprModel:
         return self.kernel.length_scale_vector(self.input_dim)
 
     @cached_property
-    def _train_scaled(self) -> tuple[np.ndarray, np.ndarray]:
-        return _scale_inputs(self.X_train, self._length_scales)
+    def _train_side(self) -> np.ndarray:
+        """T, the training side of every Ks product, n x (d+2), built on
+        first use and kept. With a a row of X_train in length-scale units,
+        T's row is [a | log sf2 - |a|^2/2 | -1/2] for rbf and
+        [-2a | |a|^2 | 1] for Matern, so that its product with a query row
+        [z | 1 | |z|^2] is rbf's exponent log sf2 - r^2/2 or Matern's r^2."""
+        A, A_sq = _scale_inputs(self.X_train, self._length_scales)
+        if self.kernel.is_matern:
+            return np.column_stack([-2.0 * A, A_sq, np.ones(self.n_train)])
+        log_sf2 = math.log(self.kernel.signal_variance)
+        return np.column_stack([A, log_sf2 - 0.5 * A_sq, np.full(self.n_train, -0.5)])
 
     @cached_property
-    def _train_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """``_row_terms`` of the training side, which every Ks product reads."""
-        return _row_terms(self._train_scaled)
+    def _exponent_cap(self) -> float:
+        """log sf2 where rounding in the block product could carry rbf's
+        exponent more than 1e-9 above it, else +inf (no cap, no pass). The
+        excess is at most (2d + 3) 1.01 u (8 A^2 + |log sf2|), u = 2^-53,
+        A^2 the largest squared training row norm in length-scale units:
+        the cap takes rows hundreds of length scales from the origin."""
+        log_sf2 = math.log(self.kernel.signal_variance)
+        A = self._train_side[:, :-2]
+        largest = float(np.einsum("ij,ij->i", A, A).max())
+        excess = (2 * self.input_dim + 3) * 1.01 * 2.0**-53 * (8 * largest + abs(log_sf2))
+        return log_sf2 if excess > 1e-9 else math.inf
 
     @cached_property
     def _unit_bound(self) -> float:
@@ -461,11 +471,14 @@ class GprModel:
         Below it each such entry squares to under fmax / (8 d s),
         s = max(1, sf2), so a row's squared norm stays under fmax / (8 s).
         Training inputs lie below it too (``modelstore.load_model`` checks a
-        loaded model's against ``_query_bound``), so r^2, at most twice the
-        sum of the two rows' squared norms, stays under fmax / (2 s), and
-        the largest kernel intermediate, Matern 2.5's
-        (5/3 r^2 + sqrt(5) r + 1) sf2, under 5/6 fmax + sqrt(5/2 fmax s) + s,
-        which is below fmax for s < fmax / 200.
+        loaded model's against ``_query_bound``). The magnitudes of the
+        terms of a ``_train_side`` product, which bound its partial sums,
+        then sum to under fmax / (4 s) + |log sf2| for rbf, whose Ks
+        ``_exponent_cap`` keeps in [0, sf2 (1 + 2e-9)], and fmax / (2 s) for
+        Matern (sum |a_j z_j| <= (|a|^2 + |z|^2) / 2), as do those of a
+        training kernel's r^2. The largest Matern kernel intermediate, 2.5's
+        (5/3 r^2 + sqrt(5) r + 1) sf2, stays under
+        5/6 fmax + sqrt(5/2 fmax s) + s, below fmax for s < fmax / 200.
         """
         scale = max(1.0, self.kernel.signal_variance)
         return math.sqrt(np.finfo(np.float64).max / (8.0 * self.input_dim * scale))
@@ -478,8 +491,8 @@ class GprModel:
     @cached_property
     def _block_rows(self) -> int:
         """Query points per prediction block: a multiple of 8, at least 8,
-        whose n_train x rows buffers of ``_kernel_from_sq`` (one for rbf and
-        Matern 0.5, two for 1.5, three for 2.5) fit in ``_KS_BLOCK_BYTES``."""
+        whose n_train x rows kernel buffers (one for rbf and Matern 0.5, two
+        for 1.5, three for 2.5) fit in ``_KS_BLOCK_BYTES``."""
         kernel = self.kernel
         buffers = {0.5: 1, 1.5: 2, 2.5: 3}[kernel.nu] if kernel.is_matern else 1
         return max(8, _KS_BLOCK_BYTES // (64 * self.n_train * buffers) * 8)
@@ -509,14 +522,29 @@ class GprModel:
         return out
 
     def _predict_block(self, Z: np.ndarray, weights: np.ndarray, variance, out) -> np.ndarray:
-        """``_predict`` for one block of query points, all at once."""
-        sq = _scaled_sq_dist(self._train_scaled, (Z, (Z * Z).sum(axis=1)), self._train_terms)
-        Ks = _kernel_from_sq(self.kernel, sq, self.kernel.signal_variance)
+        """``_predict`` for one block of query points, all at once: one
+        product with ``_train_side`` gives rbf's exponent, capped where
+        ``_exponent_cap`` is finite, or Matern's r^2, clipped at 0; one
+        in-place exp or ``_kernel_from_sq`` gives Ks."""
+        kernel = self.kernel
+        m, d = Z.shape
+        Q = np.empty((m, d + 2))
+        Q[:, :d] = Z
+        Q[:, d] = 1.0
+        np.einsum("ij,ij->i", Z, Z, out=Q[:, d + 1])
+        Ks = np.matmul(self._train_side, Q.T)
+        if kernel.is_matern:
+            np.maximum(Ks, 0.0, out=Ks)
+            Ks = _kernel_from_sq(kernel, Ks, kernel.signal_variance)
+        else:
+            if self._exponent_cap < math.inf:
+                np.minimum(Ks, self._exponent_cap, out=Ks)
+            np.exp(Ks, out=Ks)
         if variance is not None:
             # The LAPACK routine solve_triangular calls; L's diagonal is
             # positive, so the solve cannot fail.
             v, _ = dtrtrs(self.L, Ks, lower=1)
-            variance.fill(self.kernel.signal_variance)
+            variance.fill(kernel.signal_variance)
             variance -= np.einsum("ij,ij->j", v, v)
             np.maximum(variance, 0.0, out=variance)
         return np.matmul(Ks.T, weights, out=out)

@@ -24,7 +24,7 @@ from helpers import (
     payload_sections,
     resign_checksums,
 )
-from surrkit import mlp, multifid, tuner
+from surrkit import cli, mlp, multifid, tuner
 from surrkit.cli import main
 from surrkit.config import (
     LENGTH_SCALE_RANGE,
@@ -1598,3 +1598,107 @@ def test_defaults_come_from_the_dataclasses(tmp_path):
     assert cfg.mlp_grid == MlpGrid()
     assert cfg.data == DataSource(x=tmp_path / "x", y=tmp_path / "y", fidelity="data")
     assert cfg.raw == {"data": {"x": str(tmp_path / "x"), "y": str(tmp_path / "y")}, "seed": 0}
+
+
+# Numbers at the edges of what JSON carries into a config: an integer past
+# int64, one past the float range, the least subnormal, either edge of the
+# float range and negative zero.
+NUMERIC_EXTREMES = [2**63, 10**400, 5e-324, 1e308, -1e308, -0.0]
+
+
+def test_numeric_extreme_at_any_config_leaf_exits_0_or_2(tmp_path):
+    """Setting any one value of a valid config that runs to any numeric
+    extreme runs (exit 0) or is refused (exit 2) with one stderr line, never
+    with a traceback; an unread MLP key adds its one warning line. Each leaf
+    runs the command that reads it: ``train``, with an MLP model for the
+    ``mlp`` keys, or ``convergence``. Every pair is tried."""
+    data = tmp_path / "data"
+    assert run(["synth", "--n-lf", "12", "--n-hf", "6", "--seed", "1", "--out", str(data)]) == 0
+    base = json.loads(json.dumps(VALID_CONFIG))
+    for key in UNREAD_MLP_KEYS:
+        del base["mlp"][key]
+    base["data"].update(x=str(data / "lf_x.txt"), y=str(data / "lf_y.txt"), format="tensor-text")
+    base["convergence"]["sizes"] = [4, 6]
+    out = tmp_path / "r"
+
+    def exit_and_lines(body, leaf=("",)):
+        command = "convergence" if leaf[0] == "convergence" else "train"
+        if leaf[0] == "mlp":
+            body["model"]["kind"] = "mlp"
+        cfg = write_config(tmp_path / "cfg.json", body)
+        result = run_captured([command, "--config", str(cfg), "--out", str(out)])
+        shutil.rmtree(out, ignore_errors=True)
+        return result
+
+    for leaf in (("",), ("mlp",), ("convergence",)):
+        assert exit_and_lines(json.loads(json.dumps(base)), leaf) == (0, []), leaf
+    bad = []
+    for leaf in config_paths(VALID_CONFIG):
+        for value in NUMERIC_EXTREMES:
+            body = json.loads(json.dumps(base))
+            node = body
+            for key in leaf[:-1]:
+                node = node[key]
+            node[leaf[-1]] = value
+            code, lines = exit_and_lines(body, leaf)
+            if leaf[-1] in UNREAD_MLP_KEYS and lines and lines[0].startswith("warning: "):
+                lines = lines[1:]
+            if code not in (0, 2) or len(lines) > 1 or (code == 2) != bool(lines):
+                bad.append((leaf, value, code, lines))
+    assert bad == []
+
+
+def run_recorded(argv):
+    """``main(argv)`` in process: its exit code, or argparse's, and its
+    stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_serves_every_call_as_a_fresh_one_would(tmp_path, monkeypatch):
+    """``main`` parses with one parser per process. Calls of several
+    subcommands, a flag left at its default after a call that set it, a
+    parse error and ``--version`` give the exit codes, output and files
+    that a parser built afresh for each call gives."""
+
+    def calls(directory):
+        directory.mkdir()
+        synth = ["synth", "--n-lf", "6", "--n-hf", "3"]
+        argvs = [
+            [*synth, "--seed", "2", "--out", str(directory / "a")],
+            [*synth, "--out", str(directory / "b")],
+            ["ingest", "--input", str(directory / "a" / "lf_x.txt")],
+            ["synth", "--n-lf", "x"],
+            ["--version"],
+            ["bogus"],
+        ]
+        results = [run_recorded(argv) for argv in argvs]
+        files = {path.relative_to(directory): path.read_bytes()
+                 for path in sorted(directory.rglob("*")) if path.is_file()}
+        text = json.dumps(results).replace(str(directory), "<dir>")
+        return text, {p: b.replace(str(directory).encode(), b"<dir>") for p, b in files.items()}
+
+    assert cli.build_parser() is cli.build_parser()
+    cached = calls(tmp_path / "cached")
+    codes = [code for code, _, _ in json.loads(cached[0])]
+    assert codes == [0, 0, 0, 2, 0, 2]
+    error = json.loads(cached[0])[3][2].strip().splitlines()
+    assert [line for line in error if "error:" in line] == error[-1:]
+    assert error[-1] == "surrkit synth: error: argument --n-lf: invalid int value: 'x'"
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert calls(tmp_path / "fresh") == cached
+
+
+def test_a_command_replaced_after_the_first_parse_is_the_one_run(monkeypatch):
+    """The parser names the subcommand and ``main`` looks its function up at
+    each call, so a wrapper installed after the parser was built runs."""
+    cli.build_parser()
+    ran = []
+    monkeypatch.setattr(cli, "cmd_synth", lambda args: ran.append(args.n_lf) or 0)
+    assert main(["synth", "--n-lf", "7"]) == 0
+    assert ran == [7]

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.optimize import OptimizeResult, minimize
 
-from helpers import direct_gpr_oracle, pooled_r2, scipy_blas_threads
+from helpers import REFERENCE_RTOL, direct_gpr_oracle, pooled_r2, scipy_blas_threads
 from surrkit import gpr
 from surrkit.errors import InputError, NumericError
 from surrkit.gpr import (
@@ -34,8 +35,16 @@ from surrkit.gpr import (
     kernel_from_name,
     optimize_hyperparameters,
 )
-from surrkit.preprocess import SplitSpec, preprocess_data_pipeline
+from surrkit.metrics import uq_report
+from surrkit.multifid import FittedSurrogate, TensorLayout
+from surrkit.preprocess import SplitSpec, fit_scaler, preprocess_data_pipeline, transform
 from surrkit.synthbench import Sampler, forrester_pair, generate_pair_dataset
+
+
+def model_ks(model, Xq):
+    """The model's own Ks at the scaled queries ``Xq``: its kernel core
+    weighted by the identity, which gives Ks^T exactly."""
+    return model._predict(model._in_units(Xq), np.eye(model.n_train)).T
 
 
 class TestKernelEval:
@@ -266,18 +275,26 @@ class TestPredict:
 
     def test_variance_bytes_equal_those_of_solve_triangular(self):
         """The variance solve calls LAPACK's dtrtrs itself, the routine
-        scipy's solve_triangular calls for a Fortran-ordered factor."""
+        scipy's solve_triangular calls for a Fortran-ordered factor: on the
+        model's own Ks the bytes agree, and on a fresh ``kernel_eval`` Ks the
+        variance agrees within ``REFERENCE_RTOL`` of sf2."""
         rng = np.random.default_rng(7)
         X = rng.uniform(0, 1, (60, 3))
         spec = KernelSpec(kind="constant*matern", nu=2.5, length_scale=0.4, noise=1e-6)
         model = gpr_fit(X, np.sin(X.sum(axis=1, keepdims=True)), spec)
         assert model.L.flags.f_contiguous
-        for Xq in [*rng.uniform(-0.2, 1.2, (30, 1, 3)), rng.uniform(-0.2, 1.2, (40, 3))]:
-            v = solve_triangular(model.L, kernel_eval(spec, X, Xq), lower=True)
-            variance = np.full(len(Xq), spec.signal_variance)
+
+        def variance_of(Ks):
+            v = solve_triangular(model.L, Ks, lower=True)
+            variance = np.full(Ks.shape[1], spec.signal_variance)
             variance -= np.einsum("ij,ij->j", v, v)
-            np.maximum(variance, 0.0, out=variance)
-            assert gpr_predict(model, Xq).variance.tobytes() == variance.tobytes()
+            return np.maximum(variance, 0.0, out=variance)
+
+        for Xq in [*rng.uniform(-0.2, 1.2, (30, 1, 3)), rng.uniform(-0.2, 1.2, (40, 3))]:
+            got = gpr_predict(model, Xq).variance
+            assert got.tobytes() == variance_of(model_ks(model, Xq)).tobytes()
+            fresh = variance_of(kernel_eval(spec, X, Xq))
+            assert np.max(np.abs(got - fresh)) <= REFERENCE_RTOL * spec.signal_variance
 
     def test_fit_hands_its_factor_to_the_model(self, monkeypatch):
         """A fitted model's variance reuses the fit's factor; only a model
@@ -326,24 +343,29 @@ ALL_KERNELS = [
 
 
 class TestMeanPath:
-    """``GprModel.predict`` is the mean of ``gpr_predict``, to the last bit."""
+    """``GprModel.predict`` is the mean of ``gpr_predict``, to the last bit,
+    in one block and across blocks."""
 
     @pytest.mark.parametrize("base", ALL_KERNELS, ids=lambda s: f"{s.kind}-{s.nu}")
     @pytest.mark.parametrize("length_scale", [0.4, np.array([0.3, 0.8, 1.7])],
                              ids=["isotropic", "per-dim"])
-    def test_mean_bytes_equal_gpr_predict_mean(self, base, length_scale):
+    def test_mean_bytes_equal_gpr_predict_mean(self, base, length_scale, monkeypatch):
         rng = np.random.default_rng(21)
         X = rng.uniform(0, 1, (30, 3))
         Y = np.column_stack([np.sin(4 * X[:, 0]), X[:, 1] * X[:, 2], np.cos(X.sum(axis=1))])
         spec = replace(base, length_scale=length_scale, noise=1e-4)
         model = gpr_fit(X, Y, spec)
         batch = rng.uniform(-0.2, 1.2, (17, 3))
+        # 8 query points per block: the batch takes blocks of 8, 8 and 1.
+        monkeypatch.setattr(gpr, "_KS_BLOCK_BYTES", 64 * len(X))
         for Xq in (batch[:1], batch):
             mean = model.predict(Xq)
             assert mean.shape == (len(Xq), 3)
             assert mean.tobytes() == gpr_predict(model, Xq).mean.tobytes()
-            # The cached training side gives the bytes a fresh kernel does.
-            assert mean.tobytes() == (kernel_eval(spec, X, Xq).T @ model.alpha).tobytes()
+            # The one product with the cached training side agrees with a
+            # fresh kernel's mean in its last bits, not byte for byte.
+            fresh = kernel_eval(spec, X, Xq).T @ model.alpha
+            assert np.max(np.abs(mean - fresh)) <= REFERENCE_RTOL * np.max(np.abs(fresh))
 
 
 def _out_of_place_kernel(spec, A, B):
@@ -409,14 +431,97 @@ class TestInPlaceKernel:
         assert model.alpha.tobytes() == cho_solve((L, True), Y).tobytes()
 
     def test_training_terms_unchanged_by_prediction(self):
-        model = gpr_fit(self.A, np.sin(self.A[:, :1]), KernelSpec(kind="constant*matern", nu=2.5))
-        cached = model._train_scaled
-        before = [a.copy() for a in cached]
-        model.predict(self.B)
-        gpr_predict(model, self.B)
-        assert model._train_scaled is cached
-        for a, b in zip(cached, before):
-            assert a.tobytes() == b.tobytes()
+        """The cached training side of the Ks product, one per model, is
+        read and never written."""
+        for kind in ("constant*rbf", "constant*matern"):
+            model = gpr_fit(self.A, np.sin(self.A[:, :1]), KernelSpec(kind=kind, nu=2.5))
+            cached = model._train_side
+            before = cached.copy()
+            model.predict(self.B)
+            gpr_predict(model, self.B)
+            assert model._train_side is cached
+            assert cached.tobytes() == before.tobytes()
+
+
+class TestFarField:
+    """Far from every training row each family's Ks underflows to exactly 0
+    without a warning: the mean is the output offset and the variance sf2."""
+
+    rng = np.random.default_rng(41)
+    X = rng.uniform(0, 1, (25, 3))
+    Y = np.column_stack([np.sin(4 * X[:, 0]), X[:, 1] - X[:, 2]])
+    # Matern 0.5's sf2 exp(-r) falls slowest and underflows past r = 745; a
+    # site 1000 length scales past every training row in each input is at
+    # r >= 1000 sqrt(3).
+    REACH = 1000.0
+
+    def stage(self, base, length_scale):
+        spec = replace(base, length_scale=length_scale, noise=1e-4)
+        x_scaler, y_scaler = fit_scaler(self.X), fit_scaler(self.Y)
+        model = gpr_fit(transform(x_scaler, self.X), transform(y_scaler, self.Y), spec)
+        return FittedSurrogate(model, x_scaler, y_scaler, TensorLayout(("a", "b"), ("0",)))
+
+    @pytest.mark.parametrize("base", ALL_KERNELS, ids=_kernel_id)
+    @SCALES
+    def test_far_site(self, base, length_scale):
+        stage = self.stage(base, length_scale)
+        model, sf2 = stage.model, stage.model.kernel.signal_variance
+        ls = model._length_scales
+        scaled = (model.X_train.max(axis=0) + self.REACH * ls)[np.newaxis]
+        raw = (self.X.max(axis=0) + self.REACH * ls * stage.x_scaler.divisor)[np.newaxis]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert (model_ks(model, scaled) == 0.0).all()
+            pred = gpr_predict(model, scaled)
+            report = uq_report(stage, raw)
+            mean = stage.predict_raw(raw)
+        assert (pred.mean == 0.0).all() and (pred.variance == sf2).all()
+        assert (mean == stage.y_scaler.means).all()
+        assert (report.mean == stage.y_scaler.means).all()
+        assert (report.std == math.sqrt(sf2) * stage.y_scaler.stds).all()
+
+    @pytest.mark.parametrize("base", ALL_KERNELS, ids=_kernel_id)
+    def test_site_just_under_the_plan_bound(self, base):
+        stage = self.stage(base, np.array([0.3, 0.8, 1.7]))
+        below = np.nextafter(stage._plan.bound, 0.0)
+        for sign in (1.0, -1.0):
+            site = np.full((1, 3), sign * below)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = uq_report(stage, site)
+                mean = stage.predict_raw(site)
+            assert np.isfinite(mean).all() and np.isfinite(report.std).all()
+            assert mean.tobytes() == report.mean.tobytes()
+
+    def test_rbf_exponent_is_capped_at_log_sf2(self):
+        """Training rows 1e10 length scales from the origin: rounding in the
+        product of such rows can leave the exponent far above log sf2, which
+        would overflow exp, where the rows meet. The cap keeps each Ks in
+        [0, sf2], as the clipped r^2 of the training kernel does."""
+        rng = np.random.default_rng(43)
+        X = 1e10 + rng.uniform(-1e9, 1e9, (40, 3))
+        spec = KernelSpec(kind="constant*rbf", signal_variance=2.3, noise=1e-4)
+        model = gpr_fit(X, np.sin(np.arange(40.0))[:, np.newaxis], spec)
+        queries = np.vstack([X, X + rng.uniform(-1.0, 1.0, X.shape)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Ks = model_ks(model, queries)
+            pred = gpr_predict(model, queries)
+        assert model._exponent_cap == math.log(spec.signal_variance)
+        assert (Ks >= 0.0).all() and (Ks <= spec.signal_variance * (1 + 1e-15)).all()
+        assert np.isfinite(pred.mean).all()
+        assert ((pred.variance >= 0.0) & (pred.variance <= spec.signal_variance)).all()
+
+    def test_no_cap_where_rounding_cannot_reach_it(self):
+        """Rows within hundreds of length scales of the origin skip the
+        pass: the exponent exceeds log sf2 by under 1e-9 there."""
+        rng = np.random.default_rng(47)
+        spec = KernelSpec(kind="constant*rbf", signal_variance=2.3, length_scale=0.01)
+        X = rng.uniform(-1.0, 1.0, (40, 3))
+        model = gpr_fit(X, np.sin(X.sum(axis=1, keepdims=True)), spec)
+        assert model._exponent_cap == math.inf
+        queries = np.vstack([X, X + rng.uniform(-0.01, 0.01, X.shape)])
+        assert model_ks(model, queries).max() <= spec.signal_variance * (1 + 2e-9)
 
 
 class TestBlockedPrediction:

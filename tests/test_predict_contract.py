@@ -17,6 +17,7 @@ and ``predict_raw``.
 """
 
 import contextlib
+import functools
 import io
 import sys
 import warnings
@@ -24,6 +25,7 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import REFERENCE_RTOL
 from surrkit.cli import main
 from surrkit.data import DataTensor, as_matrix
 from surrkit.errors import InputError
@@ -229,6 +231,36 @@ def test_the_plan_is_built_on_the_first_prediction_only(surrogates, tmp_path, mo
         builds.clear()
 
 
+def test_the_training_side_is_built_on_the_first_prediction_only(
+    surrogates, tmp_path, monkeypatch
+):
+    """``load_model`` builds no GPR training side; predictions, ``uq_report``
+    too, build one per GPR model, on the first, and keep it."""
+    builds = []
+    inner = GprModel._train_side.func
+
+    def counted(self):
+        builds.append(self)
+        return inner(self)
+
+    side = functools.cached_property(counted)
+    side.__set_name__(GprModel, "_train_side")
+    monkeypatch.setattr(GprModel, "_train_side", side)
+    sites = np.linspace(0.0, 1.0, 5)
+    for name, surrogate in surrogates.items():
+        loaded = load_model(save_model(surrogate, tmp_path, name.replace("/", "-")))
+        stages = _stages(loaded)
+        models = [stage.model for stage in stages if isinstance(stage.model, GprModel)]
+        assert builds == [] and all("_train_side" not in m.__dict__ for m in models), name
+        for _ in range(3):
+            loaded.predict_raw(sites)
+            loaded.predict_raw(sites[:1])
+        if isinstance(stages[0].model, GprModel):
+            uq_report(stages[0], sites)
+        assert [id(model) for model in builds] == [id(model) for model in models], name
+        builds.clear()
+
+
 def _reference(stage, x):
     """The prediction built stage by stage from public pieces.
 
@@ -276,12 +308,6 @@ def trig4_composite(request):
         _, mid = generate_pair_dataset(trig4_pair(), 60, 30, Sampler(seed=6))
         return train_mf_chain([lf, mid, hf], "gpr", SplitSpec(seed=5), grid)[0]
     return train_mf(lf, hf, "gpr", top, SplitSpec(seed=5), grid, MLP_GRID)
-
-
-# The largest difference from the stage-by-stage reference allowed, relative
-# to the reference's largest magnitude: the fold moves these composites'
-# predictions by at most 8.5e-15 of it.
-REFERENCE_RTOL = 1e-12
 
 
 def assert_near_reference(got: np.ndarray, expected: np.ndarray) -> None:
