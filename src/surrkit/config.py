@@ -2,10 +2,10 @@
 
 ``_SCHEMA`` lists every key once, with the reader that checks its JSON type
 (a bool is no number, and an integer key takes a float only if it is
-integral) and, for ``gpr.restarts``, ``gpr.length_scale_bounds``,
-``mlp.widths`` and ``mlp.layers``, its range (``MAX_RESTARTS``,
-``LENGTH_SCALE_RANGE``, ``MAX_WIDTH``, ``MAX_LAYERS``), and that
-``convergence.sizes`` are positive and strictly increasing; README's
+integral and at most 2**53 in magnitude) and, for ``gpr.restarts``,
+``gpr.length_scale_bounds``, ``mlp.widths`` and ``mlp.layers``, its range
+(``MAX_RESTARTS``, ``LENGTH_SCALE_RANGE``, ``MAX_WIDTH``, ``MAX_LAYERS``),
+and that ``convergence.sizes`` are positive and strictly increasing; README's
 "Configuration" shows a full config. Every key is checked before any stage
 runs, an unknown key is rejected with its full path, and an omitted key keeps
 the default of the dataclass field it sets. A key that training does not read
@@ -62,9 +62,11 @@ def _wrong(where: str, expected: str, value) -> InputError:
 
 
 def _integer(value, where: str) -> int:
-    if type(value) is int or (type(value) is float and value.is_integer()):
+    # Past 2**53 a float no longer counts by ones: refused as written, not
+    # echoed by a later check as a 309-digit integer.
+    if type(value) is int or (type(value) is float and abs(value) <= 2**53 and value.is_integer()):
         return int(value)
-    raise _wrong(where, "an integer", value)
+    raise _wrong(where, "an integer (as a float, at most 2**53 in magnitude)", value)
 
 
 def _number(value, where: str) -> float:

@@ -40,35 +40,31 @@ of the formulas above in their order, so K is the bytes the out-of-place
 expressions give, except that its self-distances are exactly 0 rather than
 the few ulps of cancellation the expanded r^2 leaves there.
 
-``GprModel.predict`` computes the mean alone; only ``gpr_predict`` and
-``metrics.uq_report`` pay for the O(n^2) triangular solve behind the
-variance. All run one kernel core, ``GprModel._predict``, on a query in
-length-scale units, forming ``Ks^T w`` for the weights w it is given. It
-takes a batch in blocks of query points whose kernel buffers (Ks, and the
-one or two more Matern 1.5 and 2.5 need) fit in ``_KS_BLOCK_BYTES``
-together, and writes each block's rows into preallocated outputs. A block's
-cross product, its elementwise passes and ``Ks.T @ w`` then run on data
-that stays in a core's L2 cache (232 points at n_train = 560 with rbf), and
-the working memory of a batch is a block's worth whatever its size. A batch
-that fits in one block is predicted in one step. Each model keeps one
-training side, built on first use (``GprModel._train_side``), whose rows
-carry the row norms, and for rbf the amplitude, so that one product with a
-block's query side gives rbf's whole exponent, log sf2 - r^2/2, or
-Matern's r^2, as GPyTorch's ``sq_dist`` does. The mean is still GPML
-eq. 2.25, ``Ks^T alpha``, but it agrees with a ``kernel_eval`` Ks's in its
-last bits, not bit for bit. ``GprModel.predict`` and ``gpr_predict`` divide
-scaled inputs by the length scales and weight by ``alpha``. A prediction
-stage runs its serving plan (``GprModel.serving_plan``) instead, which
-folds its scalers into the model's constants, which moves the result in its
-last bits too. ``X_train`` and ``alpha`` are finite from the
-moment a model exists, because ``gpr_fit`` checks its inputs and rejects a
-non-finite lml (which any non-finite entry of ``alpha`` makes) and
-``modelstore.load_model`` checks them, so no path re-checks them per query.
-A query's shape is checked once, by the outermost call, and its values
-once, before any step can overflow: against ``_query_bound`` in scaled
-units, or the plan's bound on raw sites. Both keep every entry of the query
-in length-scale units below ``_unit_bound``, where no product, distance or
-kernel value can overflow, and refuse NaN and infinities.
+A model predicts through one path, its serving plan
+(``GprModel.serving_plan``): the ``preprocess.StandardScaler`` pair it was
+trained with folds into its constants, so the plan takes raw sites to raw
+outputs. Stages serve with it, sweeps score with it (``tuner``), and
+``gpr_predict`` runs it between identity scalers. Only a call that asks for
+the variance (``gpr_predict``, ``metrics.uq_report``) pays for the O(n^2)
+triangular solve. The plan runs one kernel core, ``GprModel._predict``, on
+a query in length-scale units, forming ``Ks^T w`` for its folded weights w
+in blocks of query points whose kernel buffers (Ks, and the one or two more
+Matern 1.5 and 2.5 need) fit in ``_KS_BLOCK_BYTES`` together, each written
+into preallocated outputs. A block's cross product, its elementwise passes
+and ``Ks.T @ w`` then run on data that stays in a core's L2 cache (232
+points at n_train = 560 with rbf), and a batch's working memory is a
+block's worth whatever its size. Each model keeps one training side, built
+on first use (``GprModel._train_side``), whose rows carry the row norms,
+and for rbf the amplitude, so that one product with a block's query side
+gives rbf's whole exponent, log sf2 - r^2/2, or Matern's r^2, as GPyTorch's
+``sq_dist`` does. The mean is GPML eq. 2.25, ``Ks^T alpha``, up to its last
+bits, which that product and the folded scalers move. ``X_train`` and
+``alpha`` are finite from the moment a model exists: ``gpr_fit`` checks its
+inputs and rejects a non-finite lml (which any non-finite entry of
+``alpha`` makes) and ``modelstore.load_model`` checks them. A query's shape
+is checked once, by the outermost call, and its values once, against the
+plan's bound: below it every query entry in length-scale units lies under
+``_unit_bound``, where nothing can overflow; NaN and infinities are refused.
 
 Every factorization of a training kernel goes through ``_fit_at``, GPML
 Algorithm 2.1: given K + sn2*I and Y it returns ``L``, ``alpha``, the lml
@@ -115,6 +111,7 @@ from scipy.optimize import OptimizeResult, minimize
 from surrkit.blas import _one_scipy_blas_thread
 from surrkit.data import as_matrix, check_below
 from surrkit.errors import InputError, NumericError
+from surrkit.preprocess import StandardScaler
 
 KERNEL_KINDS = ("rbf", "matern", "constant*rbf", "constant*matern")
 MATERN_NUS = (0.5, 1.5, 2.5)
@@ -471,7 +468,7 @@ class GprModel:
         Below it each such entry squares to under fmax / (8 d s),
         s = max(1, sf2), so a row's squared norm stays under fmax / (8 s).
         Training inputs lie below it too (``modelstore.load_model`` checks a
-        loaded model's against ``_query_bound``). The magnitudes of the
+        loaded model's, max |X_train| < min(l) times this). The magnitudes of the
         terms of a ``_train_side`` product, which bound its partial sums,
         then sum to under fmax / (4 s) + |log sf2| for rbf, whose Ks
         ``_exponent_cap`` keeps in [0, sf2 (1 + 2e-9)], and fmax / (2 s) for
@@ -482,11 +479,6 @@ class GprModel:
         """
         scale = max(1.0, self.kernel.signal_variance)
         return math.sqrt(np.finfo(np.float64).max / (8.0 * self.input_dim * scale))
-
-    @cached_property
-    def _query_bound(self) -> float:
-        """``_unit_bound`` for entries not yet divided by the length scales."""
-        return float(self._length_scales.min()) * self._unit_bound
 
     @cached_property
     def _block_rows(self) -> int:
@@ -501,8 +493,8 @@ class GprModel:
         """``Ks^T weights`` at the query ``Z``, a matrix of the model's width
         in length-scale units whose entries lie below ``_unit_bound``, into
         ``out`` if given; ``variance``, if given, receives each point's
-        latent variance. The one kernel core: ``weights`` is ``alpha`` for a
-        mean in scaled units, a ``GprPlan``'s folded weights for raw units.
+        latent variance. The one kernel core, which ``GprPlan`` runs with its
+        folded weights.
 
         A batch larger than one block (``_KS_BLOCK_BYTES``) is predicted
         block by block into preallocated outputs, so its working memory does
@@ -548,17 +540,6 @@ class GprModel:
             variance -= np.einsum("ij,ij->j", v, v)
             np.maximum(variance, 0.0, out=variance)
         return np.matmul(Ks.T, weights, out=out)
-
-    def _in_units(self, X_star: np.ndarray) -> np.ndarray:
-        """A query matrix in scaled space, checked for values below
-        ``_query_bound`` and divided by the length scales."""
-        check_below(X_star, "X_star", self._query_bound)
-        return X_star / self._length_scales
-
-    def predict(self, X_scaled: np.ndarray) -> np.ndarray:
-        """Posterior mean at inputs in scaled space; no variance is computed."""
-        X_scaled = as_matrix(X_scaled, "X_star", self.input_dim, finite=False)
-        return self._predict(self._in_units(X_scaled), self.alpha)
 
     def serving_plan(self, x_scaler, y_scaler) -> "GprPlan":
         """This model as a stage from raw sites to raw outputs, between the
@@ -710,10 +691,14 @@ def gpr_fit(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> GprModel:
 
 
 def gpr_predict(model: GprModel, X_star: np.ndarray) -> Prediction:
-    """Posterior mean and latent variance at query points."""
-    Z = model._in_units(as_matrix(X_star, "X_star", model.input_dim, finite=False))
-    variance = np.empty(Z.shape[0])
-    return Prediction(mean=model._predict(Z, model.alpha, variance), variance=variance)
+    """Posterior mean and latent variance at query points in the model's own
+    units: its serving plan between identity scalers, with the variance."""
+    X_star = as_matrix(X_star, "X_star", model.input_dim, finite=False)
+    plan = model.serving_plan(
+        StandardScaler.identity(model.input_dim), StandardScaler.identity(model.y_dim)
+    )
+    variance = np.empty(X_star.shape[0])
+    return Prediction(mean=plan(X_star, variance=variance), variance=variance)
 
 
 @dataclass(frozen=True)

@@ -91,11 +91,6 @@ class MlpModel:
     def describe(self) -> str:
         return self.architecture.describe()
 
-    def predict(self, X_scaled: np.ndarray) -> np.ndarray:
-        """Network output at finite inputs in scaled space."""
-        X_scaled = as_matrix(X_scaled, "X_scaled", self.architecture.input_dim)
-        return _activations(self, X_scaled)[-1]
-
     def serving_plan(self, x_scaler, y_scaler) -> "MlpPlan":
         """This model as a stage from raw sites to raw outputs, between the
         ``preprocess.StandardScaler`` pair it was trained with: a network

@@ -469,14 +469,15 @@ def _build_surrogate(bundle_dir: Path, meta: dict, arrays: dict, stage: str) -> 
             lml=_json_float(training.get("lml", math.nan), "training.lml"),
             jitter_used=jitter_used,
         )
-        # Training inputs past the bound that queries meet would overflow the
-        # kernel at every prediction, with an error that blames the sites.
+        # Training inputs past this bound would overflow the kernel at every
+        # prediction, with an error that blames the sites.
         largest = np.abs(X_train).max(initial=0.0)
-        if not largest < model._query_bound:
+        bound = float(model._length_scales.min()) * model._unit_bound
+        if not largest < bound:
             raise StoreError(
                 f"malformed bundle {bundle_dir}: {stage}X_train holds a value of magnitude "
                 f"{largest:.3g}; a GPR stage takes training inputs below "
-                f"{model._query_bound:.3g}, where its kernel cannot overflow"
+                f"{bound:.3g}, where its kernel cannot overflow"
             )
     else:
         arch = MlpArchitecture(

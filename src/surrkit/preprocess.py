@@ -6,9 +6,10 @@ reproduces the same bins on any machine. Scalers are fit on the training bin
 only and applied to every bin; standardization uses the population standard
 deviation (divide by n). A scaler builds its divisor (the stds, with 1 for a
 constant column) once, when it is made, so applying it costs its arithmetic.
-``transform`` and ``inverse_transform`` apply it, and serve training and
-scoring only: a prediction stage folds its scalers into its model's
-constants once (``multifid.FittedSurrogate._plan``) and never runs them.
+``transform`` scales the bins training reads, and ``inverse_transform``
+serves ``_verify_inverse`` and callers: a model's serving plan folds the
+scalers into its constants (``multifid.FittedSurrogate._plan``), and sweeps
+score with it on the raw validation rows that ``PreparedData`` keeps.
 """
 
 from __future__ import annotations
@@ -137,8 +138,8 @@ def inverse_transform(scaler: StandardScaler, matrix: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PreparedData:
-    """Scaled train/test/validation bins, each a read-only ``(rows, m*l)``
-    float64 array, plus the scalers that made them."""
+    """Scaled train/test/validation bins and the raw validation bin, each a
+    read-only ``(rows, m*l)`` float64 array, plus the scalers that made them."""
 
     X_train: np.ndarray
     X_test: np.ndarray
@@ -146,6 +147,8 @@ class PreparedData:
     Y_train: np.ndarray
     Y_test: np.ndarray
     Y_val: np.ndarray
+    X_val_raw: np.ndarray
+    Y_val_raw: np.ndarray
     x_scaler: StandardScaler
     y_scaler: StandardScaler
     split_indices: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -185,13 +188,16 @@ def _prepare(
     Y = flatten(data.Y)
     x_scaler = fit_scaler(X[bins[0]])
     y_scaler = fit_scaler(Y[bins[0]])
-    scaled = {}
+    arrays = {}
     for label, idx in zip(("train", "test", "val"), bins):
         for name, raw, scaler in (("X", X[idx], x_scaler), ("Y", Y[idx], y_scaler)):
             values = transform(scaler, raw)
             _verify_inverse(scaler, raw, values, f"{name} {label}")
             values.setflags(write=False)
-            scaled[f"{name}_{label}"] = values
+            arrays[f"{name}_{label}"] = values
+            if label == "val":
+                raw.setflags(write=False)
+                arrays[f"{name}_val_raw"] = raw
     return PreparedData(
-        **scaled, x_scaler=x_scaler, y_scaler=y_scaler, split_indices=tuple(bins)
+        **arrays, x_scaler=x_scaler, y_scaler=y_scaler, split_indices=tuple(bins)
     )

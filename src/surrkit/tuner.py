@@ -1,14 +1,16 @@
 """Hyperparameter sweeps and training-set-size convergence studies.
 
 Sweeps are plain grids: every candidate is fitted with a shared seed and
-scored by validation RMSE in original units. The winner is the argmin, with
+scored by validation RMSE in original units, by the serving plan it would
+serve with, on the raw validation rows, so a stage built from the winner
+reproduces its score bit for bit. The winner is the argmin, with
 ties (within 1e-12 absolute RMSE) broken by smaller parameter count and then
 by earlier grid position, so a larger model never wins over an equally
 accurate smaller one. A sweep returns the winner's fitted model; nothing is
 trained twice. A convergence study runs that same prepare step and sweep at
 each training-set size: the training rows are nested prefixes of a seeded
 permutation of the split's training bin, the split's validation bin picks
-each size's winner, and its fixed test bin scores it.
+each size's winner, and that winner's plan scores it on the fixed test bin.
 """
 
 from __future__ import annotations
@@ -32,13 +34,7 @@ from surrkit.gpr import (  # noqa: F401
 )
 from surrkit.metrics import r_squared, rmse
 from surrkit.mlp import MlpArchitecture, MlpModel, TrainConfig, mlp_train
-from surrkit.preprocess import (
-    PreparedData,
-    SplitSpec,
-    _prepare,
-    inverse_transform,
-    split_data_cv,
-)
+from surrkit.preprocess import PreparedData, SplitSpec, _prepare, split_data_cv
 
 MODEL_KINDS = ("gpr", "mlp")
 RMSE_TIE_TOL = 1e-12
@@ -122,14 +118,13 @@ def _sweep(
     ``NumericError`` is recorded with ``failed_params``, an infinite RMSE and
     no model; when every candidate does, the error names the last one's cause.
     """
-    y_true = inverse_transform(prepared.y_scaler, prepared.Y_val)
     entries, models, failure = [], [], None
     for index, (label, failed_params, candidate) in enumerate(candidates):
         start = time.perf_counter()
         try:
             model, params = fit(candidate)
-            pred = inverse_transform(prepared.y_scaler, model.predict(prepared.X_val))
-            score = rmse(y_true, pred)
+            plan = model.serving_plan(prepared.x_scaler, prepared.y_scaler)
+            score = rmse(prepared.Y_val_raw, plan(prepared.X_val_raw))
         except NumericError as exc:
             model, failure = None, exc
             score, params = float("inf"), {**failed_params, "failed": True}
@@ -257,13 +252,13 @@ def convergence_study(
             f"largest size {max(sizes)} exceeds the {len(train_idx)}-row training bin"
         )
     order = np.random.default_rng(split.seed).permutation(train_idx)
-    Y_test = flatten(data.Y)[test_idx]
+    X_test, Y_test = flatten(data.X)[test_idx], flatten(data.Y)[test_idx]
 
     points = []
     for size in sizes:
         prepared = _prepare(data, (order[:size], test_idx, val_idx))
         sweep = tune(prepared, model_kind, gpr_grid, mlp_grid)
-        y_pred = inverse_transform(prepared.y_scaler, sweep.model.predict(prepared.X_test))
+        y_pred = sweep.model.serving_plan(prepared.x_scaler, prepared.y_scaler)(X_test)
         points.append(
             ConvergencePoint(
                 size=size, test_rmse=rmse(Y_test, y_pred), test_r2=r_squared(Y_test, y_pred)

@@ -1397,6 +1397,31 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, body):
     assert_config_exits_2_with_one_line(cfg, tmp_path / "r")
 
 
+@pytest.mark.parametrize("value", [1e308, -1e308], ids=["plus", "minus"])
+@pytest.mark.parametrize("key", ["seed", "mlp.max_epochs", "convergence.sizes"])
+def test_integer_key_written_as_a_huge_float_exits_2_with_a_short_line(synth_dir, key, value):
+    """Past 2**53 a float no longer counts by ones, so an integer key
+    written as 1e308 is refused as written, before the run starts, in one
+    short line; a later check would echo it as a 309-digit integer, and
+    +1e308 would train."""
+    cfg = json.loads((synth_dir / "mf_config.json").read_text())
+    cfg.update(gpr=FAST_GPR, mf_model={"kind": "mlp"})
+    command = "mf-train"
+    if key == "seed":
+        cfg["seed"] = value
+    elif key == "mlp.max_epochs":
+        cfg["mlp"] = {"max_epochs": value}
+    else:
+        command = "convergence"
+        cfg = {"data": cfg["lf_data"], "gpr": FAST_GPR, "convergence": {"sizes": [value]}}
+    path, out = write_config(synth_dir / "huge.json", cfg), synth_dir / "r"
+    code, lines = run_captured([command, "--config", str(path), "--out", str(out)])
+    assert code == 2 and len(lines) == 1, lines
+    assert lines[0].startswith(f"error: config key '{key}") and f"got {value!r}" in lines[0]
+    assert len(lines[0]) < 200
+    assert not out.exists()
+
+
 # Config or meta.json bytes that json.loads cannot take: UTF-16 text, and
 # arrays nested deeper than the decoder's recursion limit.
 UNREADABLE_JSON = {

@@ -37,14 +37,35 @@ from surrkit.gpr import (
 )
 from surrkit.metrics import uq_report
 from surrkit.multifid import FittedSurrogate, TensorLayout
-from surrkit.preprocess import SplitSpec, fit_scaler, preprocess_data_pipeline, transform
+from surrkit.preprocess import (
+    SplitSpec,
+    StandardScaler,
+    fit_scaler,
+    preprocess_data_pipeline,
+    transform,
+)
 from surrkit.synthbench import Sampler, forrester_pair, generate_pair_dataset
 
 
 def model_ks(model, Xq):
-    """The model's own Ks at the scaled queries ``Xq``: its kernel core
-    weighted by the identity, which gives Ks^T exactly."""
-    return model._predict(model._in_units(Xq), np.eye(model.n_train)).T
+    """The model's own Ks at the queries ``Xq``, in its own units: its kernel
+    core weighted by the identity, which gives Ks^T exactly, on the query
+    ``gpr_predict``'s identity plan forms, Xq times 1/l."""
+    return model._predict(Xq * (1.0 / model._length_scales), np.eye(model.n_train)).T
+
+
+def identity_plan(model):
+    """The model's serving plan between identity scalers, as ``gpr_predict``
+    runs it: its mean path, in the model's own units."""
+    return model.serving_plan(StandardScaler.identity(model.input_dim),
+                              StandardScaler.identity(model.y_dim))
+
+
+def identity_stage(model):
+    """The model as a stage between identity scalers."""
+    layout = TensorLayout(tuple(f"y{j}" for j in range(model.y_dim)), ("0",))
+    return FittedSurrogate(model, StandardScaler.identity(model.input_dim),
+                           StandardScaler.identity(model.y_dim), layout)
 
 
 class TestKernelEval:
@@ -317,21 +338,23 @@ class TestPredict:
             gpr_predict(model, np.zeros((1, 3)))
 
     def test_dimension_mismatch_on_mean_path(self):
+        """The mean-only path is a stage's ``predict_raw``."""
         model = gpr_fit(np.zeros((2, 2)) + [[0, 0], [1, 1]], np.ones((2, 1)), KernelSpec())
-        with pytest.raises(InputError, match="^X_star has 3 columns, expected 2$"):
-            model.predict(np.zeros((1, 3)))
+        with pytest.raises(InputError, match="^design sites has 3 columns, expected 2$"):
+            identity_stage(model).predict_raw(np.zeros((1, 3)))
 
     @pytest.mark.parametrize("shape", [(1, 2, 1), (1, 2, 2)])
     def test_rank_3_query_rejected(self, shape):
         model = gpr_fit(np.array([[0.0, 0.0], [1.0, 1.0]]), np.ones((2, 1)), KernelSpec())
-        for predict in (model.predict, lambda X: gpr_predict(model, X)):
-            with pytest.raises(InputError, match="^X_star must be a 2-D matrix, got rank 3$"):
+        for name, predict in (("design sites", identity_stage(model).predict_raw),
+                              ("X_star", lambda X: gpr_predict(model, X))):
+            with pytest.raises(InputError, match=f"^{name} must be a 2-D matrix, got rank 3$"):
                 predict(np.zeros(shape))
 
     def test_non_finite_query_rejected_on_mean_path(self):
         model = gpr_fit(np.array([[0.0], [1.0]]), np.ones((2, 1)), KernelSpec())
         with pytest.raises(InputError, match="non-finite"):
-            model.predict(np.array([[np.nan]]))
+            identity_stage(model).predict_raw(np.array([[np.nan]]))
 
 
 ALL_KERNELS = [
@@ -343,8 +366,8 @@ ALL_KERNELS = [
 
 
 class TestMeanPath:
-    """``GprModel.predict`` is the mean of ``gpr_predict``, to the last bit,
-    in one block and across blocks."""
+    """A plan's mean without the variance is its mean with it
+    (``gpr_predict``), to the last bit, in one block and across blocks."""
 
     @pytest.mark.parametrize("base", ALL_KERNELS, ids=lambda s: f"{s.kind}-{s.nu}")
     @pytest.mark.parametrize("length_scale", [0.4, np.array([0.3, 0.8, 1.7])],
@@ -359,7 +382,7 @@ class TestMeanPath:
         # 8 query points per block: the batch takes blocks of 8, 8 and 1.
         monkeypatch.setattr(gpr, "_KS_BLOCK_BYTES", 64 * len(X))
         for Xq in (batch[:1], batch):
-            mean = model.predict(Xq)
+            mean = identity_plan(model)(Xq)
             assert mean.shape == (len(Xq), 3)
             assert mean.tobytes() == gpr_predict(model, Xq).mean.tobytes()
             # The one product with the cached training side agrees with a
@@ -437,7 +460,7 @@ class TestInPlaceKernel:
             model = gpr_fit(self.A, np.sin(self.A[:, :1]), KernelSpec(kind=kind, nu=2.5))
             cached = model._train_side
             before = cached.copy()
-            model.predict(self.B)
+            identity_plan(model)(self.B)
             gpr_predict(model, self.B)
             assert model._train_side is cached
             assert cached.tobytes() == before.tobytes()
@@ -493,6 +516,30 @@ class TestFarField:
             assert np.isfinite(mean).all() and np.isfinite(report.std).all()
             assert mean.tobytes() == report.mean.tobytes()
 
+    @pytest.mark.parametrize("base", ALL_KERNELS, ids=_kernel_id)
+    def test_gpr_predict_has_one_overflow_rule(self, base):
+        """``gpr_predict`` checks a query once, against its identity plan's
+        bound, half of min(l) times ``_unit_bound``: a hair under it gives
+        finite values without a warning; a hair over it, NaN and infinities
+        each raise one ``InputError``, as do rank-3 and wrong-width queries."""
+        model = self.stage(base, np.array([0.3, 0.8, 1.7])).model
+        bound = identity_plan(model).bound
+        assert bound == 0.5 * model._unit_bound * model._length_scales.min()
+        for sign in (1.0, -1.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                pred = gpr_predict(model, np.full((1, 3), sign * np.nextafter(bound, 0.0)))
+            assert np.isfinite(pred.mean).all() and np.isfinite(pred.variance).all()
+            over = np.full((1, 3), sign * np.nextafter(bound, np.inf))
+            with pytest.raises(InputError, match="^X_star holds a value of magnitude"):
+                gpr_predict(model, over)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InputError, match="^X_star contains non-finite entries$"):
+                gpr_predict(model, np.array([[0.5, 0.5, bad]]))
+        for query in (np.zeros((1, 3, 1)), np.zeros((1, 2))):
+            with pytest.raises(InputError, match="^X_star (must be a 2-D|has 2 columns)"):
+                gpr_predict(model, query)
+
     def test_rbf_exponent_is_capped_at_log_sf2(self):
         """Training rows 1e10 length scales from the origin: rounding in the
         product of such rows can leave the exponent far above log sf2, which
@@ -536,7 +583,7 @@ class TestBlockedPrediction:
     def test_blocks_of_a_batch(self, base, monkeypatch):
         spec = replace(base, length_scale=0.4, noise=1e-4)
         whole = gpr_fit(self.X, self.Y, spec)
-        one_shot = [whole.predict(self.Xq), gpr_predict(whole, self.Xq)]
+        one_shot = [identity_plan(whole)(self.Xq), gpr_predict(whole, self.Xq)]
         # 8 query points per block: 17 points take blocks of 8, 8 and 1.
         monkeypatch.setattr(gpr, "_KS_BLOCK_BYTES", 64 * len(self.X))
         model = gpr_fit(self.X, self.Y, spec)
@@ -547,12 +594,13 @@ class TestBlockedPrediction:
             return inner(self, Z, *args)
 
         monkeypatch.setattr(gpr.GprModel, "_predict_block", counted)
-        mean = model.predict(self.Xq)
+        plan = identity_plan(model)
+        mean = plan(self.Xq)
         pred = gpr_predict(model, self.Xq)
         assert blocks == [8, 8, 1, 8, 8, 1]
         parts = [slice(0, 8), slice(8, 16), slice(16, 17)]
         per_block = [gpr_predict(model, self.Xq[p]) for p in parts]
-        assert mean.tobytes() == np.vstack([model.predict(self.Xq[p]) for p in parts]).tobytes()
+        assert mean.tobytes() == np.vstack([plan(self.Xq[p]) for p in parts]).tobytes()
         assert pred.mean.tobytes() == np.vstack([p.mean for p in per_block]).tobytes()
         assert pred.variance.tobytes() == np.concatenate(
             [p.variance for p in per_block]
@@ -572,10 +620,11 @@ class TestBlockedPrediction:
         model = gpr_fit(X, np.sin(X @ np.ones((4, 1))),
                         KernelSpec(kind=kind, nu=nu, length_scale=0.5, noise=1e-4))
         Xq = rng.uniform(0, 1, (10_000, 4))
-        model.predict(Xq[:1])  # the cached training terms are not the batch's
+        plan = identity_plan(model)
+        plan(Xq[:1])  # the cached training terms are not the batch's
         tracemalloc.start()
         try:
-            mean = model.predict(Xq)
+            mean = plan(Xq)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -18,6 +18,7 @@ from surrkit.mlp import (
     mlp_forward,
     mlp_train,
 )
+from surrkit.multifid import FittedSurrogate, TensorLayout
 from surrkit.preprocess import (
     SplitSpec,
     StandardScaler,
@@ -66,16 +67,21 @@ class TestForward:
     @pytest.mark.parametrize("shape", [(2, 3, 1), (2, 3, 3)])
     @pytest.mark.parametrize("entry", ["predict", "mlp_forward"])
     def test_rank_3_input_rejected(self, entry, shape):
-        """A tensor is no matrix: refused, not broadcast through the layers."""
+        """A tensor is no matrix: refused, not broadcast through the layers,
+        by a stage's ``predict_raw`` and by ``mlp_forward``."""
         model = init_model(MlpArchitecture(3, (4,), 1), 0)
-        call = model.predict if entry == "predict" else lambda X: mlp_forward(model, X)
-        with pytest.raises(InputError, match=r"^X(_scaled)? must be a 2-D matrix, got rank 3$"):
+        stage = FittedSurrogate(model, StandardScaler.identity(3), StandardScaler.identity(1),
+                                TensorLayout(("y",), ("0",)))
+        call = stage.predict_raw if entry == "predict" else lambda X: mlp_forward(model, X)
+        with pytest.raises(InputError, match=r"^(X|design sites) must be a 2-D matrix, got rank 3$"):
             call(np.zeros(shape))
 
     def test_predict_is_forward(self):
+        """The plan between identity scalers is the forward pass, bit for bit."""
         model = init_model(MlpArchitecture(2, (5,), 2), 1)
         X = np.random.default_rng(1).standard_normal((4, 2))
-        np.testing.assert_array_equal(model.predict(X), mlp_forward(model, X))
+        plan = model.serving_plan(StandardScaler.identity(2), StandardScaler.identity(2))
+        assert plan(X).tobytes() == mlp_forward(model, X).tobytes()
 
 
 class TestGradients:
@@ -411,7 +417,7 @@ class TestServingPlan:
         x_scaler = StandardScaler(np.array([5.0, -3.0]), np.array([0.01, 100.0]), 2)
         y_scaler = StandardScaler(np.array([1.0, 2.0]), np.array([1e3, 1e-3]), 2)
         X = np.random.default_rng(4).normal(size=(20, 2)) * [0.01, 100.0] + [5.0, -3.0]
-        expected = inverse_transform(y_scaler, model.predict(transform(x_scaler, X)))
+        expected = inverse_transform(y_scaler, mlp_forward(model, transform(x_scaler, X)))
         got = model.serving_plan(x_scaler, y_scaler)(X)
         assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected).max(axis=0))
 

@@ -411,8 +411,8 @@ def test_mean_paths_never_solve_for_the_variance(monkeypatch):
     )
     comp = MfComposite(lf=lf, mf=mf)
     Xq = rng.uniform(0, 1, (7, 1))
-    calls = (lambda: lf_model.predict(Xq), lambda: lf.predict_raw(Xq),
-             lambda: comp.predict_raw(Xq))
+    plan = lf_model.serving_plan(identity(1), identity(1))
+    calls = (lambda: plan(Xq), lambda: lf.predict_raw(Xq), lambda: comp.predict_raw(Xq))
     before = [call() for call in calls]
 
     def no_solve(*args, **kwargs):

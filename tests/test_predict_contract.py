@@ -13,24 +13,30 @@ last bits: GPR/GPR, GPR/MLP and 3-level composites are compared within a
 stated tolerance with a reference assembled stage by stage from the public
 pieces (``transform``, the model, ``inverse_transform``), and keep their
 bytes saved and loaded, as a tensor and a matrix, and between ``uq_report``
-and ``predict_raw``.
+and ``predict_raw``. A plan is a model's one prediction path: sweeps and
+convergence studies score with it, so a recorded score is the served
+stage's, bit for bit (for convergence studies,
+``test_tuner::TestConvergenceRunsTheTrainingPath``).
 """
 
+import ast
 import contextlib
 import functools
 import io
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import REFERENCE_RTOL
 from surrkit.cli import main
+from surrkit import multifid
 from surrkit.data import DataTensor, as_matrix
 from surrkit.errors import InputError
 from surrkit.gpr import GprModel, KernelSpec, kernel_eval
-from surrkit.metrics import uq_report
+from surrkit.metrics import rmse, uq_report
 from surrkit.mlp import MlpModel, TrainConfig, mlp_forward
 from surrkit.modelstore import load_model, save_model
 from surrkit.multifid import (
@@ -380,3 +386,50 @@ def test_no_divisor_is_built_per_call(predictors, monkeypatch):
     assert transform(scaler, X).tolist() == [[0.0, 0.0]]
     assert inverse_transform(scaler, transform(scaler, X)).tolist() == X.tolist()
     assert predict(np.array([[0.3], [0.7]])).tobytes() == expected.tobytes()
+
+
+TWO_KERNELS = GprGrid(
+    kernels=(KernelSpec(kind="constant*rbf"), KernelSpec(kind="constant*matern", nu=2.5)),
+    restarts=1, seed=3,
+)
+
+
+def _bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("mf_kind", ["gpr", "mlp"])
+def test_each_level_records_the_score_of_the_stage_it_serves(mf_kind, monkeypatch):
+    """Each chain level's winning ``val_rmse`` is the RMSE of the stage the
+    chain hands over, on the level's raw validation rows, bit for bit."""
+    levels, inner = [], multifid.tune
+
+    def recorded(prepared, *args):
+        levels.append(prepared)
+        return inner(prepared, *args)
+
+    monkeypatch.setattr(multifid, "tune", recorded)
+    lf, hf = generate_pair_dataset(forrester_pair(), 30, 16, Sampler(seed=3))
+    chain, sweeps = train_mf_chain([lf, hf], ["gpr", mf_kind], SPLIT, TWO_KERNELS, MLP_GRID)
+    assert len(levels) == len(sweeps) == 2
+    for prepared, sweep, stage in zip(levels, sweeps, (chain.lf, chain.mf)):
+        assert stage.model is sweep.model
+        served = rmse(prepared.Y_val_raw, stage.predict_raw(prepared.X_val_raw))
+        assert _bits(sweep.winner.val_rmse) == _bits(served)
+
+
+def _called_names(path: Path) -> list[str]:
+    """The names of the functions and methods a module calls."""
+    calls = [n.func for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(n, ast.Call)]
+    return [f.id if isinstance(f, ast.Name) else f.attr for f in calls
+            if isinstance(f, (ast.Name, ast.Attribute))]
+
+
+def test_no_second_prediction_path():
+    """Models predict only through their plans: neither model class has a
+    ``predict``, and no module but ``preprocess`` calls ``inverse_transform``."""
+    assert not hasattr(GprModel, "predict") and not hasattr(MlpModel, "predict")
+    sources = sorted((Path(__file__).resolve().parents[1] / "src" / "surrkit").glob("*.py"))
+    callers = {path.stem for path in sources if "inverse_transform" in _called_names(path)}
+    assert callers == {"preprocess"}

@@ -11,7 +11,7 @@ from surrkit.errors import InputError, NumericError
 from surrkit.gpr import KernelSpec, gpr_fit
 from surrkit.data import flatten
 from surrkit.metrics import r_squared, rmse
-from surrkit.mlp import MlpArchitecture, TrainConfig, mlp_train
+from surrkit.mlp import MlpArchitecture, TrainConfig, mlp_forward, mlp_train
 from surrkit.preprocess import (
     SplitSpec,
     _prepare,
@@ -110,11 +110,8 @@ class TestTuneGpr:
             seed=4,
         )
         result = tune_gpr(prepared, grid)
-        pred = inverse_transform(
-            prepared.y_scaler, result.model.predict(prepared.X_val)
-        )
-        truth = inverse_transform(prepared.y_scaler, prepared.Y_val)
-        assert pooled_r2(truth, pred) > 0.99
+        plan = result.model.serving_plan(prepared.x_scaler, prepared.y_scaler)
+        assert pooled_r2(prepared.Y_val_raw, plan(prepared.X_val_raw)) > 0.99
 
     def test_model_is_bit_identical_to_a_refit_of_the_winner(self):
         prepared = prepared_trig4(60, seed=5)
@@ -195,9 +192,7 @@ class TestTuneMlp:
         result = tune_mlp(prepared, grid)
         assert len(result.entries) == 2
         # score the winner on the held-out test bin
-        pred = inverse_transform(
-            prepared.y_scaler, result.model.predict(prepared.X_test)
-        )
+        pred = inverse_transform(prepared.y_scaler, mlp_forward(result.model, prepared.X_test))
         truth = inverse_transform(prepared.y_scaler, prepared.Y_test)
         assert pooled_r2(truth, pred) > 0.999
 
@@ -314,8 +309,8 @@ class TestConvergence:
 class TestConvergenceRunsTheTrainingPath:
     """At each size, a convergence study prepares the size's bins and sweeps
     them as training does: the nested prefix of the seeded permutation of the
-    training bin trains, the split's validation bin picks and its test bin
-    scores the winner in original units."""
+    training bin trains, the split's validation bin picks and the winner's
+    serving plan scores it on the raw test rows, bit for bit."""
 
     GPR_GRID = GprGrid(
         kernels=(KernelSpec(kind="constant*rbf"), KernelSpec(kind="constant*matern", nu=2.5)),
@@ -336,7 +331,8 @@ class TestConvergenceRunsTheTrainingPath:
             assert subset == tuple(order[:size].tolist())
             prepared = _prepare(data, (order[:size], test, val))
             sweep = tune(prepared, kind, self.GPR_GRID, self.MLP_GRID)
-            y_pred = inverse_transform(prepared.y_scaler, sweep.model.predict(prepared.X_test))
+            plan = sweep.model.serving_plan(prepared.x_scaler, prepared.y_scaler)
+            y_pred = plan(flatten(data.X)[test])
             assert point == ConvergencePoint(size, rmse(Y_test, y_pred), r_squared(Y_test, y_pred))
 
     def test_restarts_overrides_the_grid(self, monkeypatch):
